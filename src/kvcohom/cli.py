@@ -134,7 +134,9 @@ def _read_json_file(path: str, inputs: dict, key: str) -> Any:
     data = _read_file_bytes(path, inputs, key)
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals past
+        # the interpreter's digit limit; RecursionError, nesting too deep.
         raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from None
 
 
@@ -682,24 +684,14 @@ def run(job: JobSpec) -> Report:
     results: dict = {}
     try:
         outcome = handler(job, inputs, parameters, results)
-    except _MathFailure as exc:
+    except (_MathFailure, PreconditionError) as exc:
         body = {
             "format_version": FORMAT_VERSION,
             "verb": job.verb,
             "inputs": inputs,
             "parameters": parameters,
-            "results": exc.results or results,
-            "verdict": False,
-            "witness": str(exc),
-        }
-        return Report(job.verb, _EXIT_MATH, sz.canonical_json(body), body)
-    except PreconditionError as exc:
-        body = {
-            "format_version": FORMAT_VERSION,
-            "verb": job.verb,
-            "inputs": inputs,
-            "parameters": parameters,
-            "results": results,
+            # A _MathFailure may carry the results gathered before it.
+            "results": getattr(exc, "results", None) or results,
             "verdict": False,
             "witness": str(exc),
         }

@@ -36,7 +36,7 @@ from .core import (
     lie_bracket,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, image, kernel, rat, solve, vec
+from .linalg import Mat, RatLike, Vec, extend_basis, image, kernel, rat, solve, vec
 
 __all__ = [
     "Cochain",
@@ -62,27 +62,39 @@ DEFAULT_ENTRY_BUDGET = 10**7
 ENTRY_BUDGET_ENV = "KVCOHOM_ENTRY_BUDGET"
 
 
-def entry_budget() -> int:
-    """The configured per-degree cochain-table cell budget."""
-    raw = os.environ.get(ENTRY_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ENTRY_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{ENTRY_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+def entry_budget(override: Optional[int] = None) -> int:
+    """The per-degree cochain-table cell budget, which must be positive.
+
+    ``override`` wins when given; otherwise the environment variable, and
+    otherwise the default.
+    """
+    if override is not None:
+        value, source = override, "the budget"
+    else:
+        raw = os.environ.get(ENTRY_BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_ENTRY_BUDGET
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise InputError(f"{ENTRY_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+        source = ENTRY_BUDGET_ENV
     if value <= 0:
-        raise InputError(f"{ENTRY_BUDGET_ENV} must be positive, got {value}")
+        raise InputError(f"{source} must be positive, got {value}")
     return value
 
 
 def check_budget(n: int, m: int, q: int, budget: Optional[int] = None) -> int:
     """Cells of the degree-q table, raising BudgetError when over budget."""
     cells = n**q * m
-    limit = entry_budget() if budget is None else budget
+    limit = entry_budget(budget)
     if cells > limit:
         raise BudgetError(q, cells, limit)
     return cells
+
+
+def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(t, x) for t, x in enumerate(row) if x]
 
 
 def _flat(args: Sequence[int], n: int) -> int:
@@ -324,13 +336,13 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
         return Mat.from_cols(cols, rows=n * m)
     rows_dim = n ** (q + 1) * m
     cols_dim = n**q * m
-    gamma = A.product
-    left, right = W.left, W.right
+    # Nonzero structure constants only: the tables are mostly zeros.
+    lefts = [[_nonzero(W.left[i][be]) for be in range(m)] for i in range(n)]
+    rights = [[_nonzero(W.right[be][i]) for i in range(n)] for be in range(m)]
+    gammas = [[_nonzero(A.product[i][j]) for j in range(n)] for i in range(n)]
     entries: dict[tuple[int, int], Fraction] = {}
 
     def bump(r: int, c: int, val: Fraction) -> None:
-        if val == 0:
-            return
         key = (r, c)
         cur = entries.get(key)
         entries[key] = val if cur is None else cur + val
@@ -339,32 +351,24 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
         out_base = _flat(args, n) * m
         last = args[q]
         for j in range(q):
-            sgn = Fraction(-1 if j % 2 == 0 else 1)
+            neg = j % 2 == 0  # the sign (-1)^(j+1) of the formula's slot j + 1
             ij = args[j]
             rest = args[:j] + args[j + 1 :]
             rest_base = _flat(rest, n) * m
             for be in range(m):
-                rowl = left[ij][be]
-                for ga in range(m):
-                    bump(out_base + ga, rest_base + be, sgn * rowl[ga])
+                for ga, x in lefts[ij][be]:
+                    bump(out_base + ga, rest_base + be, -x if neg else x)
             for p in range(q):
-                rowg = gamma[ij][rest[p]]
-                for k in range(n):
-                    co = rowg[k]
-                    if co == 0:
-                        continue
+                for k, co in gammas[ij][rest[p]]:
                     src_base = _flat(rest[:p] + (k,) + rest[p + 1 :], n) * m
+                    val = co if neg else -co
                     for be in range(m):
-                        bump(out_base + be, src_base + be, -sgn * co)
+                        bump(out_base + be, src_base + be, val)
             src3 = _flat(rest[:-1] + (ij,), n) * m
             for be in range(m):
-                rowr = right[be][last]
-                for ga in range(m):
-                    bump(out_base + ga, src3 + be, sgn * rowr[ga])
-    flat = [_ZERO] * (rows_dim * cols_dim)
-    for (r, c), val in entries.items():
-        flat[r * cols_dim + c] = val
-    return Mat(rows_dim, cols_dim, tuple(flat))
+                for ga, x in rights[be][last]:
+                    bump(out_base + ga, src3 + be, -x if neg else x)
+    return Mat.from_items(rows_dim, cols_dim, entries)
 
 
 @dataclass(frozen=True)
@@ -392,17 +396,6 @@ class CohomologyReport:
         raise InputError(f"report does not cover degree {q}")
 
 
-def _representative_vectors(Z: Subspace, B: Subspace) -> list[Vec]:
-    """Kernel basis vectors that extend the image basis, in echelon order."""
-    chosen: list[Vec] = []
-    span = B
-    for v in Z.basis:
-        if not span.contains(v):
-            chosen.append(v)
-            span = span.add(Subspace.from_vectors(Z.ambient_dim, [v]))
-    return chosen
-
-
 def _require_verified(A: KVAlgebra, W: KVModule) -> None:
     verdict = is_kv(A)
     if not verdict:
@@ -423,6 +416,7 @@ def cohomology(
     """
     if q_max < 0:
         raise InputError("q_max must be non-negative")
+    budget = entry_budget(budget)
     _require_verified(A, W)
     n, m = A.dim, W.dim
     for q in range(q_max + 2):
@@ -448,7 +442,7 @@ def cohomology(
         Z = kernel(mats[q])
         B = image(mats[q - 1])
         dim_h = Z.dim - B.dim
-        rep_vecs = _representative_vectors(Z, B)
+        rep_vecs = extend_basis(B, Z.basis)
         if len(rep_vecs) != dim_h:
             raise AssertionError(
                 "representative selection disagrees with dim_Z - dim_B; "
@@ -520,6 +514,7 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
                     if bracket[i][b][j] != 0:
                         act[i][src][b * m + be] -= bracket[i][b][j]
 
+    acts = [[_nonzero(row) for row in act[i]] for i in range(n)]
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 
@@ -530,8 +525,6 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
         entries: dict[tuple[int, int], Fraction] = {}
 
         def bump(r: int, c: int, val: Fraction) -> None:
-            if val == 0:
-                return
             key = (r, c)
             cur = entries.get(key)
             entries[key] = val if cur is None else cur + val
@@ -539,32 +532,26 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
         for T in combos[p + 1]:
             out_base = combo_pos[p + 1][T] * nv
             for i in range(p + 1):
-                sgn = Fraction(-1 if i % 2 else 1)
+                neg = i % 2 == 1
                 x = T[i]
                 rest = T[:i] + T[i + 1 :]
                 src_base = combo_pos[p][rest] * nv
                 for src in range(nv):
-                    arow = act[x][src]
-                    for dst in range(nv):
-                        bump(out_base + dst, src_base + src, sgn * arow[dst])
+                    for dst, a in acts[x][src]:
+                        bump(out_base + dst, src_base + src, -a if neg else a)
             for i in range(p + 1):
                 for j in range(i + 1, p + 1):
-                    sgn = Fraction(-1 if (i + j) % 2 else 1)
                     rest = tuple(T[t] for t in range(p + 1) if t not in (i, j))
-                    for k in range(n):
-                        co = bracket[T[i]][T[j]][k]
-                        if co == 0 or k in rest:
+                    for k, co in _nonzero(bracket[T[i]][T[j]]):
+                        if k in rest:
                             continue
                         pos = sum(1 for r in rest if r < k)
-                        sigma = Fraction(-1 if pos % 2 else 1)
+                        val = -co if (i + j + pos) % 2 else co
                         srt = tuple(sorted(rest + (k,)))
                         src_base = combo_pos[p][srt] * nv
                         for v in range(nv):
-                            bump(out_base + v, src_base + v, sgn * co * sigma)
-        flat = [_ZERO] * (rows_dim * cols_dim)
-        for (r, c), val in entries.items():
-            flat[r * cols_dim + c] = val
-        return Mat(rows_dim, cols_dim, tuple(flat))
+                            bump(out_base + v, src_base + v, val)
+        return Mat.from_items(rows_dim, cols_dim, entries)
 
     return {p: ce_matrix(p) for p in range(q_max)}
 

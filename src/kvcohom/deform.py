@@ -38,7 +38,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Subspace, Vec, image, kernel, solve, vec
+from .linalg import Mat, Vec, extend_basis, image, kernel, solve, vec
 
 __all__ = [
     "Tensor4",
@@ -510,12 +510,6 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
             ]
         )
 
-    reps: list[Tensor3] = []
-    span = B
-    for z in Z.basis:
-        if not span.contains(z):
-            reps.append(unflatten(z))
-            span = span.add(Subspace.from_vectors(len(z), [z]))
     return RigidityReport(
         dim_C2=n**3,
         dim_Z2=Z.dim,
@@ -523,7 +517,7 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
         dim_H2=Z.dim - B.dim,
         rigid=(Z.dim == B.dim),
         cocycle_basis=tuple(unflatten(z) for z in Z.basis),
-        class_representatives=tuple(reps),
+        class_representatives=tuple(unflatten(z) for z in extend_basis(B, Z.basis)),
     )
 
 

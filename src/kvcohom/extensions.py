@@ -42,7 +42,7 @@ from .core import (
     tensor3,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, Subspace, Vec, image, kernel, solve
+from .linalg import Mat, Subspace, Vec, extend_basis, image, kernel, solve, zeros
 
 __all__ = [
     "BigradedCochain",
@@ -264,29 +264,27 @@ def e11_matrix(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> Mat:
     if q < 0:
         raise InputError("e11 degree must be non-negative")
     G = semidirect(A, W)
-    if W.dim == 0 or V.dim == 0:
-        src = len(e11_support(A, W, V, q))
-        dst = len(e11_support(A, W, V, q + 1))
-        return Mat(dst, src, (_ZERO,) * (dst * src))
-    Vt = extend_module_to_semidirect(G, A.dim, V)
-    full = coboundary_matrix(G, Vt, q + 1)
     src = e11_support(A, W, V, q)
     dst = e11_support(A, W, V, q + 1)
+    if W.dim == 0 or V.dim == 0:
+        return zeros(len(dst), len(src))
+    Vt = extend_module_to_semidirect(G, A.dim, V)
+    full = coboundary_matrix(G, Vt, q + 1)
+    src_pos = {c: t for t, c in enumerate(src)}
     dst_pos = {r: t for t, r in enumerate(dst)}
-    out = [_ZERO] * (len(dst) * len(src))
-    for c_new, c_old in enumerate(src):
-        for r_old in range(full.rows):
-            val = full.at(r_old, c_old)
-            if val == 0:
-                continue
-            r_new = dst_pos.get(r_old)
-            if r_new is None:
-                raise AssertionError(
-                    "coboundary leaked outside the (1, q+1) component; "
-                    "the bidegree law failed"
-                )
-            out[r_new * len(src) + c_new] = val
-    return Mat(len(dst), len(src), tuple(out))
+    out = {}
+    for (r_old, c_old), val in full.items():
+        c_new = src_pos.get(c_old)
+        if c_new is None:
+            continue
+        r_new = dst_pos.get(r_old)
+        if r_new is None:
+            raise AssertionError(
+                "coboundary leaked outside the (1, q+1) component; "
+                "the bidegree law failed"
+            )
+        out[r_new, c_new] = val
+    return Mat.from_items(len(dst), len(src), out)
 
 
 def _expand_support(values: Sequence[Fraction], support: Sequence[int], total: int) -> tuple:
@@ -325,16 +323,10 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
         support = e11_support(A, W, V, q)
         Z = kernel(mats[q])
         B = image(mats[q - 1]) if q >= 1 else Subspace.zero(len(support))
-        reps: list[Cochain] = []
-        span = B
-        for z in Z.basis:
-            if not span.contains(z):
-                if Vt is not None:
-                    total = N ** (q + 1) * v
-                    reps.append(
-                        Cochain(G, Vt, q + 1, _expand_support(z, support, total))
-                    )
-                span = span.add(Subspace.from_vectors(len(support), [z]))
+        reps = [
+            Cochain(G, Vt, q + 1, _expand_support(z, support, N ** (q + 1) * v))
+            for z in extend_basis(B, Z.basis)
+        ]
         degrees.append(
             DegreeData(q, len(support), Z.dim, B.dim, Z.dim - B.dim, tuple(reps))
         )

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of :class:`fractions.Fraction` entries, with rank computed by
-fraction-free (Bareiss) elimination on integer-rescaled rows and
-kernel/image/solve computed by rational Gauss-Jordan elimination.  Everything
-is exact: no floats, no tolerances, anywhere.
+Matrices of :class:`fractions.Fraction` entries are stored sparsely, one
+``{column: nonzero value}`` dict per row, and every elimination runs
+through one sparse row-echelon routine: rows are reduced, sparsest first,
+against the pivot rows found so far (leftmost pivot column first), and a
+back-substitution pass then yields the reduced row echelon form.  That
+form is unique for a row space, so the order in which rows are taken
+never shows in a result.  ``kernel``, ``image``, ``solve``, ``inverse``,
+``rank`` and the :class:`Subspace` constructors all read it, and
+:func:`extend_basis` grows the same kind of pivot table one vector at a
+time.  Everything is exact: no floats, no tolerances, anywhere.
 
 Subspaces carry a reduced-row-echelon basis, so two subspaces are equal as
 sets exactly when they compare equal as values.
@@ -13,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
 
@@ -31,6 +37,7 @@ __all__ = [
     "image",
     "inverse",
     "mat_mul",
+    "extend_basis",
     "membership",
     "intersect",
     "zeros",
@@ -39,6 +46,8 @@ __all__ = [
 
 RatLike = Union[Fraction, int, str]
 Vec = tuple[Fraction, ...]
+# A sparse row: column index -> nonzero value.
+Row = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,28 +73,81 @@ def vec(values: Iterable[RatLike]) -> Vec:
     return tuple(rat(x) for x in values)
 
 
-@dataclass(frozen=True)
+def _sparse(values: Sequence) -> Row:
+    return {j: x for j, x in enumerate(values) if x}
+
+
+def _dense(row: Row, length: int) -> Vec:
+    out = [_ZERO] * length
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
 class Mat:
-    """Dense row-major matrix of exact rationals.
+    """Row-major matrix of exact rationals, stored as sparse rows.
 
     Attributes:
         rows: number of rows (may be 0).
         cols: number of columns (may be 0).
-        entries: flat tuple of ``rows * cols`` Fractions, row-major.
+        entries: flat tuple of ``rows * cols`` Fractions, row-major; built
+            from the sparse rows on each access.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "_rows")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimensionError(
-                f"matrix claims {self.rows}x{self.cols} but carries "
-                f"{len(self.entries)} entries"
+                f"matrix claims {rows}x{cols} but carries {len(entries)} entries"
             )
+        data = tuple(_sparse(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        Mat._init(self, rows, cols, data)
+
+    @staticmethod
+    def _init(m: "Mat", rows: int, cols: int, data: tuple[Row, ...]) -> "Mat":
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_rows", data)
+        return m
+
+    @staticmethod
+    def _of(rows: int, cols: int, data: tuple[Row, ...]) -> "Mat":
+        """A matrix over sparse rows that hold no zeros and no column past ``cols``."""
+        return Mat._init(object.__new__(Mat), rows, cols, data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Mat is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple(tuple(sorted(r.items())) for r in self._rows)))
+
+    def __repr__(self) -> str:
+        return f"Mat(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(x for r in self._rows for x in _dense(r, self.cols))
+
+    @staticmethod
+    def from_items(rows: int, cols: int, items: Mapping[tuple[int, int], Fraction]) -> "Mat":
+        """Build a matrix from ``{(row, col): value}``; absent and zero values are 0."""
+        if rows < 0 or cols < 0:
+            raise DimensionError("matrix dimensions must be non-negative")
+        data: tuple[Row, ...] = tuple({} for _ in range(rows))
+        for (r, c), x in items.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise DimensionError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
+            if x:
+                data[r][c] = x
+        return Mat._of(rows, cols, data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[RatLike]], *, cols: Optional[int] = None) -> "Mat":
@@ -106,8 +168,7 @@ class Mat:
             if cols is None:
                 raise DimensionError("an empty matrix needs an explicit column count")
             width = cols
-        flat = tuple(x for r in data for x in r)
-        return Mat(len(data), width, flat)
+        return Mat._of(len(data), width, tuple(_sparse(r) for r in data))
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[RatLike]], *, rows: Optional[int] = None) -> "Mat":
@@ -123,22 +184,32 @@ class Mat:
             if rows is None:
                 raise DimensionError("an empty matrix needs an explicit row count")
             height = rows
-        flat = tuple(data[j][i] for i in range(height) for j in range(len(data)))
-        return Mat(height, len(data), flat)
+        return Mat._of(len(data), height, tuple(_sparse(c) for c in data)).transpose()
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return self._rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense(self._rows[i], self.cols)
+
+    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        """The nonzero entries as ``((row, col), value)``, row by row."""
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                yield (i, j), x
 
     def row_lists(self) -> list[list[Fraction]]:
-        """Mutable copy of the rows, for elimination routines."""
+        """Mutable dense copy of the rows."""
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Mat(self.cols, self.rows, flat)
+        data: tuple[Row, ...] = tuple({} for _ in range(self.cols))
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                data[j][i] = x
+        return Mat._of(self.cols, self.rows, data)
 
     def mat_vec(self, v: Sequence[RatLike]) -> Vec:
         """Matrix-vector product ``self @ v``."""
@@ -147,80 +218,81 @@ class Mat:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} matrix by length-{len(x)} vector"
             )
-        return tuple(
-            sum((self.at(i, j) * x[j] for j in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        )
+        return tuple(sum((a * x[j] for j, a in r.items()), _ZERO) for r in self._rows)
 
 
 def zeros(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, (_ZERO,) * (rows * cols))
+    return Mat.from_items(rows, cols, {})
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+    return Mat.from_items(n, n, {(i, i): _ONE for i in range(n)})
 
 
-def rank(m: Mat) -> int:
-    """Exact rank over the rationals by fraction-free (Bareiss) elimination.
+def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
+    """The remainder of ``row`` once every pivot column is cleared.
 
-    Each row is first rescaled by the lcm of its denominators, so the
-    elimination runs entirely in integer arithmetic; the one-step Bareiss
-    update divides by the previous pivot, which is an exact division.
+    ``pivots`` maps a column to the row whose leftmost entry, 1, sits
+    there.  Pivot columns are cleared leftmost first, so a row subtracted
+    for column p only adds entries right of p.  ``row`` is not modified.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    work: list[list[int]] = []
-    for i in range(m.rows):
-        r = m.row(i)
-        den = lcm(*(f.denominator for f in r))
-        work.append([int(f * den) for f in r])
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
+    out = dict(row)
+    todo = [j for j in out if j in pivots]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        coef = out.get(p)
+        if coef is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                work[i][j] = (work[r][c] * work[i][j] - work[i][c] * work[r][j]) // prev
-            work[i][c] = 0
-        prev = work[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        for j, x in pivots[p].items():
+            y = out.get(j)
+            if y is None:
+                out[j] = -coef * x
+                if j in pivots:
+                    heappush(todo, j)
+            else:
+                y -= coef * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
+    return out
 
 
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by rational Gauss-Jordan elimination.
+def _add_pivot(pivots: dict[int, Row], row: Row) -> None:
+    """Record a nonzero remainder of :func:`_eliminate` as a pivot row."""
+    c = min(row)
+    lead = row[c]
+    pivots[c] = row if lead == _ONE else {j: x / lead for j, x in row.items()}
 
-    Returns:
-        (nonzero rows of the RREF, pivot column indices in increasing order).
+
+def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
+    """Reduced row echelon form of the span of sparse rows.
+
+    Returns the ``(pivot column, row)`` pairs of its nonzero rows by
+    increasing pivot column; each row has 1 at its pivot and 0 at every
+    other pivot column.
     """
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    nrows = len(work)
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        if inv != _ONE:
-            work[r] = [x / inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
+    pivots: dict[int, Row] = {}
+    for row in sorted(rows, key=len):
+        rest = _eliminate(row, pivots)
+        if rest:
+            _add_pivot(pivots, rest)
+    order = sorted(pivots)
+    # Back-substitution, last pivot first: the rows below are already
+    # reduced and carry no pivot column but their own, so subtracting one
+    # leaves the other pivot entries of this row as they were.
+    for c in reversed(order):
+        row = pivots[c]
+        for p in [j for j in row if j != c and j in pivots]:
+            coef = row[p]
+            for j, x in pivots[p].items():
+                y = row.get(j, _ZERO) - coef * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return [(c, pivots[c]) for c in order]
 
 
 @dataclass(frozen=True)
@@ -243,6 +315,10 @@ class Subspace:
                 )
 
     @staticmethod
+    def _span(ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
+        return Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for _, r in _rref(rows)))
+
+    @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[RatLike]]) -> "Subspace":
         """Span of the given vectors, normalized to the canonical RREF basis."""
         data = [vec(v) for v in vectors]
@@ -251,8 +327,7 @@ class Subspace:
                 raise DimensionError(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        reduced, _ = _rref(data, ambient_dim)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in reduced))
+        return Subspace._span(ambient_dim, (_sparse(v) for v in data))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -314,7 +389,7 @@ class Subspace:
         """Sum of subspaces (span of the union of the bases)."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace sum needs a common ambient dimension")
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace._span(self.ambient_dim, (_sparse(b) for b in self.basis + other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, via the kernel of the stacked-basis relation matrix.
@@ -326,62 +401,70 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace intersection needs a common ambient dimension")
         n = self.ambient_dim
-        k1, k2 = self.dim, other.dim
-        if k1 == 0 or k2 == 0:
+        k1 = self.dim
+        if k1 == 0 or other.dim == 0:
             return Subspace.zero(n)
-        rows = []
-        for i in range(n):
-            rows.append(
-                [self.basis[a][i] for a in range(k1)] + [-other.basis[b][i] for b in range(k2)]
-            )
-        ker = kernel(Mat.from_rows(rows, cols=k1 + k2))
-        vectors = []
-        for kv in ker.basis:
-            combo = [_ZERO] * n
+        relation = Mat._of(
+            len(self.basis) + len(other.basis),
+            n,
+            tuple(_sparse(b) for b in self.basis)
+            + tuple({j: -x for j, x in enumerate(b) if x} for b in other.basis),
+        ).transpose()
+        combos = []
+        for kv in kernel(relation).basis:
+            combo: Row = {}
             for a in range(k1):
                 if kv[a] != 0:
-                    for i in range(n):
-                        combo[i] += kv[a] * self.basis[a][i]
-            vectors.append(combo)
-        return Subspace.from_vectors(n, vectors)
+                    for i, x in enumerate(self.basis[a]):
+                        if x:
+                            combo[i] = combo.get(i, _ZERO) + kv[a] * x
+            combos.append({i: x for i, x in combo.items() if x})
+        return Subspace._span(n, combos)
+
+
+def rank(m: Mat) -> int:
+    """Exact rank over the rationals: the pivot count of the echelon form."""
+    return len(_rref(m._rows))
 
 
 def kernel(m: Mat) -> Subspace:
     """Exact null space {v : m v = 0}, dimension cols - rank."""
-    reduced, pivots = _rref(m.row_lists(), m.cols)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [_ZERO] * m.cols
-        v[j] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][j]
-        basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    reduced = _rref(m._rows)
+    pivot_set = {c for c, _ in reduced}
+    # The free column j spans e_j - sum over pivot rows R_p of R_p[j] e_p.
+    free: dict[int, Row] = {j: {j: _ONE} for j in range(m.cols) if j not in pivot_set}
+    for c, row in reduced:
+        for j, x in row.items():
+            if j != c:
+                free[j][c] = -x
+    return Subspace._span(m.cols, free.values())
 
 
 def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
-    """Some particular exact solution of ``m x = b``, or None when inconsistent."""
+    """Some particular exact solution of ``m x = b``, or None when inconsistent.
+
+    The solution is the one the reduced row echelon form of ``[m | b]``
+    reads off: every free variable is 0.
+    """
     rhs = vec(b)
     if len(rhs) != m.rows:
         raise DimensionError(
             f"right-hand side of length {len(rhs)} for a matrix with {m.rows} rows"
         )
-    aug = [list(m.row(i)) + [rhs[i]] for i in range(m.rows)]
-    reduced, pivots = _rref(aug, m.cols + 1)
-    if m.cols in pivots:
+    n = m.cols
+    aug = [{**r, n: y} if y else r for r, y in zip(m._rows, rhs)]
+    reduced = _rref(aug)
+    if reduced and reduced[-1][0] == n:
         return None
-    x = [_ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][m.cols]
+    x = [_ZERO] * n
+    for c, row in reduced:
+        x[c] = row.get(n, _ZERO)
     return tuple(x)
 
 
 def image(m: Mat) -> Subspace:
     """Column space of ``m`` as a subspace of F^rows."""
-    columns = [[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)]
-    return Subspace.from_vectors(m.rows, columns)
+    return Subspace._span(m.rows, m.transpose()._rows)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -390,19 +473,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    out = [_ZERO] * (a.rows * b.cols)
-    for i in range(a.rows):
-        arow = a.row(i)
-        for k in range(a.cols):
-            aik = arow[k]
-            if aik == 0:
-                continue
-            brow = b.row(k)
-            base = i * b.cols
-            for j in range(b.cols):
-                if brow[j] != 0:
-                    out[base + j] += aik * brow[j]
-    return Mat(a.rows, b.cols, tuple(out))
+    out = []
+    for arow in a._rows:
+        acc: Row = {}
+        for k, x in arow.items():
+            for j, y in b._rows[k].items():
+                acc[j] = acc.get(j, _ZERO) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return Mat._of(a.rows, b.cols, tuple(out))
 
 
 def inverse(m: Mat) -> Optional[Mat]:
@@ -410,12 +488,33 @@ def inverse(m: Mat) -> Optional[Mat]:
     if m.rows != m.cols:
         raise DimensionError("only square matrices can be inverted")
     n = m.rows
-    eye = identity(n)
-    aug = [list(m.row(i)) + list(eye.row(i)) for i in range(n)]
-    reduced, pivots = _rref(aug, 2 * n)
-    if pivots != list(range(n)):
+    reduced = _rref({**r, n + i: _ONE} for i, r in enumerate(m._rows))
+    if [c for c, _ in reduced] != list(range(n)):
         return None
-    return Mat.from_rows([r[n:] for r in reduced], cols=n)
+    return Mat._of(n, n, tuple({j - n: x for j, x in r.items() if j >= n} for _, r in reduced))
+
+
+def extend_basis(span: Subspace, vectors: Iterable[Vec]) -> list[Vec]:
+    """The vectors, in order, that lie outside ``span`` and the ones kept before.
+
+    This is how cohomology classes are picked: kernel basis vectors that
+    extend an image basis.  Each vector is reduced once against a pivot
+    table that grows with every vector kept, instead of re-reducing the
+    whole span for each candidate.
+    """
+    n = span.ambient_dim
+    pivots: dict[int, Row] = {}
+    for b in span.basis:
+        _add_pivot(pivots, _sparse(b))
+    kept = []
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionError(f"vector of length {len(v)} in ambient dimension {n}")
+        rest = _eliminate(_sparse(v), pivots)
+        if rest:
+            _add_pivot(pivots, rest)
+            kept.append(v)
+    return kept
 
 
 def membership(s: Subspace, v: Sequence[RatLike]) -> bool:

@@ -78,7 +78,12 @@ def parse_rat(x: Any) -> Fraction:
     if isinstance(x, str):
         if not _RAT_GRAMMAR.match(x):
             raise InputError(f"malformed rational string {x!r}; expected \"p/q\"")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ValueError:  # the grammar holds, so only the digit limit is left
+            raise InputError(
+                f"rational string of {len(x)} characters exceeds the integer digit limit"
+            ) from None
     raise InputError(f"expected a rational string, got {type(x).__name__}")
 
 
@@ -385,7 +390,7 @@ def read_json(path) -> Any:
         raise InputError(f"cannot read {p}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{p} is not valid JSON: {exc}") from None
 
 

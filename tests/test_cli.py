@@ -140,6 +140,20 @@ def test_cohomology_budget_env_var(tmp_path, monkeypatch):
     assert report.exit_code == 3
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_cohomology_nonpositive_budget_is_input_error(tmp_path, budget):
+    report = run(JobSpec("cohomology", {"algebra": _aff_path(tmp_path), "budget": budget}))
+    assert report.exit_code == 2
+    assert _body(report)["error"]["kind"] == "input"
+
+
+def test_cohomology_zero_budget_env_var_is_input_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "0")
+    report = run(JobSpec("cohomology", {"algebra": _aff_path(tmp_path)}))
+    assert report.exit_code == 2
+    assert _body(report)["error"]["kind"] == "input"
+
+
 def test_nijenhuis_starts_at_degree_one(tmp_path):
     report = run(JobSpec("nijenhuis", {"algebra": _aff_path(tmp_path)}))
     assert report.exit_code == 0
@@ -635,6 +649,17 @@ def test_unknown_verb_is_input_error():
 def test_missing_file_is_input_error():
     report = run(JobSpec("verify", {"algebra": "/no/such/file.json"}))
     assert report.exit_code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,  # nesting past the interpreter's recursion limit
+    '{"dim": 1, "product": [[[' + "1" * 5000 + "]]]}",  # past the integer digit limit
+    '{"dim": 1, "product": [[["' + "1" * 5000 + '"]]]}',
+], ids=["deep-nesting", "long-integer", "long-rational-string"])
+def test_oversized_input_is_input_error(tmp_path, text):
+    report = run(JobSpec("verify", {"algebra": _write(tmp_path, "f.json", text)}))
+    assert report.exit_code == 2
+    assert _body(report)["error"]["kind"] == "input"
 
 
 def test_reports_are_byte_deterministic(tmp_path):

@@ -1,12 +1,16 @@
 """Exact linear algebra: frozen examples plus seeded random cross-checks.
 
-The rank routine (fraction-free Bareiss) and the kernel/solve/image routines
-(rational Gauss-Jordan) are independent elimination paths; the property
-tests here play them against each other through rank-nullity.
+The library runs every elimination through one sparse row-echelon routine.
+The references here are independent of it: a fraction-free (Bareiss) rank
+on integer-rescaled dense rows, played against the library through
+rank-nullity and consistency, and a dense rational Gauss-Jordan, whose
+kernel, image, span and particular solution must equal the library's as
+values on random sparse matrices as sparse as the differentials.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +18,7 @@ from kvcohom.errors import DimensionError
 from kvcohom.linalg import (
     Mat,
     Subspace,
+    extend_basis,
     identity,
     image,
     intersect,
@@ -31,6 +36,93 @@ from kvcohom.linalg import (
 
 def F(x):
     return Fraction(x)
+
+
+def bareiss_rank(m):
+    """Reference rank by fraction-free (Bareiss) elimination.
+
+    Each row is first rescaled by the lcm of its denominators, so the
+    elimination runs entirely in integer arithmetic; the one-step Bareiss
+    update divides by the previous pivot, which is an exact division.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    work = []
+    for i in range(m.rows):
+        r = m.row(i)
+        den = lcm(*(f.denominator for f in r))
+        work.append([int(f * den) for f in r])
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                work[i][j] = (work[r][c] * work[i][j] - work[i][c] * work[r][j]) // prev
+            work[i][c] = 0
+        prev = work[r][c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def dense_rref(rows, ncols):
+    """Reference reduced row echelon form by dense rational Gauss-Jordan.
+
+    Returns (nonzero rows of the RREF, pivot column indices in increasing order).
+    """
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    nrows = len(work)
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [a - factor * b if b else a for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work[:r], pivots
+
+
+def dense_span(ambient_dim, vectors):
+    reduced, _ = dense_rref(vectors, ambient_dim)
+    return Subspace(ambient_dim, tuple(tuple(r) for r in reduced))
+
+
+def dense_kernel(m):
+    reduced, pivots = dense_rref([m.row(i) for i in range(m.rows)], m.cols)
+    basis = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [F(0)] * m.cols
+        v[j] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][j]
+        basis.append(v)
+    return dense_span(m.cols, basis)
+
+
+def dense_solve(m, b):
+    reduced, pivots = dense_rref([list(m.row(i)) + [b[i]] for i in range(m.rows)], m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = reduced[i][m.cols]
+    return tuple(x)
 
 
 def test_rat_coercions():
@@ -154,13 +246,14 @@ def _random_mat(rng, rows, cols, scale=6):
 
 
 def test_rank_nullity_cross_check():
-    # Bareiss rank against Gauss-Jordan kernel: two elimination routes.
+    # Reference Bareiss rank against the library kernel: two elimination routes.
     rng = random.Random(20260816)
     for _ in range(200):
         rows = rng.randint(0, 5)
         cols = rng.randint(1, 5)
         m = _random_mat(rng, rows, cols)
-        assert rank(m) + kernel(m).dim == cols
+        assert bareiss_rank(m) + kernel(m).dim == cols
+        assert rank(m) == bareiss_rank(m)
         for b in kernel(m).basis:
             assert all(x == 0 for x in m.mat_vec(b))
 
@@ -174,7 +267,7 @@ def test_rank_row_permutation_invariance():
         perm = list(range(rows))
         rng.shuffle(perm)
         pm = Mat.from_rows([m.row(i) for i in perm], cols=cols)
-        assert rank(m) == rank(pm)
+        assert rank(m) == rank(pm) == bareiss_rank(pm)
         assert kernel(m) == kernel(pm)
 
 
@@ -190,10 +283,10 @@ def test_solve_agrees_with_consistency_rank():
             [list(m.row(i)) + [b[i]] for i in range(rows)], cols=cols + 1
         )
         if x is None:
-            assert rank(aug) > rank(m)
+            assert bareiss_rank(aug) > bareiss_rank(m)
         else:
             assert m.mat_vec(x) == tuple(b)
-            assert rank(aug) == rank(m)
+            assert bareiss_rank(aug) == bareiss_rank(m)
 
 
 def test_image_membership_consistency():
@@ -230,7 +323,7 @@ def test_inverse_roundtrip():
         m = _random_mat(rng, 3, 3)
         inv = inverse(m)
         if inv is None:
-            assert rank(m) < 3
+            assert bareiss_rank(m) < 3
         else:
             assert mat_mul(m, inv) == eye3
             assert mat_mul(inv, m) == eye3
@@ -248,3 +341,79 @@ def test_vec_rejects_bad_lengths_in_subspace():
     s = Subspace.from_vectors(2, [[1, 0]])
     with pytest.raises(DimensionError):
         s.contains([1, 2, 3])
+
+
+def _sparse_mat(rng, rows, cols, density):
+    """A random sparse matrix with fractional entries; rank-deficient on purpose
+    when some rows are combinations of others or some columns repeat."""
+    data = [
+        [
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 5]))
+            if rng.random() < density else F(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    if rng.random() < 0.5 and rows > 2:
+        # Replace a few rows by combinations of two others.
+        for _ in range(rng.randint(1, rows // 3 + 1)):
+            a, b, t = rng.sample(range(rows), 3)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            data[t] = [x + c * y for x, y in zip(data[a], data[b])]
+    if rng.random() < 0.3 and cols > 2:
+        # Repeat a column, scaled.
+        a, t = rng.sample(range(cols), 2)
+        for r in data:
+            r[t] = 2 * r[a]
+    return Mat.from_rows(data, cols=cols)
+
+
+def _old_selection(span, vectors):
+    chosen = []
+    for v in vectors:
+        if not span.contains(v):
+            chosen.append(v)
+            span = span.add(Subspace.from_vectors(span.ambient_dim, [v]))
+    return chosen
+
+
+def test_sparse_core_matches_dense_gauss_jordan():
+    # Shapes and densities of the differentials: 0.3-5 % nonzero.
+    rng = random.Random(20261017)
+    deficient = 0
+    for _ in range(30):
+        rows, cols = rng.randint(15, 60), rng.randint(8, 40)
+        density = rng.choice([0.003, 0.01, 0.02, 0.05])
+        m = _sparse_mat(rng, rows, cols, density)
+        ker = kernel(m)
+        assert ker == dense_kernel(m)
+        img = image(m)
+        columns = [[m.at(i, j) for i in range(rows)] for j in range(cols)]
+        assert img == dense_span(rows, columns)
+        assert Subspace.from_vectors(cols, [m.row(i) for i in range(rows)]) == dense_span(
+            cols, [m.row(i) for i in range(rows)]
+        )
+        assert rank(m) == bareiss_rank(m) == img.dim == cols - ker.dim
+        deficient += rank(m) < min(rows, cols)
+        # A consistent right-hand side (the image of a random vector) and
+        # a random one, which is mostly inconsistent.
+        x0 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+        for b in (m.mat_vec(x0), [Fraction(rng.randint(-2, 2)) for _ in range(rows)]):
+            x = solve(m, b)
+            assert x == dense_solve(m, b)
+            if x is not None:
+                assert m.mat_vec(x) == tuple(b)
+        # Representative selection: kernel vectors extending a subspace of it.
+        part = Subspace.from_vectors(cols, [v for v in ker.basis if rng.random() < 0.4])
+        assert extend_basis(part, ker.basis) == _old_selection(part, ker.basis)
+        # And the rows, some of them dependent, against the span of three of them.
+        vs = [m.row(i) for i in range(rows)]
+        rng.shuffle(vs)
+        lines = Subspace.from_vectors(cols, vs[:3])
+        assert extend_basis(lines, vs) == _old_selection(lines, vs)
+    assert deficient >= 8
+
+
+def test_extend_basis_checks_lengths():
+    with pytest.raises(DimensionError):
+        extend_basis(Subspace.zero(2), [(F(1), F(0), F(0))])

@@ -62,6 +62,13 @@ def test_malformed_rationals_are_rejected(bad):
         sz.parse_rat(bad)
 
 
+def test_rational_past_the_digit_limit_is_rejected():
+    with pytest.raises(InputError):
+        sz.parse_rat("1" * 5000)
+    with pytest.raises(InputError):
+        sz.parse_rat("1/" + "3" * 5000)
+
+
 def test_random_rationals_round_trip():
     import random
 
