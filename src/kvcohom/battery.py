@@ -17,6 +17,11 @@ witnessed rather than waved through.
 A witness is the lexicographically first violating cell of the first
 failing comparison: the smallest concrete evaluation that exhibits the
 bug, reported in basis coordinates.
+
+Each instance is built once: the algebra ``random_kv(base)`` and the
+modules ``random_module(a, base + 1)`` and ``random_module(a, base + 2)``
+are drawn (and verified) a single time and handed to every check that
+uses them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
-    Tensor3,
     center,
     is_kv,
     jacobi_algebra,
@@ -45,7 +49,7 @@ from .core import (
     tensor3,
     zero3,
 )
-from .deform import bilinear_cochain, kv_bracket, tensor4_from_cochain
+from .deform import _apply, bilinear_cochain, kv_bracket, tensor4_from_cochain
 from .extensions import bigrade, extend_module_to_semidirect, graded_piece
 from .graded import GradedKVAlgebra, is_kv_chain, is_theta_cocycle
 from . import serialize as sz
@@ -133,14 +137,15 @@ def _first_nonzero_cell(f: Cochain) -> str:
     raise AssertionError("asked for a violating cell of a zero cochain")
 
 
-def _check_delta_squared(base: int, delta: CoboundaryFn) -> Optional[str]:
-    a = random_kv(base)
+def _check_delta_squared(
+    base: int, a: KVAlgebra, w1: KVModule, delta: CoboundaryFn
+) -> Optional[str]:
     rng = random.Random(base + 2)
     # The random module is often one with zero actions, which silences the
     # action terms of the operator; the regular bimodule keeps them alive,
     # so both coefficient choices are exercised on every instance.
     for label, w in (
-        ("random module", random_module(a, base + 1)),
+        ("random module", w1),
         ("regular bimodule", regular_bimodule(a)),
     ):
         degree = rng.choice((0, 1, 2))
@@ -166,10 +171,9 @@ def _check_delta_squared(base: int, delta: CoboundaryFn) -> Optional[str]:
     return None
 
 
-def _check_bidegree(base: int, delta: CoboundaryFn) -> Optional[str]:
-    a = random_kv(base)
-    w = random_module(a, base + 1)
-    v = random_module(a, base + 2)
+def _check_bidegree(
+    base: int, a: KVAlgebra, w: KVModule, v: KVModule, delta: CoboundaryFn
+) -> Optional[str]:
     g = semidirect(a, w)
     vt = extend_module_to_semidirect(g, a.dim, v)
     rng = random.Random(base + 3)
@@ -186,22 +190,6 @@ def _check_bidegree(base: int, delta: CoboundaryFn) -> Optional[str]:
     return None
 
 
-def _app(mu: Tensor3, x: list, y: list) -> list:
-    n = len(x)
-    out = [_ZERO] * n
-    for i in range(n):
-        if x[i] == 0:
-            continue
-        for j in range(n):
-            c = x[i] * y[j]
-            if c == 0:
-                continue
-            for k in range(n):
-                if mu[i][j][k] != 0:
-                    out[k] += c * mu[i][j][k]
-    return out
-
-
 def _check_pair_bracket(base: int) -> Optional[str]:
     rng = random.Random(base)
     n = rng.choice((1, 2, 3))
@@ -216,10 +204,10 @@ def _check_pair_bracket(base: int) -> Optional[str]:
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        first = _app(mu, _app(mu, ex, ey), ez)
-        second = _app(mu, ex, _app(mu, ey, ez))
-        swap1 = _app(mu, _app(mu, ey, ex), ez)
-        swap2 = _app(mu, ey, _app(mu, ex, ez))
+        first = _apply(mu, _apply(mu, ex, ey, n), ez, n)
+        second = _apply(mu, ex, _apply(mu, ey, ez, n), n)
+        swap1 = _apply(mu, _apply(mu, ey, ex, n), ez, n)
+        swap2 = _apply(mu, ey, _apply(mu, ex, ez, n), n)
         for k in range(n):
             want = 2 * ((first[k] - second[k]) - (swap1[k] - swap2[k]))
             if br[x][y][z][k] != want:
@@ -230,8 +218,7 @@ def _check_pair_bracket(base: int) -> Optional[str]:
     return None
 
 
-def _check_center(base: int) -> Optional[str]:
-    a = random_kv(base)
+def _check_center(a: KVAlgebra) -> Optional[str]:
     j = jacobi_algebra(a)
     for idx, zvec in enumerate(center(a).basis):
         if not j.contains(zvec):
@@ -239,9 +226,7 @@ def _check_center(base: int) -> Optional[str]:
     return None
 
 
-def _check_round_trip(base: int) -> Optional[str]:
-    a = random_kv(base)
-    w = random_module(a, base + 1)
+def _check_round_trip(base: int, a: KVAlgebra, w: KVModule) -> Optional[str]:
     rng = random.Random(base + 2)
     f = _random_cochain(rng, a, w, rng.choice((1, 2)))
 
@@ -263,8 +248,7 @@ def _check_round_trip(base: int) -> Optional[str]:
     return None
 
 
-def _check_curvature(base: int, delta: CoboundaryFn) -> Optional[str]:
-    a = random_kv(base)
+def _check_curvature(base: int, a: KVAlgebra, delta: CoboundaryFn) -> Optional[str]:
     n = a.dim
     rng = random.Random(base + 1)
     raw = [
@@ -289,12 +273,12 @@ def _check_curvature(base: int, delta: CoboundaryFn) -> Optional[str]:
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        direct = _app(mu, ex, _app(mu, ey, ez))
-        swap = _app(mu, ey, _app(mu, ex, ez))
+        direct = _apply(mu, ex, _apply(mu, ey, ez, n), n)
+        swap = _apply(mu, ey, _apply(mu, ex, ez, n), n)
         br = [mu0[x][y][t] - mu0[y][x][t] for t in range(n)]
-        br_term = _app(mu, br, ez)
-        comm = _app(s, ex, _app(s, ey, ez))
-        comm2 = _app(s, ey, _app(s, ex, ez))
+        br_term = _apply(mu, br, ez, n)
+        comm = _apply(s, ex, _apply(s, ey, ez, n), n)
+        comm2 = _apply(s, ey, _apply(s, ex, ez, n), n)
         for k in range(n):
             residual = direct[k] - swap[k] - br_term[k] - comm[k] + comm2[k]
             if residual != -ds[x][y][z][k]:
@@ -314,9 +298,8 @@ def _strip_right(w: KVModule) -> KVModule:
     )
 
 
-def _check_graded_deformation(base: int) -> Optional[str]:
-    a = random_kv(base)
-    w = _strip_right(random_module(a, base + 1))
+def _check_graded_deformation(base: int, a: KVAlgebra, w1: KVModule) -> Optional[str]:
+    w = _strip_right(w1)
     g = GradedKVAlgebra(even=a, odd=w)
     n, m, total_dim = g.n, g.m, g.dim
     rng = random.Random(base + 2)
@@ -354,14 +337,17 @@ def run_battery(
     failures: list[BatteryFailure] = []
     for i in range(count):
         base = _instance_base(seed, i)
+        a = random_kv(base)
+        w1 = random_module(a, base + 1)
+        w2 = random_module(a, base + 2)
         outcomes = (
-            ("delta-squared", _check_delta_squared(base, delta)),
-            ("bidegree-law", _check_bidegree(base, delta)),
+            ("delta-squared", _check_delta_squared(base, a, w1, delta)),
+            ("bidegree-law", _check_bidegree(base, a, w1, w2, delta)),
             ("pair-bracket", _check_pair_bracket(base)),
-            ("center-in-jacobi", _check_center(base)),
-            ("round-trip", _check_round_trip(base)),
-            ("curvature", _check_curvature(base, delta)),
-            ("graded-deformation", _check_graded_deformation(base)),
+            ("center-in-jacobi", _check_center(a)),
+            ("round-trip", _check_round_trip(base, a, w1)),
+            ("curvature", _check_curvature(base, a, delta)),
+            ("graded-deformation", _check_graded_deformation(base, a, w1)),
         )
         for name, witness in outcomes:
             if witness is not None:

@@ -30,6 +30,9 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
+    _action_lists,
+    _nonzero,
+    _product_lists,
     is_kv,
     is_module,
     jacobi_module,
@@ -91,10 +94,6 @@ def check_budget(n: int, m: int, q: int, budget: Optional[int] = None) -> int:
     if cells > limit:
         raise BudgetError(q, cells, limit)
     return cells
-
-
-def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(t, x) for t, x in enumerate(row) if x]
 
 
 def _flat(args: Sequence[int], n: int) -> int:
@@ -260,13 +259,21 @@ def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """The coboundary of a cochain; degree 0 is routed through coboundary0."""
+    """The coboundary of a cochain; degree 0 is routed through coboundary0.
+
+    The formula is evaluated term by term on the values of f, looping over
+    the nonzero structure constants only.  This is a second route to the
+    same map as `coboundary_matrix`, not a product with that matrix.
+    """
     if f.degree == 0:
         return coboundary0(f.module, Element(f.values))
     A, W, q = f.algebra, f.module, f.degree
     n, m = A.dim, W.dim
-    gamma = A.product
-    left, right = W.left, W.right
+    vals = f.values
+    gammas, _ = _product_lists(A)
+    lefts, _, rights, _ = _action_lists(W)
+    # strides[p]: offset step of argument slot p in a degree-q table
+    strides = [n ** (q - 1 - p) * m for p in range(q)]
     out = [_ZERO] * (n ** (q + 1) * m)
     for args in itertools.product(range(n), repeat=q + 1):
         acc = [_ZERO] * m
@@ -275,47 +282,42 @@ def coboundary(f: Cochain) -> Cochain:
             sign = -1 if j % 2 == 0 else 1
             ij = args[j]
             rest = args[:j] + args[j + 1 :]
+            rest_off = _flat(rest, n) * m
             term = [_ZERO] * m
             # a_j . f(rest)
-            fv = f.value(rest)
             for be in range(m):
-                c = fv[be]
-                if c == 0:
-                    continue
-                row = left[ij][be]
-                for ga in range(m):
-                    if row[ga] != 0:
-                        term[ga] += c * row[ga]
+                c = vals[rest_off + be]
+                if c:
+                    for ga, x in lefts[ij][be]:
+                        term[ga] += c * x
             # - sum over slots: f(rest with slot p replaced by a_j . a_s)
             for p in range(q):
-                row = gamma[ij][rest[p]]
-                for k in range(n):
-                    co = row[k]
-                    if co == 0:
-                        continue
-                    fv2 = f.value(rest[:p] + (k,) + rest[p + 1 :])
+                rp = rest[p]
+                for k, co in gammas[ij][rp]:
+                    off = rest_off + (k - rp) * strides[p]
                     for ga in range(m):
-                        if fv2[ga] != 0:
-                            term[ga] -= co * fv2[ga]
+                        v = vals[off + ga]
+                        if v:
+                            term[ga] -= co * v
             # + f(rest without its last slot, then a_j) . a_{q+1}
-            fv3 = f.value(rest[:-1] + (ij,))
+            off3 = rest_off + (ij - rest[-1]) * m
             for be in range(m):
-                c = fv3[be]
-                if c == 0:
-                    continue
-                row = right[be][last]
-                for ga in range(m):
-                    if row[ga] != 0:
-                        term[ga] += c * row[ga]
-            if sign < 0:
-                for ga in range(m):
-                    acc[ga] -= term[ga]
-            else:
-                for ga in range(m):
-                    acc[ga] += term[ga]
+                c = vals[off3 + be]
+                if c:
+                    for ga, x in rights[be][last]:
+                        term[ga] += c * x
+            for ga, x in enumerate(term):
+                if x:
+                    acc[ga] += -x if sign < 0 else x
         off = _flat(args, n) * m
         out[off : off + m] = acc
     return Cochain(A, W, q + 1, tuple(out))
+
+
+def _delta0_matrix(A: KVAlgebra, W: KVModule, J) -> Mat:
+    """The degree-0 coboundary on the echelon basis of J = J(W)."""
+    cols = [coboundary0(W, Element(b), check=False).values for b in J.basis]
+    return Mat.from_cols(cols, rows=A.dim * W.dim)
 
 
 def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
@@ -329,17 +331,12 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
         raise InputError("coboundary degree must be non-negative")
     n, m = A.dim, W.dim
     if q == 0:
-        J = jacobi_module(A, W)
-        cols = [
-            coboundary0(W, Element(b), check=False).values for b in J.basis
-        ]
-        return Mat.from_cols(cols, rows=n * m)
+        return _delta0_matrix(A, W, jacobi_module(A, W))
     rows_dim = n ** (q + 1) * m
     cols_dim = n**q * m
     # Nonzero structure constants only: the tables are mostly zeros.
-    lefts = [[_nonzero(W.left[i][be]) for be in range(m)] for i in range(n)]
-    rights = [[_nonzero(W.right[be][i]) for i in range(n)] for be in range(m)]
-    gammas = [[_nonzero(A.product[i][j]) for j in range(n)] for i in range(n)]
+    gammas, _ = _product_lists(A)
+    lefts, _, rights, _ = _action_lists(W)
     entries: dict[tuple[int, int], Fraction] = {}
 
     def bump(r: int, c: int, val: Fraction) -> None:
@@ -422,7 +419,8 @@ def cohomology(
     for q in range(q_max + 2):
         check_budget(n, m, q, budget)
     J = jacobi_module(A, W)
-    mats = {q: coboundary_matrix(A, W, q) for q in range(q_max + 1)}
+    mats = {0: _delta0_matrix(A, W, J)}
+    mats.update((q, coboundary_matrix(A, W, q)) for q in range(1, q_max + 1))
 
     degrees: list[DegreeData] = []
     # Degree 0: C_0 = J(W), no coboundaries from below.

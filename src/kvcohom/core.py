@@ -9,6 +9,9 @@ The container types deliberately do NOT enforce those identities:
 deformation workflows must be able to hold candidate products that fail
 them, so `is_kv` and `is_module` are explicit checks that return a verdict
 together with the first violating basis-index tuple in lexicographic order.
+The checks and the Jacobi subspaces evaluate basis associators from the
+nonzero structure constants only; `associator`, `mixed_associators` and
+`Element` products are the general-purpose route for arbitrary elements.
 """
 
 from __future__ import annotations
@@ -273,15 +276,70 @@ def mixed_associators(
     return abw, awb, wab
 
 
+def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(t, x) for t, x in enumerate(row) if x]
+
+
+def _product_lists(A: KVAlgebra):
+    """Nonzero structure constants of A, indexed both ways.
+
+    gam[i][j] is e_i e_j and gam_t[j][i] the same list.
+    """
+    n = A.dim
+    gam = [[_nonzero(A.product[i][j]) for j in range(n)] for i in range(n)]
+    gam_t = [[gam[s][k] for s in range(n)] for k in range(n)]
+    return gam, gam_t
+
+
+def _action_lists(W: KVModule):
+    """Nonzero action constants of W, each side indexed both ways.
+
+    left[i][al] is e_i w_al and left_t[al][i] the same list; right[al][i]
+    is w_al e_i and right_t[i][al] the same list.
+    """
+    n, m = W.algebra.dim, W.dim
+    left = [[_nonzero(W.left[i][al]) for al in range(m)] for i in range(n)]
+    right = [[_nonzero(W.right[al][i]) for i in range(n)] for al in range(m)]
+    left_t = [[left[i][al] for i in range(n)] for al in range(m)]
+    right_t = [[right[al][i] for al in range(m)] for i in range(n)]
+    return left, left_t, right, right_t
+
+
+def _two_step(*terms) -> dict[int, Fraction]:
+    """The sum of two-step products x(y), as {coordinate: nonzero value}.
+
+    Each term is (negate, first, second): ``first`` lists the nonzero
+    (s, c) of the first product y, and ``second[s]`` the nonzero (t, x) of
+    the second product taken on the basis vector s.
+    """
+    acc: dict[int, Fraction] = {}
+    for negate, first, second in terms:
+        for s, c in first:
+            if negate:
+                c = -c
+            for t, x in second[s]:
+                acc[t] = acc.get(t, _ZERO) + c * x
+    return {t: v for t, v in acc.items() if v}
+
+
 def is_kv(A: KVAlgebra) -> CheckResult:
-    """Brute-force check of (e_i,e_j,e_k) = (e_j,e_i,e_k) over all basis triples."""
-    basis = A.basis()
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                lhs = associator(A, basis[i], basis[j], basis[k])
-                rhs = associator(A, basis[j], basis[i], basis[k])
-                if lhs != rhs:
+    """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants.
+
+    Only i < j is scanned: the identity is trivial at i = j, and a failure
+    at i > j mirrors one at (j, i, k), which the scan meets first.
+    """
+    n = A.dim
+    gam, gam_t = _product_lists(A)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                # (ij)k - i(jk) - (ji)k + j(ik)
+                if _two_step(
+                    (False, gam[i][j], gam_t[k]),
+                    (True, gam[j][k], gam[i]),
+                    (True, gam[j][i], gam_t[k]),
+                    (False, gam[i][k], gam[j]),
+                ):
                     return CheckResult(
                         False,
                         (i, j, k),
@@ -291,24 +349,38 @@ def is_kv(A: KVAlgebra) -> CheckResult:
 
 
 def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:
-    """Check (a,b,w) = (b,a,w) and (a,w,b) = (w,a,b) over all basis triples."""
+    """Check (a,b,w) = (b,a,w) and (a,w,b) = (w,a,b) over all basis triples.
+
+    The scan runs over (i, j, alpha) and evaluates the associators from the
+    nonzero structure constants.  The first identity is checked only for
+    i < j, for the same reason as in `is_kv`.
+    """
     if W.algebra is not A and W.algebra != A:
         return CheckResult(False, None, "module is attached to a different algebra")
-    abasis = A.basis()
-    wbasis = W.basis()
+    gam, _ = _product_lists(A)
+    left, left_t, right, right_t = _action_lists(W)
     for i in range(A.dim):
         for j in range(A.dim):
             for al in range(W.dim):
-                a, b, w = abasis[i], abasis[j], wbasis[al]
-                abw, awb, wab = mixed_associators(A, W, a, b, w)
-                baw = W.left_act(A.mul(b, a), w) - W.left_act(b, W.left_act(a, w))
-                if abw != baw:
+                # (ij)w - i(jw) - (ji)w + j(iw)
+                if i < j and _two_step(
+                    (False, gam[i][j], left_t[al]),
+                    (True, left[j][al], left[i]),
+                    (True, gam[j][i], left_t[al]),
+                    (False, left[i][al], left[j]),
+                ):
                     return CheckResult(
                         False,
                         (i, j, al),
                         f"(a,b,w) = (b,a,w) fails at (e_{i}, e_{j}, w_{al})",
                     )
-                if awb != wab:
+                # (iw)j - i(wj) - (wi)j + w(ij)
+                if _two_step(
+                    (False, left[i][al], right_t[j]),
+                    (True, right[al][j], left[i]),
+                    (True, right[al][i], right_t[j]),
+                    (False, gam[i][j], right[al]),
+                ):
                     return CheckResult(
                         False,
                         (i, al, j),
@@ -327,37 +399,44 @@ def jacobi_algebra(A: KVAlgebra) -> Subspace:
         raise PreconditionError(
             f"jacobi_algebra needs a KV product; {verdict.detail}"
         )
-    return _jacobi_kernel(A.dim, A.dim, lambda i, j, l: _assoc_basis(A, i, j, l))
+    gam, gam_t = _product_lists(A)
+    # (ij)l - i(jl)
+    return _jacobi_kernel(
+        A.dim,
+        A.dim,
+        lambda i, j, l: _two_step((False, gam[i][j], gam_t[l]), (True, gam[j][l], gam[i])),
+    )
 
 
 def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
     """J(W) = {w : (a,b,w) = 0 for all a,b}, as a kernel computation."""
-    basis = A.basis()
-
-    def entry(i: int, j: int, al: int) -> Vec:
-        w = W.basis_element(al)
-        out = W.left_act(A.mul(basis[i], basis[j]), w) - W.left_act(
-            basis[i], W.left_act(basis[j], w)
-        )
-        return out.coords
-
-    return _jacobi_kernel(A.dim, W.dim, entry)
-
-
-def _assoc_basis(A: KVAlgebra, i: int, j: int, l: int) -> Vec:
-    return associator(A, A.basis_element(i), A.basis_element(j), A.basis_element(l)).coords
+    if A.dim != W.algebra.dim and A.dim and W.dim:
+        raise DimensionError("left action operands have wrong dimensions")
+    gam, _ = _product_lists(A)
+    left, left_t, _, _ = _action_lists(W)
+    # (ij)w - i(jw)
+    return _jacobi_kernel(
+        A.dim,
+        W.dim,
+        lambda i, j, al: _two_step((False, gam[i][j], left_t[al]), (True, left[j][al], left[i])),
+    )
 
 
 def _jacobi_kernel(n: int, m: int, entry) -> Subspace:
-    """Kernel of xi -> ((e_i, e_j, xi))_{i,j} given the basis associators."""
-    rows: list[list[Fraction]] = []
-    columns = [[entry(i, j, l) for l in range(m)] for i in range(n) for j in range(n)]
-    for block in columns:
-        # block[l] is the associator (e_i, e_j, basis_l); transpose to rows per
-        # output coordinate so the kernel variable is the input vector.
-        for k in range(m):
-            rows.append([block[l][k] for l in range(m)])
-    return kernel(Mat.from_rows(rows, cols=m))
+    """Kernel of xi -> ((e_i, e_j, xi))_{i,j} given the basis associators.
+
+    entry(i, j, l) is the associator (e_i, e_j, basis_l) as {k: value}; it
+    fills column l of the rows (i, j, k), one per output coordinate, so the
+    kernel variable is the input vector.
+    """
+    items: dict[tuple[int, int], Fraction] = {}
+    for i in range(n):
+        for j in range(n):
+            base = (i * n + j) * m
+            for l in range(m):
+                for k, x in entry(i, j, l).items():
+                    items[(base + k, l)] = x
+    return kernel(Mat.from_items(n * n * m, m, items))
 
 
 def center(A: KVAlgebra) -> Subspace:

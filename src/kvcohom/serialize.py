@@ -385,12 +385,14 @@ def canonical_json(obj: Any) -> str:
 def read_json(path) -> Any:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals past
+        # the interpreter's digit limit; RecursionError, nesting too deep.
         raise InputError(f"{p} is not valid JSON: {exc}") from None
 
 

@@ -373,3 +373,88 @@ def test_cochain_evaluate_multilinearity():
     rhs = f.evaluate([a, c]) + f.evaluate([b, c])
     assert lhs == rhs
     assert f.evaluate([a.scale(3), c]) == f.evaluate([a, c]).scale(3)
+
+
+def dense_coboundary(f):
+    """The coboundary loop over dense table rows, kept as a reference."""
+    A, W, q = f.algebra, f.module, f.degree
+    n, m = A.dim, W.dim
+    gamma, left, right = A.product, W.left, W.right
+    out = [Fraction(0)] * (n ** (q + 1) * m)
+    for args in itertools.product(range(n), repeat=q + 1):
+        acc = [Fraction(0)] * m
+        last = args[q]
+        for j in range(q):
+            sign = -1 if j % 2 == 0 else 1
+            ij = args[j]
+            rest = args[:j] + args[j + 1 :]
+            term = [Fraction(0)] * m
+            fv = f.value(rest)
+            for be in range(m):
+                c = fv[be]
+                if c == 0:
+                    continue
+                row = left[ij][be]
+                for ga in range(m):
+                    if row[ga] != 0:
+                        term[ga] += c * row[ga]
+            for p in range(q):
+                row = gamma[ij][rest[p]]
+                for k in range(n):
+                    co = row[k]
+                    if co == 0:
+                        continue
+                    fv2 = f.value(rest[:p] + (k,) + rest[p + 1 :])
+                    for ga in range(m):
+                        if fv2[ga] != 0:
+                            term[ga] -= co * fv2[ga]
+            fv3 = f.value(rest[:-1] + (ij,))
+            for be in range(m):
+                c = fv3[be]
+                if c == 0:
+                    continue
+                row = right[be][last]
+                for ga in range(m):
+                    if row[ga] != 0:
+                        term[ga] += c * row[ga]
+            for ga in range(m):
+                acc[ga] += sign * term[ga]
+        off = f.offset(args)
+        out[off : off + m] = acc
+    return Cochain(A, W, q + 1, tuple(out))
+
+
+def test_sparse_coboundary_matches_dense_loop():
+    rng = random.Random(77)
+    seen = set()
+    for t in range(90):
+        A = random_kv(t, 3 + t % 2)
+        W = regular_bimodule(A) if t % 2 else random_module(A, t, 3)
+        q = 1 + t % 3
+        if A.dim ** (q + 1) * W.dim > 1500:
+            q = 1
+        f = _random_cochain(rng, A, W, q)
+        assert coboundary(f).values == dense_coboundary(f).values
+        seen.add(q)
+    assert seen == {1, 2, 3}
+
+
+def test_cohomology_computes_the_jacobi_module_once(monkeypatch):
+    import kvcohom.complexes as cx
+
+    calls = []
+
+    def counted(A, W):
+        calls.append(1)
+        return jacobi_module(A, W)
+
+    monkeypatch.setattr(cx, "jacobi_module", counted)
+    A = aff()
+    W = regular_bimodule(A)
+    report = cohomology(A, W, 2)
+    assert len(calls) == 1
+    assert report.degree(0).dim_C == jacobi_module(A, W).dim
+    # the public degree-0 matrix still computes J(W) itself
+    calls.clear()
+    assert coboundary_matrix(A, W, 0).cols == jacobi_module(A, W).dim
+    assert len(calls) == 1

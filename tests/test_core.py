@@ -6,10 +6,12 @@ docstrings) and are frozen as literals.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from kvcohom.core import (
+    CheckResult,
     Element,
     KVAlgebra,
     KVModule,
@@ -38,8 +40,8 @@ from kvcohom.core import (
     zero_module,
 )
 from kvcohom.errors import DimensionError, PreconditionError
-from kvcohom.fixtures import aff, assoc1, poly2, rad2, zero_algebra
-from kvcohom.linalg import Subspace
+from kvcohom.fixtures import aff, algebra_catalog, assoc1, poly2, rad2, zero_algebra
+from kvcohom.linalg import Mat, Subspace, kernel
 
 
 def E(*coords):
@@ -401,3 +403,142 @@ def test_tensor_shape_validation():
         KVAlgebra(dim=2, product=tensor3([[[0, 0], [0, 1]]]))
     with pytest.raises(DimensionError):
         KVModule(algebra=aff(), dim=1, left=zero3(2, 1, 1), right=zero3(1, 1, 1))
+
+
+# -- the Element-product identity checks, kept as the independent reference --
+
+
+def reference_is_kv(A):
+    """Brute-force check of (e_i,e_j,e_k) = (e_j,e_i,e_k) over all basis triples."""
+    basis = A.basis()
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                lhs = associator(A, basis[i], basis[j], basis[k])
+                rhs = associator(A, basis[j], basis[i], basis[k])
+                if lhs != rhs:
+                    return CheckResult(
+                        False,
+                        (i, j, k),
+                        f"associator symmetry fails at basis triple ({i},{j},{k})",
+                    )
+    return CheckResult(True)
+
+
+def reference_is_module(A, W):
+    """Check (a,b,w) = (b,a,w) and (a,w,b) = (w,a,b) over all basis triples."""
+    if W.algebra is not A and W.algebra != A:
+        return CheckResult(False, None, "module is attached to a different algebra")
+    abasis = A.basis()
+    wbasis = W.basis()
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for al in range(W.dim):
+                a, b, w = abasis[i], abasis[j], wbasis[al]
+                abw, awb, wab = mixed_associators(A, W, a, b, w)
+                baw = W.left_act(A.mul(b, a), w) - W.left_act(b, W.left_act(a, w))
+                if abw != baw:
+                    return CheckResult(
+                        False,
+                        (i, j, al),
+                        f"(a,b,w) = (b,a,w) fails at (e_{i}, e_{j}, w_{al})",
+                    )
+                if awb != wab:
+                    return CheckResult(
+                        False,
+                        (i, al, j),
+                        f"(a,w,b) = (w,a,b) fails at (e_{i}, w_{al}, e_{j})",
+                    )
+    return CheckResult(True)
+
+
+def _verdict(r):
+    return (r.ok, r.witness, r.detail)
+
+
+def _random_tensor(rng, d1, d2, d3, density):
+    coeffs = (-2, -1, 1, 2, Fraction(1, 2))
+    return tensor3(
+        [
+            [[rng.choice(coeffs) if rng.random() < density else 0 for _ in range(d3)]
+             for _ in range(d2)]
+            for _ in range(d1)
+        ]
+    )
+
+
+def _perturbed(rng, t):
+    cells = [[list(r) for r in p] for p in t]
+    a = rng.randrange(len(cells))
+    b = rng.randrange(len(cells[a]))
+    c = rng.randrange(len(cells[a][b]))
+    cells[a][b][c] += rng.choice((-1, 1, 2))
+    return tensor3(cells)
+
+
+def test_sparse_identity_checks_match_element_products():
+    rng = random.Random(2024)
+    algebras = list(algebra_catalog()) + [random_kv(s, 3 + s % 3) for s in range(30)]
+    cases = []  # (algebra, module or None)
+    for A in algebras:
+        cases.append((A, None))
+        cases += [(A, regular_bimodule(A)), (A, left_regular_module(A))]
+        for s in range(2):
+            W = random_module(A, s, 3)
+            cases.append((A, W))
+            if A.dim and W.dim:
+                for _ in range(3):
+                    cases.append((A, KVModule(A, W.dim, _perturbed(rng, W.left), W.right)))
+                    cases.append((A, KVModule(A, W.dim, W.left, _perturbed(rng, W.right))))
+        if A.dim:
+            for _ in range(4):
+                cases.append((KVAlgebra(A.dim, _perturbed(rng, A.product)), None))
+            foreign = KVAlgebra(A.dim, _perturbed(rng, A.product))
+            cases.append((A, regular_bimodule(foreign)))
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        density = rng.choice((0.1, 0.25, 0.5))
+        A = KVAlgebra(n, _random_tensor(rng, n, n, n, density))
+        cases.append((A, None))
+        W = KVModule(
+            A, m, _random_tensor(rng, n, m, m, density), _random_tensor(rng, m, n, m, density)
+        )
+        cases.append((A, W))
+    details = set()
+    for A, W in cases:
+        if W is None:
+            got, want = is_kv(A), reference_is_kv(A)
+        else:
+            got, want = is_module(A, W), reference_is_module(A, W)
+        assert _verdict(got) == _verdict(want)
+        if not got:
+            details.add(got.detail.split(" fails")[0].split(" is attached")[0])
+    # every kind of failure was exercised, not only passes
+    assert details == {
+        "associator symmetry",
+        "(a,b,w) = (b,a,w)",
+        "(a,w,b) = (w,a,b)",
+        "module",
+    }
+
+
+def test_jacobi_subspaces_match_element_products():
+    def reference_jacobi(n, m, assoc):
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                block = [assoc(i, j, l) for l in range(m)]
+                for k in range(m):
+                    rows.append([block[l][k] for l in range(m)])
+        return kernel(Mat.from_rows(rows, cols=m))
+
+    for s in range(30):
+        A = random_kv(s, 3 + s % 3)
+        W = random_module(A, s, 3)
+        e, w = A.basis(), W.basis()
+        assert jacobi_algebra(A) == reference_jacobi(
+            A.dim, A.dim, lambda i, j, l: associator(A, e[i], e[j], e[l]).coords
+        )
+        assert jacobi_module(A, W) == reference_jacobi(
+            A.dim, W.dim, lambda i, j, l: mixed_associators(A, W, e[i], e[j], w[l])[0].coords
+        )

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvcohom import serialize as sz
 from kvcohom.complexes import Cochain
@@ -15,7 +17,7 @@ from kvcohom.core import (
     semidirect,
     zero3,
 )
-from kvcohom.errors import InputError
+from kvcohom.errors import DimensionError, InputError
 from kvcohom.extensions import (
     BigradedCochain,
     algebra_extension_from_cocycle,
@@ -273,6 +275,14 @@ def test_read_json_errors(tmp_path):
         sz.read_json(p)
 
 
+def test_read_json_undecodable_bytes_is_input_error(tmp_path):
+    # ff fe is a UTF-16 byte-order mark and never valid UTF-8
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(InputError):
+        sz.read_json(p)
+
+
 def test_load_tensor3(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(sz.canonical_json({"tensor": [[["1", "0"], ["0", "1"]],
@@ -281,3 +291,74 @@ def test_load_tensor3(tmp_path):
     assert t[0][1][1] == 1
     with pytest.raises(InputError):
         sz.load_tensor3(p, 2, 2, 3, "test tensor")
+
+
+# -- fuzzing the parsers ------------------------------------------------------
+
+# Deterministic and bounded: the same examples on every run, about a second.
+FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+_KEYS = ("dim", "product", "name", "left", "right", "algebra")
+_rationals = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "01", "1.5", "", "x"]),
+    st.text(alphabet="-/0123456789", max_size=8),
+)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), _rationals
+)
+_json = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(_KEYS), st.text(max_size=4)), children, max_size=5),
+    ),
+    max_leaves=20,
+)
+# Near-valid bodies: the expected keys, a small "dim" and nested arrays of
+# rational-like leaves, so that parsing gets past the key checks.
+_tensors = st.recursive(_rationals, lambda c: st.lists(c, max_size=3), max_leaves=20)
+_bodies = st.fixed_dictionaries(
+    {"dim": st.one_of(st.integers(-1, 3), _scalars)},
+    optional={k: st.one_of(_tensors, _json) for k in _KEYS if k != "dim"},
+)
+_objects = st.one_of(_json, _bodies)
+_PARSE_ERRORS = (InputError, DimensionError)
+
+
+@FUZZ
+@given(st.binary(max_size=64))
+def test_fuzz_read_json_bytes(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "fuzz.json"
+    p.write_bytes(data)
+    try:
+        sz.read_json(p)
+    except _PARSE_ERRORS:
+        pass
+
+
+@FUZZ
+@given(_objects)
+def test_fuzz_algebra_from_obj(obj):
+    try:
+        sz.algebra_from_obj(obj)
+    except _PARSE_ERRORS:
+        pass
+
+
+@FUZZ
+@given(_objects, st.booleans())
+def test_fuzz_module_from_obj(obj, with_context):
+    try:
+        sz.module_from_obj(obj, algebra=aff() if with_context else None)
+    except _PARSE_ERRORS:
+        pass
+
+
+@FUZZ
+@given(_json)
+def test_fuzz_parse_rat(obj):
+    try:
+        sz.parse_rat(obj)
+    except _PARSE_ERRORS:
+        pass
