@@ -261,56 +261,49 @@ def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
 def coboundary(f: Cochain) -> Cochain:
     """The coboundary of a cochain; degree 0 is routed through coboundary0.
 
-    The formula is evaluated term by term on the values of f, looping over
-    the nonzero structure constants only.  This is a second route to the
-    same map as `coboundary_matrix`, not a product with that matrix.
+    The formula is scattered from the nonzero values of f: each one is sent
+    to every output that reads it, through the nonzero action constants and
+    a table of the products landing on each basis vector, so the work
+    follows the nonzeros of f.  This is a second route to the same map as
+    `coboundary_matrix`, not a product with that matrix.
     """
     if f.degree == 0:
         return coboundary0(f.module, Element(f.values))
     A, W, q = f.algebra, f.module, f.degree
     n, m = A.dim, W.dim
-    vals = f.values
-    gammas, _ = _product_lists(A)
+    gammas, _ = _product_lists(A.product)
     lefts, _, rights, _ = _action_lists(W)
-    # strides[p]: offset step of argument slot p in a degree-q table
-    strides = [n ** (q - 1 - p) * m for p in range(q)]
+    # landing[k]: the (i, r, -co) with co the e_k-coordinate of e_i e_r
+    landing = [[] for _ in range(n)]
+    for i in range(n):
+        for r in range(n):
+            for k, co in gammas[i][r]:
+                landing[k].append((i, r, -co))
+    # an output (a_1, ..., a_{q+1}) takes a_j (sign (-1)^j) into a rest tuple
+    # of q arguments; strides[p] is the flat step of slot p of the rest
+    strides = [n ** (q - 1 - p) for p in range(q)]
     out = [_ZERO] * (n ** (q + 1) * m)
-    for args in itertools.product(range(n), repeat=q + 1):
-        acc = [_ZERO] * m
-        last = args[q]
-        for j in range(q):
-            sign = -1 if j % 2 == 0 else 1
-            ij = args[j]
-            rest = args[:j] + args[j + 1 :]
-            rest_off = _flat(rest, n) * m
-            term = [_ZERO] * m
-            # a_j . f(rest)
-            for be in range(m):
-                c = vals[rest_off + be]
-                if c:
-                    for ga, x in lefts[ij][be]:
-                        term[ga] += c * x
-            # - sum over slots: f(rest with slot p replaced by a_j . a_s)
-            for p in range(q):
-                rp = rest[p]
-                for k, co in gammas[ij][rp]:
-                    off = rest_off + (k - rp) * strides[p]
-                    for ga in range(m):
-                        v = vals[off + ga]
-                        if v:
-                            term[ga] -= co * v
-            # + f(rest without its last slot, then a_j) . a_{q+1}
-            off3 = rest_off + (ij - rest[-1]) * m
-            for be in range(m):
-                c = vals[off3 + be]
-                if c:
-                    for ga, x in rights[be][last]:
-                        term[ga] += c * x
-            for ga, x in enumerate(term):
-                if x:
-                    acc[ga] += -x if sign < 0 else x
-        off = _flat(args, n) * m
-        out[off : off + m] = acc
+    for pos, v in enumerate(f.values):
+        if not v:
+            continue
+        s, be = divmod(pos, m)
+        t = s % n
+        # (rest, a_j, coordinate, value): a_j . f(rest), then
+        # f(rest without its last slot, then a_j) . a_{q+1}, then
+        # - f(rest with slot p replaced by a_j . rest_p)
+        hits = [(s, i, ga, v * x) for i in range(n) for ga, x in lefts[i][be]]
+        hits += [(s - t + l, t, ga, v * x) for l in range(n) for ga, x in rights[be][l]]
+        for st in strides:
+            k = s // st % n
+            hits += [(s + (r - k) * st, i, be, co * v) for i, r, co in landing[k]]
+        for rest, i, ga, x in hits:
+            for j, st in enumerate(strides):
+                hi, lo = divmod(rest, st * n)
+                off = ((hi * n + i) * st * n + lo) * m + ga
+                if j % 2:
+                    out[off] += x
+                else:
+                    out[off] -= x
     return Cochain(A, W, q + 1, tuple(out))
 
 
@@ -335,7 +328,7 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     rows_dim = n ** (q + 1) * m
     cols_dim = n**q * m
     # Nonzero structure constants only: the tables are mostly zeros.
-    gammas, _ = _product_lists(A)
+    gammas, _ = _product_lists(A.product)
     lefts, _, rights, _ = _action_lists(W)
     entries: dict[tuple[int, int], Fraction] = {}
 

@@ -280,13 +280,13 @@ def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(t, x) for t, x in enumerate(row) if x]
 
 
-def _product_lists(A: KVAlgebra):
-    """Nonzero structure constants of A, indexed both ways.
+def _product_lists(t: Tensor3):
+    """Nonzero entries of a bilinear tensor t, indexed both ways.
 
-    gam[i][j] is e_i e_j and gam_t[j][i] the same list.
+    gam[i][j] is t(e_i, e_j) and gam_t[j][i] the same list.
     """
-    n = A.dim
-    gam = [[_nonzero(A.product[i][j]) for j in range(n)] for i in range(n)]
+    n = len(t)
+    gam = [[_nonzero(r) for r in p] for p in t]
     gam_t = [[gam[s][k] for s in range(n)] for k in range(n)]
     return gam, gam_t
 
@@ -329,7 +329,7 @@ def is_kv(A: KVAlgebra) -> CheckResult:
     at i > j mirrors one at (j, i, k), which the scan meets first.
     """
     n = A.dim
-    gam, gam_t = _product_lists(A)
+    gam, gam_t = _product_lists(A.product)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
@@ -357,7 +357,7 @@ def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:
     """
     if W.algebra is not A and W.algebra != A:
         return CheckResult(False, None, "module is attached to a different algebra")
-    gam, _ = _product_lists(A)
+    gam, _ = _product_lists(A.product)
     left, left_t, right, right_t = _action_lists(W)
     for i in range(A.dim):
         for j in range(A.dim):
@@ -399,7 +399,7 @@ def jacobi_algebra(A: KVAlgebra) -> Subspace:
         raise PreconditionError(
             f"jacobi_algebra needs a KV product; {verdict.detail}"
         )
-    gam, gam_t = _product_lists(A)
+    gam, gam_t = _product_lists(A.product)
     # (ij)l - i(jl)
     return _jacobi_kernel(
         A.dim,
@@ -412,7 +412,7 @@ def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
     """J(W) = {w : (a,b,w) = 0 for all a,b}, as a kernel computation."""
     if A.dim != W.algebra.dim and A.dim and W.dim:
         raise DimensionError("left action operands have wrong dimensions")
-    gam, _ = _product_lists(A)
+    gam, _ = _product_lists(A.product)
     left, left_t, _, _ = _action_lists(W)
     # (ij)w - i(jw)
     return _jacobi_kernel(

@@ -17,7 +17,9 @@ degree-2 coboundary matrix: obstructions are classes in degree 3.  Trivial
 deformations arise by pushing the base product through a formal basis flow;
 their first coefficient is a coboundary.  The same bracket mechanics yield
 the curvature identity for connections mu_0 + S with S symmetric: the
-defect of the commutation formula is exactly -delta S.
+defect of the commutation formula is exactly -delta S.  All of these are
+evaluated from the nonzero structure constants and kept sparse until a
+public function returns a tensor.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import Cochain, coboundary, coboundary_matrix
+from .complexes import Cochain, check_budget, coboundary, coboundary_matrix
 from .core import (
     CheckResult,
     KVAlgebra,
     Tensor3,
+    _product_lists,
+    _two_step,
     is_kv,
     regular_bimodule,
     tensor3,
@@ -76,28 +80,6 @@ def zero4(n: int) -> Tensor4:
     return tuple(zero3(n, n, n) for _ in range(n))
 
 
-def _t4_add(a: Tensor4, b: Tensor4) -> Tensor4:
-    return tuple(
-        tuple(
-            tuple(
-                tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(pa, pb)
-            )
-            for pa, pb in zip(qa, qb)
-        )
-        for qa, qb in zip(a, b)
-    )
-
-
-def _t4_scale(c: Fraction, a: Tensor4) -> Tensor4:
-    return tuple(
-        tuple(tuple(tuple(c * x for x in r) for r in p) for p in q) for q in a
-    )
-
-
-def _t4_is_zero(a: Tensor4) -> bool:
-    return all(x == 0 for q in a for p in q for r in p for x in r)
-
-
 def _shape_bilinear(mu: Tensor3, n: int, what: str) -> None:
     if len(mu) != n or any(
         len(p) != n or any(len(r) != n for r in p) for p in mu
@@ -105,21 +87,85 @@ def _shape_bilinear(mu: Tensor3, n: int, what: str) -> None:
         raise DimensionError(f"{what} must have shape {n}x{n}x{n}")
 
 
-def _apply(mu: Tensor3, x: Vec, y: Vec, n: int) -> list[Fraction]:
-    out = [_ZERO] * n
-    for i in range(n):
-        ci = x[i]
-        if ci == 0:
-            continue
-        for j in range(n):
-            c = ci * y[j]
-            if c == 0:
-                continue
-            row = mu[i][j]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] += c * row[k]
+def _apply(gam, x: Vec, y: Vec) -> list[Fraction]:
+    """mu(x, y) from the nonzero lists gam of mu."""
+    out = [_ZERO] * len(gam)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for k, v in gam[i][j]:
+                        out[k] += c * v
     return out
+
+
+# The nonzero part of a rank-4 tensor: {(a, b, c): {t: value}}.
+Sparse4 = dict[tuple[int, int, int], dict[int, Fraction]]
+
+
+def _sparse4(n: int, terms) -> Sparse4:
+    """The rows (a, b, c) -> sum of the two-step terms(a, b, c), nonzero only."""
+    rows = ((abc, _two_step(*terms(*abc))) for abc in itertools.product(range(n), repeat=3))
+    return {abc: row for abc, row in rows if row}
+
+
+def _pairs(L, pairs):
+    """terms(a, b, c) of the sum of A_ij over (i, j) in pairs.
+
+    L[i] holds the nonzero lists of mu_i (see pair_residual for A_ij).
+    """
+
+    def terms(a, b, c):
+        out = []
+        for i, j in pairs:
+            (gi, gi_t), gj = L[i], L[j][0]
+            # mu_i(mu_j(a,b),c) - mu_i(a,mu_j(b,c)) - mu_i(mu_j(b,a),c) + mu_i(b,mu_j(a,c))
+            out += (
+                (False, gj[a][b], gi_t[c]),
+                (True, gj[b][c], gi[a]),
+                (True, gj[b][a], gi_t[c]),
+                (False, gj[a][c], gi[b]),
+            )
+        return out
+
+    return terms
+
+
+def _axpy(y: Sparse4, c: Fraction, x: Sparse4) -> Sparse4:
+    """y + c x, accumulated in y, zeros dropped."""
+    for abc, row in x.items():
+        acc = y.setdefault(abc, {})
+        for t, v in row.items():
+            s = acc.get(t, _ZERO) + c * v
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
+        if not acc:
+            del y[abc]
+    return y
+
+
+def _sparse_of(values: Sequence[Fraction], n: int) -> Sparse4:
+    """The nonzero part of a flat trilinear table with values in dimension n."""
+    out: Sparse4 = {}
+    for pos, x in enumerate(values):
+        if x:
+            r, t = divmod(pos, n)
+            out.setdefault((r // (n * n), r // n % n, r % n), {})[t] = x
+    return out
+
+
+def _dense4(n: int, s: Sparse4) -> Tensor4:
+    def row(abc):
+        r = s.get(abc, {})
+        return tuple(r.get(t, _ZERO) for t in range(n))
+
+    return tuple(
+        tuple(tuple(row((a, b, c)) for c in range(n)) for b in range(n))
+        for a in range(n)
+    )
 
 
 def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
@@ -130,47 +176,16 @@ def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
                       -nu(a,mu(b,c)) + mu(nu(a,b),c)
 
     With mu the base product this is exactly the coboundary of nu, and
-    d_mu mu = 2[(a,b,c)_mu - (b,a,c)_mu] for any mu whatsoever.
+    d_mu mu = 2[(a,b,c)_mu - (b,a,c)_mu] for any mu whatsoever.  The
+    eight terms are A(mu, nu) + A(nu, mu) of `pair_residual`.
     """
     n = len(mu)
     if len(nu) != n:
         raise DimensionError("bracket arguments must share a dimension")
     _shape_bilinear(mu, n, "mu")
     _shape_bilinear(nu, n, "nu")
-    out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a, b, c in itertools.product(range(n), repeat=3):
-        acc = [_ZERO] * n
-        for p in range(n):
-            # -mu(a, nu(b,c)) and -nu(a, mu(b,c))
-            if nu[b][c][p] != 0:
-                for k in range(n):
-                    acc[k] -= nu[b][c][p] * mu[a][p][k]
-            if mu[b][c][p] != 0:
-                for k in range(n):
-                    acc[k] -= mu[b][c][p] * nu[a][p][k]
-            # +nu(mu(a,b),c) and +mu(nu(a,b),c)
-            if mu[a][b][p] != 0:
-                for k in range(n):
-                    acc[k] += mu[a][b][p] * nu[p][c][k]
-            if nu[a][b][p] != 0:
-                for k in range(n):
-                    acc[k] += nu[a][b][p] * mu[p][c][k]
-            # +nu(b, mu(a,c)) and +mu(b, nu(a,c))
-            if mu[a][c][p] != 0:
-                for k in range(n):
-                    acc[k] += mu[a][c][p] * nu[b][p][k]
-            if nu[a][c][p] != 0:
-                for k in range(n):
-                    acc[k] += nu[a][c][p] * mu[b][p][k]
-            # -mu(nu(b,a),c) and -nu(mu(b,a),c)
-            if nu[b][a][p] != 0:
-                for k in range(n):
-                    acc[k] -= nu[b][a][p] * mu[p][c][k]
-            if mu[b][a][p] != 0:
-                for k in range(n):
-                    acc[k] -= mu[b][a][p] * nu[p][c][k]
-        out[a][b][c] = acc
-    return tensor4(out)
+    L = [_product_lists(mu), _product_lists(nu)]
+    return _dense4(n, _sparse4(n, _pairs(L, ((0, 1), (1, 0)))))
 
 
 def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
@@ -185,24 +200,8 @@ def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
         raise DimensionError("residual arguments must share a dimension")
     _shape_bilinear(mu_i, n, "mu_i")
     _shape_bilinear(mu_j, n, "mu_j")
-    out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a, b, c in itertools.product(range(n), repeat=3):
-        acc = [_ZERO] * n
-        for p in range(n):
-            if mu_j[a][b][p] != 0:
-                for k in range(n):
-                    acc[k] += mu_j[a][b][p] * mu_i[p][c][k]
-            if mu_j[b][c][p] != 0:
-                for k in range(n):
-                    acc[k] -= mu_j[b][c][p] * mu_i[a][p][k]
-            if mu_j[b][a][p] != 0:
-                for k in range(n):
-                    acc[k] -= mu_j[b][a][p] * mu_i[p][c][k]
-            if mu_j[a][c][p] != 0:
-                for k in range(n):
-                    acc[k] += mu_j[a][c][p] * mu_i[b][p][k]
-        out[a][b][c] = acc
-    return tensor4(out)
+    L = [_product_lists(mu_i), _product_lists(mu_j)]
+    return _dense4(n, _sparse4(n, _pairs(L, ((0, 1),))))
 
 
 @dataclass(frozen=True)
@@ -299,54 +298,62 @@ def tensor4_from_cochain(f: Cochain) -> Tensor4:
     )
 
 
-def jet_residuals(jet: MultiplicationJet) -> tuple[Tensor4, ...]:
-    """E_0, ..., E_K: the exact order-k coefficients of the KV identity.
+def _jet_lists(jet: MultiplicationJet) -> list:
+    return [_product_lists(jet.coefficient(i)) for i in range(jet.order + 1)]
 
-    Internally re-derives each E_k (k >= 1) through the bracket identity
-    E_k = delta mu_k + (1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j and insists
-    the two routes agree.
+
+def _brackets(n: int, L, k: int) -> Sparse4:
+    """sum_{i+j=k, i,j>=1} d_{mu_i} mu_j; L[i] holds the nonzero lists of mu_i."""
+    return _sparse4(n, _pairs(L, [p for i in range(1, k) for p in ((i, k - i), (k - i, i))]))
+
+
+def _residuals(jet: MultiplicationJet, L, orders) -> list[Sparse4]:
+    """The sparse E_k for k in orders; L[i] holds the nonzero lists of mu_i.
+
+    Each E_k (k >= 1) is re-derived through the bracket identity
+    E_k = delta mu_k + (1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j, and the
+    two routes must agree.
     """
     n = jet.dim
-    K = jet.order
-    out: list[Tensor4] = []
-    for k in range(K + 1):
-        acc = zero4(n)
-        for i in range(k + 1):
-            acc = _t4_add(acc, pair_residual(jet.coefficient(i), jet.coefficient(k - i)))
-        if k >= 1:
-            bridge = tensor4_from_cochain(
-                coboundary(bilinear_cochain(jet.base, jet.coefficient(k)))
+    out = []
+    for k in orders:
+        E = _sparse4(n, _pairs(L, [(i, k - i) for i in range(k + 1)]))
+        if k:
+            bridge = _sparse_of(
+                coboundary(bilinear_cochain(jet.base, jet.coefficient(k))).values, n
             )
-            for i in range(1, k):
-                bridge = _t4_add(
-                    bridge,
-                    _t4_scale(
-                        _HALF, kv_bracket(jet.coefficient(i), jet.coefficient(k - i))
-                    ),
-                )
-            if bridge != acc:
+            if _axpy(bridge, _HALF, _brackets(n, L, k)) != E:
                 raise AssertionError(
                     "bracket route and direct expansion disagree on a residual"
                 )
-        out.append(acc)
-    return tuple(out)
+        out.append(E)
+    return out
+
+
+def jet_residuals(jet: MultiplicationJet) -> tuple[Tensor4, ...]:
+    """E_0, ..., E_K: the exact order-k coefficients of the KV identity.
+
+    Each E_k (k >= 1) is also derived through the bracket identity, and
+    the two routes must agree (see `_residuals`).
+    """
+    E = _residuals(jet, _jet_lists(jet), range(jet.order + 1))
+    return tuple(_dense4(jet.dim, Ek) for Ek in E)
 
 
 def jet_check(jet: MultiplicationJet) -> CheckResult:
     """Verdict on the KV identity through the jet's order, with a witness."""
-    residuals = jet_residuals(jet)
-    n = jet.dim
-    for k, E in enumerate(residuals):
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if any(x != 0 for x in E[a][b][c]):
-                return CheckResult(
-                    False,
-                    witness=(k, a, b, c),
-                    detail=(
-                        f"order-{k} residual is nonzero on the basis triple "
-                        f"({a},{b},{c})"
-                    ),
-                )
+    for k, E in enumerate(_residuals(jet, _jet_lists(jet), range(jet.order + 1))):
+        if E:
+            # rows are stored in lexicographic order of the basis triple
+            a, b, c = next(iter(E))
+            return CheckResult(
+                False,
+                witness=(k, a, b, c),
+                detail=(
+                    f"order-{k} residual is nonzero on the basis triple "
+                    f"({a},{b},{c})"
+                ),
+            )
     return CheckResult(True)
 
 
@@ -373,26 +380,24 @@ class NextOrderSolution:
 
 
 def solve_next_order(jet: MultiplicationJet) -> NextOrderSolution:
-    """Solve delta mu_k = R_k for k = order + 1, or certify the obstruction."""
-    residuals = jet_residuals(jet)
-    for kk, E in enumerate(residuals):
-        if not _t4_is_zero(E):
-            raise PreconditionError(
-                f"cannot raise the order: the order-{kk} residual is nonzero"
-            )
+    """Solve delta mu_k = R_k for k = order + 1, or certify the obstruction.
+
+    Orders below k are checked once, on the input jet; after a solve only
+    order k of the extended jet is new, and only it is re-checked.  The
+    cell budget is checked for the tables of degrees 2 to 4 first.
+    """
     A = jet.base
     n = jet.dim
     k = jet.order + 1
-    target = zero4(n)
-    for i in range(1, k):
-        j = k - i
-        if i <= jet.order and j <= jet.order:
-            target = _t4_add(
-                target,
-                _t4_scale(
-                    -_HALF, kv_bracket(jet.coefficient(i), jet.coefficient(j))
-                ),
+    for q in (2, 3, 4):
+        check_budget(n, n, q)
+    L = _jet_lists(jet)
+    for kk, E in enumerate(_residuals(jet, L, range(k))):
+        if E:
+            raise PreconditionError(
+                f"cannot raise the order: the order-{kk} residual is nonzero"
             )
+    target = _dense4(n, _axpy({}, -_HALF, _brackets(n, L, k)))
     target_flat = vec([x for q in target for p in q for r in p for x in r])
     target_is_cocycle = coboundary(trilinear_cochain(A, target)).is_zero()
     M = coboundary_matrix(A, regular_bimodule(A), 2)
@@ -405,13 +410,15 @@ def solve_next_order(jet: MultiplicationJet) -> NextOrderSolution:
             ]
         )
         extended = jet.extend(mu_next)
-        if not _t4_is_zero(jet_residuals(extended)[k]):
+        if _residuals(extended, L + [_product_lists(mu_next)], (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
         return NextOrderSolution(k, target, target_is_cocycle, mu_next, None, extended)
-    # No solution: produce a functional from the left kernel separating R_k.
+    # No solution: produce a functional from the left kernel separating R_k,
+    # pairing over the nonzero entries of R_k only.
+    support = [(i, v) for i, v in enumerate(target_flat) if v]
     certificate = None
     for y in kernel(M.transpose()).basis:
-        pairing = sum(a * b for a, b in zip(y, target_flat))
+        pairing = sum(y[i] * v for i, v in support)
         if pairing != 0:
             certificate = y
             break
@@ -456,6 +463,7 @@ def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
                         s += ps[r][t] * th[t][c]
                     acc[r][c] -= s
         psis.append(acc)
+    gam = _product_lists(A.product)[0]
     coeffs: list[Tensor3] = []
     for k in range(1, K + 1):
         mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
@@ -465,9 +473,7 @@ def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
                 th = theta(p)
                 for a in range(n):
                     for b in range(n):
-                        prod = _apply(
-                            A.product, vec(psis[q][a]), vec(psis[r][b]), n
-                        )
+                        prod = _apply(gam, psis[q][a], psis[r][b])
                         for s in range(n):
                             if prod[s] == 0:
                                 continue
@@ -491,11 +497,16 @@ class RigidityReport:
 
 
 def rigidity_report(A: KVAlgebra) -> RigidityReport:
-    """Tangent cocycles and the rigidity verdict dim H^2(A, A) = 0."""
+    """Tangent cocycles and the rigidity verdict dim H^2(A, A) = 0.
+
+    The cell budget is checked for the tables of degrees 1 to 3 first.
+    """
+    n = A.dim
+    for q in (1, 2, 3):
+        check_budget(n, n, q)
     verdict = is_kv(A)
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
-    n = A.dim
     W = regular_bimodule(A)
     M2 = coboundary_matrix(A, W, 2)
     M1 = coboundary_matrix(A, W, 1)
@@ -550,27 +561,24 @@ def curvature_check(A: KVAlgebra, S: Tensor3) -> Tensor4:
             for i in range(n)
         ]
     )
-    out = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
-        ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
-        ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        direct = _apply(mu, ex, _apply(mu, ey, ez, n), n)
-        swap = _apply(mu, ey, _apply(mu, ex, ez, n), n)
-        bracket = [mu0[x][y][t] - mu0[y][x][t] for t in range(n)]
-        br_term = _apply(mu, bracket, ez, n)
-        comm = _apply(S, ex, _apply(S, ey, ez, n), n)
-        comm2 = _apply(S, ey, _apply(S, ex, ez, n), n)
-        out[x][y][z] = [
-            direct[t] - swap[t] - br_term[t] - comm[t] + comm2[t] for t in range(n)
-        ]
-    residual = tensor4(out)
-    minus_ds = _t4_scale(
-        Fraction(-1),
-        tensor4_from_cochain(coboundary(bilinear_cochain(A, tensor3(S)))),
+    (M, M_t), G, T = _product_lists(mu), _product_lists(mu0)[0], _product_lists(S)[0]
+    # mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - S(x,S(y,z)) + S(y,S(x,z))
+    residual = _sparse4(
+        n,
+        lambda x, y, z: (
+            (False, M[y][z], M[x]),
+            (True, M[x][z], M[y]),
+            (True, G[x][y], M_t[z]),
+            (False, G[y][x], M_t[z]),
+            (True, T[y][z], T[x]),
+            (False, T[x][z], T[y]),
+        ),
+    )
+    minus_ds = _axpy(
+        {}, Fraction(-1), _sparse_of(coboundary(bilinear_cochain(A, tensor3(S))).values, n)
     )
     if residual != minus_ds:
         raise AssertionError(
             "curvature defect does not match the coboundary contraction"
         )
-    return residual
+    return _dense4(n, residual)

@@ -87,3 +87,29 @@ def test_report_to_obj_shape():
 
 def test_hundred_instances_pass():
     assert run_battery(seed=0, count=100).passed
+
+
+def test_degree_zero_draws_compute_the_jacobi_module_once(monkeypatch):
+    import kvcohom.battery as bt
+    import kvcohom.complexes as cx
+    from kvcohom.core import jacobi_module
+
+    battery_dims, library_calls = [], []
+
+    def in_battery(A, W):
+        J = jacobi_module(A, W)
+        battery_dims.append(J.dim)
+        return J
+
+    def in_library(A, W):
+        library_calls.append(1)
+        return jacobi_module(A, W)
+
+    monkeypatch.setattr(bt, "jacobi_module", in_battery)
+    monkeypatch.setattr(cx, "jacobi_module", in_library)
+    for seed in range(1, 11):
+        assert run_battery(seed, 1).passed
+    # degree-0 draws with a nonzero J(W) happened, and the coboundary of
+    # each drawn element did not compute J(W) a second time
+    assert any(battery_dims)
+    assert library_calls == []

@@ -369,6 +369,24 @@ def test_deform_solve_reports_obstruction(tmp_path):
     assert steps[0]["certificate"]
 
 
+@pytest.mark.parametrize("verb, largest", [("deform-solve", 32), ("rigidity", 16)])
+def test_deform_verbs_respect_the_cell_budget(tmp_path, monkeypatch, verb, largest):
+    # over the 2-dimensional base the degree-q table has 2^q * 2 cells;
+    # deform-solve builds degrees 2 to 4 and rigidity degrees 1 to 3
+    if verb == "deform-solve":
+        options = {"jet": _s10_jet_path(tmp_path)}
+    else:
+        options = {"algebra": _aff_path(tmp_path)}
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "10")
+    report = run(JobSpec(verb, options))
+    assert report.exit_code == 3
+    assert _body(report)["error"]["kind"] == "budget"
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", str(largest - 1))
+    assert run(JobSpec(verb, options)).exit_code == 3
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", str(largest))
+    assert run(JobSpec(verb, options)).exit_code == 0
+
+
 def test_rigidity_of_the_affine_line(tmp_path):
     report = run(JobSpec("rigidity", {"algebra": _aff_path(tmp_path)}))
     assert report.exit_code == 0

@@ -437,6 +437,23 @@ def test_sparse_coboundary_matches_dense_loop():
         assert coboundary(f).values == dense_coboundary(f).values
         seen.add(q)
     assert seen == {1, 2, 3}
+    # The scatter's work follows the nonzeros of f: sparse cochains, and
+    # degree 3 under regular coefficients at n = 4 and 5.
+    seen = set()
+    for t, s in enumerate((4, 8, 11, 13, 1, 2, 16, 20)):
+        A = random_kv(s, 5)
+        W = regular_bimodule(A) if t < 6 else random_module(A, s, 3)
+        for q in (1, 2, 3):
+            size = A.dim**q * W.dim
+            density = (0.005, 0.02, 0.05)[(t + q) % 3]
+            picks = rng.sample(range(size), max(1, round(density * size)))
+            vals = [Fraction(0)] * size
+            for pos in picks:
+                vals[pos] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+            f = Cochain(A, W, q, tuple(vals))
+            assert coboundary(f).values == dense_coboundary(f).values
+            seen.add((A.dim, q, W == regular_bimodule(A)))
+    assert {(4, 3, True), (5, 3, True)} <= seen
 
 
 def test_cohomology_computes_the_jacobi_module_once(monkeypatch):

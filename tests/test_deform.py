@@ -26,6 +26,7 @@ from kvcohom.deform import (
     pushforward_jet,
     rigidity_report,
     solve_next_order,
+    tensor4,
     tensor4_from_cochain,
     trilinear_cochain,
     zero4,
@@ -39,7 +40,7 @@ from kvcohom.fixtures import (
     rad2,
     zero_algebra,
 )
-from kvcohom.linalg import Mat
+from kvcohom.linalg import Mat, kernel, solve
 
 F = Fraction
 
@@ -471,3 +472,160 @@ def test_curvature_rejects_asymmetric_tensors():
     S = tensor3([[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
     with pytest.raises(InputError, match="symmetric"):
         curvature_check(A, S)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense loops they replaced
+
+
+def dense_pair_residual(mu_i, mu_j):
+    n = len(mu_i)
+    out = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        acc = out[a][b][c]
+        for p in range(n):
+            for sign, x, row in (
+                (1, mu_j[a][b][p], mu_i[p][c]),
+                (-1, mu_j[b][c][p], mu_i[a][p]),
+                (-1, mu_j[b][a][p], mu_i[p][c]),
+                (1, mu_j[a][c][p], mu_i[b][p]),
+            ):
+                if x != 0:
+                    for k in range(n):
+                        acc[k] += sign * x * row[k]
+    return tensor4(out)
+
+
+def dense_kv_bracket(mu, nu):
+    """The eight bracket terms, each looped over the dense tables."""
+    n = len(mu)
+    out = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        acc = out[a][b][c]
+        for p in range(n):
+            for sign, x, row in (
+                (-1, nu[b][c][p], mu[a][p]),
+                (-1, mu[b][c][p], nu[a][p]),
+                (1, mu[a][b][p], nu[p][c]),
+                (1, nu[a][b][p], mu[p][c]),
+                (1, mu[a][c][p], nu[b][p]),
+                (1, nu[a][c][p], mu[b][p]),
+                (-1, nu[b][a][p], mu[p][c]),
+                (-1, mu[b][a][p], nu[p][c]),
+            ):
+                if x != 0:
+                    for k in range(n):
+                        acc[k] += sign * x * row[k]
+    return tensor4(out)
+
+
+def _t4_sum(n, terms):
+    flat = [F(0)] * n**4
+    for c, t in terms:
+        for pos, x in enumerate(flatten4(t)):
+            if x:
+                flat[pos] += c * x
+    rows = [flat[r * n : r * n + n] for r in range(n**3)]
+    return tensor4(
+        [[[rows[(a * n + b) * n + d] for d in range(n)] for b in range(n)] for a in range(n)]
+    )
+
+
+def dense_jet_residuals(jet, orders=None):
+    mu = jet.coefficient
+    return tuple(
+        _t4_sum(jet.dim, [(1, dense_pair_residual(mu(i), mu(k - i))) for i in range(k + 1)])
+        for k in (range(jet.order + 1) if orders is None else orders)
+    )
+
+
+def dense_witness(residuals):
+    for k, E in enumerate(residuals):
+        for a, b, c in itertools.product(range(len(E)), repeat=3):
+            if any(E[a][b][c]):
+                return (k, a, b, c)
+    return None
+
+
+def dense_solve(jet, residuals):
+    """(solved, target, target_is_cocycle, coefficient, certificate), or None
+    when a lower residual is nonzero."""
+    if dense_witness(residuals) is not None:
+        return None
+    A, n, k, mu = jet.base, jet.dim, jet.order + 1, jet.coefficient
+    target = _t4_sum(n, [(F(-1, 2), dense_kv_bracket(mu(i), mu(k - i))) for i in range(1, k)])
+    flat = flatten4(target)
+    W = regular_bimodule(A)
+    cocycle = not any(coboundary_matrix(A, W, 3).mat_vec(flat))
+    M = coboundary_matrix(A, W, 2)
+    x = solve(M, flat)
+    if x is None:
+        for y in kernel(M.transpose()).basis:
+            if sum(a * b for a, b in zip(y, flat)):
+                return (False, target, cocycle, None, y)
+        raise AssertionError("no separating functional")
+    mu_k = tensor3([[list(x[(a * n + b) * n :][:n]) for b in range(n)] for a in range(n)])
+    assert not any(flatten4(dense_jet_residuals(jet.extend(mu_k), [k])[0]))
+    return (True, target, cocycle, mu_k, None)
+
+
+def _sparse_tensor(rng, n, density):
+    return tensor3(
+        [
+            [
+                [
+                    F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3, 7]))
+                    if rng.random() < density
+                    else 0
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def test_sparse_deform_kernels_match_dense_loops():
+    rng = random.Random("sparse-deform")
+    for t in range(40):
+        n = 1 + t % 5
+        density = (0.005, 0.03, 0.1, 0.3)[t % 4]
+        mu, nu = _sparse_tensor(rng, n, density), _sparse_tensor(rng, n, density)
+        assert pair_residual(mu, nu) == dense_pair_residual(mu, nu)
+        assert kv_bracket(mu, nu) == dense_kv_bracket(mu, nu)
+    outcomes = set()
+    for s in (3, 17, 18, 13, 24, 1, 26):
+        A = random_kv(s, n_max=5)
+        reps = rigidity_report(A).class_representatives
+        n = A.dim
+        jets = [
+            MultiplicationJet(A, (tensor3([[[x / 3 for x in r] for r in p] for p in rep]),))
+            for rep in reps[:2]
+        ]
+        jets += [MultiplicationJet(A, (rep, _sparse_tensor(rng, n, 0.1))) for rep in reps[:1]]
+        # a combination of classes: at s = 17 the certificate must skip
+        # left-kernel vectors whose entries on the support of R_2 cancel
+        for r0, r1 in zip(reps[:1], reps[1:2]):
+            mixed = [[[x - 2 * y for x, y in zip(*rows)] for rows in zip(*ps)] for ps in zip(r0, r1)]
+            jets.append(MultiplicationJet(A, (tensor3(mixed),)))
+        jets.append(MultiplicationJet(A, (_sparse_tensor(rng, n, 0.05),)))
+        while jets:
+            jet = jets.pop()
+            residuals = dense_jet_residuals(jet)
+            assert jet_residuals(jet) == residuals
+            assert jet_check(jet).witness == dense_witness(residuals)
+            want = dense_solve(jet, residuals)
+            if want is None:
+                with pytest.raises(PreconditionError):
+                    solve_next_order(jet)
+                outcomes.add("precondition")
+                continue
+            sol = solve_next_order(jet)
+            assert want == (
+                sol.solved, sol.target, sol.target_is_cocycle, sol.coefficient, sol.certificate
+            )
+            outcomes.add("solved" if sol.solved else "obstructed")
+            if sol.solved and jet.order < 2:
+                jets.append(sol.extended)
+    assert outcomes == {"precondition", "solved", "obstructed"}
