@@ -55,7 +55,7 @@ from .errors import (
     KVError,
     PreconditionError,
 )
-from .linalg import Mat, Subspace, image, intersect, kernel, membership, rank, rat, solve, vec
+from .linalg import Mat, Subspace, image, kernel, rank, rat, solve, vec
 from .extensions import (
     AlgebraExtension,
     BigradedCochain,

@@ -20,10 +20,11 @@ is why admission is guarded.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     CheckResult,
@@ -39,7 +40,7 @@ from .core import (
     lie_bracket,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Vec, extend_basis, image, kernel, rat, solve, vec
+from .linalg import Mat, RatLike, Subspace, Vec, extend_basis, image, kernel, rat, solve, vec
 
 __all__ = [
     "Cochain",
@@ -89,10 +90,13 @@ def entry_budget(override: Optional[int] = None) -> int:
 
 def check_budget(n: int, m: int, q: int, budget: Optional[int] = None) -> int:
     """Cells of the degree-q table, raising BudgetError when over budget."""
-    cells = n**q * m
+    return _check_cells(q, n**q * m, budget)
+
+
+def _check_cells(degree: int, cells: int, budget: Optional[int] = None) -> int:
     limit = entry_budget(budget)
     if cells > limit:
-        raise BudgetError(q, cells, limit)
+        raise BudgetError(degree, cells, limit)
     return cells
 
 
@@ -325,9 +329,17 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     n, m = A.dim, W.dim
     if q == 0:
         return _delta0_matrix(A, W, jacobi_module(A, W))
-    rows_dim = n ** (q + 1) * m
-    cols_dim = n**q * m
-    # Nonzero structure constants only: the tables are mostly zeros.
+    entries = _assemble(A, W, q, itertools.product(range(n), repeat=q + 1))
+    return Mat.from_items(n ** (q + 1) * m, n**q * m, entries)
+
+
+def _assemble(
+    A: KVAlgebra, W: KVModule, q: int, outputs: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, int], Fraction]:
+    """{(row, col): entry} of the degree-q (q >= 1) `coboundary_matrix` on
+    the rows of the given output tuples, from nonzero structure constants.
+    """
+    n, m = A.dim, W.dim
     gammas, _ = _product_lists(A.product)
     lefts, _, rights, _ = _action_lists(W)
     entries: dict[tuple[int, int], Fraction] = {}
@@ -337,7 +349,7 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
         cur = entries.get(key)
         entries[key] = val if cur is None else cur + val
 
-    for args in itertools.product(range(n), repeat=q + 1):
+    for args in outputs:
         out_base = _flat(args, n) * m
         last = args[q]
         for j in range(q):
@@ -358,7 +370,7 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
             for be in range(m):
                 for ga, x in rights[be][last]:
                     bump(out_base + ga, src3 + be, -x if neg else x)
-    return Mat.from_items(rows_dim, cols_dim, entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -418,30 +430,37 @@ def cohomology(
     degrees: list[DegreeData] = []
     # Degree 0: C_0 = J(W), no coboundaries from below.
     K0 = kernel(mats[0])  # coordinates in the echelon basis of J
-    z0_vecs: list[Vec] = []
-    for coeffs in K0.basis:
-        combo = [_ZERO] * m
-        for c, bvec in zip(coeffs, J.basis):
-            if c != 0:
-                for t in range(m):
-                    combo[t] += c * bvec[t]
-        z0_vecs.append(tuple(combo))
-    reps0 = tuple(Cochain(A, W, 0, v) for v in z0_vecs)
-    degrees.append(DegreeData(0, J.dim, len(z0_vecs), 0, len(z0_vecs), reps0))
+    reps0 = tuple(Cochain(A, W, 0, _combine(c, J.basis, m)) for c in K0.basis)
+    degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
 
     for q in range(1, q_max + 1):
-        Z = kernel(mats[q])
-        B = image(mats[q - 1])
-        dim_h = Z.dim - B.dim
-        rep_vecs = extend_basis(B, Z.basis)
-        if len(rep_vecs) != dim_h:
-            raise AssertionError(
-                "representative selection disagrees with dim_Z - dim_B; "
-                "the image is not contained in the kernel"
-            )
+        Z, B, rep_vecs = _cohomology_step(mats[q], mats[q - 1])
         reps = tuple(Cochain(A, W, q, v) for v in rep_vecs)
-        degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, dim_h, reps))
+        degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, Z.dim - B.dim, reps))
     return CohomologyReport(tuple(degrees))
+
+
+def _cohomology_step(d_q: Mat, d_prev: Optional[Mat]) -> tuple[Subspace, Subspace, list[Vec]]:
+    """Z = ker d_q, B = im d_{q-1} (0 if d_prev is None) and the Z basis vectors extending B."""
+    Z = kernel(d_q)
+    B = Subspace.zero(d_q.cols) if d_prev is None else image(d_prev)
+    reps = extend_basis(B, Z.basis)
+    if len(reps) != Z.dim - B.dim:
+        raise AssertionError(
+            "representative selection disagrees with dim_Z - dim_B; "
+            "the image is not contained in the kernel"
+        )
+    return Z, B, reps
+
+
+def _combine(coeffs: Vec, basis: Sequence[Vec], dim: int) -> Vec:
+    """sum_t coeffs[t] basis[t], a vector of length dim."""
+    out = [_ZERO] * dim
+    for c, b in zip(coeffs, basis):
+        if c:
+            for t in range(dim):
+                out[t] += c * b[t]
+    return tuple(out)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -469,13 +488,7 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
     if x is None:
         return None
     if f.degree == 1:
-        J = jacobi_module(A, W)
-        combo = [_ZERO] * W.dim
-        for c, bvec in zip(x, J.basis):
-            if c != 0:
-                for t in range(W.dim):
-                    combo[t] += c * bvec[t]
-        return Cochain(A, W, 0, tuple(combo))
+        return Cochain(A, W, 0, _combine(x, jacobi_module(A, W).basis, W.dim))
     return Cochain(A, W, f.degree - 1, x)
 
 
@@ -553,20 +566,19 @@ def nijenhuis_cohomology(A: KVAlgebra, W: KVModule, q_max: int) -> CohomologyRep
     Only dimensions are reported (representatives live in a different
     complex and are omitted), and no relation between this theory and the
     intrinsic one is asserted anywhere: the two dimension tables are meant
-    to be read side by side.
+    to be read side by side.  The cell budget is checked first, for the
+    table Lambda^p (x) L(A, W) of each degree q = p + 1.
     """
     if q_max < 1:
         raise InputError("nijenhuis_cohomology needs q_max >= 1")
-    _require_verified(A, W)
     n, m = A.dim, W.dim
-    nv = n * m
+    cells = [_check_cells(p + 1, math.comb(n, p) * n * m) for p in range(q_max + 1)]
+    _require_verified(A, W)
     mats = nijenhuis_matrices(A, W, q_max)
-    counts = {p: len(list(itertools.combinations(range(n), p))) for p in range(q_max + 1)}
     degrees: list[DegreeData] = []
     for q in range(1, q_max + 1):
         p = q - 1
-        dim_c = counts[p] * nv
         Z = kernel(mats[p])
         dim_b = image(mats[p - 1]).dim if p - 1 in mats else 0
-        degrees.append(DegreeData(q, dim_c, Z.dim, dim_b, Z.dim - dim_b, ()))
+        degrees.append(DegreeData(q, cells[p], Z.dim, dim_b, Z.dim - dim_b, ()))
     return CohomologyReport(tuple(degrees))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import Cochain, check_budget, coboundary, coboundary_matrix
+from .complexes import Cochain, _cohomology_step, check_budget, coboundary, coboundary_matrix
 from .core import (
     CheckResult,
     KVAlgebra,
@@ -42,7 +42,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Vec, extend_basis, image, kernel, solve, vec
+from .linalg import Mat, Vec, kernel, solve, vec
 
 __all__ = [
     "Tensor4",
@@ -298,6 +298,12 @@ def tensor4_from_cochain(f: Cochain) -> Tensor4:
     )
 
 
+def _tensor3_of(v: Vec, n: int) -> Tensor3:
+    """A flat degree-2 vector of Fractions, v[(a n + b) n + c], as a tensor."""
+    rows = [v[r * n : (r + 1) * n] for r in range(n * n)]
+    return tuple(tuple(rows[a * n : (a + 1) * n]) for a in range(n))
+
+
 def _jet_lists(jet: MultiplicationJet) -> list:
     return [_product_lists(jet.coefficient(i)) for i in range(jet.order + 1)]
 
@@ -403,12 +409,7 @@ def solve_next_order(jet: MultiplicationJet) -> NextOrderSolution:
     M = coboundary_matrix(A, regular_bimodule(A), 2)
     x = solve(M, target_flat)
     if x is not None:
-        mu_next = tensor3(
-            [
-                [list(x[(a * n + b) * n : (a * n + b) * n + n]) for b in range(n)]
-                for a in range(n)
-            ]
-        )
+        mu_next = _tensor3_of(x, n)
         extended = jet.extend(mu_next)
         if _residuals(extended, L + [_product_lists(mu_next)], (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
@@ -508,27 +509,15 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
     W = regular_bimodule(A)
-    M2 = coboundary_matrix(A, W, 2)
-    M1 = coboundary_matrix(A, W, 1)
-    Z = kernel(M2)
-    B = image(M1)
-
-    def unflatten(v: Vec) -> Tensor3:
-        return tensor3(
-            [
-                [list(v[(a * n + b) * n : (a * n + b) * n + n]) for b in range(n)]
-                for a in range(n)
-            ]
-        )
-
+    Z, B, reps = _cohomology_step(coboundary_matrix(A, W, 2), coboundary_matrix(A, W, 1))
     return RigidityReport(
         dim_C2=n**3,
         dim_Z2=Z.dim,
         dim_B2=B.dim,
         dim_H2=Z.dim - B.dim,
         rigid=(Z.dim == B.dim),
-        cocycle_basis=tuple(unflatten(z) for z in Z.basis),
-        class_representatives=tuple(unflatten(z) for z in extend_basis(B, Z.basis)),
+        cocycle_basis=tuple(_tensor3_of(z, n) for z in Z.basis),
+        class_representatives=tuple(_tensor3_of(z, n) for z in reps),
     )
 
 

@@ -15,8 +15,9 @@ the bottom differential is
 (which is exactly the general coboundary applied to theta viewed as a
 1-cochain over G supported on W), its kernel is the space of module
 morphisms, and its first cohomology classifies module extensions
-0 -> V -> T -> W -> 0.  One level up, 2-cocycles in C_2(A, W) classify
-algebra extensions with abelian kernel W.
+0 -> V -> T -> W -> 0; its differentials are assembled on their (1, q+1)
+rows only.  One level up, 2-cocycles in C_2(A, W) classify algebra
+extensions with abelian kernel W.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from .complexes import (
     Cochain,
     CohomologyReport,
     DegreeData,
+    _assemble,
+    _check_cells,
+    _cohomology_step,
+    _flat,
     coboundary_matrix,
-    entry_budget,
 )
 from .core import (
     Element,
@@ -41,8 +45,8 @@ from .core import (
     semidirect,
     tensor3,
 )
-from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, Subspace, Vec, extend_basis, image, kernel, solve, zeros
+from .errors import DimensionError, InputError, PreconditionError
+from .linalg import Mat, Vec, solve
 
 __all__ = [
     "BigradedCochain",
@@ -239,51 +243,38 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
     return BigradedCochain(cochain, n, 1, 1)
 
 
+def _one_w_tuples(n: int, N: int, length: int) -> list[tuple[int, ...]]:
+    """Basis tuples over G, in order, with exactly one index in the W summand."""
+    return [args for args in itertools.product(range(N), repeat=length) if w_count(args, n) == 1]
+
+
 def e11_support(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> list[int]:
     """Flat indices of the (1, q) component inside C_{q+1}(G, V), in order."""
-    n, m, v = A.dim, W.dim, V.dim
-    N = n + m
-    out: list[int] = []
-    for args in itertools.product(range(N), repeat=q + 1):
-        if w_count(args, n) == 1:
-            base = 0
-            for a in args:
-                base = base * N + a
-            for be in range(v):
-                out.append(base * v + be)
-    return out
+    n, v = A.dim, V.dim
+    N = n + W.dim
+    return [_flat(args, N) * v + be for args in _one_w_tuples(n, N, q + 1) for be in range(v)]
 
 
 def e11_matrix(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> Mat:
     """delta restricted to the (1, q) component, in the support bases.
 
-    The restriction is well defined because the coboundary raises only the
-    A-degree; assembly verifies this and fails loudly if a column leaks
-    outside the (1, q+1) support.
+    Only the (1, q+1) rows are assembled.  The coboundary raises only the
+    A-degree, so they read only (1, q) columns; assembly verifies this and
+    fails loudly if one of them reads any other column.
     """
     if q < 0:
         raise InputError("e11 degree must be non-negative")
     G = semidirect(A, W)
-    src = e11_support(A, W, V, q)
-    dst = e11_support(A, W, V, q + 1)
-    if W.dim == 0 or V.dim == 0:
-        return zeros(len(dst), len(src))
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    full = coboundary_matrix(G, Vt, q + 1)
-    src_pos = {c: t for t, c in enumerate(src)}
-    dst_pos = {r: t for t, r in enumerate(dst)}
+    src = {c: t for t, c in enumerate(e11_support(A, W, V, q))}
+    dst = {r: t for t, r in enumerate(e11_support(A, W, V, q + 1))}
     out = {}
-    for (r_old, c_old), val in full.items():
-        c_new = src_pos.get(c_old)
-        if c_new is None:
-            continue
-        r_new = dst_pos.get(r_old)
-        if r_new is None:
+    for (r, c), val in _assemble(G, Vt, q + 1, _one_w_tuples(A.dim, G.dim, q + 2)).items():
+        if c not in src:
             raise AssertionError(
-                "coboundary leaked outside the (1, q+1) component; "
-                "the bidegree law failed"
+                "a (1, q+1) row read a column outside (1, q); the bidegree law failed"
             )
-        out[r_new, c_new] = val
+        out[dst[r], src[c]] = val
     return Mat.from_items(len(dst), len(src), out)
 
 
@@ -308,24 +299,20 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
         verdict = is_module(A, M)
         if not verdict:
             raise PreconditionError(f"{what} is not a verified module: {verdict.detail}")
-    budget = entry_budget()
     n, m, v = A.dim, W.dim, V.dim
     N = n + m
     for q in range(q_max + 2):
-        cells = (q + 1) * (n**q) * m * v
-        if cells > budget:
-            raise BudgetError(q, cells, budget)
+        _check_cells(q, (q + 1) * (n**q) * m * v)
     G = semidirect(A, W)
-    Vt = extend_module_to_semidirect(G, A.dim, V) if m > 0 else None
+    Vt = extend_module_to_semidirect(G, A.dim, V)
     mats = {q: e11_matrix(A, W, V, q) for q in range(q_max + 1)}
     degrees: list[DegreeData] = []
     for q in range(q_max + 1):
         support = e11_support(A, W, V, q)
-        Z = kernel(mats[q])
-        B = image(mats[q - 1]) if q >= 1 else Subspace.zero(len(support))
+        Z, B, rep_vecs = _cohomology_step(mats[q], mats.get(q - 1))
         reps = [
             Cochain(G, Vt, q + 1, _expand_support(z, support, N ** (q + 1) * v))
-            for z in extend_basis(B, Z.basis)
+            for z in rep_vecs
         ]
         degrees.append(
             DegreeData(q, len(support), Z.dim, B.dim, Z.dim - B.dim, tuple(reps))

@@ -38,8 +38,6 @@ __all__ = [
     "inverse",
     "mat_mul",
     "extend_basis",
-    "membership",
-    "intersect",
     "zeros",
     "identity",
 ]
@@ -516,10 +514,3 @@ def extend_basis(span: Subspace, vectors: Iterable[Vec]) -> list[Vec]:
             kept.append(v)
     return kept
 
-
-def membership(s: Subspace, v: Sequence[RatLike]) -> bool:
-    return s.contains(v)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.intersect(s2)

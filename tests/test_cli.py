@@ -387,6 +387,20 @@ def test_deform_verbs_respect_the_cell_budget(tmp_path, monkeypatch, verb, large
     assert run(JobSpec(verb, options)).exit_code == 0
 
 
+def test_nijenhuis_respects_the_cell_budget(tmp_path, monkeypatch):
+    # over the 2-dimensional base with regular coefficients the table
+    # Lambda^p (x) L(A, A) has C(2, p) * 4 cells: 4, 8 and 4 for p = 0..2
+    options = {"algebra": _aff_path(tmp_path)}
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "7")
+    report = run(JobSpec("nijenhuis", options))
+    assert report.exit_code == 3
+    error = _body(report)["error"]
+    assert error["kind"] == "budget"
+    assert "degree 2 needs 8 entries" in error["message"]
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "8")
+    assert run(JobSpec("nijenhuis", options)).exit_code == 0
+
+
 def test_rigidity_of_the_affine_line(tmp_path):
     report = run(JobSpec("rigidity", {"algebra": _aff_path(tmp_path)}))
     assert report.exit_code == 0

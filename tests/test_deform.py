@@ -10,6 +10,7 @@ from kvcohom.complexes import (
     Cochain,
     coboundary,
     coboundary_matrix,
+    cohomology,
     is_coboundary,
     is_cocycle,
 )
@@ -40,7 +41,7 @@ from kvcohom.fixtures import (
     rad2,
     zero_algebra,
 )
-from kvcohom.linalg import Mat, kernel, solve
+from kvcohom.linalg import Mat, Subspace, kernel, solve
 
 F = Fraction
 
@@ -420,6 +421,23 @@ def test_rigidity_report_is_internally_consistent():
         rigidity_report(
             KVAlgebra(dim=2, product=tensor3([[[0, 1], [0, 0]], [[1, 0], [0, 0]]]))
         )
+
+
+def test_rigidity_report_is_degree_two_of_regular_cohomology():
+    flat = lambda t: tuple(x for p in t for r in p for x in r)  # noqa: E731
+    # assoc1 is rigid; random_kv(seed, n_max=4) has dimension 2, 3 or 4
+    for A in [assoc1(), aff()] + [random_kv(seed, n_max=4) for seed in range(1, 13)]:
+        report = rigidity_report(A)
+        d2 = cohomology(A, regular_bimodule(A), 2).degree(2)
+        assert (report.dim_C2, report.dim_Z2, report.dim_B2, report.dim_H2) == (
+            d2.dim_C, d2.dim_Z, d2.dim_B, d2.dim_H
+        )
+        assert [flat(t) for t in report.class_representatives] == [
+            r.values for r in d2.representatives
+        ]
+        kernel2 = kernel(coboundary_matrix(A, regular_bimodule(A), 2))
+        assert len(report.cocycle_basis) == report.dim_Z2
+        assert Subspace.from_vectors(A.dim**3, map(flat, report.cocycle_basis)) == kernel2
 
 
 # ---------------------------------------------------------------------------

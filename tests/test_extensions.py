@@ -269,23 +269,29 @@ def test_e11_matrices_compose_to_zero():
 
 def test_e11_matrix_matches_direct_evaluation():
     """Scatter-assembled restriction versus per-column coboundary evaluation."""
-    A, W, V = aff_setup()
-    G, Vt = semidirect_space(A, W, V)
-    for q in (0, 1, 2):
-        src = e11_support(A, W, V, q)
-        dst = e11_support(A, W, V, q + 1)
-        dst_set = set(dst)
-        total = G.dim ** (q + 1) * V.dim
-        cols = []
-        for pos in src:
-            vals = [F(0)] * total
-            vals[pos] = F(1)
-            d = coboundary(Cochain(G, Vt, q + 1, tuple(vals)))
-            nonzero = {i for i, x in enumerate(d.values) if x != 0}
-            assert nonzero <= dst_set
-            cols.append([d.values[r] for r in dst])
-        direct = Mat.from_cols(cols, rows=len(dst))
-        assert direct == e11_matrix(A, W, V, q)
+    setups = [aff_setup()]
+    # 16, 19, 25, 36 and 39 give modules with nonzero right actions
+    for s in (15, 16, 19, 25, 36, 39):
+        A = random_kv(s, n_max=3)
+        setups.append((A, random_module(A, s, m_max=2), random_module(A, s + 1, m_max=2)))
+    assert any(any(x for t in V.right for r in t for x in r) for _, _, V in setups[1:])
+    for A, W, V in setups:
+        G, Vt = semidirect_space(A, W, V)
+        for q in (0, 1, 2):
+            src = e11_support(A, W, V, q)
+            dst = e11_support(A, W, V, q + 1)
+            dst_set = set(dst)
+            total = G.dim ** (q + 1) * V.dim
+            cols = []
+            for pos in src:
+                vals = [F(0)] * total
+                vals[pos] = F(1)
+                d = coboundary(Cochain(G, Vt, q + 1, tuple(vals)))
+                nonzero = {i for i, x in enumerate(d.values) if x != 0}
+                assert nonzero <= dst_set
+                cols.append([d.values[r] for r in dst])
+            direct = Mat.from_cols(cols, rows=len(dst))
+            assert direct == e11_matrix(A, W, V, q)
 
 
 def test_e11_report_regular_coefficients():

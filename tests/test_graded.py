@@ -48,7 +48,7 @@ from kvcohom.graded import (
     is_kv_chain,
     is_theta_cocycle,
 )
-from kvcohom.linalg import Mat, image, intersect, kernel, Subspace
+from kvcohom.linalg import Mat, image, kernel, Subspace
 
 F = Fraction
 
@@ -716,7 +716,7 @@ def test_exact_shaped_cochains_have_zero_mixed_part():
                 axes.append(v)
     shaped = Subspace.from_vectors(N * N * N, axes)
     exact = image(coboundary_matrix(total, reg, 1))
-    inter = intersect(exact, shaped)
+    inter = exact.intersect(shaped)
     assert inter.dim == 1
     witness = Cochain(total, reg, 2, tuple(inter.basis[0]))
     for i in range(n):

@@ -21,11 +21,9 @@ from kvcohom.linalg import (
     extend_basis,
     identity,
     image,
-    intersect,
     inverse,
     kernel,
     mat_mul,
-    membership,
     rank,
     rat,
     solve,
@@ -193,20 +191,20 @@ def test_image_identity_full():
 
 def test_membership():
     s = Subspace.from_vectors(2, [[1, 1]])
-    assert membership(s, [2, 2])
-    assert not membership(s, [1, 0])
+    assert s.contains([2, 2])
+    assert not s.contains([1, 0])
 
 
 def test_intersect_transverse_lines():
     s1 = Subspace.from_vectors(2, [[1, 0]])
     s2 = Subspace.from_vectors(2, [[0, 1]])
-    assert intersect(s1, s2).dim == 0
+    assert s1.intersect(s2).dim == 0
 
 
 def test_intersect_nontrivial():
     s1 = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
     s2 = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
-    meet = intersect(s1, s2)
+    meet = s1.intersect(s2)
     assert meet.dim == 1
     assert meet.contains([0, 1, 0])
 
