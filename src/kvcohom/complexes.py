@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     CheckResult,
@@ -32,7 +32,6 @@ from .core import (
     KVAlgebra,
     KVModule,
     _action_lists,
-    _nonzero,
     _product_lists,
     is_kv,
     is_module,
@@ -40,7 +39,7 @@ from .core import (
     lie_bracket,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, extend_basis, image, kernel, rat, solve, vec
+from .linalg import Mat, RatLike, Subspace, Vec, _combine, extend_basis, image, kernel, rat, solve, vec
 
 __all__ = [
     "Cochain",
@@ -329,26 +328,29 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     n, m = A.dim, W.dim
     if q == 0:
         return _delta0_matrix(A, W, jacobi_module(A, W))
-    entries = _assemble(A, W, q, itertools.product(range(n), repeat=q + 1))
+    entries = _accumulate(_assemble(A, W, q, itertools.product(range(n), repeat=q + 1)))
     return Mat.from_items(n ** (q + 1) * m, n**q * m, entries)
+
+
+def _accumulate(terms: Iterable[tuple[int, int, Fraction]]) -> dict[tuple[int, int], Fraction]:
+    """Sum (row, col, value) terms into {(row, col): entry}."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for r, c, val in terms:
+        key = (r, c)
+        cur = entries.get(key)
+        entries[key] = val if cur is None else cur + val
+    return entries
 
 
 def _assemble(
     A: KVAlgebra, W: KVModule, q: int, outputs: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, int], Fraction]:
-    """{(row, col): entry} of the degree-q (q >= 1) `coboundary_matrix` on
-    the rows of the given output tuples, from nonzero structure constants.
+) -> Iterator[tuple[int, int, Fraction]]:
+    """The (row, col, value) terms of the degree-q (q >= 1) `coboundary_matrix`
+    on the rows of the given output tuples, from nonzero structure constants.
     """
     n, m = A.dim, W.dim
     gammas, _ = _product_lists(A.product)
     lefts, _, rights, _ = _action_lists(W)
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def bump(r: int, c: int, val: Fraction) -> None:
-        key = (r, c)
-        cur = entries.get(key)
-        entries[key] = val if cur is None else cur + val
-
     for args in outputs:
         out_base = _flat(args, n) * m
         last = args[q]
@@ -359,18 +361,17 @@ def _assemble(
             rest_base = _flat(rest, n) * m
             for be in range(m):
                 for ga, x in lefts[ij][be]:
-                    bump(out_base + ga, rest_base + be, -x if neg else x)
+                    yield out_base + ga, rest_base + be, -x if neg else x
             for p in range(q):
                 for k, co in gammas[ij][rest[p]]:
                     src_base = _flat(rest[:p] + (k,) + rest[p + 1 :], n) * m
                     val = co if neg else -co
                     for be in range(m):
-                        bump(out_base + be, src_base + be, val)
+                        yield out_base + be, src_base + be, val
             src3 = _flat(rest[:-1] + (ij,), n) * m
             for be in range(m):
                 for ga, x in rights[be][last]:
-                    bump(out_base + ga, src3 + be, -x if neg else x)
-    return entries
+                    yield out_base + ga, src3 + be, -x if neg else x
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,7 @@ def cohomology(
     degrees: list[DegreeData] = []
     # Degree 0: C_0 = J(W), no coboundaries from below.
     K0 = kernel(mats[0])  # coordinates in the echelon basis of J
-    reps0 = tuple(Cochain(A, W, 0, _combine(c, J.basis, m)) for c in K0.basis)
+    reps0 = tuple(Cochain(A, W, 0, _combine(c, J)) for c in K0.basis)
     degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
 
     for q in range(1, q_max + 1):
@@ -444,23 +445,13 @@ def _cohomology_step(d_q: Mat, d_prev: Optional[Mat]) -> tuple[Subspace, Subspac
     """Z = ker d_q, B = im d_{q-1} (0 if d_prev is None) and the Z basis vectors extending B."""
     Z = kernel(d_q)
     B = Subspace.zero(d_q.cols) if d_prev is None else image(d_prev)
-    reps = extend_basis(B, Z.basis)
+    reps = extend_basis(B, Z)
     if len(reps) != Z.dim - B.dim:
         raise AssertionError(
             "representative selection disagrees with dim_Z - dim_B; "
             "the image is not contained in the kernel"
         )
     return Z, B, reps
-
-
-def _combine(coeffs: Vec, basis: Sequence[Vec], dim: int) -> Vec:
-    """sum_t coeffs[t] basis[t], a vector of length dim."""
-    out = [_ZERO] * dim
-    for c, b in zip(coeffs, basis):
-        if c:
-            for t in range(dim):
-                out[t] += c * b[t]
-    return tuple(out)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -483,13 +474,12 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
     A, W = f.algebra, f.module
     if f.degree == 0:
         return f if f.is_zero() else None
-    M = coboundary_matrix(A, W, f.degree - 1)
-    x = solve(M, f.values)
-    if x is None:
-        return None
     if f.degree == 1:
-        return Cochain(A, W, 0, _combine(x, jacobi_module(A, W).basis, W.dim))
-    return Cochain(A, W, f.degree - 1, x)
+        J = jacobi_module(A, W)
+        x = solve(_delta0_matrix(A, W, J), f.values)
+        return None if x is None else Cochain(A, W, 0, _combine(x, J))
+    x = solve(coboundary_matrix(A, W, f.degree - 1), f.values)
+    return None if x is None else Cochain(A, W, f.degree - 1, x)
 
 
 def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
@@ -498,55 +488,39 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
     The underlying data is the commutator Lie algebra A_L acting on the
     space of linear maps L(A, W) by (x.f)(b) = x(f(b)) - f([x,b]); cochains
     are alternating with basis indexed by strictly increasing index tuples.
+    The basis map of L(A, W) at j * m + be sends e_j to w_be.
     """
     if q_max < 1:
         raise InputError("nijenhuis_matrices needs q_max >= 1")
     n, m = A.dim, W.dim
-    bracket = lie_bracket(A)
     nv = n * m
-
-    # Action of A_L on V = L(A, W): act[i][src][dst].
-    act = [[[_ZERO] * nv for _ in range(nv)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for be in range(m):
-                src = j * m + be
-                for ga in range(m):
-                    if W.left[i][be][ga] != 0:
-                        act[i][src][j * m + ga] += W.left[i][be][ga]
-                for b in range(n):
-                    if bracket[i][b][j] != 0:
-                        act[i][src][b * m + be] -= bracket[i][b][j]
-
-    acts = [[_nonzero(row) for row in act[i]] for i in range(n)]
+    lefts, _, _, _ = _action_lists(W)
+    brackets, _ = _product_lists(lie_bracket(A))
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 
-    def ce_matrix(p: int) -> Mat:
-        """Matrix of the Chevalley-Eilenberg differential Lambda^p -> Lambda^{p+1}."""
-        rows_dim = len(combos[p + 1]) * nv
-        cols_dim = len(combos[p]) * nv
-        entries: dict[tuple[int, int], Fraction] = {}
-
-        def bump(r: int, c: int, val: Fraction) -> None:
-            key = (r, c)
-            cur = entries.get(key)
-            entries[key] = val if cur is None else cur + val
-
+    def terms(p: int) -> Iterator[tuple[int, int, Fraction]]:
+        """The (row, col, value) terms of the differential Lambda^p -> Lambda^{p+1}."""
         for T in combos[p + 1]:
             out_base = combo_pos[p + 1][T] * nv
             for i in range(p + 1):
                 neg = i % 2 == 1
                 x = T[i]
-                rest = T[:i] + T[i + 1 :]
-                src_base = combo_pos[p][rest] * nv
-                for src in range(nv):
-                    for dst, a in acts[x][src]:
-                        bump(out_base + dst, src_base + src, -a if neg else a)
+                src_base = combo_pos[p][T[:i] + T[i + 1 :]] * nv
+                # x(f(e_j)) on the map e_j -> w_be, then -f([x, e_b]) for
+                # each b whose bracket with x has an e_j component
+                for j in range(n):
+                    for be in range(m):
+                        for ga, a in lefts[x][be]:
+                            yield out_base + j * m + ga, src_base + j * m + be, -a if neg else a
+                for b in range(n):
+                    for j, co in brackets[x][b]:
+                        for be in range(m):
+                            yield out_base + b * m + be, src_base + j * m + be, co if neg else -co
             for i in range(p + 1):
                 for j in range(i + 1, p + 1):
                     rest = tuple(T[t] for t in range(p + 1) if t not in (i, j))
-                    for k, co in _nonzero(bracket[T[i]][T[j]]):
+                    for k, co in brackets[T[i]][T[j]]:
                         if k in rest:
                             continue
                         pos = sum(1 for r in rest if r < k)
@@ -554,10 +528,12 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
                         srt = tuple(sorted(rest + (k,)))
                         src_base = combo_pos[p][srt] * nv
                         for v in range(nv):
-                            bump(out_base + v, src_base + v, val)
-        return Mat.from_items(rows_dim, cols_dim, entries)
+                            yield out_base + v, src_base + v, val
 
-    return {p: ce_matrix(p) for p in range(q_max)}
+    return {
+        p: Mat.from_items(len(combos[p + 1]) * nv, len(combos[p]) * nv, _accumulate(terms(p)))
+        for p in range(q_max)
+    }
 
 
 def nijenhuis_cohomology(A: KVAlgebra, W: KVModule, q_max: int) -> CohomologyReport:

@@ -31,6 +31,7 @@ from .complexes import (
     Cochain,
     CohomologyReport,
     DegreeData,
+    _accumulate,
     _assemble,
     _check_cells,
     _cohomology_step,
@@ -269,7 +270,7 @@ def e11_matrix(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> Mat:
     src = {c: t for t, c in enumerate(e11_support(A, W, V, q))}
     dst = {r: t for t, r in enumerate(e11_support(A, W, V, q + 1))}
     out = {}
-    for (r, c), val in _assemble(G, Vt, q + 1, _one_w_tuples(A.dim, G.dim, q + 2)).items():
+    for (r, c), val in _accumulate(_assemble(G, Vt, q + 1, _one_w_tuples(A.dim, G.dim, q + 2))).items():
         if c not in src:
             raise AssertionError(
                 "a (1, q+1) row read a column outside (1, q); the bidegree law failed"

@@ -3,21 +3,19 @@
 Matrices of :class:`fractions.Fraction` entries are stored sparsely, one
 ``{column: nonzero value}`` dict per row, and every elimination runs
 through one sparse row-echelon routine: rows are reduced, sparsest first,
-against the pivot rows found so far (leftmost pivot column first), and a
-back-substitution pass then yields the reduced row echelon form.  That
-form is unique for a row space, so the order in which rows are taken
-never shows in a result.  ``kernel``, ``image``, ``solve``, ``inverse``,
-``rank`` and the :class:`Subspace` constructors all read it, and
-:func:`extend_basis` grows the same kind of pivot table one vector at a
-time.  Everything is exact: no floats, no tolerances, anywhere.
-
-Subspaces carry a reduced-row-echelon basis, so two subspaces are equal as
-sets exactly when they compare equal as values.
+against a pivot table ``{pivot column: row}`` (leftmost pivot column
+first), and a back-substitution pass then yields the reduced row echelon
+form.  That form is unique for a row space, so the order in which rows are
+taken never shows in a result.  ``kernel``, ``image``, ``solve``,
+``inverse`` and ``rank`` read it, and a :class:`Subspace` is that pivot
+table itself: membership, coordinates, sums, intersections and
+:func:`extend_basis` reduce sparse rows against it, and its dense
+``basis`` is a view built on access.  Everything is exact: no floats, no
+tolerances, anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -73,6 +71,14 @@ def vec(values: Iterable[RatLike]) -> Vec:
 
 def _sparse(values: Sequence) -> Row:
     return {j: x for j, x in enumerate(values) if x}
+
+
+def _checked(v: Sequence[RatLike], length: int) -> Row:
+    """The sparse row of an exact vector that must have the given length."""
+    x = vec(v)
+    if len(x) != length:
+        raise DimensionError(f"vector of length {len(x)} in ambient dimension {length}")
+    return _sparse(x)
 
 
 def _dense(row: Row, length: int) -> Vec:
@@ -264,12 +270,12 @@ def _add_pivot(pivots: dict[int, Row], row: Row) -> None:
     pivots[c] = row if lead == _ONE else {j: x / lead for j, x in row.items()}
 
 
-def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
+def _rref(rows: Iterable[Row]) -> dict[int, Row]:
     """Reduced row echelon form of the span of sparse rows.
 
-    Returns the ``(pivot column, row)`` pairs of its nonzero rows by
+    Returns the pivot table ``{pivot column: row}`` of its nonzero rows by
     increasing pivot column; each row has 1 at its pivot and 0 at every
-    other pivot column.
+    other pivot column.  The given rows are not modified.
     """
     pivots: dict[int, Row] = {}
     for row in sorted(rows, key=len):
@@ -290,134 +296,114 @@ def _rref(rows: Iterable[Row]) -> list[tuple[int, Row]]:
                     row[j] = y
                 else:
                     del row[j]
-    return [(c, pivots[c]) for c in order]
+    return {c: pivots[c] for c in order}
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of F^ambient_dim with a canonical RREF basis.
+    """A linear subspace of F^ambient_dim, held as its reduced row echelon form.
 
-    Invariants: basis rows are the nonzero rows of a reduced row echelon
-    form, so pivot columns strictly increase and equality of subspaces is
-    plain value equality.
+    The form is a pivot table: each pivot column, in increasing order, maps
+    to the sparse row ``{column: nonzero value}`` whose leftmost entry, 1,
+    sits there, and every row is 0 at every other pivot column.  That form
+    is unique, so two subspaces are equal as sets exactly when their tables
+    are equal.  ``basis`` is the dense view of the rows, built on access;
+    ``Subspace(ambient_dim, basis)`` takes such rows back.
     """
 
-    ambient_dim: int
-    basis: tuple[Vec, ...]
+    __slots__ = ("ambient_dim", "_rows")
 
-    def __post_init__(self) -> None:
-        for b in self.basis:
-            if len(b) != self.ambient_dim:
-                raise DimensionError(
-                    f"basis vector of length {len(b)} in ambient dimension {self.ambient_dim}"
-                )
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence[RatLike]]) -> None:
+        rows = (_checked(b, ambient_dim) for b in basis)
+        Subspace._init(self, ambient_dim, {min(r): r for r in rows})
 
     @staticmethod
-    def _span(ambient_dim: int, rows: Iterable[Row]) -> "Subspace":
-        return Subspace(ambient_dim, tuple(_dense(r, ambient_dim) for _, r in _rref(rows)))
+    def _init(s: "Subspace", ambient_dim: int, rows: dict[int, Row]) -> "Subspace":
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "_rows", rows)
+        return s
+
+    @staticmethod
+    def _of(ambient_dim: int, rows: dict[int, Row]) -> "Subspace":
+        """A subspace over a pivot table already in reduced row echelon form."""
+        return Subspace._init(object.__new__(Subspace), ambient_dim, rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.ambient_dim, self._rows) == (other.ambient_dim, other._rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self._rows.values())))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        return tuple(_dense(r, self.ambient_dim) for r in self._rows.values())
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[RatLike]]) -> "Subspace":
         """Span of the given vectors, normalized to the canonical RREF basis."""
-        data = [vec(v) for v in vectors]
-        for v in data:
-            if len(v) != ambient_dim:
-                raise DimensionError(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        return Subspace._span(ambient_dim, (_sparse(v) for v in data))
+        return Subspace._of(ambient_dim, _rref([_checked(v, ambient_dim) for v in vectors]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace._of(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        eye = identity(ambient_dim)
-        return Subspace(ambient_dim, tuple(eye.row(i) for i in range(ambient_dim)))
+        return Subspace._of(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def _pivot(self, row: Vec) -> int:
-        return next(j for j, x in enumerate(row) if x != 0)
+        return len(self._rows)
 
     def reduce(self, v: Sequence[RatLike]) -> Vec:
         """Remainder of ``v`` after subtracting its projection on the basis.
 
         The remainder is zero exactly when ``v`` lies in the subspace.
         """
-        x = list(vec(v))
-        if len(x) != self.ambient_dim:
-            raise DimensionError(
-                f"vector of length {len(x)} in ambient dimension {self.ambient_dim}"
-            )
-        for row in self.basis:
-            p = self._pivot(row)
-            coef = x[p]
-            if coef != 0:
-                for j in range(p, self.ambient_dim):
-                    x[j] -= coef * row[j]
-        return tuple(x)
+        return _dense(_eliminate(_checked(v, self.ambient_dim), self._rows), self.ambient_dim)
 
     def contains(self, v: Sequence[RatLike]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not _eliminate(_checked(v, self.ambient_dim), self._rows)
 
     def coordinates(self, v: Sequence[RatLike]) -> Optional[Vec]:
-        """Coefficients of ``v`` in the canonical basis, or None if outside."""
-        x = list(vec(v))
-        if len(x) != self.ambient_dim:
-            raise DimensionError(
-                f"vector of length {len(x)} in ambient dimension {self.ambient_dim}"
-            )
-        coords = []
-        for row in self.basis:
-            p = self._pivot(row)
-            coef = x[p]
-            coords.append(coef)
-            if coef != 0:
-                for j in range(p, self.ambient_dim):
-                    x[j] -= coef * row[j]
-        if any(t != 0 for t in x):
+        """Coefficients of ``v`` in the canonical basis, or None if outside.
+
+        Each basis row is 0 at the other pivot columns, so the coefficient
+        of a row is the entry of ``v`` at its pivot column.
+        """
+        x = _checked(v, self.ambient_dim)
+        if _eliminate(x, self._rows):
             return None
-        return tuple(coords)
+        return tuple(x.get(p, _ZERO) for p in self._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (span of the union of the bases)."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace sum needs a common ambient dimension")
-        return Subspace._span(self.ambient_dim, (_sparse(b) for b in self.basis + other.basis))
+        return Subspace._of(self.ambient_dim, _rref([*self._rows.values(), *other._rows.values()]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked-basis relation matrix.
+        """Intersection, by Zassenhaus: the echelon form of the rows (a | a)
+        for a in this basis and (b | 0) for b in the other.
 
-        A vector lies in both spans iff it is A^T x and B^T y with
-        A^T x - B^T y = 0, so kernel vectors (x, y) of [A^T | -B^T]
-        parametrize the intersection.
+        A combination of those rows is 0 on the left half exactly when it
+        is (a + b | a) with a = -b, which lies in both spans; its rows with a
+        pivot right of the middle are the echelon basis of the intersection.
         """
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace intersection needs a common ambient dimension")
         n = self.ambient_dim
-        k1 = self.dim
-        if k1 == 0 or other.dim == 0:
-            return Subspace.zero(n)
-        relation = Mat._of(
-            len(self.basis) + len(other.basis),
-            n,
-            tuple(_sparse(b) for b in self.basis)
-            + tuple({j: -x for j, x in enumerate(b) if x} for b in other.basis),
-        ).transpose()
-        combos = []
-        for kv in kernel(relation).basis:
-            combo: Row = {}
-            for a in range(k1):
-                if kv[a] != 0:
-                    for i, x in enumerate(self.basis[a]):
-                        if x:
-                            combo[i] = combo.get(i, _ZERO) + kv[a] * x
-            combos.append({i: x for i, x in combo.items() if x})
-        return Subspace._span(n, combos)
+        doubled = [{**r, **{j + n: x for j, x in r.items()}} for r in self._rows.values()]
+        reduced = _rref(doubled + list(other._rows.values()))
+        meet = {c - n: {j - n: x for j, x in r.items()} for c, r in reduced.items() if c >= n}
+        return Subspace._of(n, meet)
 
 
 def rank(m: Mat) -> int:
@@ -428,14 +414,13 @@ def rank(m: Mat) -> int:
 def kernel(m: Mat) -> Subspace:
     """Exact null space {v : m v = 0}, dimension cols - rank."""
     reduced = _rref(m._rows)
-    pivot_set = {c for c, _ in reduced}
     # The free column j spans e_j - sum over pivot rows R_p of R_p[j] e_p.
-    free: dict[int, Row] = {j: {j: _ONE} for j in range(m.cols) if j not in pivot_set}
-    for c, row in reduced:
+    free: dict[int, Row] = {j: {j: _ONE} for j in range(m.cols) if j not in reduced}
+    for c, row in reduced.items():
         for j, x in row.items():
             if j != c:
                 free[j][c] = -x
-    return Subspace._span(m.cols, free.values())
+    return Subspace._of(m.cols, _rref(free.values()))
 
 
 def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
@@ -452,17 +437,17 @@ def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
     n = m.cols
     aug = [{**r, n: y} if y else r for r, y in zip(m._rows, rhs)]
     reduced = _rref(aug)
-    if reduced and reduced[-1][0] == n:
+    if n in reduced:
         return None
     x = [_ZERO] * n
-    for c, row in reduced:
+    for c, row in reduced.items():
         x[c] = row.get(n, _ZERO)
     return tuple(x)
 
 
 def image(m: Mat) -> Subspace:
     """Column space of ``m`` as a subspace of F^rows."""
-    return Subspace._span(m.rows, m.transpose()._rows)
+    return Subspace._of(m.rows, _rref(m.transpose()._rows))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -487,30 +472,37 @@ def inverse(m: Mat) -> Optional[Mat]:
         raise DimensionError("only square matrices can be inverted")
     n = m.rows
     reduced = _rref({**r, n + i: _ONE} for i, r in enumerate(m._rows))
-    if [c for c, _ in reduced] != list(range(n)):
+    if list(reduced) != list(range(n)):
         return None
-    return Mat._of(n, n, tuple({j - n: x for j, x in r.items() if j >= n} for _, r in reduced))
+    return Mat._of(n, n, tuple({j - n: x for j, x in r.items() if j >= n} for r in reduced.values()))
 
 
-def extend_basis(span: Subspace, vectors: Iterable[Vec]) -> list[Vec]:
-    """The vectors, in order, that lie outside ``span`` and the ones kept before.
+def extend_basis(span: Subspace, sub: Subspace) -> list[Vec]:
+    """The basis vectors of ``sub``, in order, that lie outside ``span`` and
+    the ones kept before, densified.
 
     This is how cohomology classes are picked: kernel basis vectors that
-    extend an image basis.  Each vector is reduced once against a pivot
-    table that grows with every vector kept, instead of re-reducing the
-    whole span for each candidate.
+    extend an image basis.  Each row of ``sub`` is reduced once against a
+    pivot table that starts as ``span``'s and grows with every row kept.
     """
     n = span.ambient_dim
-    pivots: dict[int, Row] = {}
-    for b in span.basis:
-        _add_pivot(pivots, _sparse(b))
+    if sub.ambient_dim != n:
+        raise DimensionError(f"subspace of ambient dimension {sub.ambient_dim} extending one of {n}")
+    pivots = dict(span._rows)
     kept = []
-    for v in vectors:
-        if len(v) != n:
-            raise DimensionError(f"vector of length {len(v)} in ambient dimension {n}")
-        rest = _eliminate(_sparse(v), pivots)
+    for row in sub._rows.values():
+        rest = _eliminate(row, pivots)
         if rest:
             _add_pivot(pivots, rest)
-            kept.append(v)
+            kept.append(_dense(row, n))
     return kept
 
+
+def _combine(coeffs: Sequence[Fraction], span: Subspace) -> Vec:
+    """sum_t coeffs[t] span.basis[t], the vector whose ``coordinates`` are ``coeffs``."""
+    out = [_ZERO] * span.ambient_dim
+    for c, row in zip(coeffs, span._rows.values()):
+        if c:
+            for t, x in row.items():
+                out[t] += c * x
+    return tuple(out)

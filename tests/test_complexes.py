@@ -475,3 +475,100 @@ def test_cohomology_computes_the_jacobi_module_once(monkeypatch):
     calls.clear()
     assert coboundary_matrix(A, W, 0).cols == jacobi_module(A, W).dim
     assert len(calls) == 1
+
+
+def test_is_coboundary_computes_the_jacobi_module_once(monkeypatch):
+    import kvcohom.complexes as cx
+
+    calls = []
+
+    def counted(A, W):
+        calls.append(1)
+        return jacobi_module(A, W)
+
+    monkeypatch.setattr(cx, "jacobi_module", counted)
+    rng = random.Random(5)
+    for A in (random_kv(3, n_max=4), aff()):
+        W = regular_bimodule(A)
+        J = jacobi_module(A, W)
+        w = [sum((Fraction(rng.randint(-3, 3)) * b[t] for b in J.basis), Fraction(0)) for t in range(W.dim)]
+        f = coboundary0(W, Element(tuple(w)), check=False)
+        for g, exact in ((f, True), (_random_cochain(rng, A, W, 1), False)):
+            calls.clear()
+            pre = is_coboundary(g)
+            assert len(calls) == 1
+            if exact:
+                assert pre is not None and pre.degree == 0 and J.contains(pre.values)
+                assert coboundary0(W, Element(pre.values)).values == f.values
+            else:
+                assert pre is None
+
+
+def dense_nijenhuis_matrices(A, W, q_max):
+    """The Chevalley-Eilenberg differentials as `nijenhuis_matrices` built them
+    before it read nonzero constants: a dense n x (nm) x (nm) action table."""
+    n, m = A.dim, W.dim
+    bracket = [[[A.product[i][j][k] - A.product[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    nv = n * m
+    act = [[[Fraction(0)] * nv for _ in range(nv)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for be in range(m):
+                src = j * m + be
+                for ga in range(m):
+                    if W.left[i][be][ga] != 0:
+                        act[i][src][j * m + ga] += W.left[i][be][ga]
+                for b in range(n):
+                    if bracket[i][b][j] != 0:
+                        act[i][src][b * m + be] -= bracket[i][b][j]
+
+    def nonzero(row):
+        return [(t, x) for t, x in enumerate(row) if x]
+
+    acts = [[nonzero(row) for row in act[i]] for i in range(n)]
+    combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
+    combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
+
+    def ce_matrix(p):
+        entries = {}
+
+        def bump(r, c, val):
+            entries[r, c] = entries.get((r, c), Fraction(0)) + val
+
+        for T in combos[p + 1]:
+            out_base = combo_pos[p + 1][T] * nv
+            for i in range(p + 1):
+                neg = i % 2 == 1
+                rest = T[:i] + T[i + 1 :]
+                src_base = combo_pos[p][rest] * nv
+                for src in range(nv):
+                    for dst, a in acts[T[i]][src]:
+                        bump(out_base + dst, src_base + src, -a if neg else a)
+            for i in range(p + 1):
+                for j in range(i + 1, p + 1):
+                    rest = tuple(T[t] for t in range(p + 1) if t not in (i, j))
+                    for k, co in nonzero(bracket[T[i]][T[j]]):
+                        if k in rest:
+                            continue
+                        pos = sum(1 for r in rest if r < k)
+                        val = -co if (i + j + pos) % 2 else co
+                        src_base = combo_pos[p][tuple(sorted(rest + (k,)))] * nv
+                        for v in range(nv):
+                            bump(out_base + v, src_base + v, val)
+        return Mat.from_items(len(combos[p + 1]) * nv, len(combos[p]) * nv, entries)
+
+    return {p: ce_matrix(p) for p in range(q_max)}
+
+
+def test_nijenhuis_matrices_match_dense_action_table():
+    from kvcohom.fixtures import algebra_fixture, algebra_fixture_names
+
+    cases = [algebra_fixture(name) for name in algebra_fixture_names()]
+    cases += [random_kv(s, n_max=5) for s in range(1, 9)]
+    nonzero_blocks = 0
+    for t, A in enumerate(cases):
+        for W in (regular_bimodule(A), random_module(A, t, m_max=3), left_regular_module(A)):
+            got, want = nijenhuis_matrices(A, W, 3), dense_nijenhuis_matrices(A, W, 3)
+            assert got == want
+            nonzero_blocks += sum(any(True for _ in mat.items()) for mat in got.values())
+    assert nonzero_blocks >= 40

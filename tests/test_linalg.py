@@ -5,7 +5,10 @@ The references here are independent of it: a fraction-free (Bareiss) rank
 on integer-rescaled dense rows, played against the library through
 rank-nullity and consistency, and a dense rational Gauss-Jordan, whose
 kernel, image, span and particular solution must equal the library's as
-values on random sparse matrices as sparse as the differentials.
+values on random sparse matrices as sparse as the differentials.  Dense
+copies of the loops the subspace methods once ran (reduction,
+coordinates, the relation-kernel intersection, representative
+selection) check the methods that now read the sparse pivot table.
 """
 
 import random
@@ -111,6 +114,42 @@ def dense_kernel(m):
             v[p] = -reduced[i][j]
         basis.append(v)
     return dense_span(m.cols, basis)
+
+
+def dense_reduce(rows, v):
+    """The loop Subspace.reduce and Subspace.coordinates ran on dense basis
+    rows: clear each row's leading column in turn, recording the coefficient.
+
+    The rows must vanish at the leading columns of the rows before them.
+    Returns the remainder and the coefficients.
+    """
+    x = list(vec(v))
+    coords = []
+    for row in rows:
+        p = next(j for j, t in enumerate(row) if t)
+        coef = x[p]
+        coords.append(coef)
+        if coef:
+            x = [a - coef * b if b else a for a, b in zip(x, row)]
+    return tuple(x), tuple(coords)
+
+
+def dense_intersect(s1, s2):
+    """The route Subspace.intersect took: kernel vectors (x, y) of [A^T | -B^T]
+    give the common vectors x.A, combined densely."""
+    n = s1.ambient_dim
+    if s1.dim == 0 or s2.dim == 0:
+        return dense_span(n, [])
+    b1 = s1.basis
+    relation = Mat.from_cols(list(b1) + [[-t for t in b] for b in s2.basis], rows=n)
+    combos = []
+    for kv in dense_kernel(relation).basis:
+        combo = [F(0)] * n
+        for c, b in zip(kv, b1):
+            if c:
+                combo = [x + c * y for x, y in zip(combo, b)]
+        combos.append(combo)
+    return dense_span(n, combos)
 
 
 def dense_solve(m, b):
@@ -367,30 +406,60 @@ def _sparse_mat(rng, rows, cols, density):
 
 
 def _old_selection(span, vectors):
-    chosen = []
+    """Keep each vector outside the span of span and the vectors kept before."""
+    rows, chosen = list(span.basis), []
     for v in vectors:
-        if not span.contains(v):
+        rest = dense_reduce(rows, v)[0]
+        if any(rest):
             chosen.append(v)
-            span = span.add(Subspace.from_vectors(span.ambient_dim, [v]))
+            lead = next(t for t in rest if t)
+            rows.append([t / lead for t in rest])
     return chosen
+
+
+def _check_subspace_methods(s, others, inside, outside):
+    """Subspace methods on s against the dense loops they replaced.
+
+    Returns how many of the intersections are neither 0 nor one of the two.
+    """
+    n, basis = s.ambient_dim, s.basis
+    proper = 0
+    for v in inside + outside:
+        rest, coords = dense_reduce(basis, v)
+        assert s.reduce(v) == rest
+        assert s.contains(v) == (not any(rest))
+        assert s.coordinates(v) == (None if any(rest) else coords)
+    assert all(s.contains(v) for v in inside) and not any(s.contains(v) for v in outside)
+    for o in others:
+        join, meet = s.add(o), s.intersect(o)
+        dense_join, dense_meet = dense_span(n, basis + o.basis), dense_intersect(s, o)
+        assert join == dense_join and join.basis == dense_join.basis
+        assert meet == dense_meet and meet.basis == dense_meet.basis
+        assert hash(join) == hash(dense_join) and hash(meet) == hash(dense_meet)
+        assert join == o.add(s) and meet == o.intersect(s)
+        proper += meet not in (Subspace.zero(n), s, o)
+    assert s.add(Subspace.zero(n)) == s == s.intersect(Subspace.full(n))
+    assert s.intersect(Subspace.zero(n)) == Subspace.zero(n)
+    assert s.add(Subspace.full(n)) == Subspace.full(n)
+    return proper
 
 
 def test_sparse_core_matches_dense_gauss_jordan():
     # Shapes and densities of the differentials: 0.3-5 % nonzero.
     rng = random.Random(20261017)
-    deficient = 0
+    deficient = proper = 0
     for _ in range(30):
         rows, cols = rng.randint(15, 60), rng.randint(8, 40)
         density = rng.choice([0.003, 0.01, 0.02, 0.05])
         m = _sparse_mat(rng, rows, cols, density)
-        ker = kernel(m)
-        assert ker == dense_kernel(m)
+        ker, dense_ker = kernel(m), dense_kernel(m)
+        assert ker == dense_ker and hash(ker) == hash(dense_ker)
         img = image(m)
-        columns = [[m.at(i, j) for i in range(rows)] for j in range(cols)]
-        assert img == dense_span(rows, columns)
-        assert Subspace.from_vectors(cols, [m.row(i) for i in range(rows)]) == dense_span(
-            cols, [m.row(i) for i in range(rows)]
-        )
+        dense_img = dense_span(rows, [[m.at(i, j) for i in range(rows)] for j in range(cols)])
+        assert img == dense_img and hash(img) == hash(dense_img)
+        row_space = Subspace.from_vectors(cols, [m.row(i) for i in range(rows)])
+        dense_rows = dense_span(cols, [m.row(i) for i in range(rows)])
+        assert row_space == dense_rows and hash(row_space) == hash(dense_rows)
         assert rank(m) == bareiss_rank(m) == img.dim == cols - ker.dim
         deficient += rank(m) < min(rows, cols)
         # A consistent right-hand side (the image of a random vector) and
@@ -403,15 +472,41 @@ def test_sparse_core_matches_dense_gauss_jordan():
                 assert m.mat_vec(x) == tuple(b)
         # Representative selection: kernel vectors extending a subspace of it.
         part = Subspace.from_vectors(cols, [v for v in ker.basis if rng.random() < 0.4])
-        assert extend_basis(part, ker.basis) == _old_selection(part, ker.basis)
-        # And the rows, some of them dependent, against the span of three of them.
+        assert extend_basis(part, ker) == _old_selection(part, ker.basis)
+        # And the row space against the span of three rows, some of them dependent.
         vs = [m.row(i) for i in range(rows)]
         rng.shuffle(vs)
         lines = Subspace.from_vectors(cols, vs[:3])
-        assert extend_basis(lines, vs) == _old_selection(lines, vs)
-    assert deficient >= 8
+        assert extend_basis(lines, row_space) == _old_selection(lines, row_space.basis)
+        # Membership, coordinates, sums, intersections and hashes of the
+        # kernel, the image and the row space.
+        mixed = Subspace.from_vectors(cols, [v for v in ker.basis if rng.random() < 0.5] + vs[:2])
+
+        def randvec(length):
+            return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+                    for _ in range(length)]
+
+        def combo(sub):
+            basis = sub.basis
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis]
+            return [sum((c * b[t] for c, b in zip(coeffs, basis)), F(0)) for t in range(sub.ambient_dim)]
+
+        def outside(sub):
+            return [v for v in (randvec(sub.ambient_dim) for _ in range(3)) if any(dense_reduce(sub.basis, v)[0])]
+
+        seen = Subspace.from_vectors(rows, [m.mat_vec(x0), randvec(rows)])
+        proper += _check_subspace_methods(ker, [mixed, part], [combo(ker), *ker.basis[:2]], outside(ker))
+        proper += _check_subspace_methods(img, [seen], [combo(img), m.mat_vec(x0)], outside(img))
+        proper += _check_subspace_methods(row_space, [lines], [combo(row_space), *vs[:2]], outside(row_space))
+        for dim in (rows, cols):
+            assert Subspace.zero(dim) == Subspace(dim, ()) and Subspace.zero(dim).basis == ()
+            eye = tuple(tuple(F(int(i == j)) for j in range(dim)) for i in range(dim))
+            assert Subspace.full(dim).basis == eye and Subspace.full(dim) == Subspace(dim, eye)
+            assert hash(Subspace.full(dim)) == hash(Subspace(dim, eye))
+            assert hash(Subspace.zero(dim)) == hash(Subspace(dim, ()))
+    assert deficient >= 8 and proper >= 20
 
 
 def test_extend_basis_checks_lengths():
     with pytest.raises(DimensionError):
-        extend_basis(Subspace.zero(2), [(F(1), F(0), F(0))])
+        extend_basis(Subspace.zero(2), Subspace.full(3))
