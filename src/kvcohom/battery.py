@@ -208,10 +208,11 @@ def _check_pair_bracket(base: int) -> Optional[str]:
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        first = _apply(g, _apply(g, ex, ey), ez)
-        second = _apply(g, ex, _apply(g, ey, ez))
-        swap1 = _apply(g, _apply(g, ey, ex), ez)
-        swap2 = _apply(g, ey, _apply(g, ex, ez))
+        # A product of two basis vectors is a row of structure constants.
+        first = _apply(g, mu[x][y], ez)
+        second = _apply(g, ex, mu[y][z])
+        swap1 = _apply(g, mu[y][x], ez)
+        swap2 = _apply(g, ey, mu[x][z])
         for k in range(n):
             want = 2 * ((first[k] - second[k]) - (swap1[k] - swap2[k]))
             if br[x][y][z][k] != want:
@@ -278,12 +279,12 @@ def _check_curvature(base: int, a: KVAlgebra, delta: CoboundaryFn) -> Optional[s
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        direct = _apply(g, ex, _apply(g, ey, ez))
-        swap = _apply(g, ey, _apply(g, ex, ez))
+        direct = _apply(g, ex, mu[y][z])
+        swap = _apply(g, ey, mu[x][z])
         br = [mu0[x][y][t] - mu0[y][x][t] for t in range(n)]
         br_term = _apply(g, br, ez)
-        comm = _apply(gs, ex, _apply(gs, ey, ez))
-        comm2 = _apply(gs, ey, _apply(gs, ex, ez))
+        comm = _apply(gs, ex, s[y][z])
+        comm2 = _apply(gs, ey, s[x][z])
         for k in range(n):
             residual = direct[k] - swap[k] - br_term[k] - comm[k] + comm2[k]
             if residual != -ds[x][y][z][k]:

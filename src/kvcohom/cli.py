@@ -23,9 +23,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+# The heavier layers by module: each executes on its first use (see
+# the package docstring), so a verb runs only the layers it calls.
+from . import battery, complexes, deform, extensions, geom, graded
 from . import serialize as sz
-from .battery import run_battery
-from .complexes import CohomologyReport, cohomology, nijenhuis_cohomology
 from .core import (
     CheckResult,
     KVAlgebra,
@@ -36,26 +37,9 @@ from .core import (
     jacobi_module,
     lie_bracket,
     regular_bimodule,
-)
-from .complexes import is_cocycle
-from .deform import (
-    bilinear_cochain,
-    curvature_check,
-    jet_check,
-    rigidity_report,
-    solve_next_order,
+    semidirect,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .extensions import (
-    BigradedCochain,
-    algebra_extension_from_cocycle,
-    algebra_cocycle_from_section,
-    algebra_extensions_equivalent,
-    cocycle_from_section,
-    extend_module_to_semidirect,
-    extensions_equivalent,
-    module_extension_from_cocycle,
-)
 from .fixtures import (
     algebra_fixture,
     algebra_fixture_names,
@@ -64,22 +48,6 @@ from .fixtures import (
     obstructed_jet,
     rad2_left_module,
 )
-from .geom import (
-    GeodesicProblem,
-    STEP_UNDERFLOW,
-    aff_algebra,
-    find_radiant,
-    integrate_geodesic,
-    pencil_suite,
-)
-from .graded import (
-    ConnectionlikePair,
-    deform_graded,
-    is_connectionlike,
-    is_kv_chain,
-    is_theta_cocycle,
-)
-from .core import semidirect
 from .linalg import Subspace
 
 __all__ = ["FORMAT_VERSION", "JobSpec", "Report", "run", "main"]
@@ -176,7 +144,7 @@ def _subspace_to_obj(s: Subspace) -> dict:
     return {"dim": s.dim, "basis": [sz.vector_to_obj(v) for v in s.basis]}
 
 
-def _cohomology_to_obj(rep: CohomologyReport) -> list:
+def _cohomology_to_obj(rep: complexes.CohomologyReport) -> list:
     return [
         {
             "degree": d.degree,
@@ -244,7 +212,7 @@ def _verb_cohomology(job, inputs, parameters, results):
     budget = job.opt("budget")
     if budget is not None:
         parameters["budget"] = budget
-    rep = cohomology(a, w, q_max, budget=budget)
+    rep = complexes.cohomology(a, w, q_max, budget=budget)
     results["degrees"] = _cohomology_to_obj(rep)
     return None, None
 
@@ -256,7 +224,7 @@ def _verb_nijenhuis(job, inputs, parameters, results):
         raise InputError("module file is over a different algebra")
     q_max = job.opt("q_max", 2)
     parameters["q_max"] = q_max
-    rep = nijenhuis_cohomology(a, w, q_max)
+    rep = complexes.nijenhuis_cohomology(a, w, q_max)
     results["degrees"] = _cohomology_to_obj(rep)
     consistent = all(d.dim_H == d.dim_Z - d.dim_B for d in rep.degrees)
     results["rank_nullity_consistent"] = consistent
@@ -276,7 +244,7 @@ def _verb_extend_algebra(job, inputs, parameters, results):
     )
     if omega.degree != 2:
         raise InputError("algebra extensions need a degree-2 cochain")
-    ext = algebra_extension_from_cocycle(a, w, omega)
+    ext = extensions.algebra_extension_from_cocycle(a, w, omega)
     total_kv = is_kv(ext.total)
     results["total_is_kv"] = _check_to_obj(total_kv)
     if not total_kv:
@@ -287,7 +255,7 @@ def _verb_extend_algebra(job, inputs, parameters, results):
             results,
         )
     results["extension"] = sz.extension_to_obj(ext)
-    recovered = algebra_cocycle_from_section(ext, ext.canonical_section())
+    recovered = extensions.algebra_cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered == omega
     _maybe_emit(job, sz.canonical_json(sz.extension_to_obj(ext)))
     return True, None
@@ -304,19 +272,19 @@ def _verb_extend_module(job, inputs, parameters, results):
         if not verdict:
             raise _MathFailure(f"{name} is not a module: {verdict.detail}")
     g = semidirect(a, w)
-    vt = extend_module_to_semidirect(g, a.dim, v)
+    vt = extensions.extend_module_to_semidirect(g, a.dim, v)
     raw = sz.cochain_from_obj(
         _read_json_file(job.options["cochain"], inputs, "cochain"), g, vt
     )
     if raw.degree != 2:
         raise InputError("module extensions need a degree-2 cochain")
-    f = BigradedCochain(raw, a.dim, 1, 1)
+    f = extensions.BigradedCochain(raw, a.dim, 1, 1)
     try:
-        ext = module_extension_from_cocycle(a, w, v, f)
+        ext = extensions.module_extension_from_cocycle(a, w, v, f)
     except PreconditionError as exc:
         raise _MathFailure(str(exc)) from None
     results["extension"] = sz.extension_to_obj(ext)
-    recovered = cocycle_from_section(ext, ext.canonical_section())
+    recovered = extensions.cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered.cochain == raw
     _maybe_emit(job, sz.canonical_json(sz.extension_to_obj(ext)))
     return True, None
@@ -333,7 +301,7 @@ def _verb_classify_ext(job, inputs, parameters, results):
     if obj1["kind"] == "algebra":
         if e1.base != e2.base or e1.kernel != e2.kernel:
             raise InputError("extensions live over different base data")
-        shear = algebra_extensions_equivalent(e1, e2)
+        shear = extensions.algebra_extensions_equivalent(e1, e2)
         results["equivalent"] = shear is not None
         results["shear"] = None if shear is None else sz.matrix_to_obj(shear)
     else:
@@ -343,15 +311,15 @@ def _verb_classify_ext(job, inputs, parameters, results):
             or e1.quotient != e2.quotient
         ):
             raise InputError("extensions live over different base data")
-        f1 = cocycle_from_section(e1, e1.canonical_section())
-        f2 = cocycle_from_section(e2, e2.canonical_section())
-        results["equivalent"] = extensions_equivalent(f1, f2)
+        f1 = extensions.cocycle_from_section(e1, e1.canonical_section())
+        f2 = extensions.cocycle_from_section(e2, e2.canonical_section())
+        results["equivalent"] = extensions.extensions_equivalent(f1, f2)
     return None, None
 
 
 def _verb_deform_check(job, inputs, parameters, results):
     jet = sz.jet_from_obj(_read_json_file(job.options["jet"], inputs, "jet"))
-    verdict = jet_check(jet)
+    verdict = deform.jet_check(jet)
     results["order"] = jet.order
     results["residuals_zero"] = _check_to_obj(verdict)
     return bool(verdict), verdict.detail if not verdict else None
@@ -367,7 +335,7 @@ def _verb_deform_solve(job, inputs, parameters, results):
     witness = None
     for _ in range(orders):
         try:
-            sol = solve_next_order(jet)
+            sol = deform.solve_next_order(jet)
         except PreconditionError as exc:
             raise _MathFailure(str(exc), results) from None
         step = {
@@ -397,7 +365,7 @@ def _verb_deform_solve(job, inputs, parameters, results):
 
 def _verb_rigidity(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
-    rep = rigidity_report(a)
+    rep = deform.rigidity_report(a)
     results.update(
         {
             "dim_C2": rep.dim_C2,
@@ -417,10 +385,10 @@ def _verb_curvature_check(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     n = a.dim
     s = _load_tensor3(job.options["tensor"], inputs, "tensor", n, n, n)
-    residual = curvature_check(a, s)
+    residual = deform.curvature_check(a, s)
     flat = [x for q in residual for p in q for r in p for x in r]
     residual_zero = all(x == 0 for x in flat)
-    cocycle = is_cocycle(bilinear_cochain(a, s))
+    cocycle = complexes.is_cocycle(deform.bilinear_cochain(a, s))
     results["residual_zero"] = residual_zero
     results["s_is_cocycle"] = cocycle
     results["flat_iff_cocycle"] = residual_zero == cocycle
@@ -445,8 +413,8 @@ def _verb_graded_check(job, inputs, parameters, results):
 def _verb_graded_deform(job, inputs, parameters, results):
     g = sz.graded_from_obj(_read_json_file(job.options["graded"], inputs, "graded"))
     theta = _load_tensor3(job.options["theta"], inputs, "theta", g.m, g.m, g.m)
-    cocycle = is_theta_cocycle(g, theta)
-    chain = is_kv_chain(theta)
+    cocycle = graded.is_theta_cocycle(g, theta)
+    chain = graded.is_kv_chain(theta)
     results["theta_is_cocycle"] = _check_to_obj(cocycle)
     results["theta_is_chain"] = _check_to_obj(chain)
     if not (cocycle and chain):
@@ -455,7 +423,7 @@ def _verb_graded_deform(job, inputs, parameters, results):
             f"theta does not deform: {bad.detail or 'fails the graded conditions'}",
             results,
         )
-    deformed = deform_graded(g, theta)
+    deformed = graded.deform_graded(g, theta)
     results["deformed"] = sz.algebra_to_obj(deformed)
     _maybe_emit(job, sz.canonical_json(sz.algebra_to_obj(deformed)))
     return True, None
@@ -465,7 +433,7 @@ def _verb_connectionlike(job, inputs, parameters, results):
     g = sz.graded_from_obj(_read_json_file(job.options["graded"], inputs, "graded"))
     theta = _load_tensor3(job.options["theta"], inputs, "theta", g.m, g.m, g.m)
     psi = _load_tensor3(job.options["psi"], inputs, "psi", g.n, g.m, g.n)
-    rep = is_connectionlike(g, ConnectionlikePair(theta, psi))
+    rep = graded.is_connectionlike(g, graded.ConnectionlikePair(theta, psi))
     results.update(
         {
             "psi_symmetric": _check_to_obj(rep.psi_symmetric),
@@ -491,17 +459,17 @@ def _verb_aff_suite(job, inputs, parameters, results):
     beta = sz.parse_rat(job.opt("beta", "0"))
     parameters["alpha"] = sz.format_rat(alpha)
     parameters["beta"] = sz.format_rat(beta)
-    a = aff_algebra()
+    a = geom.aff_algebra()
     kv = is_kv(a)
     jac = jacobi_algebra(a)
-    h0 = cohomology(a, regular_bimodule(a), 0).degree(0).dim_H
+    h0 = complexes.cohomology(a, regular_bimodule(a), 0).degree(0).dim_H
     lb = lie_bracket(a)
     bracket_e1_e2 = lb[0][1]
     results["is_kv"] = bool(kv)
     results["jacobi"] = _subspace_to_obj(jac)
     results["h0_regular"] = h0
     results["bracket_e1_e2"] = sz.vector_to_obj(bracket_e1_e2)
-    suite = pencil_suite(alpha, beta)
+    suite = geom.pencil_suite(alpha, beta)
     results["pencil"] = {
         "alpha": sz.format_rat(alpha),
         "beta": sz.format_rat(beta),
@@ -551,7 +519,7 @@ def _verb_geodesic(job, inputs, parameters, results):
         except (TypeError, ValueError):
             raise InputError(f"--{key} must be a float, got {raw!r}") from None
 
-    problem = GeodesicProblem(
+    problem = geom.GeodesicProblem(
         alpha=_parse_number(str(job.opt("alpha", "0")), "--alpha"),
         beta=_parse_number(str(job.opt("beta", "0")), "--beta"),
         x0=flt("x0", 0.0),
@@ -562,7 +530,7 @@ def _verb_geodesic(job, inputs, parameters, results):
         t1=flt("t1", 1.0),
         step=flt("step", 1e-3),
     )
-    trajectory = integrate_geodesic(problem)
+    trajectory = geom.integrate_geodesic(problem)
     lines = [f"# termination: {trajectory.termination}"]
     if trajectory.blowup_time is not None:
         lines.append(f"# blowup_time: {_format_float(trajectory.blowup_time)}")
@@ -571,7 +539,7 @@ def _verb_geodesic(job, inputs, parameters, results):
     for s in trajectory.samples:
         lines.append(",".join(_format_float(c) for c in s))
     text = "\n".join(lines) + "\n"
-    if trajectory.termination == STEP_UNDERFLOW:
+    if trajectory.termination == geom.STEP_UNDERFLOW:
         raise _MathFailure(
             "the integrator could not advance past "
             f"t = {trajectory.final[0]!r} at the smallest resolvable step"
@@ -581,7 +549,7 @@ def _verb_geodesic(job, inputs, parameters, results):
 
 def _verb_radiant(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
-    sols = find_radiant(a)
+    sols = geom.find_radiant(a)
     results["exists"] = bool(sols)
     results["unique"] = sols.unique
     results["particular"] = (
@@ -598,7 +566,7 @@ def _verb_proptest(job, inputs, parameters, results):
         raise InputError("--count must be at least 1")
     parameters["seed"] = seed
     parameters["count"] = count
-    rep = run_battery(seed, count)
+    rep = battery.run_battery(seed, count)
     results.update(rep.to_obj())
     if not rep.passed:
         first = rep.failures[0]

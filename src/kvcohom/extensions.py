@@ -267,10 +267,17 @@ def e11_matrix(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> Mat:
         raise InputError("e11 degree must be non-negative")
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    src = {c: t for t, c in enumerate(e11_support(A, W, V, q))}
-    dst = {r: t for t, r in enumerate(e11_support(A, W, V, q + 1))}
+    return _e11_matrix(G, Vt, A.dim, q, e11_support(A, W, V, q), e11_support(A, W, V, q + 1))
+
+
+def _e11_matrix(
+    G: KVAlgebra, Vt: KVModule, n: int, q: int, src_support: list[int], dst_support: list[int]
+) -> Mat:
+    """e11_matrix from the semidirect G, the extended Vt and both supports."""
+    src = {c: t for t, c in enumerate(src_support)}
+    dst = {r: t for t, r in enumerate(dst_support)}
     out = {}
-    for (r, c), val in _accumulate(_assemble(G, Vt, q + 1, _one_w_tuples(A.dim, G.dim, q + 2))).items():
+    for (r, c), val in _accumulate(_assemble(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))).items():
         if c not in src:
             raise AssertionError(
                 "a (1, q+1) row read a column outside (1, q); the bidegree law failed"
@@ -306,10 +313,10 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
         _check_cells(q, (q + 1) * (n**q) * m * v)
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    mats = {q: e11_matrix(A, W, V, q) for q in range(q_max + 1)}
+    supports = [e11_support(A, W, V, q) for q in range(q_max + 2)]
+    mats = {q: _e11_matrix(G, Vt, n, q, supports[q], supports[q + 1]) for q in range(q_max + 1)}
     degrees: list[DegreeData] = []
-    for q in range(q_max + 1):
-        support = e11_support(A, W, V, q)
+    for q, support in enumerate(supports[:-1]):
         Z, B, rep_vecs = _cohomology_step(mats[q], mats.get(q - 1))
         reps = [
             Cochain(G, Vt, q + 1, _expand_support(z, support, N ** (q + 1) * v))

@@ -16,12 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+# The heavier layers by module: each executes on its first use (see
+# the package docstring), so a verb runs only the layers it calls.
+from . import complexes, deform, extensions, graded
 from .core import KVAlgebra, KVModule, Tensor3, tensor3
-from .complexes import Cochain
-from .deform import MultiplicationJet
 from .errors import InputError
-from .extensions import AlgebraExtension, ModuleExtension
-from .graded import GradedKVAlgebra
 from .linalg import Mat, Vec, vec
 
 __all__ = [
@@ -216,36 +215,36 @@ def module_from_obj(
     )
 
 
-def cochain_to_obj(f: Cochain) -> dict:
+def cochain_to_obj(f: complexes.Cochain) -> dict:
     """Degree and flat values only; the carrying (A, W) is context."""
     return {"degree": f.degree, "values": [format_rat(x) for x in f.values]}
 
 
-def cochain_from_obj(obj: Any, a: KVAlgebra, w: KVModule) -> Cochain:
+def cochain_from_obj(obj: Any, a: KVAlgebra, w: KVModule) -> complexes.Cochain:
     _require_keys(obj, ["degree", "values"], [], "cochain")
     q = obj["degree"]
     if isinstance(q, bool) or not isinstance(q, int) or q < 0:
         raise InputError("cochain \"degree\" must be a non-negative integer")
     expected = a.dim**q * w.dim
     values = _rat_row(obj["values"], expected, f"degree-{q} cochain values")
-    return Cochain(a, w, q, tuple(values))
+    return complexes.Cochain(a, w, q, tuple(values))
 
 
-def jet_to_obj(jet: MultiplicationJet) -> dict:
+def jet_to_obj(jet: deform.MultiplicationJet) -> dict:
     return {
         "base": algebra_to_obj(jet.base),
         "coefficients": [tensor3_to_obj(c) for c in jet.coefficients],
     }
 
 
-def jet_from_obj(obj: Any) -> MultiplicationJet:
+def jet_from_obj(obj: Any) -> deform.MultiplicationJet:
     _require_keys(obj, ["base", "coefficients"], [], "jet")
     base = algebra_from_obj(obj["base"])
     coeffs = obj["coefficients"]
     if not isinstance(coeffs, list):
         raise InputError("jet \"coefficients\" must be an array of tensors")
     n = base.dim
-    return MultiplicationJet(
+    return deform.MultiplicationJet(
         base,
         tuple(
             tensor3_from_obj(c, n, n, n, f"jet coefficient {k + 1}")
@@ -254,20 +253,20 @@ def jet_from_obj(obj: Any) -> MultiplicationJet:
     )
 
 
-def graded_to_obj(g: GradedKVAlgebra) -> dict:
+def graded_to_obj(g: graded.GradedKVAlgebra) -> dict:
     return {"even": algebra_to_obj(g.even), "odd": module_to_obj(g.odd)}
 
 
-def graded_from_obj(obj: Any) -> GradedKVAlgebra:
+def graded_from_obj(obj: Any) -> graded.GradedKVAlgebra:
     _require_keys(obj, ["even", "odd"], [], "graded algebra")
     even = algebra_from_obj(obj["even"])
     odd = module_from_obj(obj["odd"], algebra=even)
-    return GradedKVAlgebra(even=even, odd=odd)
+    return graded.GradedKVAlgebra(even=even, odd=odd)
 
 
 def extension_to_obj(ext) -> dict:
     """File body for an extension: the spaces plus the structural matrices."""
-    if isinstance(ext, AlgebraExtension):
+    if isinstance(ext, extensions.AlgebraExtension):
         return {
             "kind": "algebra",
             "base": algebra_to_obj(ext.base),
@@ -277,7 +276,7 @@ def extension_to_obj(ext) -> dict:
             "projection": matrix_to_obj(ext.projection()),
             "section": matrix_to_obj(ext.canonical_section()),
         }
-    if isinstance(ext, ModuleExtension):
+    if isinstance(ext, extensions.ModuleExtension):
         return {
             "kind": "module",
             "base": algebra_to_obj(ext.base),
@@ -319,7 +318,7 @@ def extension_from_obj(obj: Any):
         n, m = base.dim, kernel.dim
         if total.dim != n + m:
             raise InputError("total algebra dimension must be dim base + dim kernel")
-        ext = AlgebraExtension(base=base, kernel=kernel, total=total)
+        ext = extensions.AlgebraExtension(base=base, kernel=kernel, total=total)
         for i in range(n):
             for j in range(n):
                 if total.product[m + i][m + j][m:] != base.product[i][j]:
@@ -349,7 +348,7 @@ def extension_from_obj(obj: Any):
             raise InputError(
                 "total module dimension must be dim kernel + dim quotient"
             )
-        ext = ModuleExtension(base=base, kernel=kernel, quotient=quotient, total=total)
+        ext = extensions.ModuleExtension(base=base, kernel=kernel, quotient=quotient, total=total)
         for i in range(base.dim):
             for ga in range(v):
                 if (
@@ -413,15 +412,15 @@ def load_module(path, *, algebra: Optional[KVAlgebra] = None) -> KVModule:
     )
 
 
-def load_cochain(path, a: KVAlgebra, w: KVModule) -> Cochain:
+def load_cochain(path, a: KVAlgebra, w: KVModule) -> complexes.Cochain:
     return cochain_from_obj(read_json(path), a, w)
 
 
-def load_jet(path) -> MultiplicationJet:
+def load_jet(path) -> deform.MultiplicationJet:
     return jet_from_obj(read_json(path))
 
 
-def load_graded(path) -> GradedKVAlgebra:
+def load_graded(path) -> graded.GradedKVAlgebra:
     return graded_from_obj(read_json(path))
 
 

@@ -113,3 +113,27 @@ def test_degree_zero_draws_compute_the_jacobi_module_once(monkeypatch):
     # each drawn element did not compute J(W) a second time
     assert any(battery_dims)
     assert library_calls == []
+
+
+def test_pair_bracket_failure_names_the_corrupted_cell(monkeypatch):
+    import kvcohom.battery as bt
+    from kvcohom.deform import kv_bracket
+
+    dims = []
+
+    def off_by_one(mu, nu):
+        # d_μμ with its (e_n, e_1, e_n) coordinate n raised by 1
+        n = len(mu)
+        dims.append(n)
+        br = [[[list(r) for r in p] for p in q] for q in kv_bracket(mu, nu)]
+        br[n - 1][0][n - 1][n - 1] += 1
+        return br
+
+    monkeypatch.setattr(bt, "kv_bracket", off_by_one)
+    report = run_battery(seed=4, count=6)
+    failures = [f for f in report.failures if f.invariant == "pair-bracket"]
+    assert [f.instance for f in failures] == list(range(6))
+    assert {f.invariant for f in report.failures} == {"pair-bracket"}
+    assert len(set(dims)) > 1
+    for f, n in zip(failures, dims):
+        assert f.witness.startswith(f"d_μμ(e_{n},e_1,e_{n}) coordinate {n}: ")

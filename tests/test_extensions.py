@@ -294,6 +294,28 @@ def test_e11_matrix_matches_direct_evaluation():
             assert direct == e11_matrix(A, W, V, q)
 
 
+def test_e11_cohomology_builds_each_support_once(monkeypatch):
+    import kvcohom.extensions as ext
+
+    degrees = []
+
+    def counted(A, W, V, q):
+        degrees.append(q)
+        return e11_support(A, W, V, q)
+
+    monkeypatch.setattr(ext, "e11_support", counted)
+    A = random_kv(16, n_max=3)
+    setups = [aff_setup(), (A, random_module(A, 16, m_max=2), random_module(A, 17, m_max=2))]
+    for A, W, V in setups:
+        for q_max in (0, 1, 2):
+            degrees.clear()
+            report = ext.e11_cohomology(A, W, V, q_max)
+            assert sorted(degrees) == list(range(q_max + 2))
+            assert [d.dim_C for d in report.degrees] == [
+                len(e11_support(A, W, V, q)) for q in range(q_max + 1)
+            ]
+
+
 def test_e11_report_regular_coefficients():
     A, W, V = aff_setup()
     report = e11_cohomology(A, W, V, 2)
