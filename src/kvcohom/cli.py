@@ -333,9 +333,10 @@ def _verb_deform_solve(job, inputs, parameters, results):
     parameters["orders"] = orders
     steps = []
     witness = None
+    chain = deform._solve_orders(jet)
     for _ in range(orders):
         try:
-            sol = deform.solve_next_order(jet)
+            sol = next(chain)
         except PreconditionError as exc:
             raise _MathFailure(str(exc), results) from None
         step = {
@@ -387,7 +388,7 @@ def _verb_curvature_check(job, inputs, parameters, results):
     s = _load_tensor3(job.options["tensor"], inputs, "tensor", n, n, n)
     residual = deform.curvature_check(a, s)
     flat = [x for q in residual for p in q for r in p for x in r]
-    residual_zero = all(x == 0 for x in flat)
+    residual_zero = not any(flat)
     cocycle = complexes.is_cocycle(deform.bilinear_cochain(a, s))
     results["residual_zero"] = residual_zero
     results["s_is_cocycle"] = cocycle

@@ -39,7 +39,20 @@ from .core import (
     lie_bracket,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, _combine, extend_basis, image, kernel, rat, solve, vec
+from .linalg import (
+    Mat,
+    RatLike,
+    Subspace,
+    Vec,
+    _combine,
+    _quotient,
+    extend_basis,
+    image,
+    kernel,
+    rat,
+    solve,
+    vec,
+)
 
 __all__ = [
     "Cochain",
@@ -201,7 +214,7 @@ class Cochain:
         return Element(tuple(out))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.values)
+        return not any(self.values)
 
     def _require_same_space(self, other: "Cochain") -> None:
         if (
@@ -328,50 +341,73 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     n, m = A.dim, W.dim
     if q == 0:
         return _delta0_matrix(A, W, jacobi_module(A, W))
-    entries = _accumulate(_assemble(A, W, q, itertools.product(range(n), repeat=q + 1)))
+    entries = _divided(*_assemble(A, W, q, itertools.product(range(n), repeat=q + 1)))
     return Mat.from_items(n ** (q + 1) * m, n**q * m, entries)
 
 
-def _accumulate(terms: Iterable[tuple[int, int, Fraction]]) -> dict[tuple[int, int], Fraction]:
-    """Sum (row, col, value) terms into {(row, col): entry}."""
-    entries: dict[tuple[int, int], Fraction] = {}
+def _integral_lists(*tables: list) -> tuple[int, list]:
+    """D and the tables of nonzero lists times D, as ints.
+
+    Each table is a list of lists of nonzero ``(index, value)`` lists, as
+    `_product_lists` and `_action_lists` build them; D is the lcm of the
+    denominators of every value in them.
+    """
+    D = math.lcm(*{x.denominator for t in tables for row in t for pairs in row for _, x in pairs})
+    scaled = [
+        [[[(k, x.numerator * (D // x.denominator)) for k, x in pairs] for pairs in row] for row in t]
+        for t in tables
+    ]
+    return D, scaled
+
+
+def _divided(D: int, terms: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], Fraction]:
+    """Sum the integer (row, col, value) terms of D times a matrix and divide
+    each nonzero sum by D: the matrix as {(row, col): entry}."""
+    entries: dict[tuple[int, int], int] = {}
     for r, c, val in terms:
         key = (r, c)
         cur = entries.get(key)
         entries[key] = val if cur is None else cur + val
-    return entries
+    for key in [key for key, x in entries.items() if not x]:
+        del entries[key]
+    return _quotient(entries, D)
 
 
 def _assemble(
     A: KVAlgebra, W: KVModule, q: int, outputs: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[int, int, Fraction]]:
-    """The (row, col, value) terms of the degree-q (q >= 1) `coboundary_matrix`
-    on the rows of the given output tuples, from nonzero structure constants.
+) -> tuple[int, Iterator[tuple[int, int, int]]]:
+    """D and the integer (row, col, value) terms of D times the degree-q
+    (q >= 1) `coboundary_matrix` on the rows of the given output tuples,
+    from nonzero structure constants; D is the lcm of their denominators.
     """
     n, m = A.dim, W.dim
-    gammas, _ = _product_lists(A.product)
     lefts, _, rights, _ = _action_lists(W)
-    for args in outputs:
-        out_base = _flat(args, n) * m
-        last = args[q]
-        for j in range(q):
-            neg = j % 2 == 0  # the sign (-1)^(j+1) of the formula's slot j + 1
-            ij = args[j]
-            rest = args[:j] + args[j + 1 :]
-            rest_base = _flat(rest, n) * m
-            for be in range(m):
-                for ga, x in lefts[ij][be]:
-                    yield out_base + ga, rest_base + be, -x if neg else x
-            for p in range(q):
-                for k, co in gammas[ij][rest[p]]:
-                    src_base = _flat(rest[:p] + (k,) + rest[p + 1 :], n) * m
-                    val = co if neg else -co
-                    for be in range(m):
-                        yield out_base + be, src_base + be, val
-            src3 = _flat(rest[:-1] + (ij,), n) * m
-            for be in range(m):
-                for ga, x in rights[be][last]:
-                    yield out_base + ga, src3 + be, -x if neg else x
+    D, (gammas, lefts, rights) = _integral_lists(_product_lists(A.product)[0], lefts, rights)
+
+    def terms() -> Iterator[tuple[int, int, int]]:
+        for args in outputs:
+            out_base = _flat(args, n) * m
+            last = args[q]
+            for j in range(q):
+                neg = j % 2 == 0  # the sign (-1)^(j+1) of the formula's slot j + 1
+                ij = args[j]
+                rest = args[:j] + args[j + 1 :]
+                rest_base = _flat(rest, n) * m
+                for be in range(m):
+                    for ga, x in lefts[ij][be]:
+                        yield out_base + ga, rest_base + be, -x if neg else x
+                for p in range(q):
+                    for k, co in gammas[ij][rest[p]]:
+                        src_base = _flat(rest[:p] + (k,) + rest[p + 1 :], n) * m
+                        val = co if neg else -co
+                        for be in range(m):
+                            yield out_base + be, src_base + be, val
+                src3 = _flat(rest[:-1] + (ij,), n) * m
+                for be in range(m):
+                    for ga, x in rights[be][last]:
+                        yield out_base + ga, src3 + be, -x if neg else x
+
+    return D, terms()
 
 
 @dataclass(frozen=True)
@@ -494,13 +530,13 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
         raise InputError("nijenhuis_matrices needs q_max >= 1")
     n, m = A.dim, W.dim
     nv = n * m
-    lefts, _, _, _ = _action_lists(W)
-    brackets, _ = _product_lists(lie_bracket(A))
+    D, (lefts, brackets) = _integral_lists(_action_lists(W)[0], _product_lists(lie_bracket(A))[0])
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 
-    def terms(p: int) -> Iterator[tuple[int, int, Fraction]]:
-        """The (row, col, value) terms of the differential Lambda^p -> Lambda^{p+1}."""
+    def terms(p: int) -> Iterator[tuple[int, int, int]]:
+        """The integer (row, col, value) terms of D times the differential
+        Lambda^p -> Lambda^{p+1}."""
         for T in combos[p + 1]:
             out_base = combo_pos[p + 1][T] * nv
             for i in range(p + 1):
@@ -531,7 +567,7 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
                             yield out_base + v, src_base + v, val
 
     return {
-        p: Mat.from_items(len(combos[p + 1]) * nv, len(combos[p]) * nv, _accumulate(terms(p)))
+        p: Mat.from_items(len(combos[p + 1]) * nv, len(combos[p]) * nv, _divided(D, terms(p)))
         for p in range(q_max)
     }
 

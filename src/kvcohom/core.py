@@ -115,7 +115,7 @@ class Element:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "Element") -> "Element":
         if self.dim != other.dim:

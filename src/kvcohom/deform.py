@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .complexes import Cochain, _cohomology_step, check_budget, coboundary, coboundary_matrix
 from .core import (
@@ -392,43 +392,59 @@ def solve_next_order(jet: MultiplicationJet) -> NextOrderSolution:
     order k of the extended jet is new, and only it is re-checked.  The
     cell budget is checked for the tables of degrees 2 to 4 first.
     """
+    return next(_solve_orders(jet))
+
+
+def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
+    """The solutions of orders order + 1, order + 2, ... in turn, each step
+    extending the jet of the one before; it ends after an obstruction.
+
+    The budget, the nonzero lists of the coefficients and the degree-2
+    coboundary matrix are set up once for the chain, and each order is
+    checked exactly once: the input orders on entry, then each new order
+    after its solve.
+    """
     A = jet.base
     n = jet.dim
-    k = jet.order + 1
     for q in (2, 3, 4):
         check_budget(n, n, q)
     L = _jet_lists(jet)
-    for kk, E in enumerate(_residuals(jet, L, range(k))):
+    for kk, E in enumerate(_residuals(jet, L, range(jet.order + 1))):
         if E:
             raise PreconditionError(
                 f"cannot raise the order: the order-{kk} residual is nonzero"
             )
-    target = _dense4(n, _axpy({}, -_HALF, _brackets(n, L, k)))
-    target_flat = vec([x for q in target for p in q for r in p for x in r])
-    target_is_cocycle = coboundary(trilinear_cochain(A, target)).is_zero()
     M = coboundary_matrix(A, regular_bimodule(A), 2)
-    x = solve(M, target_flat)
-    if x is not None:
+    while True:
+        k = jet.order + 1
+        target = _dense4(n, _axpy({}, -_HALF, _brackets(n, L, k)))
+        target_flat = vec([x for q in target for p in q for r in p for x in r])
+        target_is_cocycle = coboundary(trilinear_cochain(A, target)).is_zero()
+        x = solve(M, target_flat)
+        if x is None:
+            yield NextOrderSolution(
+                k, target, target_is_cocycle, None, _separating(M, target_flat), None
+            )
+            return
         mu_next = _tensor3_of(x, n)
-        extended = jet.extend(mu_next)
-        if _residuals(extended, L + [_product_lists(mu_next)], (k,))[0]:
+        jet = jet.extend(mu_next)
+        L.append(_product_lists(mu_next))
+        if _residuals(jet, L, (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
-        return NextOrderSolution(k, target, target_is_cocycle, mu_next, None, extended)
-    # No solution: produce a functional from the left kernel separating R_k,
-    # pairing over the nonzero entries of R_k only.
+        yield NextOrderSolution(k, target, target_is_cocycle, mu_next, None, jet)
+
+
+def _separating(M: Mat, target_flat: Vec) -> Vec:
+    """A functional from the left kernel of M that pairs nonzero with the
+    target, pairing over the nonzero entries of the target only."""
     support = [(i, v) for i, v in enumerate(target_flat) if v]
-    certificate = None
     for y in kernel(M.transpose()).basis:
-        pairing = sum(y[i] * v for i, v in support)
-        if pairing != 0:
-            certificate = y
-            break
-    if certificate is None:
-        raise AssertionError(
-            "solve failed but no separating functional exists; "
-            "the linear algebra is inconsistent"
-        )
-    return NextOrderSolution(k, target, target_is_cocycle, None, certificate, None)
+        if sum(y[i] * v for i, v in support) != 0:
+            return y
+    raise AssertionError(
+        "solve failed but no separating functional exists; "
+        "the linear algebra is inconsistent"
+    )
 
 
 def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:

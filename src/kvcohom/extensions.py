@@ -31,10 +31,10 @@ from .complexes import (
     Cochain,
     CohomologyReport,
     DegreeData,
-    _accumulate,
     _assemble,
     _check_cells,
     _cohomology_step,
+    _divided,
     _flat,
     coboundary_matrix,
 )
@@ -277,7 +277,7 @@ def _e11_matrix(
     src = {c: t for t, c in enumerate(src_support)}
     dst = {r: t for t, r in enumerate(dst_support)}
     out = {}
-    for (r, c), val in _accumulate(_assemble(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))).items():
+    for (r, c), val in _divided(*_assemble(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))).items():
         if c not in src:
             raise AssertionError(
                 "a (1, q+1) row read a column outside (1, q); the bidegree law failed"

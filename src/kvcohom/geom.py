@@ -156,9 +156,7 @@ def pencil_suite(alpha: RatLike, beta: RatLike) -> PencilReport:
         )
     cocycle = d.is_zero()
     square = kv_bracket(St, St)
-    square_zero = all(
-        x == 0 for plane in square for block in plane for row in block for x in row
-    )
+    square_zero = not any(x for plane in square for block in plane for row in block for x in row)
     if not (cocycle and square_zero):
         raise AssertionError(
             "a pencil member lost its cocycle identities; the pencil "

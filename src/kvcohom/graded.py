@@ -290,9 +290,9 @@ class ConnectionlikePair:
     psi: Tensor3
 
     def is_zero(self) -> bool:
-        return all(
-            x == 0 for p in self.theta for r in p for x in r
-        ) and all(x == 0 for p in self.psi for r in p for x in r)
+        return not any(x for p in self.theta for r in p for x in r) and not any(
+            x for p in self.psi for r in p for x in r
+        )
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,30 @@
 
 Matrices of :class:`fractions.Fraction` entries are stored sparsely, one
 ``{column: nonzero value}`` dict per row, and every elimination runs
-through one sparse row-echelon routine: rows are reduced, sparsest first,
-against a pivot table ``{pivot column: row}`` (leftmost pivot column
-first), and a back-substitution pass then yields the reduced row echelon
-form.  That form is unique for a row space, so the order in which rows are
-taken never shows in a result.  ``kernel``, ``image``, ``solve``,
-``inverse`` and ``rank`` read it, and a :class:`Subspace` is that pivot
-table itself: membership, coordinates, sums, intersections and
-:func:`extend_basis` reduce sparse rows against it, and its dense
-``basis`` is a view built on access.  Everything is exact: no floats, no
-tolerances, anywhere.
+through one sparse, fraction-free row-echelon routine over Python ints.
+Each row is read once into a primitive integer row (times the lcm of its
+denominators, divided by the gcd of the results) and reduced, sparsest
+first, against a pivot table ``{pivot column: integer row}`` (leftmost
+pivot column first): clearing the entry c at a pivot a takes
+``row * (a/g) - (c/g) * pivot`` with g = gcd(a, c), and the content of the
+remainder is removed once.  A back-substitution pass in the same
+arithmetic then yields the reduced row echelon form, each row scaled to
+coprime integers with a positive pivot entry.  That form is unique for a
+row space, so the order in which rows are taken never shows in a result.
+``kernel``, ``image``, ``solve``, ``inverse`` and ``rank`` read it, and a
+:class:`Subspace` is that pivot table itself: membership, coordinates,
+sums, intersections and :func:`extend_basis` reduce integer rows against
+it.  Fractions come back only where an entry leaves the module (a dense
+``basis``, a remainder, a solution, an inverse, a combination), one
+division per entry.  Everything is exact: no floats, no tolerances,
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
@@ -44,6 +52,7 @@ RatLike = Union[Fraction, int, str]
 Vec = tuple[Fraction, ...]
 # A sparse row: column index -> nonzero value.
 Row = dict[int, Fraction]
+IntRow = dict[int, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -233,14 +242,53 @@ def identity(n: int) -> Mat:
     return Mat.from_items(n, n, {(i, i): _ONE for i in range(n)})
 
 
-def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
-    """The remainder of ``row`` once every pivot column is cleared.
+def _integral(row: Mapping[int, Fraction | int]) -> tuple[IntRow, int]:
+    """(d * row, d) with d the lcm of the denominators of ``row``'s entries."""
+    d = 1
+    for x in row.values():
+        if d % x.denominator:
+            d = lcm(d, x.denominator)
+    if d == 1:
+        return {j: x.numerator for j, x in row.items()}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
 
-    ``pivots`` maps a column to the row whose leftmost entry, 1, sits
-    there.  Pivot columns are cleared leftmost first, so a row subtracted
-    for column p only adds entries right of p.  ``row`` is not modified.
+
+def _read(row: Mapping[int, Fraction | int]) -> IntRow:
+    """The primitive integer multiple of a nonzero rational row, positive at
+    its leftmost entry: a one-entry row reads as 1 at its column."""
+    if len(row) == 1:
+        return dict.fromkeys(row, 1)
+    return _primitive(_integral(row)[0])
+
+
+def _primitive(row: IntRow) -> IntRow:
+    """A nonzero integer row divided by its content, signed so that its
+    leftmost entry is positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _quotient(row: Mapping, d: int) -> dict:
+    """The rational entries ``row / d`` of an integer mapping, for d > 0."""
+    if d == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, d) for j, x in row.items()}
+
+
+def _eliminate(row: IntRow, pivots: dict[int, IntRow]) -> tuple[IntRow, int]:
+    """(rest, s) with s > 0 and rest = s * row minus a combination of pivot
+    rows, 0 at every pivot column.
+
+    ``pivots`` maps a column to an integer row whose leftmost entry, a > 0,
+    sits there.  Pivot columns are cleared leftmost first, so a row
+    subtracted for column p only adds entries right of p; clearing the entry
+    c at p takes ``rest * (a/g) - (c/g) * pivot`` with g = gcd(a, c).  ``row``
+    is not modified.
     """
     out = dict(row)
+    scale = 1
     todo = [j for j in out if j in pivots]
     heapify(todo)
     while todo:
@@ -248,7 +296,17 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
         coef = out.get(p)
         if coef is None:
             continue
-        for j, x in pivots[p].items():
+        pivot = pivots[p]
+        a = pivot[p]
+        if a != 1:
+            g = gcd(a, coef)
+            coef //= g
+            f = a // g
+            if f != 1:
+                scale *= f
+                for j in out:
+                    out[j] *= f
+        for j, x in pivot.items():
             y = out.get(j)
             if y is None:
                 out[j] = -coef * x
@@ -260,42 +318,33 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
                     out[j] = y
                 else:
                     del out[j]
-    return out
+    return out, scale
 
 
-def _add_pivot(pivots: dict[int, Row], row: Row) -> None:
-    """Record a nonzero remainder of :func:`_eliminate` as a pivot row."""
-    c = min(row)
-    lead = row[c]
-    pivots[c] = row if lead == _ONE else {j: x / lead for j, x in row.items()}
-
-
-def _rref(rows: Iterable[Row]) -> dict[int, Row]:
-    """Reduced row echelon form of the span of sparse rows.
+def _rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, IntRow]:
+    """Reduced row echelon form of the span of sparse rows, fraction free.
 
     Returns the pivot table ``{pivot column: row}`` of its nonzero rows by
-    increasing pivot column; each row has 1 at its pivot and 0 at every
-    other pivot column.  The given rows are not modified.
+    increasing pivot column.  Each row is the primitive integer multiple of
+    a reduced row echelon row: coprime entries, positive at its pivot and 0
+    at every other pivot column.  The given rows, of Fractions or ints, are
+    not modified.
     """
-    pivots: dict[int, Row] = {}
-    for row in sorted(rows, key=len):
-        rest = _eliminate(row, pivots)
+    pivots: dict[int, IntRow] = {}
+    for row in sorted((r for r in rows if r), key=len):
+        rest = _eliminate(_read(row), pivots)[0]
         if rest:
-            _add_pivot(pivots, rest)
+            pivots[min(rest)] = _primitive(rest)
     order = sorted(pivots)
     # Back-substitution, last pivot first: the rows below are already
     # reduced and carry no pivot column but their own, so subtracting one
     # leaves the other pivot entries of this row as they were.
     for c in reversed(order):
         row = pivots[c]
-        for p in [j for j in row if j != c and j in pivots]:
-            coef = row[p]
-            for j, x in pivots[p].items():
-                y = row.get(j, _ZERO) - coef * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+        cleared = [j for j in row if j != c and j in pivots]
+        if cleared:
+            row = _eliminate(row, {p: pivots[p] for p in cleared})[0]
+            pivots[c] = _primitive(row)
     return {c: pivots[c] for c in order}
 
 
@@ -303,27 +352,29 @@ class Subspace:
     """A linear subspace of F^ambient_dim, held as its reduced row echelon form.
 
     The form is a pivot table: each pivot column, in increasing order, maps
-    to the sparse row ``{column: nonzero value}`` whose leftmost entry, 1,
-    sits there, and every row is 0 at every other pivot column.  That form
-    is unique, so two subspaces are equal as sets exactly when their tables
-    are equal.  ``basis`` is the dense view of the rows, built on access;
+    to the sparse integer row ``{column: nonzero int}`` whose leftmost entry
+    sits there.  Each row is the primitive multiple of a reduced row echelon
+    row: its entries are coprime, positive at its pivot and 0 at every other
+    pivot column.  That form is unique, so two subspaces are equal as sets
+    exactly when their tables are equal.  ``basis`` is the dense rational
+    view of the rows, each divided by its pivot entry, built on access;
     ``Subspace(ambient_dim, basis)`` takes such rows back.
     """
 
     __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[RatLike]]) -> None:
-        rows = (_checked(b, ambient_dim) for b in basis)
+        rows = (_read(_checked(b, ambient_dim)) for b in basis)
         Subspace._init(self, ambient_dim, {min(r): r for r in rows})
 
     @staticmethod
-    def _init(s: "Subspace", ambient_dim: int, rows: dict[int, Row]) -> "Subspace":
+    def _init(s: "Subspace", ambient_dim: int, rows: dict[int, IntRow]) -> "Subspace":
         object.__setattr__(s, "ambient_dim", ambient_dim)
         object.__setattr__(s, "_rows", rows)
         return s
 
     @staticmethod
-    def _of(ambient_dim: int, rows: dict[int, Row]) -> "Subspace":
+    def _of(ambient_dim: int, rows: dict[int, IntRow]) -> "Subspace":
         """A subspace over a pivot table already in reduced row echelon form."""
         return Subspace._init(object.__new__(Subspace), ambient_dim, rows)
 
@@ -343,7 +394,8 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[Vec, ...]:
-        return tuple(_dense(r, self.ambient_dim) for r in self._rows.values())
+        n = self.ambient_dim
+        return tuple(_dense(_quotient(r, r[c]), n) for c, r in self._rows.items())
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[RatLike]]) -> "Subspace":
@@ -356,7 +408,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._of(ambient_dim, {i: {i: _ONE} for i in range(ambient_dim)})
+        return Subspace._of(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -367,19 +419,22 @@ class Subspace:
 
         The remainder is zero exactly when ``v`` lies in the subspace.
         """
-        return _dense(_eliminate(_checked(v, self.ambient_dim), self._rows), self.ambient_dim)
+        x, d = _integral(_checked(v, self.ambient_dim))
+        rest, s = _eliminate(x, self._rows)
+        return _dense(_quotient(rest, d * s), self.ambient_dim)
 
     def contains(self, v: Sequence[RatLike]) -> bool:
-        return not _eliminate(_checked(v, self.ambient_dim), self._rows)
+        return not _eliminate(_integral(_checked(v, self.ambient_dim))[0], self._rows)[0]
 
     def coordinates(self, v: Sequence[RatLike]) -> Optional[Vec]:
         """Coefficients of ``v`` in the canonical basis, or None if outside.
 
-        Each basis row is 0 at the other pivot columns, so the coefficient
-        of a row is the entry of ``v`` at its pivot column.
+        Each basis vector is 1 at its pivot column and 0 at the other pivot
+        columns, so the coefficient of a vector is the entry of ``v`` at its
+        pivot column.
         """
         x = _checked(v, self.ambient_dim)
-        if _eliminate(x, self._rows):
+        if _eliminate(_integral(x)[0], self._rows)[0]:
             return None
         return tuple(x.get(p, _ZERO) for p in self._rows)
 
@@ -414,13 +469,19 @@ def rank(m: Mat) -> int:
 def kernel(m: Mat) -> Subspace:
     """Exact null space {v : m v = 0}, dimension cols - rank."""
     reduced = _rref(m._rows)
-    # The free column j spans e_j - sum over pivot rows R_p of R_p[j] e_p.
-    free: dict[int, Row] = {j: {j: _ONE} for j in range(m.cols) if j not in reduced}
+    # The free column j spans e_j - sum over pivot rows R_p of (R_p[j] / R_p[p]) e_p,
+    # times the lcm d of those pivot entries.
+    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in range(m.cols) if j not in reduced}
     for c, row in reduced.items():
+        a = row[c]
         for j, x in row.items():
             if j != c:
-                free[j][c] = -x
-    return Subspace._of(m.cols, _rref(free.values()))
+                terms[j].append((c, x, a))
+    free = []
+    for j, ts in terms.items():
+        d = lcm(*[a for _, _, a in ts])
+        free.append({j: d, **{c: -x * (d // a) for c, x, a in ts}})
+    return Subspace._of(m.cols, _rref(free))
 
 
 def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
@@ -441,7 +502,9 @@ def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
         return None
     x = [_ZERO] * n
     for c, row in reduced.items():
-        x[c] = row.get(n, _ZERO)
+        y = row.get(n)
+        if y:
+            x[c] = Fraction(y, row[c])
     return tuple(x)
 
 
@@ -474,7 +537,8 @@ def inverse(m: Mat) -> Optional[Mat]:
     reduced = _rref({**r, n + i: _ONE} for i, r in enumerate(m._rows))
     if list(reduced) != list(range(n)):
         return None
-    return Mat._of(n, n, tuple({j - n: x for j, x in r.items() if j >= n} for r in reduced.values()))
+    inv = (_quotient({j - n: x for j, x in r.items() if j >= n}, r[c]) for c, r in reduced.items())
+    return Mat._of(n, n, tuple(inv))
 
 
 def extend_basis(span: Subspace, sub: Subspace) -> list[Vec]:
@@ -490,19 +554,26 @@ def extend_basis(span: Subspace, sub: Subspace) -> list[Vec]:
         raise DimensionError(f"subspace of ambient dimension {sub.ambient_dim} extending one of {n}")
     pivots = dict(span._rows)
     kept = []
-    for row in sub._rows.values():
-        rest = _eliminate(row, pivots)
+    for c, row in sub._rows.items():
+        rest = _eliminate(row, pivots)[0]
         if rest:
-            _add_pivot(pivots, rest)
-            kept.append(_dense(row, n))
+            pivots[min(rest)] = _primitive(rest)
+            kept.append(_dense(_quotient(row, row[c]), n))
     return kept
 
 
 def _combine(coeffs: Sequence[Fraction], span: Subspace) -> Vec:
-    """sum_t coeffs[t] span.basis[t], the vector whose ``coordinates`` are ``coeffs``."""
-    out = [_ZERO] * span.ambient_dim
-    for c, row in zip(coeffs, span._rows.values()):
-        if c:
-            for t, x in row.items():
-                out[t] += c * x
-    return tuple(out)
+    """sum_t coeffs[t] span.basis[t], the vector whose ``coordinates`` are ``coeffs``.
+
+    The sum runs in integers over the common denominator d of the
+    coefficients divided by their rows' pivot entries, and is divided by d
+    once per entry.
+    """
+    terms = [(Fraction(c, row[p]), row) for c, (p, row) in zip(coeffs, span._rows.items()) if c]
+    d = lcm(*[k.denominator for k, _ in terms])
+    acc: IntRow = {}
+    for k, row in terms:
+        f = k.numerator * (d // k.denominator)
+        for t, x in row.items():
+            acc[t] = acc.get(t, 0) + f * x
+    return _dense(_quotient({t: x for t, x in acc.items() if x}, d), span.ambient_dim)

@@ -369,6 +369,30 @@ def test_deform_solve_reports_obstruction(tmp_path):
     assert steps[0]["certificate"]
 
 
+def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path, monkeypatch):
+    import kvcohom.deform as df
+
+    built, checked = [], []
+    real_matrix, real_residuals = df.coboundary_matrix, df._residuals
+
+    def counted_matrix(A, W, q):
+        built.append(q)
+        return real_matrix(A, W, q)
+
+    def counted_residuals(jet, L, orders):
+        checked.extend(orders)
+        return real_residuals(jet, L, orders)
+
+    monkeypatch.setattr(df, "coboundary_matrix", counted_matrix)
+    monkeypatch.setattr(df, "_residuals", counted_residuals)
+    report = run(JobSpec("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": 4}))
+    assert report.exit_code == 0
+    assert [s["order"] for s in _body(report)["results"]["steps"]] == [2, 3, 4, 5]
+    assert built == [2]
+    # orders 0 and 1 of the input jet on entry, then each solved order
+    assert checked == [0, 1, 2, 3, 4, 5]
+
+
 @pytest.mark.parametrize("verb, largest", [("deform-solve", 32), ("rigidity", 16)])
 def test_deform_verbs_respect_the_cell_budget(tmp_path, monkeypatch, verb, largest):
     # over the 2-dimensional base the degree-q table has 2^q * 2 cells;

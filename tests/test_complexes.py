@@ -9,6 +9,7 @@ comparison-theory table (1, 1, 0).
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,7 +27,10 @@ from kvcohom.complexes import (
 )
 from kvcohom.core import (
     Element,
+    KVAlgebra,
     KVModule,
+    direct_sum,
+    is_kv,
     is_module,
     jacobi_module,
     left_regular_module,
@@ -35,10 +39,13 @@ from kvcohom.core import (
     random_kv,
     random_module,
     regular_bimodule,
+    semidirect,
+    tensor3,
     zero3,
     zero_module,
 )
 from kvcohom.errors import BudgetError, PreconditionError
+from kvcohom.extensions import e11_matrix, e11_support, extend_module_to_semidirect
 from kvcohom.fixtures import aff, assoc1, poly2, rad2, zero_algebra
 from kvcohom.linalg import Mat, mat_mul, zeros
 
@@ -572,3 +579,96 @@ def test_nijenhuis_matrices_match_dense_action_table():
             assert got == want
             nonzero_blocks += sum(any(True for _ in mat.items()) for mat in got.values())
     assert nonzero_blocks >= 40
+
+
+def fraction_coboundary_matrix(A, W, q):
+    """The degree-q (q >= 1) coboundary matrix summed in Fractions from the
+    dense structure constants, as the assembler built it before it moved to
+    integer terms."""
+    n, m = A.dim, W.dim
+    entries = {}
+
+    def bump(r, c, x):
+        entries[r, c] = entries.get((r, c), Fraction(0)) + x
+
+    def flat(args):
+        idx = 0
+        for a in args:
+            idx = idx * n + a
+        return idx * m
+
+    for args in itertools.product(range(n), repeat=q + 1):
+        out = flat(args)
+        for j in range(q):
+            sign = -1 if j % 2 == 0 else 1
+            ij = args[j]
+            rest = args[:j] + args[j + 1 :]
+            for be in range(m):
+                for ga in range(m):
+                    if W.left[ij][be][ga]:
+                        bump(out + ga, flat(rest) + be, sign * W.left[ij][be][ga])
+            for p in range(q):
+                for k in range(n):
+                    co = A.product[ij][rest[p]][k]
+                    if co:
+                        for be in range(m):
+                            bump(out + be, flat(rest[:p] + (k,) + rest[p + 1 :]) + be, -sign * co)
+            for be in range(m):
+                for ga in range(m):
+                    if W.right[be][args[q]][ga]:
+                        bump(out + ga, flat(rest[:-1] + (ij,)) + be, sign * W.right[be][args[q]][ga])
+    return Mat.from_items(n ** (q + 1) * m, n**q * m, entries)
+
+
+def _scaled(A, W, c):
+    """A with its product times c and W with its actions times c over it.
+
+    The KV and module identities are homogeneous of degree 2 in the
+    constants, so both still hold."""
+    def times(t):
+        return tensor3([[[c * x for x in r] for r in p] for p in t])
+
+    B = KVAlgebra(A.dim, times(A.product))
+    return B, KVModule(B, W.dim, times(W.left), times(W.right))
+
+
+def _mixed_setups():
+    """(A, W, V) whose structure constants have mixed denominators: direct
+    sums of algebras scaled by 1/2 and 1/3, and modules scaled by 3/5."""
+    out = []
+    for s in (9, 12, 14):
+        A1, A2 = random_kv(s, n_max=2), random_kv(s + 1, n_max=2)
+        A = direct_sum(_scaled(A1, zero_module(A1, 1), Fraction(1, 2))[0],
+                       _scaled(A2, zero_module(A2, 1), Fraction(1, 3))[0])
+        out.append((A, random_module(A, s, m_max=2), left_regular_module(A)))
+    for s in (7, 15, 17):
+        B = random_kv(s, n_max=3)
+        B5, W5 = _scaled(B, random_module(B, s, m_max=2), Fraction(3, 5))
+        _, V5 = _scaled(B, random_module(B, s + 1, m_max=2), Fraction(3, 5))
+        out.append((B5, W5, V5))
+    for A, W, V in out:
+        assert is_kv(A) and is_module(A, W) and is_module(A, V)
+    return out
+
+
+def _denominators(A, *modules):
+    tables = [A.product] + [t for W in modules for t in (W.left, W.right)]
+    return {x.denominator for t in tables for p in t for r in p for x in r if x}
+
+
+def test_integer_assembly_matches_fraction_assemblers_on_mixed_denominators():
+    setups = _mixed_setups()
+    mixed = [dens for A, W, V in setups for dens in [_denominators(A, W, V)] if lcm(*dens) != max(dens)]
+    assert len(mixed) >= 2
+    for A, W, V in setups:
+        for M in (W, V, regular_bimodule(A) if is_module(A, regular_bimodule(A)) else W):
+            for q in (1, 2):
+                assert coboundary_matrix(A, M, q) == fraction_coboundary_matrix(A, M, q)
+            assert nijenhuis_matrices(A, M, 3) == dense_nijenhuis_matrices(A, M, 3)
+        G = semidirect(A, W)
+        Vt = extend_module_to_semidirect(G, A.dim, V)
+        for q in (0, 1):
+            full = fraction_coboundary_matrix(G, Vt, q + 1)
+            src, dst = e11_support(A, W, V, q), e11_support(A, W, V, q + 1)
+            want = Mat.from_rows([[full.at(r, c) for c in src] for r in dst], cols=len(src))
+            assert e11_matrix(A, W, V, q) == want

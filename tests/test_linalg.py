@@ -1,19 +1,22 @@
 """Exact linear algebra: frozen examples plus seeded random cross-checks.
 
-The library runs every elimination through one sparse row-echelon routine.
-The references here are independent of it: a fraction-free (Bareiss) rank
-on integer-rescaled dense rows, played against the library through
-rank-nullity and consistency, and a dense rational Gauss-Jordan, whose
-kernel, image, span and particular solution must equal the library's as
-values on random sparse matrices as sparse as the differentials.  Dense
-copies of the loops the subspace methods once ran (reduction,
-coordinates, the relation-kernel intersection, representative
-selection) check the methods that now read the sparse pivot table.
+The library runs every elimination through one sparse, fraction-free
+row-echelon routine over integers.  The references here are independent of
+it: a fraction-free (Bareiss) rank on integer-rescaled dense rows, played
+against the library through rank-nullity and consistency; a dense rational
+Gauss-Jordan, whose kernel, image, span and particular solution must equal
+the library's as values on random sparse matrices as sparse as the
+differentials; and the sparse rational elimination core the library ran
+before it moved to integers, against which every operation and every
+pivot table is compared.  Dense copies of the loops the subspace methods
+once ran (reduction, coordinates, the relation-kernel intersection,
+representative selection) check the methods that now read the sparse
+pivot table.
 """
-
 import random
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +24,7 @@ from kvcohom.errors import DimensionError
 from kvcohom.linalg import (
     Mat,
     Subspace,
+    _combine,
     extend_basis,
     identity,
     image,
@@ -510,3 +514,226 @@ def test_sparse_core_matches_dense_gauss_jordan():
 def test_extend_basis_checks_lengths():
     with pytest.raises(DimensionError):
         extend_basis(Subspace.zero(2), Subspace.full(3))
+
+
+# The sparse rational elimination core the library ran before it moved to
+# integers, kept as the reference: rows {column: Fraction}, each pivot row 1
+# at its pivot.
+
+
+def fraction_eliminate(row, pivots):
+    """The remainder of ``row`` once every pivot column is cleared."""
+    out = dict(row)
+    todo = [j for j in out if j in pivots]
+    heapify(todo)
+    while todo:
+        p = heappop(todo)
+        coef = out.get(p)
+        if coef is None:
+            continue
+        for j, x in pivots[p].items():
+            y = out.get(j)
+            if y is None:
+                out[j] = -coef * x
+                if j in pivots:
+                    heappush(todo, j)
+            else:
+                y -= coef * x
+                if y:
+                    out[j] = y
+                else:
+                    del out[j]
+    return out
+
+
+def fraction_add_pivot(pivots, row):
+    lead = row[min(row)]
+    pivots[min(row)] = {j: x / lead for j, x in row.items()}
+
+
+def fraction_rref(rows):
+    """Pivot table {pivot column: row} of the reduced row echelon form."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        rest = fraction_eliminate(row, pivots)
+        if rest:
+            fraction_add_pivot(pivots, rest)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for p in [j for j in row if j != c and j in pivots]:
+            coef = row[p]
+            for j, x in pivots[p].items():
+                y = row.get(j, F(0)) - coef * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return {c: pivots[c] for c in order}
+
+
+def _sparse_row(v):
+    return {j: F(x) for j, x in enumerate(v) if x}
+
+
+def _dense_row(row, n):
+    out = [F(0)] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _table_basis(table, n):
+    return tuple(_dense_row(r, n) for r in table.values())
+
+
+def fraction_kernel(m):
+    reduced = fraction_rref([_sparse_row(m.row(i)) for i in range(m.rows)])
+    free = {j: {j: F(1)} for j in range(m.cols) if j not in reduced}
+    for c, row in reduced.items():
+        for j, x in row.items():
+            if j != c:
+                free[j][c] = -x
+    return fraction_rref(free.values())
+
+
+def fraction_image(m):
+    return fraction_rref([_sparse_row([m.at(i, j) for i in range(m.rows)]) for j in range(m.cols)])
+
+
+def fraction_solve(m, b):
+    n = m.cols
+    aug = [{**_sparse_row(m.row(i)), **({n: F(y)} if y else {})} for i, y in enumerate(b)]
+    reduced = fraction_rref(aug)
+    if n in reduced:
+        return None
+    x = [F(0)] * n
+    for c, row in reduced.items():
+        x[c] = row.get(n, F(0))
+    return tuple(x)
+
+
+def fraction_inverse(m):
+    n = m.rows
+    reduced = fraction_rref({**_sparse_row(m.row(i)), n + i: F(1)} for i in range(n))
+    if list(reduced) != list(range(n)):
+        return None
+    return tuple(tuple(r.get(n + j, F(0)) for j in range(n)) for r in reduced.values())
+
+
+def fraction_intersect(t1, t2, n):
+    doubled = [{**r, **{j + n: x for j, x in r.items()}} for r in t1.values()]
+    reduced = fraction_rref(doubled + list(t2.values()))
+    return {c - n: {j - n: x for j, x in r.items()} for c, r in reduced.items() if c >= n}
+
+
+def fraction_extend(span, sub, n):
+    pivots, kept = dict(span), []
+    for row in sub.values():
+        rest = fraction_eliminate(row, pivots)
+        if rest:
+            fraction_add_pivot(pivots, rest)
+            kept.append(_dense_row(row, n))
+    return kept
+
+
+def _assert_integer_table(s):
+    """The stored form: each row coprime, positive at its pivot, 0 at the
+    other pivot columns, and its pivot its leftmost column."""
+    for c, row in s._rows.items():
+        assert type(row[c]) is int and row[c] > 0 and min(row) == c
+        assert gcd(*row.values()) == 1
+        assert all(type(x) is int and x for x in row.values())
+        assert not any(p in row for p in s._rows if p != c)
+
+
+def _assert_same_subspace(s, table):
+    """A library subspace against a reference table, through every route."""
+    n = s.ambient_dim
+    _assert_integer_table(s)
+    basis = _table_basis(table, n)
+    assert s.basis == basis and s.dim == len(table)
+    for other in (Subspace(n, basis), Subspace.from_vectors(n, basis),
+                  Subspace.from_vectors(n, [[3 * x for x in b] for b in reversed(basis)])):
+        assert other == s and hash(other) == hash(s)
+
+
+def _rational_entry(rng, dens, scale):
+    return Fraction(rng.randint(-scale, scale), rng.choice(dens))
+
+
+def _integer_core_cases():
+    """Sparse matrices whose denominators have an lcm above their maximum
+    (4, 6, 10 and 15: lcm 60), dense rationals, and entries near 10^30,
+    some rank-deficient by construction."""
+    rng = random.Random(20261018)
+    for t in range(60):
+        kind = t % 3
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        if kind == 0:
+            data = [[_rational_entry(rng, (1, 4, 6, 10, 15), 9) if rng.random() < 0.2 else F(0)
+                     for _ in range(cols)] for _ in range(rows)]
+        elif kind == 1:
+            dens = (1, 2, 3, 5, 7, 9)
+            data = [[_rational_entry(rng, dens, 20) for _ in range(cols)] for _ in range(rows)]
+        else:
+            data = [[Fraction(rng.randint(-10**30, 10**30), rng.choice((1, 3, 10**30 + 1)))
+                     if rng.random() < 0.5 else F(0) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            a, b, r = rng.sample(range(rows), 3)
+            c = _rational_entry(rng, (1, 4, 6), 5)
+            data[r] = [x + c * y for x, y in zip(data[a], data[b])]
+        yield rng, data, rows, cols
+
+
+def test_integer_core_matches_the_fraction_core():
+    kinds = set()
+    for rng, data, rows, cols in _integer_core_cases():
+        m = Mat.from_rows(data, cols=cols)
+        ref_rows = fraction_rref([_sparse_row(r) for r in data])
+        assert rank(m) == len(ref_rows)
+        ker, img, row_space = kernel(m), image(m), Subspace.from_vectors(cols, data)
+        _assert_same_subspace(ker, fraction_kernel(m))
+        _assert_same_subspace(img, fraction_image(m))
+        _assert_same_subspace(row_space, ref_rows)
+        kinds.add((rank(m) < min(rows, cols), ker.dim > 0))
+        x0 = [_rational_entry(rng, (1, 4, 6), 5) for _ in range(cols)]
+        for b in (m.mat_vec(x0), [_rational_entry(rng, (1, 10, 15), 5) for _ in range(rows)]):
+            assert solve(m, b) == fraction_solve(m, b)
+        k = min(rows, cols)
+        square = Mat.from_rows([r[:k] for r in data[:k]], cols=k)
+        inv = inverse(square)
+        want = fraction_inverse(square)
+        assert (inv is None) == (want is None)
+        if inv is not None:
+            assert tuple(inv.row(i) for i in range(k)) == want
+        # Subspace operations on the row space against the reference table.
+        for v in (x0, [x * 7 for x in data[0]], [F(0)] * cols):
+            rest = fraction_eliminate(_sparse_row(v), ref_rows)
+            assert row_space.reduce(v) == _dense_row(rest, cols)
+            assert row_space.contains(v) == (not rest)
+            assert row_space.coordinates(v) == (None if rest else tuple(F(v[p]) for p in ref_rows))
+        ker_rows = fraction_kernel(m)
+        joined = fraction_rref([*ref_rows.values(), *ker_rows.values()])
+        _assert_same_subspace(row_space.add(ker), joined)
+        _assert_same_subspace(row_space.intersect(ker), fraction_intersect(ref_rows, ker_rows, cols))
+        half = Subspace.from_vectors(cols, ker.basis[::2])
+        half_rows = fraction_rref([_sparse_row(b) for b in ker.basis[::2]])
+        assert extend_basis(half, ker) == fraction_extend(half_rows, ker_rows, cols)
+        assert extend_basis(row_space, ker) == fraction_extend(ref_rows, ker_rows, cols)
+        coeffs = [_rational_entry(rng, (1, 4, 6, 10), 5) for _ in range(ker.dim)]
+        combined = [F(0)] * cols
+        for c, b in zip(coeffs, ker.basis):
+            combined = [y + c * x for y, x in zip(combined, b)]
+        assert _combine(coeffs, ker) == tuple(combined)
+    assert {(True, True), (False, True)} <= kinds
+
+
+def test_integer_tables_of_the_constructors():
+    n = 4
+    echelon = Subspace(n, [[1, "1/2", 0, "-2/3"], [0, 0, 1, "5/6"]])
+    for s in (Subspace.zero(n), Subspace.full(n), echelon):
+        _assert_integer_table(s)
+    assert echelon._rows == {0: {0: 6, 1: 3, 3: -4}, 2: {2: 6, 3: 5}}
+    spanned = Subspace.from_vectors(n, [[0, -2, 4, 0], [0, 3, -6, 1]])
+    assert spanned._rows == {1: {1: 1, 2: -2}, 3: {3: 1}}

@@ -128,3 +128,17 @@ def test_reexports_resolve_to_their_home_modules():
     with pytest.raises(AttributeError, match="no_such_name"):
         kvcohom.no_such_name
     assert not hasattr(kvcohom, "no_such_name")
+
+
+def test_package_runs_as_a_module_without_warnings(tmp_path, capsys):
+    src = str(Path(kvcohom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "kvcohom", "fixtures", "aff"],
+        cwd=tmp_path, env=env, capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert kvcohom.cli.main(["fixtures", "aff"]) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
