@@ -7,12 +7,12 @@ center sitting inside the Jacobi elements, file-format round trips, the
 two-route curvature comparison, and the cocycle-and-chain
 characterization of odd deformations of graded algebras.
 
-Every check recomputes both sides from scratch here — none of them calls
-the library's self-asserting wrappers — so a broken identity produces a
-failure record with a witness instead of a crash.  The coboundary used
-by the delta-related checks is injectable, which is how the test suite
-demonstrates that a deliberately corrupted operator is caught and
-witnessed rather than waved through.
+Every check computes both sides of its identity here and compares them,
+so a broken identity produces a failure record with a witness instead of
+a crash; the graded check reads one side, the derivation rule, from
+``is_theta_cocycle``.  The coboundary used by the delta-related checks is
+injectable, which is how the test suite demonstrates that a deliberately
+corrupted operator is caught and witnessed rather than waved through.
 
 A witness is the lexicographically first violating cell of the first
 failing comparison: the smallest concrete evaluation that exhibits the

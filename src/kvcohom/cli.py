@@ -92,7 +92,7 @@ class _MathFailure(Exception):
 def _read_file_bytes(path: str, inputs: dict, key: str) -> bytes:
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
         raise InputError(f"cannot read {path}: {exc}") from None
     inputs[key] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     return data
@@ -298,19 +298,21 @@ def _verb_classify_ext(job, inputs, parameters, results):
     if obj1["kind"] != obj2["kind"]:
         raise InputError("extensions have different kinds")
     results["kind"] = obj1["kind"]
+    same = e1.base == e2.base and e1.kernel == e2.kernel
     if obj1["kind"] == "algebra":
-        if e1.base != e2.base or e1.kernel != e2.kernel:
-            raise InputError("extensions live over different base data")
+        over = e1.base.dim  # cochains on A valued in the kernel
+    else:
+        same = same and e1.quotient == e2.quotient
+        over = e1.base.dim + e1.quotient.dim  # cochains on G = semidirect(A, W)
+    if not same:
+        raise InputError("extensions live over different base data")
+    for q in range(3):
+        complexes.check_budget(over, e1.kernel.dim, q)
+    if obj1["kind"] == "algebra":
         shear = extensions.algebra_extensions_equivalent(e1, e2)
         results["equivalent"] = shear is not None
         results["shear"] = None if shear is None else sz.matrix_to_obj(shear)
     else:
-        if (
-            e1.base != e2.base
-            or e1.kernel != e2.kernel
-            or e1.quotient != e2.quotient
-        ):
-            raise InputError("extensions live over different base data")
         f1 = extensions.cocycle_from_section(e1, e1.canonical_section())
         f2 = extensions.cocycle_from_section(e2, e2.canonical_section())
         results["equivalent"] = extensions.extensions_equivalent(f1, f2)
@@ -487,6 +489,7 @@ def _verb_aff_suite(job, inputs, parameters, results):
          "[e_1, e_2] is not e_2"),
         (suite.cocycle, "the pencil cochain is not a cocycle"),
         (suite.square_zero, "the pencil self-bracket is nonzero"),
+        (suite.nontrivial is not False, "the pencil cochain is exact at alpha != 0"),
     )
     for ok, message in expectations:
         if not ok:

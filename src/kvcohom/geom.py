@@ -27,8 +27,8 @@ Three groups of tools live here.
 * ``find_radiant`` / ``radiant_primitive``: an element H with a H = a for
   every a makes any parallel 2-cochain g exact, with explicit primitive
   theta(a) = g(H, a).  The solver returns the full affine solution set for
-  H, and the primitive constructor re-checks every hypothesis before
-  asserting delta theta = -g exactly.
+  H, and the primitive constructor checks every hypothesis before it
+  builds theta, for which delta theta = -g.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ from .core import (
     KVAlgebra,
     KVModule,
     Tensor3,
-    is_kv,
     is_module,
     tensor3,
 )
-from .deform import bilinear_cochain, kv_bracket, tensor4_from_cochain
+from .deform import bilinear_cochain, kv_bracket
 from .errors import (
     DegenerateFitError,
     DimensionError,
@@ -120,7 +119,7 @@ class PencilReport:
     """Verdicts for one member of the cocycle pencil.
 
     ``cocycle`` and ``square_zero`` hold for every parameter choice.
-    ``nontrivial`` is the non-exactness verdict; it is only asserted when
+    ``nontrivial`` is the non-exactness verdict; it is only decided when
     alpha != 0 and is reported as None at alpha = 0, where the member is
     genuinely a coboundary and the claim is out of scope.
     """
@@ -139,38 +138,17 @@ class PencilReport:
 
 def pencil_suite(alpha: RatLike, beta: RatLike) -> PencilReport:
     """Check one pencil member: closed, self-bracket zero, and (for
-    alpha != 0) not exact.  All three verdicts are computed exactly.
-
-    The closedness verdict is computed twice, through the coboundary
-    operator and through the pair bracket with the base product, and the
-    two routes must agree entry by entry.
+    alpha != 0) not exact.  All three verdicts are computed exactly and
+    reported, true or false.
     """
     a = Fraction(alpha)
     b = Fraction(beta)
     S = s_alpha_beta(a, b)
     St = _s_tensor(a, b)
-    d = coboundary(S)
-    if tensor4_from_cochain(d) != kv_bracket(aff().product, St):
-        raise AssertionError(
-            "coboundary and pair-bracket routes disagree on the pencil"
-        )
-    cocycle = d.is_zero()
+    cocycle = coboundary(S).is_zero()
     square = kv_bracket(St, St)
     square_zero = not any(x for plane in square for block in plane for row in block for x in row)
-    if not (cocycle and square_zero):
-        raise AssertionError(
-            "a pencil member lost its cocycle identities; the pencil "
-            "formula or the bracket is wrong"
-        )
-    nontrivial: Optional[bool]
-    if a == 0:
-        nontrivial = None
-    else:
-        nontrivial = is_coboundary(S) is None
-        if not nontrivial:
-            raise AssertionError(
-                "a pencil member with nonzero leading coefficient became exact"
-            )
+    nontrivial = None if a == 0 else is_coboundary(S) is None
     return PencilReport(a, b, S, cocycle, square_zero, nontrivial)
 
 
@@ -180,8 +158,7 @@ def deformed_connection(
     """The product mu + t S for the pencil member S at (alpha, beta).
 
     Because S is closed with vanishing self-bracket, the result satisfies
-    the KV identity for every rational t; that is re-checked here and a
-    failure would be a bug, not bad input.
+    the KV identity for every rational t.
     """
     a = Fraction(alpha)
     b = Fraction(beta)
@@ -197,13 +174,7 @@ def deformed_connection(
             for i in range(2)
         ]
     )
-    out = KVAlgebra(dim=2, product=prod)
-    verdict = is_kv(out)
-    if not verdict:
-        raise AssertionError(
-            f"pencil evaluation failed the KV identity: witness {verdict.witness}"
-        )
-    return out
+    return KVAlgebra(dim=2, product=prod)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +466,7 @@ def radiant_primitive(
     W must be a left module (zero right action) verified over A, and g a
     2-cochain with values in W satisfying the parallelism law
     a g(b, c) = g(ab, c) + g(b, ac) for all basis triples.  Under those
-    hypotheses delta theta = -g is an identity; it is still re-checked
-    exactly and a failure raises AssertionError.
+    hypotheses delta theta = -g is an identity.
     """
     n = A.dim
     if W.algebra != A:
@@ -547,7 +517,4 @@ def radiant_primitive(
             values.append(
                 sum(coords[j] * g.value((j, adx))[be] for j in range(n))
             )
-    theta = Cochain(A, W, 1, tuple(values))
-    if coboundary(theta) != g.scale(-1):
-        raise AssertionError("the primitive failed its defining identity")
-    return theta
+    return Cochain(A, W, 1, tuple(values))

@@ -385,7 +385,8 @@ def read_json(path) -> Any:
     p = Path(path)
     try:
         data = p.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with an embedded NUL byte
         raise InputError(f"cannot read {p}: {exc}") from None
     try:
         return json.loads(data.decode("utf-8"))
@@ -398,7 +399,7 @@ def read_json(path) -> Any:
 def write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvcohom import serialize as sz
 from kvcohom.cli import JobSpec, fixture_names, main, run
@@ -104,6 +106,23 @@ def test_verify_with_module(tmp_path):
     report = run(JobSpec("verify", {"algebra": path, "module": mpath}))
     assert report.exit_code == 0
     assert _body(report)["results"]["is_module"]["ok"] is True
+
+
+def test_paths_with_a_nul_byte_are_input_errors(tmp_path):
+    a = aff_algebra()
+    path = _aff_path(tmp_path)
+    module = dict(sz.module_to_obj(regular_bimodule(a)), algebra="aff\x00.json")
+    mpath = _write(tmp_path, "nul.json", module)
+    cpath = _write(tmp_path, "s10.json", sz.cochain_to_obj(s_alpha_beta(1, 0)))
+    reg = _write(tmp_path, "reg.json", sz.module_to_obj(regular_bimodule(a)))
+    for verb, options in (
+        ("verify", {"algebra": path, "module": mpath}),  # a path inside a file
+        ("verify", {"algebra": path + "\x00"}),
+        ("extend-algebra", {"algebra": path, "module": reg, "cochain": cpath, "emit": "x\x00"}),
+    ):
+        report = run(JobSpec(verb, options))
+        assert report.exit_code == 2
+        assert _body(report)["error"]["kind"] == "input"
 
 
 def test_jacobi_is_a_query(tmp_path):
@@ -393,12 +412,30 @@ def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path
     assert checked == [0, 1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("verb, largest", [("deform-solve", 32), ("rigidity", 16)])
+def _module_extension_path(tmp_path):
+    # the zero (1,1) cocycle with regular kernel and quotient over aff:
+    # cochains on G = semidirect(aff, W), dim 4, valued in a 2-dim module
+    reg = _write(tmp_path, "reg.json", sz.module_to_obj(regular_bimodule(aff_algebra())))
+    cpath = _write(tmp_path, "zero32.json", {"degree": 2, "values": ["0"] * 32})
+    emitted = tmp_path / "mext-reg.json"
+    options = {"algebra": _aff_path(tmp_path), "kernel": reg, "quotient": reg, "cochain": cpath}
+    assert run(JobSpec("extend-module", dict(options, emit=str(emitted)))).exit_code == 0
+    return str(emitted)
+
+
+@pytest.mark.parametrize(
+    "verb, largest", [("deform-solve", 32), ("rigidity", 16), ("classify-ext", 32)]
+)
 def test_deform_verbs_respect_the_cell_budget(tmp_path, monkeypatch, verb, largest):
     # over the 2-dimensional base the degree-q table has 2^q * 2 cells;
-    # deform-solve builds degrees 2 to 4 and rigidity degrees 1 to 3
+    # deform-solve builds degrees 2 to 4 and rigidity degrees 1 to 3.
+    # classify-ext of module extensions builds degrees up to 2 over the
+    # 4-dimensional G with 2-dimensional values: 4^2 * 2 cells
     if verb == "deform-solve":
         options = {"jet": _s10_jet_path(tmp_path)}
+    elif verb == "classify-ext":
+        ext = _module_extension_path(tmp_path)
+        options = {"ext1": ext, "ext2": ext}
     else:
         options = {"algebra": _aff_path(tmp_path)}
     monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "10")
@@ -409,6 +446,20 @@ def test_deform_verbs_respect_the_cell_budget(tmp_path, monkeypatch, verb, large
     assert run(JobSpec(verb, options)).exit_code == 3
     monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", str(largest))
     assert run(JobSpec(verb, options)).exit_code == 0
+
+
+def test_classify_ext_of_algebra_extensions_respects_the_cell_budget(tmp_path, monkeypatch):
+    # cochains of degree up to 2 on aff valued in the regular kernel:
+    # the largest table has 2^2 * 2 cells
+    e1 = _emit_extension(tmp_path, "e1", s_alpha_beta(1, 0))
+    e2 = _emit_extension(tmp_path, "e2", s_alpha_beta(2, 3))
+    options = {"ext1": e1, "ext2": e2}
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "7")
+    report = run(JobSpec("classify-ext", options))
+    assert report.exit_code == 3
+    assert "degree 2 needs 8 entries" in _body(report)["error"]["message"]
+    monkeypatch.setenv("KVCOHOM_ENTRY_BUDGET", "8")
+    assert run(JobSpec("classify-ext", options)).exit_code == 0
 
 
 def test_nijenhuis_respects_the_cell_budget(tmp_path, monkeypatch):
@@ -603,6 +654,27 @@ def test_aff_suite_degenerate_pencil_member():
     assert body["results"]["pencil"]["nontrivial"] is None
 
 
+@pytest.mark.parametrize(
+    "name, fake, key, witness",
+    [
+        ("is_coboundary", lambda S: S, "nontrivial", "the pencil cochain is exact at alpha != 0"),
+        ("kv_bracket", lambda mu, nu: ((((F(1),),),),), "square_zero", "the pencil self-bracket is nonzero"),
+    ],
+    ids=["exact", "square-nonzero"],
+)
+def test_aff_suite_reports_a_false_pencil_verdict(monkeypatch, name, fake, key, witness):
+    # pencil_suite returns a false verdict instead of raising, and the verb
+    # turns it into exit 1 with a witness
+    import kvcohom.geom as geom
+
+    monkeypatch.setattr(geom, name, fake)
+    report = run(JobSpec("aff-suite", {}))
+    assert report.exit_code == 1
+    body = _body(report)
+    assert body["results"]["pencil"][key] is False
+    assert body["witness"] == witness
+
+
 def _geodesic_job(**overrides):
     options = {
         "alpha": "2",
@@ -758,3 +830,111 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# fuzzing run over the verbs that read files
+
+
+@pytest.fixture(scope="module")
+def file_requests(tmp_path_factory):
+    """Well-formed requests covering every verb that reads a file."""
+    d = tmp_path_factory.mktemp("fuzz")
+    a = aff_algebra()
+    aff = _aff_path(d)
+    reg = _write(d, "reg.json", sz.module_to_obj(regular_bimodule(a)))
+    zmod = _write(d, "zmod.json", sz.module_to_obj(zero_module(a, 1)))
+    s10 = _write(d, "s10.json", sz.cochain_to_obj(s_alpha_beta(1, 0)))
+    zero9 = _write(d, "zero9.json", {"degree": 2, "values": ["0"] * 9})
+    mext = _module_extension_path(d)
+    graded = _write(d, "graded.json", sz.graded_to_obj(graded_flat()))
+    theta = _tensor_file(d, "theta.json", flat_theta())
+    s23 = s_alpha_beta(2, 3).values
+    tensor = _tensor_file(d, "s23.json", tensor3([[s23[0:2], s23[2:4]], [s23[4:6], s23[6:8]]]))
+    requests = [
+        ("verify", {"algebra": aff, "module": reg}),
+        ("jacobi", {"algebra": aff, "module": reg}),
+        ("cohomology", {"algebra": aff, "module": zmod, "q_max": 1}),
+        ("nijenhuis", {"algebra": aff, "q_max": 1}),
+        ("extend-algebra", {"algebra": aff, "module": reg, "cochain": s10}),
+        ("extend-module", {"algebra": aff, "kernel": zmod, "quotient": zmod, "cochain": zero9}),
+        ("classify-ext", {"ext1": _emit_extension(d, "e1", s_alpha_beta(1, 0)),
+                          "ext2": _emit_extension(d, "e2", s_alpha_beta(2, 3))}),
+        ("classify-ext", {"ext1": mext, "ext2": mext}),
+        ("deform-check", {"jet": _s10_jet_path(d)}),
+        ("deform-solve", {"jet": _s10_jet_path(d), "orders": 2}),
+        ("rigidity", {"algebra": aff}),
+        ("curvature-check", {"algebra": aff, "tensor": tensor}),
+        ("graded-check", {"graded": graded}),
+        ("graded-deform", {"graded": graded, "theta": theta}),
+        ("connectionlike", {"graded": graded, "theta": theta,
+                            "psi": _tensor_file(d, "psi.json", flat_psi())}),
+        ("radiant", {"algebra": aff}),
+    ]
+    for verb, options in requests:
+        assert run(JobSpec(verb, options)).exit_code == 0, verb
+    return requests
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["0", "1", "-1/2", "1/0", "01", "1e3", "", "x", "\x00", "algebra", "module"]),
+    st.text(max_size=4),
+)
+_json = st.recursive(
+    _leaves,
+    lambda c: st.one_of(
+        st.lists(c, max_size=3), st.dictionaries(st.text(max_size=4), c, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON object, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutated(obj, path, op, value, name):
+    """obj with the node at path replaced, dropped or (a key) renamed."""
+    if not path:
+        return value
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if op == "drop":
+        del parent[last]
+    elif op == "rename" and isinstance(parent, dict):
+        parent[name] = parent.pop(last)
+    else:
+        parent[last] = value
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_run_on_mutated_files(file_requests, data):
+    # every outcome is a documented exit code with a JSON body; an
+    # exception escaping run fails the test
+    verb, options = data.draw(st.sampled_from(file_requests))
+    key = data.draw(st.sampled_from(sorted(k for k, v in options.items() if isinstance(v, str))))
+    path = Path(options[key])
+    if data.draw(st.booleans()):
+        obj = data.draw(_json)
+    else:
+        obj = json.loads(path.read_text())
+        where = data.draw(st.sampled_from(list(_nodes(obj))))
+        op = data.draw(st.sampled_from(["replace", "drop", "rename"]))
+        obj = _mutated(obj, where, op, data.draw(_json), data.draw(st.text(max_size=8)))
+    target = path.with_name("mutated-" + path.name)
+    target.write_text(json.dumps(obj))
+    report = run(JobSpec(verb, dict(options, **{key: str(target)})))
+    assert report.exit_code in (0, 1, 2, 3)
+    json.loads(report.text)

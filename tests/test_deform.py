@@ -75,12 +75,20 @@ def flatten4(t):
 
 def test_bracket_with_the_base_product_is_the_coboundary():
     rng = random.Random("bracket-base")
-    for A in (aff(), poly2(), rad2(), assoc1()):
-        for _ in range(8):
-            nu = random_bilinear(rng, A.dim)
-            via_bracket = kv_bracket(A.product, nu)
-            via_delta = tensor4_from_cochain(coboundary(bilinear_cochain(A, nu)))
-            assert via_bracket == via_delta
+    inputs = [
+        (A, random_bilinear(rng, A.dim))
+        for A in (aff(), poly2(), rad2(), assoc1())
+        for _ in range(8)
+    ]
+    # the cocycle pencil on the affine fixture, where both sides vanish
+    inputs += [
+        (aff(), s_tensor(alpha, beta))
+        for alpha, beta in ((1, 0), (2, 3), (F(-1, 2), 5), (0, 1), (F(7, 3), F(-11, 5)))
+    ]
+    for A, nu in inputs:
+        via_bracket = kv_bracket(A.product, nu)
+        via_delta = tensor4_from_cochain(coboundary(bilinear_cochain(A, nu)))
+        assert via_bracket == via_delta
 
 
 def test_self_bracket_is_twice_the_kv_defect():
@@ -155,6 +163,38 @@ def test_first_residual_is_the_coboundary_of_the_first_coefficient():
             assert all(x == 0 for x in flatten4(E[0]))
             expected = tensor4_from_cochain(coboundary(bilinear_cochain(A, mu1)))
             assert E[1] == expected
+
+
+def test_residuals_obey_the_bracket_identity():
+    # E_k = delta mu_k + (1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j for
+    # k = 1..3, the right side built from the public coboundary and bracket
+    rng = random.Random("E-bracket")
+    jets = []
+    for seed in range(8):
+        A = random_kv(seed)
+        n = A.dim
+        for rep in rigidity_report(A).class_representatives[:1]:
+            sol = solve_next_order(MultiplicationJet(A, (rep,)))
+            if sol.solved:
+                jets.append(sol.extended)
+                jets.append(sol.extended.extend(random_bilinear(rng, n)))
+        jets.append(MultiplicationJet(A, tuple(random_bilinear(rng, n) for _ in range(3))))
+    nonzero = vanishing = 0
+    for jet in jets:
+        E = jet_residuals(jet)
+        mu = jet.coefficient
+        for k in range(1, jet.order + 1):
+            expected = flatten4(tensor4_from_cochain(coboundary(bilinear_cochain(jet.base, mu(k)))))
+            for i in range(1, k):
+                bracket = flatten4(kv_bracket(mu(i), mu(k - i)))
+                expected = [x + y / 2 for x, y in zip(expected, bracket)]
+            assert flatten4(E[k]) == expected
+            if any(expected):
+                nonzero += 1
+            else:
+                vanishing += 1
+    # both solved orders (E_k = 0) and random coefficients (E_k != 0) ran
+    assert nonzero > 0 and vanishing > 0
 
 
 def test_non_cocycle_first_coefficient_is_witnessed():

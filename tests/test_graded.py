@@ -257,7 +257,7 @@ def test_engineered_non_chain_has_a_witness():
 
 
 # ---------------------------------------------------------------------------
-# the derivation rule (dual-route checked inside)
+# the derivation rule
 
 
 def test_flat_theta_satisfies_the_derivation_rule():
@@ -293,6 +293,51 @@ def test_cocycle_family_over_the_flat_fixture():
             rng.randrange(-3, 4),
         )
         assert is_theta_cocycle(G, th)
+
+
+def derivation_defect(G, theta, i, al, be):
+    """e_i theta(w_al, w_be) - theta(e_i w_al, w_be) - theta(w_al, e_i w_be)."""
+    m, left = G.m, G.odd.left
+    return [
+        sum(theta[al][be][ga] * left[i][ga][k] for ga in range(m))
+        - sum(left[i][al][ga] * theta[ga][be][k] for ga in range(m))
+        - sum(left[i][be][ga] * theta[al][ga][k] for ga in range(m))
+        for k in range(m)
+    ]
+
+
+def test_embedded_coboundary_places_the_derivation_defect():
+    # delta(embed_theta) is -defect on (e_i, w, w'), +defect on (w, e_i, w')
+    # and zero elsewhere; is_theta_cocycle witnesses its first nonzero
+    # (e_i, w, w') slot
+    rng = random.Random(41)
+    cases = [(graded_flat(), flat_theta()), (graded_flat(), theta_cocycle_family(1, -2, 3, 1))]
+    cases += [(graded_flat(), random_theta(rng, 3)) for _ in range(3)]
+    for seed in range(8):
+        G = random_graded(100 + seed)
+        cases += [(G, random_theta(rng, G.m)), (G, zero3(G.m, G.m, G.m))]
+    verdicts = set()
+    for G, th in cases:
+        n, N = G.n, G.dim
+        d = coboundary(embed_theta(G, th))
+        expected = {}
+        for i, al, be in itertools.product(range(n), range(G.m), range(G.m)):
+            defect = derivation_defect(G, th, i, al, be)
+            expected[(i, n + al, n + be)] = tuple([F(0)] * n + [-x for x in defect])
+            expected[(n + al, i, n + be)] = tuple([F(0)] * n + defect)
+        zero = (F(0),) * N
+        for args in itertools.product(range(N), repeat=3):
+            assert d.value(args) == expected.get(args, zero), args
+        bad = [
+            (i, al, be)
+            for i, al, be in itertools.product(range(n), range(G.m), range(G.m))
+            if any(d.value((i, n + al, n + be)))
+        ]
+        verdict = is_theta_cocycle(G, th)
+        assert bool(verdict) == (not bad)
+        assert verdict.witness == (bad[0] if bad else None)
+        verdicts.add(bool(verdict))
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
