@@ -38,7 +38,7 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
-    _product_lists,
+    _bilinear,
     center,
     is_kv,
     jacobi_algebra,
@@ -50,7 +50,7 @@ from .core import (
     tensor3,
     zero3,
 )
-from .deform import _apply, bilinear_cochain, kv_bracket, tensor4_from_cochain
+from .deform import bilinear_cochain, kv_bracket, tensor4_from_cochain
 from .extensions import bigrade, extend_module_to_semidirect, graded_piece
 from .graded import GradedKVAlgebra, is_kv_chain, is_theta_cocycle
 from . import serialize as sz
@@ -203,16 +203,15 @@ def _check_pair_bracket(base: int) -> Optional[str]:
         ]
     )
     br = kv_bracket(mu, mu)
-    g = _product_lists(mu)[0]
     for x, y, z in itertools.product(range(n), repeat=3):
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
         # A product of two basis vectors is a row of structure constants.
-        first = _apply(g, mu[x][y], ez)
-        second = _apply(g, ex, mu[y][z])
-        swap1 = _apply(g, mu[y][x], ez)
-        swap2 = _apply(g, ey, mu[x][z])
+        first = _bilinear(mu, mu[x][y], ez, n)
+        second = _bilinear(mu, ex, mu[y][z], n)
+        swap1 = _bilinear(mu, mu[y][x], ez, n)
+        swap2 = _bilinear(mu, ey, mu[x][z], n)
         for k in range(n):
             want = 2 * ((first[k] - second[k]) - (swap1[k] - swap2[k]))
             if br[x][y][z][k] != want:
@@ -274,17 +273,16 @@ def _check_curvature(base: int, a: KVAlgebra, delta: CoboundaryFn) -> Optional[s
         ]
     )
     ds = tensor4_from_cochain(delta(bilinear_cochain(a, s)))
-    g, gs = _product_lists(mu)[0], _product_lists(s)[0]
     for x, y, z in itertools.product(range(n), repeat=3):
         ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
         ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
         ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        direct = _apply(g, ex, mu[y][z])
-        swap = _apply(g, ey, mu[x][z])
+        direct = _bilinear(mu, ex, mu[y][z], n)
+        swap = _bilinear(mu, ey, mu[x][z], n)
         br = [mu0[x][y][t] - mu0[y][x][t] for t in range(n)]
-        br_term = _apply(g, br, ez)
-        comm = _apply(gs, ex, s[y][z])
-        comm2 = _apply(gs, ey, s[x][z])
+        br_term = _bilinear(mu, br, ez, n)
+        comm = _bilinear(s, ex, s[y][z], n)
+        comm2 = _bilinear(s, ey, s[x][z], n)
         for k in range(n):
             residual = direct[k] - swap[k] - br_term[k] - comm[k] + comm2[k]
             if residual != -ds[x][y][z][k]:

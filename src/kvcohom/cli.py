@@ -112,14 +112,12 @@ def _load_algebra(path: str, inputs: dict, key: str = "algebra") -> KVAlgebra:
     return sz.algebra_from_obj(_read_json_file(path, inputs, key))
 
 
-def _load_module(
-    path: str, inputs: dict, key: str, algebra: Optional[KVAlgebra] = None
-) -> KVModule:
-    return sz.module_from_obj(
-        _read_json_file(path, inputs, key),
-        algebra=algebra,
-        base_dir=Path(path).parent,
-    )
+def _load_module(path: str, inputs: dict, key: str, over: Optional[KVAlgebra] = None) -> KVModule:
+    """The module in the file; with ``over``, one over any other algebra is an input error."""
+    w = sz.module_from_obj(_read_json_file(path, inputs, key), base_dir=Path(path).parent)
+    if over is not None and w.algebra != over:
+        raise InputError("module file is over a different algebra")
+    return w
 
 
 def _load_tensor3(path: str, inputs: dict, key: str, d1: int, d2: int, d3: int):
@@ -165,7 +163,7 @@ def _module_or_regular(
     if path is None:
         parameters["module"] = "regular"
         return regular_bimodule(a)
-    return _load_module(path, inputs, "module", algebra=None)
+    return _load_module(path, inputs, "module", a)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +178,7 @@ def _verb_verify(job, inputs, parameters, results):
     verdict = bool(kv)
     witness = kv.detail if not kv else None
     if job.opt("module") is not None:
-        w = _load_module(job.options["module"], inputs, "module")
-        if w.algebra != a:
-            raise InputError("module file is over a different algebra")
+        w = _load_module(job.options["module"], inputs, "module", a)
         mod = is_module(a, w)
         results["is_module"] = _check_to_obj(mod)
         if verdict and not mod:
@@ -195,9 +191,7 @@ def _verb_jacobi(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     results["algebra_jacobi"] = _subspace_to_obj(jacobi_algebra(a))
     if job.opt("module") is not None:
-        w = _load_module(job.options["module"], inputs, "module", algebra=None)
-        if w.algebra != a:
-            raise InputError("module file is over a different algebra")
+        w = _load_module(job.options["module"], inputs, "module", a)
         results["module_jacobi"] = _subspace_to_obj(jacobi_module(a, w))
     return None, None
 
@@ -205,8 +199,6 @@ def _verb_jacobi(job, inputs, parameters, results):
 def _verb_cohomology(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     w = _module_or_regular(job, a, inputs, parameters)
-    if w.algebra != a:
-        raise InputError("module file is over a different algebra")
     q_max = job.opt("q_max", 2)
     parameters["q_max"] = q_max
     budget = job.opt("budget")
@@ -220,8 +212,6 @@ def _verb_cohomology(job, inputs, parameters, results):
 def _verb_nijenhuis(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     w = _module_or_regular(job, a, inputs, parameters)
-    if w.algebra != a:
-        raise InputError("module file is over a different algebra")
     q_max = job.opt("q_max", 2)
     parameters["q_max"] = q_max
     rep = complexes.nijenhuis_cohomology(a, w, q_max)
@@ -233,9 +223,7 @@ def _verb_nijenhuis(job, inputs, parameters, results):
 
 def _verb_extend_algebra(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
-    w = _load_module(job.options["module"], inputs, "module")
-    if w.algebra != a:
-        raise InputError("module file is over a different algebra")
+    w = _load_module(job.options["module"], inputs, "module", a)
     mod = is_module(a, w)
     if not mod:
         raise _MathFailure(f"coefficients are not a module: {mod.detail}")

@@ -12,6 +12,17 @@ together with the first violating basis-index tuple in lexicographic order.
 The checks and the Jacobi subspaces evaluate basis associators from the
 nonzero structure constants only; `associator`, `mixed_associators` and
 `Element` products are the general-purpose route for arbitrary elements.
+
+Each contraction has one private implementation here, shared by the other
+layers: `_bilinear` applies a bilinear tensor to two coordinate vectors
+(the body of `mul`, `left_act` and `right_act`); `_product_lists` lists
+the nonzero constants of any d1 x d2 x d3 tensor; `_two_step` sums
+products of two such steps; `_symmetry_failure` scans for the first
+triple where an associator is not symmetric in its first two arguments
+(`is_kv`, `graded.is_kv_chain`); and `_derivation_failure` scans for the
+first triple where a rule a.b(x, y) = b(ax, y) + b(x, ay) fails (the
+theta-cocycle and even flow rules of `graded`, the parallelism law of
+`geom.radiant_primitive`).
 """
 
 from __future__ import annotations
@@ -162,19 +173,7 @@ class KVAlgebra:
     def mul(self, a: Element, b: Element) -> Element:
         if a.dim != self.dim or b.dim != self.dim:
             raise DimensionError("elements do not live in this algebra")
-        out = [_ZERO] * self.dim
-        for i, ai in enumerate(a.coords):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.coords):
-                if bj == 0:
-                    continue
-                c = ai * bj
-                row = self.product[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
-        return Element(tuple(out))
+        return Element(tuple(_bilinear(self.product, a.coords, b.coords, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -208,36 +207,12 @@ class KVModule:
     def left_act(self, a: Element, w: Element) -> Element:
         if a.dim != self.algebra.dim or w.dim != self.dim:
             raise DimensionError("left action operands have wrong dimensions")
-        out = [_ZERO] * self.dim
-        for i, ai in enumerate(a.coords):
-            if ai == 0:
-                continue
-            for al, wa in enumerate(w.coords):
-                if wa == 0:
-                    continue
-                c = ai * wa
-                row = self.left[i][al]
-                for be in range(self.dim):
-                    if row[be] != 0:
-                        out[be] += c * row[be]
-        return Element(tuple(out))
+        return Element(tuple(_bilinear(self.left, a.coords, w.coords, self.dim)))
 
     def right_act(self, w: Element, a: Element) -> Element:
         if a.dim != self.algebra.dim or w.dim != self.dim:
             raise DimensionError("right action operands have wrong dimensions")
-        out = [_ZERO] * self.dim
-        for al, wa in enumerate(w.coords):
-            if wa == 0:
-                continue
-            for i, ai in enumerate(a.coords):
-                if ai == 0:
-                    continue
-                c = wa * ai
-                row = self.right[al][i]
-                for be in range(self.dim):
-                    if row[be] != 0:
-                        out[be] += c * row[be]
-        return Element(tuple(out))
+        return Element(tuple(_bilinear(self.right, w.coords, a.coords, self.dim)))
 
 
 @dataclass(frozen=True)
@@ -280,15 +255,30 @@ def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(t, x) for t, x in enumerate(row) if x]
 
 
-def _product_lists(t: Tensor3):
-    """Nonzero entries of a bilinear tensor t, indexed both ways.
+def _bilinear(t: Tensor3, x: Sequence[Fraction], y: Sequence[Fraction], dim: int) -> list[Fraction]:
+    """t(x, y) for coordinate vectors x and y; dim is the length of the value,
+    the third axis of t, which an empty t does not show."""
+    out = [_ZERO] * dim
+    for i, xi in enumerate(x):
+        if xi:
+            plane = t[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    c = xi * yj
+                    for k, v in enumerate(plane[j]):
+                        if v:
+                            out[k] += c * v
+    return out
 
-    gam[i][j] is t(e_i, e_j) and gam_t[j][i] the same list.
+
+def _product_lists(t: Tensor3):
+    """Nonzero entries of a d1 x d2 x d3 bilinear tensor t, indexed both ways.
+
+    gam[i][j] is t(e_i, f_j) and gam_t[j][i] the same list, so gam_t is
+    d2 x d1.
     """
-    n = len(t)
     gam = [[_nonzero(r) for r in p] for p in t]
-    gam_t = [[gam[s][k] for s in range(n)] for k in range(n)]
-    return gam, gam_t
+    return gam, list(zip(*gam))
 
 
 def _action_lists(W: KVModule):
@@ -297,12 +287,7 @@ def _action_lists(W: KVModule):
     left[i][al] is e_i w_al and left_t[al][i] the same list; right[al][i]
     is w_al e_i and right_t[i][al] the same list.
     """
-    n, m = W.algebra.dim, W.dim
-    left = [[_nonzero(W.left[i][al]) for al in range(m)] for i in range(n)]
-    right = [[_nonzero(W.right[al][i]) for i in range(n)] for al in range(m)]
-    left_t = [[left[i][al] for i in range(n)] for al in range(m)]
-    right_t = [[right[al][i] for al in range(m)] for i in range(n)]
-    return left, left_t, right, right_t
+    return _product_lists(W.left) + _product_lists(W.right)
 
 
 def _two_step(*terms) -> dict[int, Fraction]:
@@ -322,14 +307,15 @@ def _two_step(*terms) -> dict[int, Fraction]:
     return {t: v for t, v in acc.items() if v}
 
 
-def is_kv(A: KVAlgebra) -> CheckResult:
-    """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants.
+def _symmetry_failure(t: Tensor3) -> Optional[tuple[int, int, int]]:
+    """The first basis triple (i, j, k) at which the associator of the square
+    tensor t is not symmetric in its first two arguments, or None.
 
     Only i < j is scanned: the identity is trivial at i = j, and a failure
     at i > j mirrors one at (j, i, k), which the scan meets first.
     """
-    n = A.dim
-    gam, gam_t = _product_lists(A.product)
+    n = len(t)
+    gam, gam_t = _product_lists(t)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
@@ -340,12 +326,34 @@ def is_kv(A: KVAlgebra) -> CheckResult:
                     (True, gam[j][i], gam_t[k]),
                     (False, gam[i][k], gam[j]),
                 ):
-                    return CheckResult(
-                        False,
-                        (i, j, k),
-                        f"associator symmetry fails at basis triple ({i},{j},{k})",
-                    )
-    return CheckResult(True)
+                    return i, j, k
+    return None
+
+
+def _derivation_failure(beta: Tensor3, lx, ly, lz) -> Optional[tuple[int, int, int]]:
+    """The first (i, x, y), in lexicographic order, at which
+    e_i beta(x, y) - beta(e_i x, y) - beta(x, e_i y) is nonzero, or None.
+
+    beta is a bilinear tensor X x Y -> Z on basis vectors; lx[i][x], ly[i][y]
+    and lz[i][z] list the nonzero coordinates of e_i acting on the basis
+    vectors of X, Y and Z.
+    """
+    B, B_t = _product_lists(beta)
+    for i, (ax, ay, az) in enumerate(zip(lx, ly, lz)):
+        for x, bx in enumerate(B):
+            for y, by in enumerate(B_t):
+                if _two_step((False, bx[y], az), (True, ax[x], by), (True, ay[y], bx)):
+                    return i, x, y
+    return None
+
+
+def is_kv(A: KVAlgebra) -> CheckResult:
+    """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants."""
+    failure = _symmetry_failure(A.product)
+    if failure is None:
+        return CheckResult(True)
+    i, j, k = failure
+    return CheckResult(False, failure, f"associator symmetry fails at basis triple ({i},{j},{k})")
 
 
 def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:

@@ -34,6 +34,7 @@ from .core import (
     CheckResult,
     KVAlgebra,
     Tensor3,
+    _bilinear,
     _check_shape,
     _product_lists,
     _two_step,
@@ -79,19 +80,6 @@ def tensor4(data: Sequence[Sequence[Sequence[Sequence]]]) -> Tensor4:
 
 def zero4(n: int) -> Tensor4:
     return tuple(zero3(n, n, n) for _ in range(n))
-
-
-def _apply(gam, x: Vec, y: Vec) -> list[Fraction]:
-    """mu(x, y) from the nonzero lists gam of mu."""
-    out = [_ZERO] * len(gam)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    c = xi * yj
-                    for k, v in gam[i][j]:
-                        out[k] += c * v
-    return out
 
 
 # The nonzero part of a rank-4 tensor: {(a, b, c): {t: value}}.
@@ -434,7 +422,6 @@ def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
                         s += ps[r][t] * th[t][c]
                     acc[r][c] -= s
         psis.append(acc)
-    gam = _product_lists(A.product)[0]
     coeffs: list[Tensor3] = []
     for k in range(1, K + 1):
         mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
@@ -444,7 +431,7 @@ def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
                 th = theta(p)
                 for a in range(n):
                     for b in range(n):
-                        prod = _apply(gam, psis[q][a], psis[r][b])
+                        prod = _bilinear(A.product, psis[q][a], psis[r][b], n)
                         for s in range(n):
                             if prod[s] == 0:
                                 continue

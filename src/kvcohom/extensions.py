@@ -211,16 +211,8 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
     _theta_matrix(theta, W.dim, V.dim, "theta")
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    n, m, v = A.dim, W.dim, V.dim
-
-    def theta_of(coords: Vec) -> list[Fraction]:
-        out = [_ZERO] * v
-        for al in range(m):
-            c = coords[al]
-            if c != 0:
-                for be in range(v):
-                    out[be] += c * theta.at(al, be)
-        return out
+    n, v = A.dim, V.dim
+    theta_of = theta.transpose().mat_vec
 
     def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
         x, y = args
@@ -228,7 +220,7 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
             i, al = x, y - n
             a = A.basis_element(i)
             w = W.basis_element(al)
-            atw = V.left_act(a, Element(tuple(theta_of(w.coords))))
+            atw = V.left_act(a, Element(theta_of(w.coords)))
             taw = theta_of(W.left_act(a, w).coords)
             return [taw[be] - atw.coords[be] for be in range(v)]
         if x >= n and y < n:
@@ -236,7 +228,7 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
             a = A.basis_element(i)
             w = W.basis_element(al)
             twa = theta_of(W.right_act(w, a).coords)
-            twa_right = V.right_act(Element(tuple(theta_of(w.coords))), a)
+            twa_right = V.right_act(Element(theta_of(w.coords)), a)
             return [twa[be] - twa_right.coords[be] for be in range(v)]
         return [_ZERO] * v
 
@@ -444,16 +436,10 @@ def cocycle_from_section(ext: ModuleExtension, sigma: Mat) -> BigradedCochain:
                 raise InputError("sigma is not a section: proj o sigma != id")
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, n, V)
+    sigma_t = sigma.transpose()
 
     def sigma_of(wcoords: Vec) -> Element:
-        out = [_ZERO] * T.dim
-        for al in range(m):
-            c = wcoords[al]
-            if c != 0:
-                row = sigma.row(al)
-                for tcoord in range(T.dim):
-                    out[tcoord] += c * row[tcoord]
-        return Element(tuple(out))
+        return Element(sigma_t.mat_vec(wcoords))
 
     def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
         x, y = args
@@ -484,26 +470,10 @@ def extensions_equivalent(f: BigradedCochain, g: BigradedCochain) -> bool:
     if (f.w_degree, f.a_degree) != (1, 1):
         raise InputError("extension equivalence is decided in bidegree (1,1)")
     diff = f.cochain - g.cochain
-    m = diff.n - f.a_dim
-    v = diff.m
     A, W, V = _split_semidirect(f)
-    support1 = e11_support(A, W, V, 1)
-    # Bottom-map matrix: columns are e11_coboundary0 of the Hom(W, V) basis.
-    cols = []
-    for al in range(m):
-        for be in range(v):
-            theta = Mat.from_rows(
-                [
-                    [_ONE if (r, c) == (al, be) else _ZERO for c in range(v)]
-                    for r in range(m)
-                ],
-                cols=v,
-            )
-            d = e11_coboundary0(A, W, V, theta)
-            cols.append([d.cochain.values[pos] for pos in support1])
-    M = Mat.from_cols(cols, rows=len(support1))
-    target = [diff.values[pos] for pos in support1]
-    return solve(M, target) is not None
+    # The bottom map: its columns are the coboundaries of the Hom(W, V) basis.
+    target = [diff.values[pos] for pos in e11_support(A, W, V, 1)]
+    return solve(e11_matrix(A, W, V, 0), target) is not None
 
 
 def _split_semidirect(f: BigradedCochain) -> tuple[KVAlgebra, KVModule, KVModule]:
@@ -620,15 +590,10 @@ def algebra_cocycle_from_section(ext: AlgebraExtension, sigma: Mat) -> Cochain:
             if row[m + j] != want:
                 raise InputError("sigma is not a section: proj o sigma != id")
 
+    sigma_t = sigma.transpose()
+
     def sigma_of(acoords: Vec) -> Element:
-        out = [_ZERO] * T.dim
-        for i in range(n):
-            c = acoords[i]
-            if c != 0:
-                row = sigma.row(i)
-                for tcoord in range(T.dim):
-                    out[tcoord] += c * row[tcoord]
-        return Element(tuple(out))
+        return Element(sigma_t.mat_vec(acoords))
 
     def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
         i, j = args
@@ -667,15 +632,11 @@ def algebra_extensions_equivalent(
     psi = Mat.from_rows([x[i * m : (i + 1) * m] for i in range(n)], cols=m)
     # Verify: phi(u .1 v) = phi(u) .2 phi(v) on every basis pair of T.
     T1, T2 = ext1.total, ext2.total
+    psi_t = psi.transpose()
 
     def phi(el: Element) -> Element:
-        out = list(el.coords)
-        for i in range(n):
-            c = el.coords[m + i]
-            if c != 0:
-                for al in range(m):
-                    out[al] += c * psi.at(i, al)
-        return Element(tuple(out))
+        shift = psi_t.mat_vec(el.coords[m:])
+        return Element(tuple(x + y for x, y in zip(el.coords, shift)) + el.coords[m:])
 
     for x1 in range(T1.dim):
         for y1 in range(T1.dim):

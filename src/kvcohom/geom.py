@@ -45,6 +45,8 @@ from .core import (
     KVAlgebra,
     KVModule,
     Tensor3,
+    _derivation_failure,
+    _product_lists,
     is_module,
     tensor3,
 )
@@ -481,36 +483,25 @@ def radiant_primitive(
     coords = H.coords if isinstance(H, Element) else vec(H)
     if len(coords) != n:
         raise DimensionError("the radiant candidate has the wrong dimension")
+    h = Element(coords)
     for i in range(n):
-        image = [
-            sum(coords[j] * A.product[i][j][k] for j in range(n)) for k in range(n)
-        ]
-        expected = [_ONE if k == i else _ZERO for k in range(n)]
-        if image != expected:
+        e = A.basis_element(i)
+        if A.mul(e, h) != e:
             raise PreconditionError(
                 f"H is not radiant: e_{i + 1} H differs from e_{i + 1}"
             )
     if g.degree != 2 or g.algebra != A or g.module != W:
         raise InputError("expected a 2-cochain with values in the given module")
     m = W.dim
-    for i in range(n):
-        for bdx in range(n):
-            for cdx in range(n):
-                gv = g.value((bdx, cdx))
-                for be in range(m):
-                    lhs = sum(gv[al] * W.left[i][al][be] for al in range(m))
-                    rhs = sum(
-                        A.product[i][bdx][p] * g.value((p, cdx))[be]
-                        for p in range(n)
-                    ) + sum(
-                        A.product[i][cdx][p] * g.value((bdx, p))[be]
-                        for p in range(n)
-                    )
-                    if lhs != rhs:
-                        raise PreconditionError(
-                            "the 2-cochain is not parallel: direction "
-                            f"e_{i + 1} fails at ({bdx + 1},{cdx + 1})"
-                        )
+    gam = _product_lists(A.product)[0]
+    g_tensor = tuple(tuple(g.value((b, c)) for c in range(n)) for b in range(n))
+    failure = _derivation_failure(g_tensor, gam, gam, _product_lists(W.left)[0])
+    if failure is not None:
+        i, bdx, cdx = failure
+        raise PreconditionError(
+            "the 2-cochain is not parallel: direction "
+            f"e_{i + 1} fails at ({bdx + 1},{cdx + 1})"
+        )
     values: list[Fraction] = []
     for adx in range(n):
         for be in range(m):

@@ -19,6 +19,12 @@ defining conditions together with the closedness system from the
 correspondence proof, reporting every condition separately (the
 compatibility condition is evaluated in both printed orientations, which
 genuinely differ).
+
+Every condition is scanned from the nonzero constants of theta, psi and
+the two products, with the scans `core` shares among the layers: the
+chain symmetry is the associator scan behind `is_kv`, and the derivation
+rule and the even flow rule are one derivation-rule scan, with theta and
+psi in the place of the bilinear map.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ from .core import (
     KVModule,
     Tensor3,
     _check_shape,
+    _derivation_failure,
+    _product_lists,
+    _symmetry_failure,
+    _two_step,
     is_kv,
     is_module,
     regular_bimodule,
@@ -156,49 +166,15 @@ def is_kv_chain(theta: Tensor3) -> CheckResult:
     """
     m = len(theta)
     _check_shape(theta, m, m, m, "theta")
-
-    def assoc(a: int, b: int, c: int) -> list[Fraction]:
-        out = [_ZERO] * m
-        for p in range(m):
-            if theta[a][b][p] != 0:
-                for k in range(m):
-                    out[k] += theta[a][b][p] * theta[p][c][k]
-            if theta[b][c][p] != 0:
-                for k in range(m):
-                    out[k] -= theta[b][c][p] * theta[a][p][k]
-        return out
-
-    for a, b, c in itertools.product(range(m), repeat=3):
-        if a >= b:
-            continue  # the defect is antisymmetric in (a, b)
-        if assoc(a, b, c) != assoc(b, a, c):
-            return CheckResult(
-                False,
-                witness=(a, b, c),
-                detail=(
-                    f"theta-associator is not symmetric on the basis triple "
-                    f"({a},{b},{c})"
-                ),
-            )
-    return CheckResult(True)
-
-
-def _theta_defect(G: GradedKVAlgebra, theta: Tensor3, i: int, al: int, be: int) -> list[Fraction]:
-    """e_i theta(w_al, w_be) - theta(e_i w_al, w_be) - theta(w_al, e_i w_be)."""
-    m = G.m
-    left = G.odd.left
-    out = [_ZERO] * m
-    for ga in range(m):
-        if theta[al][be][ga] != 0:
-            for k in range(m):
-                out[k] += theta[al][be][ga] * left[i][ga][k]
-        if left[i][al][ga] != 0:
-            for k in range(m):
-                out[k] -= left[i][al][ga] * theta[ga][be][k]
-        if left[i][be][ga] != 0:
-            for k in range(m):
-                out[k] -= left[i][be][ga] * theta[al][ga][k]
-    return out
+    failure = _symmetry_failure(theta)
+    if failure is None:
+        return CheckResult(True)
+    a, b, c = failure
+    return CheckResult(
+        False,
+        witness=failure,
+        detail=f"theta-associator is not symmetric on the basis triple ({a},{b},{c})",
+    )
 
 
 def embed_theta(G: GradedKVAlgebra, theta: Tensor3) -> Cochain:
@@ -229,14 +205,16 @@ def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
     and nothing anywhere else.
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
-    for i, al, be in itertools.product(range(G.n), range(G.m), range(G.m)):
-        if any(_theta_defect(G, theta, i, al, be)):
-            return CheckResult(
-                False,
-                witness=(i, al, be),
-                detail=f"derivation rule fails at (e_{i+1}, w_{al+1}, w_{be+1})",
-            )
-    return CheckResult(True)
+    left = _product_lists(G.odd.left)[0]
+    failure = _derivation_failure(theta, left, left, left)
+    if failure is None:
+        return CheckResult(True)
+    i, al, be = failure
+    return CheckResult(
+        False,
+        witness=failure,
+        detail=f"derivation rule fails at (e_{i+1}, w_{al+1}, w_{be+1})",
+    )
 
 
 @dataclass(frozen=True)
@@ -284,48 +262,27 @@ class ConnectionlikeReport:
         )
 
 
-def _psi_apply_aw(psi: Tensor3, acoords, wcoords, n: int, m: int) -> list[Fraction]:
-    """psi(a, w) in A-coordinates for coordinate vectors a, w."""
-    out = [_ZERO] * n
-    for i in range(n):
-        if acoords[i] == 0:
-            continue
-        for al in range(m):
-            c = acoords[i] * wcoords[al]
-            if c == 0:
-                continue
-            for k in range(n):
-                out[k] += c * psi[i][al][k]
-    return out
-
-
 def is_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> ConnectionlikeReport:
-    """Evaluate every defining and closedness condition of the pair, exactly."""
+    """Evaluate every defining and closedness condition of the pair, exactly.
+
+    Each condition is scanned in lexicographic order of its basis triple
+    from the nonzero constants of theta, psi and the two products.
+    """
     n, m = G.n, G.m
     _check_shape(pair.theta, m, m, m, "theta")
     _check_shape(pair.psi, n, m, n, "psi")
-    theta, psi = pair.theta, pair.psi
-    gamma = G.even.product
-    left = G.odd.left
+    T = _product_lists(pair.theta)[0]
+    P, P_t = _product_lists(pair.psi)
 
     psi_symmetric = CheckResult(
         True, detail="psi is stored once; both slot orders read the same tensor"
     )
-    theta_cocycle = is_theta_cocycle(G, theta)
-
-    def a_basis(i):
-        return [Fraction(1) if t == i else _ZERO for t in range(n)]
-
-    def w_basis(al):
-        return [Fraction(1) if t == al else _ZERO for t in range(m)]
+    theta_cocycle = is_theta_cocycle(G, pair.theta)
 
     # (c3) as defined: psi(theta(w,w'), a) = psi(w, psi(w',a)).
     compat = CheckResult(True)
     for al, be, i in itertools.product(range(m), range(m), range(n)):
-        lhs = _psi_apply_aw(psi, a_basis(i), theta[al][be], n, m)
-        inner = _psi_apply_aw(psi, a_basis(i), w_basis(be), n, m)
-        rhs = _psi_apply_aw(psi, inner, w_basis(al), n, m)
-        if lhs != rhs:
+        if _two_step((False, T[al][be], P[i]), (True, P[i][be], P_t[al])):
             compat = CheckResult(
                 False,
                 witness=(al, be, i),
@@ -339,10 +296,7 @@ def is_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Connectio
     # the other printed orientation: psi(a, theta(w',w'')) = psi(psi(a,w'),w'').
     compat_alt = CheckResult(True)
     for i, be, ga in itertools.product(range(n), range(m), range(m)):
-        lhs = _psi_apply_aw(psi, a_basis(i), theta[be][ga], n, m)
-        inner = _psi_apply_aw(psi, a_basis(i), w_basis(be), n, m)
-        rhs = _psi_apply_aw(psi, inner, w_basis(ga), n, m)
-        if lhs != rhs:
+        if _two_step((False, T[be][ga], P[i]), (True, P[i][be], P_t[ga])):
             compat_alt = CheckResult(
                 False,
                 witness=(i, be, ga),
@@ -354,32 +308,19 @@ def is_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Connectio
             break
 
     # closedness on the even flow: a psi(a',w) = psi(aa',w) + psi(a',aw).
+    gam = _product_lists(G.even.product)[0]
+    failure = _derivation_failure(pair.psi, gam, _product_lists(G.odd.left)[0], gam)
     flow = CheckResult(True)
-    for i, j, ga in itertools.product(range(n), range(n), range(m)):
-        lhs = [_ZERO] * n
-        for k in range(n):
-            if psi[j][ga][k] != 0:
-                for t in range(n):
-                    lhs[t] += psi[j][ga][k] * gamma[i][k][t]
-        rhs = [_ZERO] * n
-        for k in range(n):
-            if gamma[i][j][k] != 0:
-                for t in range(n):
-                    rhs[t] += gamma[i][j][k] * psi[k][ga][t]
-        for de in range(m):
-            if left[i][ga][de] != 0:
-                for t in range(n):
-                    rhs[t] += left[i][ga][de] * psi[j][de][t]
-        if lhs != rhs:
-            flow = CheckResult(
-                False,
-                witness=(i, j, ga),
-                detail=(
-                    f"a psi(a',w) != psi(aa',w) + psi(a',aw) at "
-                    f"(e_{i+1},e_{j+1},w_{ga+1})"
-                ),
-            )
-            break
+    if failure is not None:
+        i, j, ga = failure
+        flow = CheckResult(
+            False,
+            witness=failure,
+            detail=(
+                f"a psi(a',w) != psi(aa',w) + psi(a',aw) at "
+                f"(e_{i+1},e_{j+1},w_{ga+1})"
+            ),
+        )
 
     return ConnectionlikeReport(
         psi_symmetric=psi_symmetric,

@@ -48,12 +48,6 @@ __all__ = [
     "read_json",
     "write_text",
     "load_algebra",
-    "load_module",
-    "load_cochain",
-    "load_jet",
-    "load_graded",
-    "load_tensor3",
-    "load_extension",
 ]
 
 _RAT_GRAMMAR = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
@@ -405,31 +399,3 @@ def write_text(path, text: str) -> None:
 
 def load_algebra(path) -> KVAlgebra:
     return algebra_from_obj(read_json(path))
-
-
-def load_module(path, *, algebra: Optional[KVAlgebra] = None) -> KVModule:
-    return module_from_obj(
-        read_json(path), algebra=algebra, base_dir=Path(path).parent
-    )
-
-
-def load_cochain(path, a: KVAlgebra, w: KVModule) -> complexes.Cochain:
-    return cochain_from_obj(read_json(path), a, w)
-
-
-def load_jet(path) -> deform.MultiplicationJet:
-    return jet_from_obj(read_json(path))
-
-
-def load_graded(path) -> graded.GradedKVAlgebra:
-    return graded_from_obj(read_json(path))
-
-
-def load_tensor3(path, d1: int, d2: int, d3: int, what: str) -> Tensor3:
-    obj = read_json(path)
-    _require_keys(obj, ["tensor"], [], what)
-    return tensor3_from_obj(obj["tensor"], d1, d2, d3, what)
-
-
-def load_extension(path):
-    return extension_from_obj(read_json(path))

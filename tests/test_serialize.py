@@ -149,7 +149,7 @@ def test_module_algebra_by_path(tmp_path):
     obj = sz.module_to_obj(w)
     obj["algebra"] = "alg.json"
     (tmp_path / "mod.json").write_text(sz.canonical_json(obj))
-    assert sz.load_module(tmp_path / "mod.json") == w
+    assert sz.module_from_obj(sz.read_json(tmp_path / "mod.json"), base_dir=tmp_path) == w
     # a bare from_obj has no directory to resolve against
     with pytest.raises(InputError):
         sz.module_from_obj(obj)
@@ -287,10 +287,10 @@ def test_load_tensor3(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(sz.canonical_json({"tensor": [[["1", "0"], ["0", "1"]],
                                                [["0", "1"], ["0", "0"]]]}))
-    t = sz.load_tensor3(p, 2, 2, 2, "test tensor")
+    t = sz.tensor3_from_obj(sz.read_json(p)["tensor"], 2, 2, 2, "test tensor")
     assert t[0][1][1] == 1
     with pytest.raises(InputError):
-        sz.load_tensor3(p, 2, 2, 3, "test tensor")
+        sz.tensor3_from_obj(sz.read_json(p)["tensor"], 2, 2, 3, "test tensor")
 
 
 # -- fuzzing the parsers ------------------------------------------------------
