@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    CheckResult,
     Element,
     KVAlgebra,
     KVModule,
@@ -49,6 +48,7 @@ from .linalg import (
     extend_basis,
     image,
     kernel,
+    rank,
     rat,
     solve,
     vec,
@@ -586,11 +586,12 @@ def nijenhuis_cohomology(A: KVAlgebra, W: KVModule, q_max: int) -> CohomologyRep
     n, m = A.dim, W.dim
     cells = [_check_cells(p + 1, math.comb(n, p) * n * m) for p in range(q_max + 1)]
     _require_verified(A, W)
-    mats = nijenhuis_matrices(A, W, q_max)
+    ranks = [rank(d) for d in nijenhuis_matrices(A, W, q_max).values()]
     degrees: list[DegreeData] = []
     for q in range(1, q_max + 1):
         p = q - 1
-        Z = kernel(mats[p])
-        dim_b = image(mats[p - 1]).dim if p - 1 in mats else 0
-        degrees.append(DegreeData(q, cells[p], Z.dim, dim_b, Z.dim - dim_b, ()))
+        # dim Z = cols - rank d_p, dim B = rank d_{p-1}
+        dim_z = cells[p] - ranks[p]
+        dim_b = ranks[p - 1] if p else 0
+        degrees.append(DegreeData(q, cells[p], dim_z, dim_b, dim_z - dim_b, ()))
     return CohomologyReport(tuple(degrees))

@@ -23,6 +23,12 @@ triple where an associator is not symmetric in its first two arguments
 first triple where a rule a.b(x, y) = b(ax, y) + b(x, ay) fails (the
 theta-cocycle and even flow rules of `graded`, the parallelism law of
 `geom.radiant_primitive`).
+
+Block spaces share one layout as well: `_blocks` builds a tensor on a
+direct sum of spaces that is zero outside the blocks it is given, and
+`_block` reads one block back out.  They back `semidirect`, `direct_sum`,
+`module_direct_sum`, the extension totals of `extensions` and the graded
+deformations and cochains of `graded`.
 """
 
 from __future__ import annotations
@@ -90,6 +96,27 @@ def zero3(d1: int, d2: int, d3: int) -> Tensor3:
     row = (_ZERO,) * d3
     plane = (row,) * d2
     return (plane,) * d1
+
+
+def _blocks(d1: int, d2: int, d3: int, *blocks: tuple[Tensor3, int, int, int]) -> Tensor3:
+    """The d1 x d2 x d3 tensor that is zero outside the given blocks.
+
+    Each block (t, o1, o2, o3) places t[i][j][k] at [o1 + i][o2 + j][o3 + k];
+    where two blocks overlap, the later one wins.
+    """
+    out = [[[_ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
+    for t, o1, o2, o3 in blocks:
+        for i, plane in enumerate(t):
+            for j, row in enumerate(plane):
+                out[o1 + i][o2 + j][o3 : o3 + len(row)] = row
+    return tensor3(out)
+
+
+def _block(t: Tensor3, o1: int, o2: int, o3: int, d1: int, d2: int, d3: int) -> Tensor3:
+    """The d1 x d2 x d3 block of t at offset (o1, o2, o3), the inverse of `_blocks`."""
+    return tuple(
+        tuple(row[o3 : o3 + d3] for row in plane[o2 : o2 + d2]) for plane in t[o1 : o1 + d1]
+    )
 
 
 def _check_shape(t: Tensor3, d1: int, d2: int, d3: int, what: str) -> None:
@@ -579,36 +606,18 @@ def semidirect(A: KVAlgebra, W: KVModule) -> KVAlgebra:
         return A
     n, m = A.dim, W.dim
     N = n + m
-    prod = [[[_ZERO] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prod[i][j][k] = A.product[i][j][k]
-    for i in range(n):
-        for al in range(m):
-            for be in range(m):
-                prod[i][n + al][n + be] = W.left[i][al][be]
-                prod[n + al][i][n + be] = W.right[al][i][be]
+    prod = _blocks(N, N, N, (A.product, 0, 0, 0), (W.left, 0, n, n), (W.right, n, 0, n))
     name = None
     if A.name:
         name = f"{A.name}+module({m})"
-    return KVAlgebra(dim=N, product=tensor3(prod), name=name)
+    return KVAlgebra(dim=N, product=prod, name=name)
 
 
 def direct_sum(A: KVAlgebra, B: KVAlgebra) -> KVAlgebra:
     """Block-diagonal product on A + B."""
     n, m = A.dim, B.dim
     N = n + m
-    prod = [[[_ZERO] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                prod[i][j][k] = A.product[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                prod[n + i][n + j][n + k] = B.product[i][j][k]
-    return KVAlgebra(dim=N, product=tensor3(prod))
+    return KVAlgebra(dim=N, product=_blocks(N, N, N, (A.product, 0, 0, 0), (B.product, n, n, n)))
 
 
 def module_direct_sum(W: KVModule, V: KVModule) -> KVModule:
@@ -616,20 +625,11 @@ def module_direct_sum(W: KVModule, V: KVModule) -> KVModule:
     if W.algebra != V.algebra:
         raise DimensionError("module direct sum needs a common base algebra")
     n = W.algebra.dim
-    mw, mv = W.dim, V.dim
-    M = mw + mv
-    left = [[[_ZERO] * M for _ in range(M)] for _ in range(n)]
-    right = [[[_ZERO] * M for _ in range(n)] for _ in range(M)]
-    for i in range(n):
-        for al in range(mw):
-            for be in range(mw):
-                left[i][al][be] = W.left[i][al][be]
-                right[al][i][be] = W.right[al][i][be]
-        for al in range(mv):
-            for be in range(mv):
-                left[i][mw + al][mw + be] = V.left[i][al][be]
-                right[mw + al][i][mw + be] = V.right[al][i][be]
-    return KVModule(algebra=W.algebra, dim=M, left=tensor3(left), right=tensor3(right))
+    mw = W.dim
+    M = mw + V.dim
+    left = _blocks(n, M, M, (W.left, 0, 0, 0), (V.left, 0, mw, mw))
+    right = _blocks(M, n, M, (W.right, 0, 0, 0), (V.right, mw, 0, mw))
+    return KVModule(algebra=W.algebra, dim=M, left=left, right=right)
 
 
 def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:

@@ -42,9 +42,10 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
+    _block,
+    _blocks,
     is_module,
     semidirect,
-    tensor3,
 )
 from .errors import DimensionError, InputError, PreconditionError
 from .linalg import Mat, Vec, solve
@@ -77,18 +78,15 @@ _ONE = Fraction(1)
 
 
 def extend_module_to_semidirect(G: KVAlgebra, a_dim: int, V: KVModule) -> KVModule:
-    """V as a G = A + W module: (a,w) v = a v and v (a,w) = v a."""
-    n = a_dim
-    N = G.dim
-    v = V.dim
-    left = [[[_ZERO] * v for _ in range(v)] for _ in range(N)]
-    right = [[[_ZERO] * v for _ in range(N)] for _ in range(v)]
-    for i in range(n):
-        for al in range(v):
-            for be in range(v):
-                left[i][al][be] = V.left[i][al][be]
-                right[al][i][be] = V.right[al][i][be]
-    return KVModule(algebra=G, dim=v, left=tensor3(left), right=tensor3(right))
+    """V as a G = A + W module: (a,w) v = a v and v (a,w) = v a.
+
+    The A block of G comes first, so V's actions by the a_dim basis vectors
+    of A keep their indices, and the W block acts as zero.
+    """
+    N, v = G.dim, V.dim
+    left = _blocks(N, v, v, (V.left, 0, 0, 0))
+    right = _blocks(v, N, v, (V.right, 0, 0, 0))
+    return KVModule(algebra=G, dim=v, left=left, right=right)
 
 
 def w_count(args: Sequence[int], a_dim: int) -> int:
@@ -320,6 +318,11 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
     return CohomologyReport(tuple(degrees))
 
 
+def _unit_block(rows: int, cols: int, k: int, r0: int, c0: int) -> Mat:
+    """The rows x cols block map with ones at (r0 + i, c0 + i) for i < k."""
+    return Mat.from_items(rows, cols, {(r0 + i, c0 + i): _ONE for i in range(k)})
+
+
 @dataclass(frozen=True)
 class ModuleExtension:
     """An extension 0 -> V -> T -> W -> 0 of modules over the base algebra.
@@ -335,29 +338,18 @@ class ModuleExtension:
 
     def injection(self) -> Mat:
         """V -> T as a (dim V) x (dim T) coordinate matrix."""
-        v, t = self.kernel.dim, self.total.dim
-        return Mat.from_rows(
-            [[_ONE if j == i else _ZERO for j in range(t)] for i in range(v)], cols=t
-        )
+        v = self.kernel.dim
+        return _unit_block(v, self.total.dim, v, 0, 0)
 
     def projection(self) -> Mat:
         """T -> W as a (dim T) x (dim W) coordinate matrix."""
-        v, m, t = self.kernel.dim, self.quotient.dim, self.total.dim
-        return Mat.from_rows(
-            [
-                [_ONE if i >= v and i - v == j else _ZERO for j in range(m)]
-                for i in range(t)
-            ],
-            cols=m,
-        )
+        m = self.quotient.dim
+        return _unit_block(self.total.dim, m, m, self.kernel.dim, 0)
 
     def canonical_section(self) -> Mat:
         """The block injection W -> T of the chosen splitting."""
-        v, m, t = self.kernel.dim, self.quotient.dim, self.total.dim
-        return Mat.from_rows(
-            [[_ONE if j == v + i else _ZERO for j in range(t)] for i in range(m)],
-            cols=t,
-        )
+        m = self.quotient.dim
+        return _unit_block(m, self.total.dim, m, 0, self.kernel.dim)
 
     def theta_values(self) -> list[list[Vec]]:
         """theta(e_i, w_al) in V-coordinates, read back from the total action."""
@@ -391,23 +383,11 @@ def module_extension_from_cocycle(
     if f.a_dim != n or f.cochain.n != n + m or f.cochain.m != v:
         raise DimensionError("cocycle does not match the given algebra and modules")
     t = v + m
-    left = [[[_ZERO] * t for _ in range(t)] for _ in range(n)]
-    right = [[[_ZERO] * t for _ in range(n)] for _ in range(t)]
-    for i in range(n):
-        for be in range(v):
-            for ga in range(v):
-                left[i][be][ga] = V.left[i][be][ga]
-                right[be][i][ga] = V.right[be][i][ga]
-        for al in range(m):
-            th = f.cochain.value((i, n + al))
-            ps = f.cochain.value((n + al, i))
-            for ga in range(v):
-                left[i][v + al][ga] = th[ga]
-                right[v + al][i][ga] = ps[ga]
-            for ga in range(m):
-                left[i][v + al][v + ga] = W.left[i][al][ga]
-                right[v + al][i][v + ga] = W.right[al][i][ga]
-    T = KVModule(algebra=A, dim=t, left=tensor3(left), right=tensor3(right))
+    theta = [[f.cochain.value((i, n + al)) for al in range(m)] for i in range(n)]
+    psi = [[f.cochain.value((n + al, i)) for i in range(n)] for al in range(m)]
+    left = _blocks(n, t, t, (V.left, 0, 0, 0), (theta, 0, v, 0), (W.left, 0, v, v))
+    right = _blocks(t, n, t, (V.right, 0, 0, 0), (psi, v, 0, 0), (W.right, v, 0, v))
+    T = KVModule(algebra=A, dim=t, left=left, right=right)
     verdict = is_module(A, T)
     if not verdict:
         raise PreconditionError(
@@ -481,31 +461,18 @@ def _split_semidirect(f: BigradedCochain) -> tuple[KVAlgebra, KVModule, KVModule
     G = f.cochain.algebra
     Vt = f.cochain.module
     n = f.a_dim
-    N = G.dim
-    m = N - n
-    aprod = tuple(
-        tuple(tuple(G.product[i][j][k] for k in range(n)) for j in range(n))
-        for i in range(n)
+    m = G.dim - n
+    v = Vt.dim
+    A = KVAlgebra(dim=n, product=_block(G.product, 0, 0, 0, n, n, n))
+    W = KVModule(
+        algebra=A,
+        dim=m,
+        left=_block(G.product, 0, n, n, n, m, m),
+        right=_block(G.product, n, 0, n, m, n, m),
     )
-    A = KVAlgebra(dim=n, product=aprod)
-    wleft = tuple(
-        tuple(tuple(G.product[i][n + al][n + be] for be in range(m)) for al in range(m))
-        for i in range(n)
+    V = KVModule(
+        algebra=A, dim=v, left=_block(Vt.left, 0, 0, 0, n, v, v), right=_block(Vt.right, 0, 0, 0, v, n, v)
     )
-    wright = tuple(
-        tuple(tuple(G.product[n + al][i][n + be] for be in range(m)) for i in range(n))
-        for al in range(m)
-    )
-    W = KVModule(algebra=A, dim=m, left=wleft, right=wright)
-    vleft = tuple(
-        tuple(tuple(Vt.left[i][al][be] for be in range(Vt.dim)) for al in range(Vt.dim))
-        for i in range(n)
-    )
-    vright = tuple(
-        tuple(tuple(Vt.right[al][i][be] for be in range(Vt.dim)) for i in range(n))
-        for al in range(Vt.dim)
-    )
-    V = KVModule(algebra=A, dim=Vt.dim, left=vleft, right=vright)
     return A, W, V
 
 
@@ -523,29 +490,16 @@ class AlgebraExtension:
     total: KVAlgebra
 
     def injection(self) -> Mat:
-        m, t = self.kernel.dim, self.total.dim
-        return Mat.from_rows(
-            [[_ONE if j == i else _ZERO for j in range(t)] for i in range(m)], cols=t
-        )
+        m = self.kernel.dim
+        return _unit_block(m, self.total.dim, m, 0, 0)
 
     def projection(self) -> Mat:
-        m, t = self.kernel.dim, self.total.dim
         n = self.base.dim
-        return Mat.from_rows(
-            [
-                [_ONE if i >= m and i - m == j else _ZERO for j in range(n)]
-                for i in range(t)
-            ],
-            cols=n,
-        )
+        return _unit_block(self.total.dim, n, n, self.kernel.dim, 0)
 
     def canonical_section(self) -> Mat:
-        m, t = self.kernel.dim, self.total.dim
         n = self.base.dim
-        return Mat.from_rows(
-            [[_ONE if j == m + i else _ZERO for j in range(t)] for i in range(n)],
-            cols=t,
-        )
+        return _unit_block(n, self.total.dim, n, 0, self.kernel.dim)
 
 
 def algebra_extension_from_cocycle(
@@ -561,19 +515,11 @@ def algebra_extension_from_cocycle(
         raise InputError("omega must be a 2-cochain over (A, W)")
     n, m = A.dim, W.dim
     t = m + n
-    prod = [[[_ZERO] * t for _ in range(t)] for _ in range(t)]
-    for i in range(n):
-        for j in range(n):
-            ome = omega.value((i, j))
-            for k in range(m):
-                prod[m + i][m + j][k] = ome[k]
-            for k in range(n):
-                prod[m + i][m + j][m + k] = A.product[i][j][k]
-        for al in range(m):
-            for be in range(m):
-                prod[m + i][al][be] = W.left[i][al][be]
-                prod[al][m + i][be] = W.right[al][i][be]
-    total = KVAlgebra(dim=t, product=tensor3(prod))
+    ome = [[omega.value((i, j)) for j in range(n)] for i in range(n)]
+    prod = _blocks(
+        t, t, t, (ome, m, m, 0), (A.product, m, m, m), (W.left, m, 0, 0), (W.right, 0, m, 0)
+    )
+    total = KVAlgebra(dim=t, product=prod)
     return AlgebraExtension(base=A, kernel=W, total=total)
 
 

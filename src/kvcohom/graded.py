@@ -40,6 +40,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     Tensor3,
+    _blocks,
     _check_shape,
     _derivation_failure,
     _product_lists,
@@ -180,19 +181,18 @@ def is_kv_chain(theta: Tensor3) -> CheckResult:
 def embed_theta(G: GradedKVAlgebra, theta: Tensor3) -> Cochain:
     """theta as a 2-cochain over the total algebra with regular coefficients."""
     _check_shape(theta, G.m, G.m, G.m, "theta")
+    n = G.n
+    return _regular_cochain(G, (theta, n, n, n))
+
+
+def _regular_cochain(G: GradedKVAlgebra, *blocks: tuple[Tensor3, int, int, int]) -> Cochain:
+    """The 2-cochain over the total algebra, with regular coefficients, whose
+    value on (e_x, e_y) is row [x][y] of the block tensor `core._blocks` lays
+    out on G x G x G."""
     total = G.total()
-    W = regular_bimodule(total)
-    n, N = G.n, G.dim
-
-    def fn(args):
-        x, y = args
-        out = [_ZERO] * N
-        if x >= n and y >= n:
-            for ga in range(G.m):
-                out[n + ga] = theta[x - n][y - n][ga]
-        return out
-
-    return Cochain.from_function(total, W, 2, fn)
+    N = G.dim
+    values = tuple(x for plane in _blocks(N, N, N, *blocks) for row in plane for x in row)
+    return Cochain(total, regular_bimodule(total), 2, values)
 
 
 def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
@@ -340,16 +340,9 @@ def deform_graded(G: GradedKVAlgebra, theta: Tensor3) -> KVAlgebra:
     derivation rule (`is_theta_cocycle`) and is a KV-chain (`is_kv_chain`).
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
-    n, m, N = G.n, G.m, G.dim
-    base = G.total().product
-    prod = [[list(base[x][y]) for y in range(N)] for x in range(N)]
-    for al in range(m):
-        for be in range(m):
-            for ga in range(m):
-                prod[n + al][n + be][n + ga] = (
-                    prod[n + al][n + be][n + ga] + theta[al][be][ga]
-                )
-    return KVAlgebra(dim=N, product=tensor3(prod))
+    n, N = G.n, G.dim
+    # The total product vanishes on the odd-odd block, where theta goes.
+    return KVAlgebra(dim=N, product=_blocks(N, N, N, (G.total().product, 0, 0, 0), (theta, n, n, n)))
 
 
 def cocycle_from_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Cochain:
@@ -360,25 +353,9 @@ def cocycle_from_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) ->
     """
     _check_shape(pair.theta, G.m, G.m, G.m, "theta")
     _check_shape(pair.psi, G.n, G.m, G.n, "psi")
-    total = G.total()
-    W = regular_bimodule(total)
-    n, N = G.n, G.dim
-
-    def fn(args):
-        x, y = args
-        out = [_ZERO] * N
-        if x >= n and y >= n:
-            for ga in range(G.m):
-                out[n + ga] = pair.theta[x - n][y - n][ga]
-        elif x < n <= y:
-            for k in range(n):
-                out[k] = pair.psi[x][y - n][k]
-        elif y < n <= x:
-            for k in range(n):
-                out[k] = pair.psi[y][x - n][k]
-        return out
-
-    return Cochain.from_function(total, W, 2, fn)
+    n = G.n
+    psi_swapped = tuple(zip(*pair.psi))  # psi(w, a) := psi(a, w)
+    return _regular_cochain(G, (pair.theta, n, n, n), (pair.psi, 0, n, 0), (psi_swapped, n, 0, 0))
 
 
 @dataclass(frozen=True)

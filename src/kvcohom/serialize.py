@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence
 from . import complexes, deform, extensions, graded
 from .core import KVAlgebra, KVModule, Tensor3, tensor3
 from .errors import InputError
-from .linalg import Mat, Vec, vec
+from .linalg import Mat, Vec
 
 __all__ = [
     "format_rat",

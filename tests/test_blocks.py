@@ -1,0 +1,490 @@
+"""The shared block layout of `core` against the copy loops it replaced.
+
+`core._blocks` builds every tensor on a direct sum of spaces: the products
+of `semidirect` and `direct_sum`, the actions of `module_direct_sum` and
+`extend_module_to_semidirect`, the extension totals, the graded deformation
+and the graded 2-cochains.  `core._block` reads a block back out for
+`extensions._split_semidirect`.  Each check below runs a copy of the loop
+it replaced as a reference, on fixtures and on seeded random inputs (cocycles
+and non-cocycles alike), and asserts equal results, names included, or the
+same error text.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from kvcohom.complexes import Cochain, cohomology
+from kvcohom.core import (
+    KVAlgebra,
+    KVModule,
+    _block,
+    _blocks,
+    direct_sum,
+    is_module,
+    left_regular_module,
+    module_direct_sum,
+    random_kv,
+    random_module,
+    regular_bimodule,
+    semidirect,
+    tensor3,
+    zero3,
+    zero_module,
+)
+from kvcohom.errors import DimensionError, InputError, PreconditionError
+from kvcohom.extensions import (
+    AlgebraExtension,
+    BigradedCochain,
+    ModuleExtension,
+    _split_semidirect,
+    algebra_extension_from_cocycle,
+    e11_coboundary0,
+    e11_cohomology,
+    e11_support,
+    extend_module_to_semidirect,
+    module_extension_from_cocycle,
+)
+from kvcohom.fixtures import (
+    algebra_catalog,
+    flat_polynomial_module,
+    flat_psi,
+    flat_theta,
+    graded_flat,
+    rad2,
+    rad2_left_module,
+)
+from kvcohom.graded import (
+    ConnectionlikePair,
+    GradedKVAlgebra,
+    cocycle_from_connectionlike,
+    deform_graded,
+    embed_theta,
+)
+from kvcohom.linalg import Mat
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _random_tensor(rng, d1, d2, d3, density):
+    coeffs = (-2, -1, 1, 2, Fraction(1, 2))
+    return tensor3(
+        [
+            [[rng.choice(coeffs) if rng.random() < density else 0 for _ in range(d3)]
+             for _ in range(d2)]
+            for _ in range(d1)
+        ]
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (DimensionError, InputError, PreconditionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _pairs():
+    """(A, W, V) over fixtures and seeded random algebras and modules."""
+    out = [(A, regular_bimodule(A), left_regular_module(A)) for A in algebra_catalog()]
+    out.append((rad2(), rad2_left_module(), zero_module(rad2(), 2)))
+    for s in range(1, 30):
+        A = random_kv(s, 2 + s % 3)
+        out.append((A, random_module(A, s, 3), random_module(A, s + 50, 2)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the helpers themselves
+
+
+def test_blocks_places_each_block_and_the_later_one_wins():
+    ones = tensor3([[[1, 1], [1, 1]], [[1, 1], [1, 1]]])
+    twos = tensor3([[[2]]])
+    t = _blocks(3, 3, 4, (ones, 0, 1, 2), (twos, 1, 2, 3))
+    for i, j, k in itertools.product(range(3), range(3), range(4)):
+        want = 0
+        if i < 2 and 1 <= j < 3 and 2 <= k < 4:
+            want = 1
+        if (i, j, k) == (1, 2, 3):
+            want = 2
+        assert t[i][j][k] == want
+    assert all(type(x) is Fraction for p in t for r in p for x in r)
+    assert _block(t, 0, 1, 2, 2, 2, 2) == tensor3([[[1, 1], [1, 1]], [[1, 1], [1, 2]]])
+    assert _blocks(0, 2, 2) == () and _blocks(2, 0, 3) == ((), ())
+
+
+def test_block_reads_back_what_blocks_placed():
+    rng = random.Random(5)
+    for _ in range(100):
+        dims = [rng.randint(0, 3) for _ in range(3)]
+        offs = [rng.randint(0, 2) for _ in range(3)]
+        t = _random_tensor(rng, *dims, 0.6)
+        total = [d + o + rng.randint(0, 2) for d, o in zip(dims, offs)]
+        placed = _blocks(*total, (t, *offs))
+        assert _block(placed, *offs, *dims) == t
+        assert sum(1 for p in placed for r in p for x in r if x) == sum(
+            1 for p in t for r in p for x in r if x
+        )
+
+
+# ---------------------------------------------------------------------------
+# core: semidirect, direct_sum, module_direct_sum
+
+
+def reference_semidirect(A, W):
+    if W.dim == 0:
+        return A
+    n, m = A.dim, W.dim
+    N = n + m
+    prod = [[[_ZERO] * N for _ in range(N)] for _ in range(N)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                prod[i][j][k] = A.product[i][j][k]
+    for i in range(n):
+        for al in range(m):
+            for be in range(m):
+                prod[i][n + al][n + be] = W.left[i][al][be]
+                prod[n + al][i][n + be] = W.right[al][i][be]
+    name = None
+    if A.name:
+        name = f"{A.name}+module({m})"
+    return KVAlgebra(dim=N, product=tensor3(prod), name=name)
+
+
+def reference_direct_sum(A, B):
+    n, m = A.dim, B.dim
+    N = n + m
+    prod = [[[_ZERO] * N for _ in range(N)] for _ in range(N)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                prod[i][j][k] = A.product[i][j][k]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                prod[n + i][n + j][n + k] = B.product[i][j][k]
+    return KVAlgebra(dim=N, product=tensor3(prod))
+
+
+def reference_module_direct_sum(W, V):
+    if W.algebra != V.algebra:
+        raise DimensionError("module direct sum needs a common base algebra")
+    n = W.algebra.dim
+    mw, mv = W.dim, V.dim
+    M = mw + mv
+    left = [[[_ZERO] * M for _ in range(M)] for _ in range(n)]
+    right = [[[_ZERO] * M for _ in range(n)] for _ in range(M)]
+    for i in range(n):
+        for al in range(mw):
+            for be in range(mw):
+                left[i][al][be] = W.left[i][al][be]
+                right[al][i][be] = W.right[al][i][be]
+        for al in range(mv):
+            for be in range(mv):
+                left[i][mw + al][mw + be] = V.left[i][al][be]
+                right[mw + al][i][mw + be] = V.right[al][i][be]
+    return KVModule(algebra=W.algebra, dim=M, left=tensor3(left), right=tensor3(right))
+
+
+def test_core_sums_match_the_copy_loops():
+    pairs = _pairs()
+    for (A, W, V), (B, _, _) in zip(pairs, pairs[1:] + pairs[:1]):
+        for M in (W, V, zero_module(A, 0)):
+            G = semidirect(A, M)
+            assert G == reference_semidirect(A, M)
+            assert G.name == reference_semidirect(A, M).name
+        assert direct_sum(A, B) == reference_direct_sum(A, B)
+        assert module_direct_sum(W, V) == reference_module_direct_sum(W, V)
+        assert module_direct_sum(V, zero_module(A, 0)) == reference_module_direct_sum(
+            V, zero_module(A, 0)
+        )
+    # a named algebra keeps a name through the semidirect sum; a zero W
+    # returns the algebra itself
+    A = algebra_catalog()[0]
+    assert A.name and semidirect(A, regular_bimodule(A)).name == f"{A.name}+module({A.dim})"
+    assert semidirect(A, zero_module(A, 0)) is A
+    other = random_kv(3, 3)
+    assert _outcome(module_direct_sum, regular_bimodule(A), zero_module(other, 1)) == _outcome(
+        reference_module_direct_sum, regular_bimodule(A), zero_module(other, 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# extensions: the extended module, the two totals, the split, the block maps
+
+
+def reference_extend_module_to_semidirect(G, a_dim, V):
+    n = a_dim
+    N = G.dim
+    v = V.dim
+    left = [[[_ZERO] * v for _ in range(v)] for _ in range(N)]
+    right = [[[_ZERO] * v for _ in range(N)] for _ in range(v)]
+    for i in range(n):
+        for al in range(v):
+            for be in range(v):
+                left[i][al][be] = V.left[i][al][be]
+                right[al][i][be] = V.right[al][i][be]
+    return KVModule(algebra=G, dim=v, left=tensor3(left), right=tensor3(right))
+
+
+def reference_module_extension_from_cocycle(A, W, V, f):
+    if (f.w_degree, f.a_degree) != (1, 1):
+        raise InputError("module extensions need a cocycle of bidegree (1,1)")
+    n, m, v = A.dim, W.dim, V.dim
+    if f.a_dim != n or f.cochain.n != n + m or f.cochain.m != v:
+        raise DimensionError("cocycle does not match the given algebra and modules")
+    t = v + m
+    left = [[[_ZERO] * t for _ in range(t)] for _ in range(n)]
+    right = [[[_ZERO] * t for _ in range(n)] for _ in range(t)]
+    for i in range(n):
+        for be in range(v):
+            for ga in range(v):
+                left[i][be][ga] = V.left[i][be][ga]
+                right[be][i][ga] = V.right[be][i][ga]
+        for al in range(m):
+            th = f.cochain.value((i, n + al))
+            ps = f.cochain.value((n + al, i))
+            for ga in range(v):
+                left[i][v + al][ga] = th[ga]
+                right[v + al][i][ga] = ps[ga]
+            for ga in range(m):
+                left[i][v + al][v + ga] = W.left[i][al][ga]
+                right[v + al][i][v + ga] = W.right[al][i][ga]
+    T = KVModule(algebra=A, dim=t, left=tensor3(left), right=tensor3(right))
+    verdict = is_module(A, T)
+    if not verdict:
+        raise PreconditionError(
+            f"the (1,1) cochain is not a cocycle: the total space fails the "
+            f"module identities; {verdict.detail}"
+        )
+    return ModuleExtension(base=A, kernel=V, quotient=W, total=T)
+
+
+def reference_algebra_extension_from_cocycle(A, W, omega):
+    if omega.degree != 2 or omega.algebra != A or omega.module != W:
+        raise InputError("omega must be a 2-cochain over (A, W)")
+    n, m = A.dim, W.dim
+    t = m + n
+    prod = [[[_ZERO] * t for _ in range(t)] for _ in range(t)]
+    for i in range(n):
+        for j in range(n):
+            ome = omega.value((i, j))
+            for k in range(m):
+                prod[m + i][m + j][k] = ome[k]
+            for k in range(n):
+                prod[m + i][m + j][m + k] = A.product[i][j][k]
+        for al in range(m):
+            for be in range(m):
+                prod[m + i][al][be] = W.left[i][al][be]
+                prod[al][m + i][be] = W.right[al][i][be]
+    total = KVAlgebra(dim=t, product=tensor3(prod))
+    return AlgebraExtension(base=A, kernel=W, total=total)
+
+
+def reference_split_semidirect(f):
+    G = f.cochain.algebra
+    Vt = f.cochain.module
+    n = f.a_dim
+    N = G.dim
+    m = N - n
+    aprod = tuple(
+        tuple(tuple(G.product[i][j][k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    A = KVAlgebra(dim=n, product=aprod)
+    wleft = tuple(
+        tuple(tuple(G.product[i][n + al][n + be] for be in range(m)) for al in range(m))
+        for i in range(n)
+    )
+    wright = tuple(
+        tuple(tuple(G.product[n + al][i][n + be] for be in range(m)) for i in range(n))
+        for al in range(m)
+    )
+    W = KVModule(algebra=A, dim=m, left=wleft, right=wright)
+    vleft = tuple(
+        tuple(tuple(Vt.left[i][al][be] for be in range(Vt.dim)) for al in range(Vt.dim))
+        for i in range(n)
+    )
+    vright = tuple(
+        tuple(tuple(Vt.right[al][i][be] for be in range(Vt.dim)) for i in range(n))
+        for al in range(Vt.dim)
+    )
+    V = KVModule(algebra=A, dim=Vt.dim, left=vleft, right=vright)
+    return A, W, V
+
+
+def _one_one_cochains(rng, A, W, V):
+    """(1,1) cochains over semidirect(A, W): coboundaries and class
+    representatives, which are cocycles, and random ones, which mostly are not."""
+    G = semidirect(A, W)
+    Vt = extend_module_to_semidirect(G, A.dim, V)
+    out = [e11_coboundary0(A, W, V, Mat.from_rows(
+        [[rng.choice((-1, 0, 1, 2)) for _ in range(V.dim)] for _ in range(W.dim)], cols=V.dim
+    ))]
+    if A.dim <= 3 and W.dim <= 2:
+        reps = e11_cohomology(A, W, V, 1).degree(1).representatives
+        out += [BigradedCochain(r, A.dim, 1, 1) for r in reps[:2]]
+    values = [_ZERO] * (G.dim**2 * V.dim)
+    for pos in e11_support(A, W, V, 1):
+        values[pos] = Fraction(rng.choice((-2, -1, 0, 1, 3)))
+    out.append(BigradedCochain(Cochain(G, Vt, 2, tuple(values)), A.dim, 1, 1))
+    return out
+
+
+def test_extension_builders_match_the_copy_loops():
+    rng = random.Random(7)
+    rejected = accepted = 0
+    for A, W, V in _pairs():
+        G = semidirect(A, W)
+        Vt = extend_module_to_semidirect(G, A.dim, V)
+        assert Vt == reference_extend_module_to_semidirect(G, A.dim, V)
+        for f in _one_one_cochains(rng, A, W, V):
+            got = _outcome(module_extension_from_cocycle, A, W, V, f)
+            assert got == _outcome(reference_module_extension_from_cocycle, A, W, V, f)
+            accepted += got[0] == "value"
+            rejected += got[0] == "PreconditionError"
+            assert _split_semidirect(f) == reference_split_semidirect(f)
+        omegas = [Cochain.from_values(A, W, 2, [rng.choice((-1, 0, 0, 2)) for _ in range(A.dim**2 * W.dim)])]
+        if A.dim <= 3 and W.dim <= 2:
+            omegas += list(cohomology(A, W, 2).degree(2).representatives[:2])
+        for omega in omegas:
+            assert algebra_extension_from_cocycle(A, W, omega) == (
+                reference_algebra_extension_from_cocycle(A, W, omega)
+            )
+    assert accepted and rejected
+    A = algebra_catalog()[0]
+    bad = Cochain.zero(A, regular_bimodule(A), 1)
+    assert _outcome(algebra_extension_from_cocycle, A, regular_bimodule(A), bad) == _outcome(
+        reference_algebra_extension_from_cocycle, A, regular_bimodule(A), bad
+    )
+
+
+def reference_module_maps(v, m, t):
+    injection = Mat.from_rows(
+        [[_ONE if j == i else _ZERO for j in range(t)] for i in range(v)], cols=t
+    )
+    projection = Mat.from_rows(
+        [[_ONE if i >= v and i - v == j else _ZERO for j in range(m)] for i in range(t)],
+        cols=m,
+    )
+    section = Mat.from_rows(
+        [[_ONE if j == v + i else _ZERO for j in range(t)] for i in range(m)], cols=t
+    )
+    return injection, projection, section
+
+
+def reference_algebra_maps(m, n, t):
+    injection = Mat.from_rows(
+        [[_ONE if j == i else _ZERO for j in range(t)] for i in range(m)], cols=t
+    )
+    projection = Mat.from_rows(
+        [[_ONE if i >= m and i - m == j else _ZERO for j in range(n)] for i in range(t)],
+        cols=n,
+    )
+    section = Mat.from_rows(
+        [[_ONE if j == m + i else _ZERO for j in range(t)] for i in range(n)], cols=t
+    )
+    return injection, projection, section
+
+
+@pytest.mark.parametrize("n, v, m", [(0, 0, 0), (1, 0, 2), (2, 3, 0), (2, 1, 1), (3, 2, 3)])
+def test_extension_block_maps_match_the_dense_rows(n, v, m):
+    A = KVAlgebra(n, zero3(n, n, n))
+    V, W = zero_module(A, v), zero_module(A, m)
+    ext = ModuleExtension(base=A, kernel=V, quotient=W, total=module_direct_sum(V, W))
+    got = (ext.injection(), ext.projection(), ext.canonical_section())
+    assert got == reference_module_maps(v, m, v + m)
+    alg = AlgebraExtension(base=A, kernel=W, total=KVAlgebra(m + n, zero3(m + n, m + n, m + n)))
+    got = (alg.injection(), alg.projection(), alg.canonical_section())
+    assert got == reference_algebra_maps(m, n, m + n)
+
+
+# ---------------------------------------------------------------------------
+# graded: the deformation and the two 2-cochains
+
+
+def reference_deform_graded(G, theta):
+    n, m, N = G.n, G.m, G.dim
+    base = G.total().product
+    prod = [[list(base[x][y]) for y in range(N)] for x in range(N)]
+    for al in range(m):
+        for be in range(m):
+            for ga in range(m):
+                prod[n + al][n + be][n + ga] = (
+                    prod[n + al][n + be][n + ga] + theta[al][be][ga]
+                )
+    return KVAlgebra(dim=N, product=tensor3(prod))
+
+
+def reference_embed_theta(G, theta):
+    total = G.total()
+    W = regular_bimodule(total)
+    n, N = G.n, G.dim
+
+    def fn(args):
+        x, y = args
+        out = [_ZERO] * N
+        if x >= n and y >= n:
+            for ga in range(G.m):
+                out[n + ga] = theta[x - n][y - n][ga]
+        return out
+
+    return Cochain.from_function(total, W, 2, fn)
+
+
+def reference_cocycle_from_connectionlike(G, pair):
+    total = G.total()
+    W = regular_bimodule(total)
+    n, N = G.n, G.dim
+
+    def fn(args):
+        x, y = args
+        out = [_ZERO] * N
+        if x >= n and y >= n:
+            for ga in range(G.m):
+                out[n + ga] = pair.theta[x - n][y - n][ga]
+        elif x < n <= y:
+            for k in range(n):
+                out[k] = pair.psi[x][y - n][k]
+        elif y < n <= x:
+            for k in range(n):
+                out[k] = pair.psi[y][x - n][k]
+        return out
+
+    return Cochain.from_function(total, W, 2, fn)
+
+
+def _graded_algebras():
+    out = [graded_flat(), GradedKVAlgebra(rad2(), rad2_left_module())]
+    A = flat_polynomial_module().algebra
+    out.append(GradedKVAlgebra(A, flat_polynomial_module()))
+    for s in range(1, 16):
+        A = random_kv(s, 1 + s % 3)
+        for W in (left_regular_module(A), zero_module(A, 2), zero_module(A, 0)):
+            try:
+                out.append(GradedKVAlgebra(A, W))
+            except PreconditionError:
+                pass
+    return out
+
+
+def test_graded_builders_match_the_copy_loops():
+    rng = random.Random(9)
+    graded = _graded_algebras()
+    assert any(G.m == 0 for G in graded)
+    cases = [(graded[0], flat_theta(), flat_psi())]
+    for G in graded:
+        for density in (0.3, 0.8):
+            cases.append((G, _random_tensor(rng, G.m, G.m, G.m, density),
+                          _random_tensor(rng, G.n, G.m, G.n, density)))
+    for G, theta, psi in cases:
+        # random thetas are mostly not theta-cocycles; the builders do not care
+        assert deform_graded(G, theta) == reference_deform_graded(G, theta)
+        assert embed_theta(G, theta) == reference_embed_theta(G, theta)
+        pair = ConnectionlikePair(theta=theta, psi=psi)
+        assert cocycle_from_connectionlike(G, pair) == reference_cocycle_from_connectionlike(G, pair)

@@ -47,7 +47,7 @@ from kvcohom.core import (
 from kvcohom.errors import BudgetError, PreconditionError
 from kvcohom.extensions import e11_matrix, e11_support, extend_module_to_semidirect
 from kvcohom.fixtures import aff, assoc1, poly2, rad2, zero_algebra
-from kvcohom.linalg import Mat, mat_mul, zeros
+from kvcohom.linalg import Mat, image, kernel, mat_mul, zeros
 
 
 def _random_cochain(rng, A, W, q, scale=4):
@@ -317,6 +317,20 @@ def test_nijenhuis_dims_aff():
     assert [rep.degree(q).dim_H for q in (1, 2, 3)] == [1, 1, 0]
     for d in rep.degrees:
         assert d.dim_H == d.dim_Z - d.dim_B
+
+
+def test_nijenhuis_dims_are_the_kernel_and_image_of_its_differentials():
+    # The table reads dim Z and dim B off one rank per differential; the
+    # kernel and image of the same matrices are the independent route.
+    for s in range(1, 13):
+        A = random_kv(s, 4)
+        for W in (regular_bimodule(A), random_module(A, s, 2)):
+            mats = nijenhuis_matrices(A, W, 3)
+            for d in nijenhuis_cohomology(A, W, 3).degrees:
+                p = d.degree - 1
+                assert d.dim_C == mats[p].cols
+                assert d.dim_Z == kernel(mats[p]).dim
+                assert d.dim_B == (image(mats[p - 1]).dim if p else 0)
 
 
 def test_functoriality_of_coboundary():

@@ -1,5 +1,6 @@
 """What ``import kvcohom`` executes, and the names the package re-exports."""
 
+import ast
 import importlib
 import json
 import os
@@ -142,3 +143,58 @@ def test_package_runs_as_a_module_without_warnings(tmp_path, capsys):
     assert proc.stderr == b""
     assert kvcohom.cli.main(["fixtures", "aff"]) == 0
     assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def _imported_names(tree: ast.Module) -> dict:
+    """Names bound by the module-level imports (those under a top-level
+    ``if``, such as ``TYPE_CHECKING``, included), with their line numbers."""
+    out = {}
+    nodes = list(tree.body)
+    nodes += [n for top in tree.body if isinstance(top, ast.If) for n in top.body + top.orelse]
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    """Every name the module reads, in code, in string annotations and in
+    ``__all__``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    for ann in filter(None, annotations):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                expr = ast.parse(c.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_every_module_level_import_is_used():
+    home = Path(kvcohom.__file__).resolve().parent
+    dead = []
+    for path in sorted(home.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _referenced_names(tree)
+        dead += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree).items()
+            if name not in used
+        ]
+    assert dead == []
