@@ -15,6 +15,14 @@ Degree 0 is special: the degree-0 cochain space is the Jacobi subspace J(W)
 (the elements w with (a,b,w) = 0 for all a, b), and (delta w)(a) = -aw + wa.
 Outside J(W) the complex property delta(delta w) = 0 genuinely fails, which
 is why admission is guarded.
+
+Each differential is assembled from the nonzero structure constants, once,
+straight into the integer rows of D times its matrix, D the lcm of the
+constants' denominators: that multiple has the kernel, image and rank of
+the differential, so elimination reads the rows as they are, and the
+right-hand side of a solve is multiplied by D instead.  The public matrices
+(`coboundary_matrix`, `nijenhuis_matrices`) are the same rows with each
+entry divided by D once.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     Element,
@@ -39,16 +47,19 @@ from .core import (
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
 from .linalg import (
+    IntRow,
     Mat,
     RatLike,
     Subspace,
     Vec,
     _combine,
+    _image,
+    _integral_rows,
+    _kernel,
     _quotient,
+    _rank,
+    _solve,
     extend_basis,
-    image,
-    kernel,
-    rank,
     rat,
     solve,
     vec,
@@ -334,15 +345,18 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
 
     For q = 0 the domain is J(W) in its echelon basis, matching the
     degree-0 rule of the complex; for q >= 1 the domain is the full
-    degree-q table.
+    degree-q table, and the matrix is `_coboundary_rows` divided by D.
     """
     if q < 0:
         raise InputError("coboundary degree must be non-negative")
-    n, m = A.dim, W.dim
     if q == 0:
         return _delta0_matrix(A, W, jacobi_module(A, W))
-    entries = _divided(*_assemble(A, W, q, itertools.product(range(n), repeat=q + 1)))
-    return Mat.from_items(n ** (q + 1) * m, n**q * m, entries)
+    return _matrix(*_coboundary_rows(A, W, q), A.dim**q * W.dim)
+
+
+def _matrix(D: int, rows: list[IntRow], cols: int) -> Mat:
+    """The matrix M from the integer rows of D * M: each entry divided by D once."""
+    return Mat._of(len(rows), cols, tuple(_quotient(r, D) for r in rows))
 
 
 def _integral_lists(*tables: list) -> tuple[int, list]:
@@ -360,54 +374,68 @@ def _integral_lists(*tables: list) -> tuple[int, list]:
     return D, scaled
 
 
-def _divided(D: int, terms: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], Fraction]:
-    """Sum the integer (row, col, value) terms of D times a matrix and divide
-    each nonzero sum by D: the matrix as {(row, col): entry}."""
-    entries: dict[tuple[int, int], int] = {}
-    for r, c, val in terms:
-        key = (r, c)
-        cur = entries.get(key)
-        entries[key] = val if cur is None else cur + val
-    for key in [key for key, x in entries.items() if not x]:
-        del entries[key]
-    return _quotient(entries, D)
+def _nonzero_rows(block: list[dict]) -> list[IntRow]:
+    """The accumulated rows of a block, each without the sums that cancelled."""
+    return [{c: x for c, x in r.items() if x} if 0 in r.values() else r for r in block]
 
 
-def _assemble(
-    A: KVAlgebra, W: KVModule, q: int, outputs: Iterable[tuple[int, ...]]
-) -> tuple[int, Iterator[tuple[int, int, int]]]:
-    """D and the integer (row, col, value) terms of D times the degree-q
-    (q >= 1) `coboundary_matrix` on the rows of the given output tuples,
-    from nonzero structure constants; D is the lcm of their denominators.
+def _coboundary_rows(
+    A: KVAlgebra, W: KVModule, q: int, outputs: Optional[Iterable[tuple[int, ...]]] = None
+) -> tuple[int, list[IntRow]]:
+    """D and the integer rows of D times the degree-q (q >= 1)
+    `coboundary_matrix`, from nonzero structure constants; D is the lcm of
+    their denominators.
+
+    Each output tuple (all of A^(q+1) in order by default) gives its m
+    rows.  The rest tuple of slot j (the output without a_j) sits at the
+    column ``base``; replacing its slot p moves that by a multiple of the
+    stride of p, and passing from slot j to slot j + 1 changes only slot j
+    of the rest.
     """
     n, m = A.dim, W.dim
     lefts, _, rights, _ = _action_lists(W)
     D, (gammas, lefts, rights) = _integral_lists(_product_lists(A.product)[0], lefts, rights)
 
-    def terms() -> Iterator[tuple[int, int, int]]:
-        for args in outputs:
-            out_base = _flat(args, n) * m
-            last = args[q]
-            for j in range(q):
-                neg = j % 2 == 0  # the sign (-1)^(j+1) of the formula's slot j + 1
-                ij = args[j]
-                rest = args[:j] + args[j + 1 :]
-                rest_base = _flat(rest, n) * m
-                for be in range(m):
-                    for ga, x in lefts[ij][be]:
-                        yield out_base + ga, rest_base + be, -x if neg else x
-                for p in range(q):
-                    for k, co in gammas[ij][rest[p]]:
-                        src_base = _flat(rest[:p] + (k,) + rest[p + 1 :], n) * m
-                        val = co if neg else -co
-                        for be in range(m):
-                            yield out_base + be, src_base + be, val
-                src3 = _flat(rest[:-1] + (ij,), n) * m
-                for be in range(m):
-                    for ga, x in rights[be][last]:
-                        yield out_base + ga, src3 + be, -x if neg else x
+    def negated(t):
+        return [[[(k, -x) for k, x in pairs] for pairs in row] for row in t]
 
-    return D, terms()
+    # slot j + 1 of the formula has the sign (-1)^(j+1): the action terms
+    # take it and the product terms its opposite, by the parity of j
+    signed = [(negated(lefts), gammas, negated(rights)), (lefts, negated(gammas), rights)]
+    strides = [n ** (q - 1 - p) * m for p in range(q)]
+    if outputs is None:
+        outputs = itertools.product(range(n), repeat=q + 1)
+    rows: list[IntRow] = []
+    for args in outputs:
+        block: list[dict] = [{} for _ in range(m)]
+        last = args[q]
+        base = sum(a * st for a, st in zip(args[1:], strides))
+        for j in range(q):
+            ls, gs, rs = signed[j % 2]
+            ij = args[j]
+            for be in range(m):
+                c = base + be
+                for ga, x in ls[ij][be]:
+                    r = block[ga]
+                    r[c] = r.get(c, 0) + x
+            for p in range(q):
+                rp = args[p] if p < j else args[p + 1]
+                st = strides[p]
+                for k, co in gs[ij][rp]:
+                    c = base + (k - rp) * st
+                    for r in block:
+                        r[c] = r.get(c, 0) + co
+                        c += 1
+            src = base + (ij - last) * m
+            for be in range(m):
+                c = src + be
+                for ga, x in rs[be][last]:
+                    r = block[ga]
+                    r[c] = r.get(c, 0) + x
+            if j + 1 < q:
+                base += (ij - args[j + 1]) * strides[j]
+        rows.extend(_nonzero_rows(block))
+    return D, rows
 
 
 @dataclass(frozen=True)
@@ -461,26 +489,32 @@ def cohomology(
     for q in range(q_max + 2):
         check_budget(n, m, q, budget)
     J = jacobi_module(A, W)
-    mats = {0: _delta0_matrix(A, W, J)}
-    mats.update((q, coboundary_matrix(A, W, q)) for q in range(1, q_max + 1))
+    d_prev = (_integral_rows(_delta0_matrix(A, W, J))[1], J.dim)
 
     degrees: list[DegreeData] = []
     # Degree 0: C_0 = J(W), no coboundaries from below.
-    K0 = kernel(mats[0])  # coordinates in the echelon basis of J
+    K0 = _kernel(*d_prev)  # coordinates in the echelon basis of J
     reps0 = tuple(Cochain(A, W, 0, _combine(c, J)) for c in K0.basis)
     degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
 
     for q in range(1, q_max + 1):
-        Z, B, rep_vecs = _cohomology_step(mats[q], mats[q - 1])
+        d_q = (_coboundary_rows(A, W, q)[1], n**q * m)
+        Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
         reps = tuple(Cochain(A, W, q, v) for v in rep_vecs)
         degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, Z.dim - B.dim, reps))
+        d_prev = d_q
     return CohomologyReport(tuple(degrees))
 
 
-def _cohomology_step(d_q: Mat, d_prev: Optional[Mat]) -> tuple[Subspace, Subspace, list[Vec]]:
+# A differential for elimination: the integer rows of a nonzero multiple of
+# its matrix, and its column count.
+Rows = tuple[list[IntRow], int]
+
+
+def _cohomology_step(d_q: Rows, d_prev: Optional[Rows]) -> tuple[Subspace, Subspace, list[Vec]]:
     """Z = ker d_q, B = im d_{q-1} (0 if d_prev is None) and the Z basis vectors extending B."""
-    Z = kernel(d_q)
-    B = Subspace.zero(d_q.cols) if d_prev is None else image(d_prev)
+    B = Subspace.zero(d_q[1]) if d_prev is None else _image(*d_prev)
+    Z = _kernel(*d_q)
     reps = extend_basis(B, Z)
     if len(reps) != Z.dim - B.dim:
         raise AssertionError(
@@ -514,7 +548,8 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         J = jacobi_module(A, W)
         x = solve(_delta0_matrix(A, W, J), f.values)
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
-    x = solve(coboundary_matrix(A, W, f.degree - 1), f.values)
+    D, rows = _coboundary_rows(A, W, f.degree - 1)
+    x = _solve(rows, A.dim ** (f.degree - 1) * W.dim, {i: D * y for i, y in enumerate(f.values) if y})
     return None if x is None else Cochain(A, W, f.degree - 1, x)
 
 
@@ -524,35 +559,48 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
     The underlying data is the commutator Lie algebra A_L acting on the
     space of linear maps L(A, W) by (x.f)(b) = x(f(b)) - f([x,b]); cochains
     are alternating with basis indexed by strictly increasing index tuples.
-    The basis map of L(A, W) at j * m + be sends e_j to w_be.
+    The basis map of L(A, W) at j * m + be sends e_j to w_be.  Each matrix
+    is `_nijenhuis_rows` divided by D.
     """
     if q_max < 1:
         raise InputError("nijenhuis_matrices needs q_max >= 1")
+    nv = A.dim * W.dim
+    D, rows = _nijenhuis_rows(A, W, q_max)
+    return {p: _matrix(D, r, math.comb(A.dim, p) * nv) for p, r in enumerate(rows)}
+
+
+def _nijenhuis_rows(A: KVAlgebra, W: KVModule, q_max: int) -> tuple[int, list[list[IntRow]]]:
+    """D and, for p < q_max, the integer rows of D times the differential
+    d_p of `nijenhuis_matrices`; D is the lcm of the denominators of the
+    action and bracket constants."""
     n, m = A.dim, W.dim
     nv = n * m
     D, (lefts, brackets) = _integral_lists(_action_lists(W)[0], _product_lists(lie_bracket(A))[0])
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 
-    def terms(p: int) -> Iterator[tuple[int, int, int]]:
-        """The integer (row, col, value) terms of D times the differential
-        Lambda^p -> Lambda^{p+1}."""
+    def rows(p: int) -> list[IntRow]:
+        out: list[IntRow] = []
         for T in combos[p + 1]:
-            out_base = combo_pos[p + 1][T] * nv
+            block: list[dict] = [{} for _ in range(nv)]
             for i in range(p + 1):
-                neg = i % 2 == 1
+                sign = -1 if i % 2 else 1
                 x = T[i]
                 src_base = combo_pos[p][T[:i] + T[i + 1 :]] * nv
                 # x(f(e_j)) on the map e_j -> w_be, then -f([x, e_b]) for
                 # each b whose bracket with x has an e_j component
                 for j in range(n):
                     for be in range(m):
+                        c = src_base + j * m + be
                         for ga, a in lefts[x][be]:
-                            yield out_base + j * m + ga, src_base + j * m + be, -a if neg else a
+                            r = block[j * m + ga]
+                            r[c] = r.get(c, 0) + sign * a
                 for b in range(n):
                     for j, co in brackets[x][b]:
-                        for be in range(m):
-                            yield out_base + b * m + be, src_base + j * m + be, co if neg else -co
+                        c = src_base + j * m
+                        for r in block[b * m : (b + 1) * m]:
+                            r[c] = r.get(c, 0) - sign * co
+                            c += 1
             for i in range(p + 1):
                 for j in range(i + 1, p + 1):
                     rest = tuple(T[t] for t in range(p + 1) if t not in (i, j))
@@ -561,15 +609,14 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
                             continue
                         pos = sum(1 for r in rest if r < k)
                         val = -co if (i + j + pos) % 2 else co
-                        srt = tuple(sorted(rest + (k,)))
-                        src_base = combo_pos[p][srt] * nv
-                        for v in range(nv):
-                            yield out_base + v, src_base + v, val
+                        c = combo_pos[p][tuple(sorted(rest + (k,)))] * nv
+                        for r in block:
+                            r[c] = r.get(c, 0) + val
+                            c += 1
+            out.extend(_nonzero_rows(block))
+        return out
 
-    return {
-        p: Mat.from_items(len(combos[p + 1]) * nv, len(combos[p]) * nv, _divided(D, terms(p)))
-        for p in range(q_max)
-    }
+    return D, [rows(p) for p in range(q_max)]
 
 
 def nijenhuis_cohomology(A: KVAlgebra, W: KVModule, q_max: int) -> CohomologyReport:
@@ -586,7 +633,7 @@ def nijenhuis_cohomology(A: KVAlgebra, W: KVModule, q_max: int) -> CohomologyRep
     n, m = A.dim, W.dim
     cells = [_check_cells(p + 1, math.comb(n, p) * n * m) for p in range(q_max + 1)]
     _require_verified(A, W)
-    ranks = [rank(d) for d in nijenhuis_matrices(A, W, q_max).values()]
+    ranks = [_rank(rows) for rows in _nijenhuis_rows(A, W, q_max)[1]]
     degrees: list[DegreeData] = []
     for q in range(1, q_max + 1):
         p = q - 1

@@ -322,7 +322,9 @@ def _two_step(*terms) -> dict[int, Fraction]:
 
     Each term is (negate, first, second): ``first`` lists the nonzero
     (s, c) of the first product y, and ``second[s]`` the nonzero (t, x) of
-    the second product taken on the basis vector s.
+    the second product taken on the basis vector s.  The sums start from
+    int 0, so integer lists give integer values and Fraction lists
+    Fraction values.
     """
     acc: dict[int, Fraction] = {}
     for negate, first, second in terms:
@@ -330,7 +332,7 @@ def _two_step(*terms) -> dict[int, Fraction]:
             if negate:
                 c = -c
             for t, x in second[s]:
-                acc[t] = acc.get(t, _ZERO) + c * x
+                acc[t] = acc.get(t, 0) + c * x
     return {t: v for t, v in acc.items() if v}
 
 

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .complexes import Cochain, _cohomology_step, check_budget, coboundary, coboundary_matrix
+from .complexes import (
+    Cochain,
+    _coboundary_rows,
+    _cohomology_step,
+    _integral_lists,
+    check_budget,
+    coboundary,
+)
 from .core import (
     CheckResult,
     KVAlgebra,
@@ -44,7 +51,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Vec, kernel, solve, vec
+from .linalg import IntRow, Mat, Vec, _kernel, _quotient, _solve, _transposed
 
 __all__ = [
     "Tensor4",
@@ -68,7 +75,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 Tensor4 = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
 
@@ -262,18 +268,26 @@ def _tensor3_of(v: Vec, n: int) -> Tensor3:
     return tuple(tuple(rows[a * n : (a + 1) * n]) for a in range(n))
 
 
-def _jet_lists(jet: MultiplicationJet) -> list:
-    return [_product_lists(jet.coefficient(i)) for i in range(jet.order + 1)]
+def _jet_lists(jet: MultiplicationJet) -> tuple[int, list]:
+    """d and the nonzero lists of mu_0, ..., mu_K, each times d, as ints;
+    d is the lcm of the denominators of all the coefficients.
+
+    A sum of two-step terms over these lists is d^2 times its value.
+    """
+    d, gams = _integral_lists(*(_product_lists(jet.coefficient(i))[0] for i in range(jet.order + 1)))
+    return d, [(g, list(zip(*g))) for g in gams]
 
 
-def _target(n: int, L, k: int) -> Sparse4:
-    """R_k = -(1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j; L[i] holds the nonzero lists of mu_i."""
+def _target(n: int, L, d: int, k: int) -> Sparse4:
+    """R_k = -(1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j; L[i] holds the
+    nonzero lists of mu_i times d, as `_jet_lists` gives them."""
     B = _sparse4(n, _pairs(L, [p for i in range(1, k) for p in ((i, k - i), (k - i, i))]))
-    return {abc: {t: -_HALF * v for t, v in row.items()} for abc, row in B.items()}
+    return {abc: _quotient({t: -v for t, v in row.items()}, 2 * d * d) for abc, row in B.items()}
 
 
 def _residuals(jet: MultiplicationJet, L, orders) -> list[Sparse4]:
-    """The sparse E_k for k in orders; L[i] holds the nonzero lists of mu_i.
+    """The sparse E_k for k in orders, each times d^2; L[i] holds the
+    nonzero lists of mu_i times d, as `_jet_lists` gives them.
 
     Each E_k is the direct expansion sum_{i+j=k} A_ij (see pair_residual).
     """
@@ -284,13 +298,14 @@ def _residuals(jet: MultiplicationJet, L, orders) -> list[Sparse4]:
 def jet_residuals(jet: MultiplicationJet) -> tuple[Tensor4, ...]:
     """E_0, ..., E_K: the exact order-k coefficients of the KV identity,
     expanded directly from the coefficients (see `_residuals`)."""
-    E = _residuals(jet, _jet_lists(jet), range(jet.order + 1))
-    return tuple(_dense4(jet.dim, Ek) for Ek in E)
+    d, L = _jet_lists(jet)
+    E = _residuals(jet, L, range(jet.order + 1))
+    return tuple(_dense4(jet.dim, {abc: _quotient(row, d * d) for abc, row in Ek.items()}) for Ek in E)
 
 
 def jet_check(jet: MultiplicationJet) -> CheckResult:
     """Verdict on the KV identity through the jet's order, with a witness."""
-    for k, E in enumerate(_residuals(jet, _jet_lists(jet), range(jet.order + 1))):
+    for k, E in enumerate(_residuals(jet, _jet_lists(jet)[1], range(jet.order + 1))):
         if E:
             # rows are stored in lexicographic order of the basis triple
             a, b, c = next(iter(E))
@@ -341,47 +356,49 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
     """The solutions of orders order + 1, order + 2, ... in turn, each step
     extending the jet of the one before; it ends after an obstruction.
 
-    The budget, the nonzero lists of the coefficients and the degree-2
-    coboundary matrix are set up once for the chain, and each order is
-    checked exactly once: the input orders on entry, then each new order
-    after its solve.
+    The budget and the integer rows of D times the degree-2 coboundary
+    matrix are set up once for the chain, and each order is checked
+    exactly once: the input orders on entry, then each new order after its
+    solve.  The right-hand side of order k is R_k times D, on its nonzero
+    entries only.
     """
     A = jet.base
     n = jet.dim
     for q in (2, 3, 4):
         check_budget(n, n, q)
-    L = _jet_lists(jet)
+    d, L = _jet_lists(jet)
     for kk, E in enumerate(_residuals(jet, L, range(jet.order + 1))):
         if E:
             raise PreconditionError(
                 f"cannot raise the order: the order-{kk} residual is nonzero"
             )
-    M = coboundary_matrix(A, regular_bimodule(A), 2)
+    D, rows = _coboundary_rows(A, regular_bimodule(A), 2)
     while True:
         k = jet.order + 1
-        target = _dense4(n, _target(n, L, k))
-        target_flat = vec([x for q in target for p in q for r in p for x in r])
+        R = _target(n, L, d, k)
+        target = _dense4(n, R)
         target_is_cocycle = coboundary(trilinear_cochain(A, target)).is_zero()
-        x = solve(M, target_flat)
+        rhs = {((a * n + b) * n + c) * n + t: D * v for (a, b, c), row in R.items() for t, v in row.items()}
+        x = _solve(rows, n**3, rhs)
         if x is None:
             yield NextOrderSolution(
-                k, target, target_is_cocycle, None, _separating(M, target_flat), None
+                k, target, target_is_cocycle, None, _separating(rows, n**3, rhs), None
             )
             return
         mu_next = _tensor3_of(x, n)
         jet = jet.extend(mu_next)
-        L.append(_product_lists(mu_next))
+        d, L = _jet_lists(jet)
         if _residuals(jet, L, (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
         yield NextOrderSolution(k, target, target_is_cocycle, mu_next, None, jet)
 
 
-def _separating(M: Mat, target_flat: Vec) -> Vec:
-    """A functional from the left kernel of M that pairs nonzero with the
-    target, pairing over the nonzero entries of the target only."""
-    support = [(i, v) for i, v in enumerate(target_flat) if v]
-    for y in kernel(M.transpose()).basis:
-        if sum(y[i] * v for i, v in support) != 0:
+def _separating(rows: list[IntRow], cols: int, rhs: dict[int, Fraction]) -> Vec:
+    """A functional from the left kernel of the matrix with these integer
+    rows that pairs nonzero with the right-hand side, given by its nonzero
+    entries."""
+    for y in _kernel(_transposed(rows, cols), len(rows)).basis:
+        if sum(y[i] * v for i, v in rhs.items()) != 0:
             return y
     raise AssertionError(
         "solve failed but no separating functional exists; "
@@ -466,7 +483,8 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
     W = regular_bimodule(A)
-    Z, B, reps = _cohomology_step(coboundary_matrix(A, W, 2), coboundary_matrix(A, W, 1))
+    d2, d1 = (_coboundary_rows(A, W, q)[1] for q in (2, 1))
+    Z, B, reps = _cohomology_step((d2, n**3), (d1, n**2))
     return RigidityReport(
         dim_C2=n**3,
         dim_Z2=Z.dim,

@@ -31,11 +31,11 @@ from .complexes import (
     Cochain,
     CohomologyReport,
     DegreeData,
-    _assemble,
     _check_cells,
+    _coboundary_rows,
     _cohomology_step,
-    _divided,
     _flat,
+    _matrix,
     coboundary_matrix,
 )
 from .core import (
@@ -48,7 +48,7 @@ from .core import (
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Vec, solve
+from .linalg import IntRow, Mat, Vec, solve
 
 __all__ = [
     "BigradedCochain",
@@ -158,13 +158,24 @@ def graded_piece(f: Cochain, a_dim: int, p: int) -> Cochain:
 
 
 def bigrade(f: Cochain, a_dim: int) -> list[tuple[int, int, BigradedCochain]]:
-    """Decompose f into its nonzero homogeneous components; they sum to f."""
-    out = []
-    for p in range(f.degree + 1):
-        piece = graded_piece(f, a_dim, p)
-        if not piece.is_zero():
-            out.append((p, f.degree - p, BigradedCochain(piece, a_dim, p, f.degree - p)))
-    return out
+    """Decompose f into its nonzero homogeneous components; they sum to f.
+
+    One pass sends the value on each basis tuple, when nonzero, to the
+    component of its W-degree.
+    """
+    m, q = f.m, f.degree
+    pieces: dict[int, list[Fraction]] = {}
+    for s, args in enumerate(itertools.product(range(f.n), repeat=q)):
+        value = f.values[s * m : (s + 1) * m]
+        if any(value):
+            p = w_count(args, a_dim)
+            if p not in pieces:
+                pieces[p] = [_ZERO] * len(f.values)
+            pieces[p][s * m : (s + 1) * m] = value
+    return [
+        (p, q - p, BigradedCochain(Cochain(f.algebra, f.module, q, tuple(pieces[p])), a_dim, p, q - p))
+        for p in sorted(pieces)
+    ]
 
 
 def in_filtration_at_least(f: Cochain, a_dim: int, p: int) -> bool:
@@ -257,23 +268,24 @@ def e11_matrix(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> Mat:
         raise InputError("e11 degree must be non-negative")
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    return _e11_matrix(G, Vt, A.dim, q, e11_support(A, W, V, q), e11_support(A, W, V, q + 1))
+    src_support = e11_support(A, W, V, q)
+    return _matrix(*_e11_rows(G, Vt, A.dim, q, src_support), len(src_support))
 
 
-def _e11_matrix(
-    G: KVAlgebra, Vt: KVModule, n: int, q: int, src_support: list[int], dst_support: list[int]
-) -> Mat:
-    """e11_matrix from the semidirect G, the extended Vt and both supports."""
+def _e11_rows(
+    G: KVAlgebra, Vt: KVModule, n: int, q: int, src_support: list[int]
+) -> tuple[int, list[IntRow]]:
+    """D and the integer rows of D times e11_matrix, from the semidirect G,
+    the extended Vt and the (1, q) support; the rows come in the order of
+    the (1, q+1) support."""
     src = {c: t for t, c in enumerate(src_support)}
-    dst = {r: t for t, r in enumerate(dst_support)}
-    out = {}
-    for (r, c), val in _divided(*_assemble(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))).items():
-        if c not in src:
-            raise AssertionError(
-                "a (1, q+1) row read a column outside (1, q); the bidegree law failed"
-            )
-        out[dst[r], src[c]] = val
-    return Mat.from_items(len(dst), len(src), out)
+    D, rows = _coboundary_rows(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))
+    try:
+        return D, [{src[c]: x for c, x in r.items()} for r in rows]
+    except KeyError:
+        raise AssertionError(
+            "a (1, q+1) row read a column outside (1, q); the bidegree law failed"
+        ) from None
 
 
 def _expand_support(values: Sequence[Fraction], support: Sequence[int], total: int) -> tuple:
@@ -303,11 +315,13 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
         _check_cells(q, (q + 1) * (n**q) * m * v)
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    supports = [e11_support(A, W, V, q) for q in range(q_max + 2)]
-    mats = {q: _e11_matrix(G, Vt, n, q, supports[q], supports[q + 1]) for q in range(q_max + 1)}
     degrees: list[DegreeData] = []
-    for q, support in enumerate(supports[:-1]):
-        Z, B, rep_vecs = _cohomology_step(mats[q], mats.get(q - 1))
+    d_prev = None
+    for q in range(q_max + 1):
+        support = e11_support(A, W, V, q)
+        d_q = (_e11_rows(G, Vt, n, q, support)[1], len(support))
+        Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
+        d_prev = d_q
         reps = [
             Cochain(G, Vt, q + 1, _expand_support(z, support, N ** (q + 1) * v))
             for z in rep_vecs

@@ -3,16 +3,20 @@
 Matrices of :class:`fractions.Fraction` entries are stored sparsely, one
 ``{column: nonzero value}`` dict per row, and every elimination runs
 through one sparse, fraction-free row-echelon routine over Python ints.
-Each row is read once into a primitive integer row (times the lcm of its
-denominators, divided by the gcd of the results) and reduced, sparsest
-first, against a pivot table ``{pivot column: integer row}`` (leftmost
-pivot column first): clearing the entry c at a pivot a takes
-``row * (a/g) - (c/g) * pivot`` with g = gcd(a, c), and the content of the
-remainder is removed once.  A back-substitution pass in the same
-arithmetic then yields the reduced row echelon form, each row scaled to
-coprime integers with a positive pivot entry.  That form is unique for a
-row space, so the order in which rows are taken never shows in a result.
-``kernel``, ``image``, ``solve``, ``inverse`` and ``rank`` read it, and a
+Its input is integer rows: the differentials of the complexes are
+assembled straight into the integer rows of D times the matrix (D a common
+denominator of their structure constants, which changes no kernel, image
+or rank), and a public :class:`Mat` is read into integers once, times the
+lcm of its denominators.  Rows are reduced, sparsest first, against a
+pivot table ``{pivot column: integer row}`` (leftmost pivot column first):
+clearing the entry c at a pivot a takes ``row * (a/g) - (c/g) * pivot``
+with g = gcd(a, c), and the content of the remainder is removed once.  A
+back-substitution pass in the same arithmetic then yields the reduced row
+echelon form, each row scaled to coprime integers with a positive pivot
+entry.  That form is unique for a row space, so neither the order in which
+rows are taken nor a scale on them ever shows in a result.  ``kernel``,
+``image``, ``solve`` and ``rank`` are thin wrappers over private entry
+points that take such integer rows and a column count, and a
 :class:`Subspace` is that pivot table itself: membership, coordinates,
 sums, intersections and :func:`extend_basis` reduce integer rows against
 it.  Fractions come back only where an entry leaves the module (a dense
@@ -218,11 +222,7 @@ class Mat:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
-        data: tuple[Row, ...] = tuple({} for _ in range(self.cols))
-        for i, r in enumerate(self._rows):
-            for j, x in r.items():
-                data[j][i] = x
-        return Mat._of(self.cols, self.rows, data)
+        return Mat._of(self.cols, self.rows, tuple(_transposed(self._rows, self.cols)))
 
     def mat_vec(self, v: Sequence[RatLike]) -> Vec:
         """Matrix-vector product ``self @ v``."""
@@ -242,6 +242,15 @@ def identity(n: int) -> Mat:
     return Mat.from_items(n, n, {(i, i): _ONE for i in range(n)})
 
 
+def _transposed(rows: Sequence[Mapping], cols: int) -> list[dict]:
+    """The sparse rows of the transpose of a matrix with ``cols`` columns."""
+    out: list[dict] = [{} for _ in range(cols)]
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            out[j][i] = x
+    return out
+
+
 def _integral(row: Mapping[int, Fraction | int]) -> tuple[IntRow, int]:
     """(d * row, d) with d the lcm of the denominators of ``row``'s entries."""
     d = 1
@@ -254,11 +263,21 @@ def _integral(row: Mapping[int, Fraction | int]) -> tuple[IntRow, int]:
 
 
 def _read(row: Mapping[int, Fraction | int]) -> IntRow:
-    """The primitive integer multiple of a nonzero rational row, positive at
-    its leftmost entry: a one-entry row reads as 1 at its column."""
-    if len(row) == 1:
+    """The primitive integer multiple of a rational row, positive at its
+    leftmost entry: a one-entry row reads as 1 at its column, and an empty
+    row as itself."""
+    if len(row) <= 1:
         return dict.fromkeys(row, 1)
     return _primitive(_integral(row)[0])
+
+
+def _integral_rows(m: "Mat") -> tuple[int, list[IntRow]]:
+    """(d, the rows of d * m) with d the lcm of the denominators of m's entries.
+
+    One scale on every row keeps the kernel, the image and the rank of m.
+    """
+    d = lcm(*{x.denominator for r in m._rows for x in r.values()})
+    return d, [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in m._rows]
 
 
 def _primitive(row: IntRow) -> IntRow:
@@ -321,18 +340,18 @@ def _eliminate(row: IntRow, pivots: dict[int, IntRow]) -> tuple[IntRow, int]:
     return out, scale
 
 
-def _rref(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, IntRow]:
-    """Reduced row echelon form of the span of sparse rows, fraction free.
+def _rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
+    """Reduced row echelon form of the span of sparse integer rows.
 
     Returns the pivot table ``{pivot column: row}`` of its nonzero rows by
     increasing pivot column.  Each row is the primitive integer multiple of
     a reduced row echelon row: coprime entries, positive at its pivot and 0
-    at every other pivot column.  The given rows, of Fractions or ints, are
-    not modified.
+    at every other pivot column.  The remainder of a row is determined up
+    to a scale, so the rows need not be primitive; they are not modified.
     """
     pivots: dict[int, IntRow] = {}
     for row in sorted((r for r in rows if r), key=len):
-        rest = _eliminate(_read(row), pivots)[0]
+        rest = _eliminate(row, pivots)[0]
         if rest:
             pivots[min(rest)] = _primitive(rest)
     order = sorted(pivots)
@@ -358,14 +377,13 @@ class Subspace:
     pivot column.  That form is unique, so two subspaces are equal as sets
     exactly when their tables are equal.  ``basis`` is the dense rational
     view of the rows, each divided by its pivot entry, built on access;
-    ``Subspace(ambient_dim, basis)`` takes such rows back.
+    ``Subspace(ambient_dim, basis)`` is the span of any rows, those included.
     """
 
     __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Iterable[Sequence[RatLike]]) -> None:
-        rows = (_read(_checked(b, ambient_dim)) for b in basis)
-        Subspace._init(self, ambient_dim, {min(r): r for r in rows})
+        Subspace._init(self, ambient_dim, _rref([_read(_checked(b, ambient_dim)) for b in basis]))
 
     @staticmethod
     def _init(s: "Subspace", ambient_dim: int, rows: dict[int, IntRow]) -> "Subspace":
@@ -400,7 +418,7 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence[RatLike]]) -> "Subspace":
         """Span of the given vectors, normalized to the canonical RREF basis."""
-        return Subspace._of(ambient_dim, _rref([_checked(v, ambient_dim) for v in vectors]))
+        return Subspace(ambient_dim, vectors)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -461,17 +479,17 @@ class Subspace:
         return Subspace._of(n, meet)
 
 
-def rank(m: Mat) -> int:
-    """Exact rank over the rationals: the pivot count of the echelon form."""
-    return len(_rref(m._rows))
+def _rank(rows: Iterable[IntRow]) -> int:
+    """The rank of a matrix given by integer rows."""
+    return len(_rref(rows))
 
 
-def kernel(m: Mat) -> Subspace:
-    """Exact null space {v : m v = 0}, dimension cols - rank."""
-    reduced = _rref(m._rows)
+def _kernel(rows: Sequence[IntRow], cols: int) -> Subspace:
+    """The null space of the matrix with these integer rows and ``cols`` columns."""
+    reduced = _rref(rows)
     # The free column j spans e_j - sum over pivot rows R_p of (R_p[j] / R_p[p]) e_p,
     # times the lcm d of those pivot entries.
-    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in range(m.cols) if j not in reduced}
+    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in range(cols) if j not in reduced}
     for c, row in reduced.items():
         a = row[c]
         for j, x in row.items():
@@ -481,7 +499,48 @@ def kernel(m: Mat) -> Subspace:
     for j, ts in terms.items():
         d = lcm(*[a for _, _, a in ts])
         free.append({j: d, **{c: -x * (d // a) for c, x, a in ts}})
-    return Subspace._of(m.cols, _rref(free))
+    return Subspace._of(cols, _rref(free))
+
+
+def _image(rows: Sequence[IntRow], cols: int) -> Subspace:
+    """The column space of the matrix with these integer rows and ``cols`` columns.
+
+    A scale on every row at once keeps it; a scale on one row does not.
+    """
+    return Subspace._of(len(rows), _rref(_transposed(rows, cols)))
+
+
+def _solve(rows: Sequence[IntRow], cols: int, rhs: Mapping[int, RatLike]) -> Optional[Vec]:
+    """Some particular exact solution of ``M x = b``, or None when inconsistent,
+    for the matrix M with these integer rows and ``cols`` columns and b given
+    by its nonzero entries ``{row: value}``.
+
+    The solution is the one the reduced row echelon form of ``[M | b]``
+    reads off: every free variable is 0.  Each equation may carry its own
+    scale, so only the rows with a right-hand side are read again.
+    """
+    aug = list(rows)
+    for i, y in rhs.items():
+        aug[i] = _read({**rows[i], cols: y})
+    reduced = _rref(aug)
+    if cols in reduced:
+        return None
+    x = [_ZERO] * cols
+    for c, row in reduced.items():
+        y = row.get(cols)
+        if y:
+            x[c] = Fraction(y, row[c])
+    return tuple(x)
+
+
+def rank(m: Mat) -> int:
+    """Exact rank over the rationals: the pivot count of the echelon form."""
+    return _rank(_integral_rows(m)[1])
+
+
+def kernel(m: Mat) -> Subspace:
+    """Exact null space {v : m v = 0}, dimension cols - rank."""
+    return _kernel(_integral_rows(m)[1], m.cols)
 
 
 def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
@@ -495,22 +554,13 @@ def solve(m: Mat, b: Sequence[RatLike]) -> Optional[Vec]:
         raise DimensionError(
             f"right-hand side of length {len(rhs)} for a matrix with {m.rows} rows"
         )
-    n = m.cols
-    aug = [{**r, n: y} if y else r for r, y in zip(m._rows, rhs)]
-    reduced = _rref(aug)
-    if n in reduced:
-        return None
-    x = [_ZERO] * n
-    for c, row in reduced.items():
-        y = row.get(n)
-        if y:
-            x[c] = Fraction(y, row[c])
-    return tuple(x)
+    d, rows = _integral_rows(m)
+    return _solve(rows, m.cols, {i: d * y for i, y in enumerate(rhs) if y})
 
 
 def image(m: Mat) -> Subspace:
     """Column space of ``m`` as a subspace of F^rows."""
-    return Subspace._of(m.rows, _rref(m.transpose()._rows))
+    return _image(_integral_rows(m)[1], m.cols)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -534,7 +584,7 @@ def inverse(m: Mat) -> Optional[Mat]:
     if m.rows != m.cols:
         raise DimensionError("only square matrices can be inverted")
     n = m.rows
-    reduced = _rref({**r, n + i: _ONE} for i, r in enumerate(m._rows))
+    reduced = _rref([_read({**r, n + i: _ONE}) for i, r in enumerate(m._rows)])
     if list(reduced) != list(range(n)):
         return None
     inv = (_quotient({j - n: x for j, x in r.items() if j >= n}, r[c]) for c, r in reduced.items())

@@ -392,17 +392,17 @@ def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path
     import kvcohom.deform as df
 
     built, checked = [], []
-    real_matrix, real_residuals = df.coboundary_matrix, df._residuals
+    real_rows, real_residuals = df._coboundary_rows, df._residuals
 
-    def counted_matrix(A, W, q):
+    def counted_rows(A, W, q):
         built.append(q)
-        return real_matrix(A, W, q)
+        return real_rows(A, W, q)
 
     def counted_residuals(jet, L, orders):
         checked.extend(orders)
         return real_residuals(jet, L, orders)
 
-    monkeypatch.setattr(df, "coboundary_matrix", counted_matrix)
+    monkeypatch.setattr(df, "_coboundary_rows", counted_rows)
     monkeypatch.setattr(df, "_residuals", counted_residuals)
     report = run(JobSpec("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": 4}))
     assert report.exit_code == 0

@@ -15,6 +15,7 @@ import pytest
 
 from kvcohom.complexes import (
     Cochain,
+    _coboundary_rows,
     check_budget,
     coboundary,
     coboundary0,
@@ -44,10 +45,24 @@ from kvcohom.core import (
     zero3,
     zero_module,
 )
+from kvcohom.deform import MultiplicationJet, kv_bracket, rigidity_report, solve_next_order
 from kvcohom.errors import BudgetError, PreconditionError
-from kvcohom.extensions import e11_matrix, e11_support, extend_module_to_semidirect
+from kvcohom.extensions import e11_cohomology, e11_matrix, e11_support, extend_module_to_semidirect
 from kvcohom.fixtures import aff, assoc1, poly2, rad2, zero_algebra
-from kvcohom.linalg import Mat, image, kernel, mat_mul, zeros
+from kvcohom.linalg import (
+    Mat,
+    Subspace,
+    _image,
+    _kernel,
+    _rank,
+    extend_basis,
+    image,
+    kernel,
+    mat_mul,
+    rank,
+    solve,
+    zeros,
+)
 
 
 def _random_cochain(rng, A, W, q, scale=4):
@@ -686,3 +701,128 @@ def test_integer_assembly_matches_fraction_assemblers_on_mixed_denominators():
             src, dst = e11_support(A, W, V, q), e11_support(A, W, V, q + 1)
             want = Mat.from_rows([[full.at(r, c) for c in src] for r in dst], cols=len(src))
             assert e11_matrix(A, W, V, q) == want
+
+
+def _route_setups():
+    """(A, coefficient modules, V): the mixed-denominator setups with their
+    regular module where it is one, and seeded random_kv instances with
+    random, regular and left-regular coefficients."""
+    out = []
+    for A, W, V in _mixed_setups():
+        modules = [W, V] + [M for M in (regular_bimodule(A),) if is_module(A, M)]
+        out.append((A, modules, V))
+    for s in (3, 8, 19, 28):
+        A = random_kv(s, n_max=4)
+        modules = [random_module(A, s, m_max=2), regular_bimodule(A)]
+        modules += [M for M in (left_regular_module(A),) if is_module(A, M)]
+        out.append((A, modules, random_module(A, s + 1, m_max=2)))
+    return out
+
+
+def _public_step(d_q, d_prev):
+    """Z, B and the representatives through the public kernel and image."""
+    Z = kernel(d_q)
+    B = Subspace.zero(d_q.cols) if d_prev is None else image(d_prev)
+    return Z, B, extend_basis(B, Z)
+
+
+def test_integer_rows_give_the_subspaces_of_the_public_matrices():
+    for A, modules, _ in _route_setups():
+        for M in modules:
+            for q in (1, 2):
+                mat = coboundary_matrix(A, M, q)
+                D, rows = _coboundary_rows(A, M, q)
+                assert (len(rows), D > 0) == (mat.rows, True)
+                assert _kernel(rows, mat.cols) == kernel(mat)
+                assert _image(rows, mat.cols) == image(mat)
+                assert _rank(rows) == rank(mat)
+            report = cohomology(A, M, 2)
+            mats = [coboundary_matrix(A, M, q) for q in range(3)]
+            for q in (1, 2):
+                Z, B, reps = _public_step(mats[q], mats[q - 1])
+                d = report.degree(q)
+                assert (d.dim_Z, d.dim_B) == (Z.dim, B.dim)
+                assert [r.values for r in d.representatives] == reps
+            for p, d in enumerate(nijenhuis_cohomology(A, M, 3).degrees):
+                ranks = [rank(m) for m in nijenhuis_matrices(A, M, 3).values()]
+                assert d.dim_Z == d.dim_C - ranks[p]
+                assert d.dim_B == (ranks[p - 1] if p else 0)
+
+
+def test_integer_rows_give_the_rigidity_and_e11_reports_of_the_public_matrices():
+    for A, modules, V in _route_setups():
+        W = regular_bimodule(A)
+        if is_module(A, W):
+            report = rigidity_report(A)
+            Z, B, reps = _public_step(coboundary_matrix(A, W, 2), coboundary_matrix(A, W, 1))
+            assert (report.dim_Z2, report.dim_B2) == (Z.dim, B.dim)
+            assert [sum((tuple(r) for p in t for r in p), ()) for t in report.cocycle_basis] == list(Z.basis)
+            assert [sum((tuple(r) for p in t for r in p), ()) for t in report.class_representatives] == reps
+        W = modules[0]
+        report = e11_cohomology(A, W, V, 1)
+        mats = [e11_matrix(A, W, V, q) for q in (0, 1)]
+        for q in (0, 1):
+            Z, B, reps = _public_step(mats[q], mats[q - 1] if q else None)
+            support = e11_support(A, W, V, q)
+            d = report.degree(q)
+            assert (d.dim_Z, d.dim_B) == (Z.dim, B.dim)
+            assert [[r.values[pos] for pos in support] for r in d.representatives] == [list(z) for z in reps]
+
+
+def _public_next_order(jet):
+    """(target, coefficient, certificate) of the next order through the
+    public coboundary_matrix, solve and the kernel of its transpose."""
+    A, n, k = jet.base, jet.dim, jet.order + 1
+    target = [Fraction(0)] * n**4
+    for i in range(1, k):
+        for t, x in enumerate(flatten4(kv_bracket(jet.coefficient(i), jet.coefficient(k - i)))):
+            target[t] -= x / 2
+    M = coboundary_matrix(A, regular_bimodule(A), 2)
+    x = solve(M, target)
+    if x is not None:
+        return target, x, None
+    certificate = next(y for y in kernel(M.transpose()).basis if sum(a * b for a, b in zip(y, target)))
+    return target, None, certificate
+
+
+def flatten4(t):
+    return [x for p in t for q in p for r in q for x in r]
+
+
+def test_next_order_matches_the_public_matrix_route():
+    outcomes = set()
+    for A, _, _ in _route_setups():
+        if not is_module(A, regular_bimodule(A)):
+            continue
+        for mu in rigidity_report(A).class_representatives[:3]:
+            jet = MultiplicationJet(A, (mu,))
+            for _ in range(2):
+                sol = solve_next_order(jet)
+                target, x, certificate = _public_next_order(jet)
+                assert flatten4(sol.target) == target
+                got = None if sol.coefficient is None else [y for p in sol.coefficient for r in p for y in r]
+                assert (got, sol.certificate) == (None if x is None else list(x), certificate)
+                outcomes.add(sol.solved)
+                if not sol.solved:
+                    break
+                jet = sol.extended
+    assert outcomes == {True, False}
+
+
+def test_library_differentials_never_build_the_public_matrices(monkeypatch):
+    import kvcohom.complexes as cx
+    import kvcohom.extensions as ext
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public differential matrix was built")
+
+    for module, name in ((cx, "coboundary_matrix"), (ext, "e11_matrix"), (cx, "nijenhuis_matrices")):
+        monkeypatch.setattr(module, name, refuse)
+    A, W, V = _mixed_setups()[0]
+    assert cohomology(A, W, 2).degree(2).dim_C == A.dim**2 * W.dim
+    assert nijenhuis_cohomology(A, W, 3).degree(3).dim_C
+    assert e11_cohomology(A, W, V, 2).degree(2).dim_C
+    B = random_kv(1, n_max=4)
+    report = rigidity_report(B)
+    sol = solve_next_order(MultiplicationJet(B, (report.class_representatives[1],)))
+    assert not sol.solved and sol.certificate is not None

@@ -144,6 +144,32 @@ def test_bigrade_components_sum_back_and_are_homogeneous():
         assert total == f
 
 
+def test_bigrade_routes_each_tuple_to_the_graded_piece_of_its_w_degree():
+    # the reference is the per-p decomposition: one graded_piece per
+    # W-degree, kept when nonzero
+    A, W, V = aff_setup()
+    G, Vt = semidirect_space(A, W, V)
+    rng = random.Random("bigrade-routing")
+    seen = set()
+    for degree in (0, 1, 2, 3):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            vals = tuple(
+                F(rng.randint(-3, 3), rng.choice([1, 2])) if rng.random() < density else F(0)
+                for _ in range(G.dim**degree * Vt.dim)
+            )
+            f = Cochain(G, Vt, degree, vals)
+            want = [
+                (p, degree - p, graded_piece(f, A.dim, p))
+                for p in range(degree + 1)
+                if not graded_piece(f, A.dim, p).is_zero()
+            ]
+            got = bigrade(f, A.dim)
+            assert [(p, q, c.cochain) for p, q, c in got] == want
+            assert all(c.a_dim == A.dim for _, _, c in got)
+            seen.add(len(got))
+    assert {0, 1} < seen and max(seen) == 4
+
+
 def test_graded_piece_keeps_only_matching_tuples():
     A, W, V = aff_setup()
     G, Vt = semidirect_space(A, W, V)
@@ -310,7 +336,9 @@ def test_e11_cohomology_builds_each_support_once(monkeypatch):
         for q_max in (0, 1, 2):
             degrees.clear()
             report = ext.e11_cohomology(A, W, V, q_max)
-            assert sorted(degrees) == list(range(q_max + 2))
+            # the rows of degree q come in the order of the (1, q+1)
+            # support, so the support past q_max is never needed
+            assert sorted(degrees) == list(range(q_max + 1))
             assert [d.dim_C for d in report.degrees] == [
                 len(e11_support(A, W, V, q)) for q in range(q_max + 1)
             ]

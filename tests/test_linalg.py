@@ -258,6 +258,24 @@ def test_subspace_equality_is_set_equality():
     assert s1 == s2
 
 
+def test_subspace_constructor_spans_rows_that_are_not_echelon():
+    # two rows with the same leftmost column span the plane
+    assert Subspace(2, [[1, 0], [1, 1]]).dim == 2
+    assert Subspace(2, [[1, 0], [1, 1]]) == Subspace.full(2)
+    # a row with an entry at another row's pivot is reduced away
+    assert Subspace(2, [[1, 1], [0, 1]]) == Subspace.full(2)
+    assert Subspace(3, [[1, 1, 0], [0, 1, 1]]) == Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]])
+    # a zero row spans nothing
+    assert Subspace(2, [[0, 0]]) == Subspace.zero(2)
+    assert Subspace(2, [[0, 0], [2, 4]]) == Subspace.from_vectors(2, [[1, 2]])
+
+
+def test_subspace_constructor_keeps_echelon_rows():
+    s = Subspace.from_vectors(4, [[1, 2, 0, 3], [0, 0, 1, -1]])
+    again = Subspace(4, s.basis)
+    assert again == s and again._rows == s._rows and again.basis == s.basis
+
+
 def test_subspace_coordinates_roundtrip():
     s = Subspace.from_vectors(3, [[1, 2, 0], [0, 0, 3]])
     v = [F(2), F(4), F(9)]
