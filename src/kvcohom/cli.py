@@ -31,6 +31,7 @@ from .core import (
     CheckResult,
     KVAlgebra,
     KVModule,
+    _entries,
     is_kv,
     is_module,
     jacobi_algebra,
@@ -377,8 +378,7 @@ def _verb_curvature_check(job, inputs, parameters, results):
     n = a.dim
     s = _load_tensor3(job.options["tensor"], inputs, "tensor", n, n, n)
     residual = deform.curvature_check(a, s)
-    flat = [x for q in residual for p in q for r in p for x in r]
-    residual_zero = not any(flat)
+    residual_zero = not any(_entries(residual, 4))
     cocycle = complexes.is_cocycle(deform.bilinear_cochain(a, s))
     results["residual_zero"] = residual_zero
     results["s_is_cocycle"] = cocycle
@@ -612,10 +612,6 @@ _HANDLERS = {
     "proptest": _verb_proptest,
     "fixtures": _verb_fixtures,
 }
-
-# Verbs whose primary artifact is a raw text stream, not a JSON report.
-_TEXT_VERBS = {"geodesic", "fixtures"}
-
 
 def _maybe_emit(job: JobSpec, text: str) -> None:
     path = job.opt("emit")

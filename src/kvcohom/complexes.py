@@ -261,6 +261,24 @@ class Cochain:
         return Cochain(self.algebra, self.module, self.degree, tuple(cc * x for x in self.values))
 
 
+def _pieces(f: Cochain, k: int) -> dict[int, list[Fraction]]:
+    """f split by summand: {count: values}, the values of f on the basis
+    tuples with count arguments of index >= k and zero elsewhere.
+
+    Only the counts at which f is nonzero appear; the pieces sum to f.
+    """
+    m = f.m
+    pieces: dict[int, list[Fraction]] = {}
+    for s, args in enumerate(itertools.product(range(f.n), repeat=f.degree)):
+        value = f.values[s * m : (s + 1) * m]
+        if any(value):
+            count = sum(1 for i in args if i >= k)
+            if count not in pieces:
+                pieces[count] = [_ZERO] * len(f.values)
+            pieces[count][s * m : (s + 1) * m] = value
+    return pieces
+
+
 def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
     """(delta w)(a) = -aw + wa as a degree-1 cochain.
 

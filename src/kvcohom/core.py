@@ -29,11 +29,19 @@ direct sum of spaces that is zero outside the blocks it is given, and
 `_block` reads one block back out.  They back `semidirect`, `direct_sum`,
 `module_direct_sum`, the extension totals of `extensions` and the graded
 deformations and cochains of `graded`.
+
+Multilinear maps share one table layout: `_entries` lists the row-major
+entries of a nested tensor, the values of a cochain, and `_shaped` nests
+values back into a tensor.  `_transported` carries a bilinear tensor along
+a change of basis (`conjugate_algebra`, `conjugate_module`), and
+`_hom_actions` builds the actions on Hom(S, V) for a space S given by its
+left action (`hom_module`, `multilinear_module`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +125,23 @@ def _block(t: Tensor3, o1: int, o2: int, o3: int, d1: int, d2: int, d3: int) -> 
     return tuple(
         tuple(row[o3 : o3 + d3] for row in plane[o2 : o2 + d2]) for plane in t[o1 : o1 + d1]
     )
+
+
+def _entries(t, rank: int) -> tuple:
+    """The row-major entries of a nested tensor of the given rank."""
+    for _ in range(rank - 1):
+        t = [x for row in t for x in row]
+    return tuple(t)
+
+
+def _shaped(values: Sequence, *dims: int) -> tuple:
+    """The nested tensor of shape dims with row-major entries values, the
+    inverse of `_entries`; an axis of length 0 keeps the axes before it."""
+    out = tuple(values)
+    for axis in range(len(dims) - 1, 0, -1):
+        d = dims[axis]
+        out = tuple(out[k * d : (k + 1) * d] for k in range(math.prod(dims[:axis])))
+    return out
 
 
 def _check_shape(t: Tensor3, d1: int, d2: int, d3: int, what: str) -> None:
@@ -429,49 +454,37 @@ def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:
 def jacobi_algebra(A: KVAlgebra) -> Subspace:
     """J(A) = {xi : (a,b,xi) = 0 for all a,b}, as a kernel computation.
 
-    Requires a verified KV product; a non-KV candidate is rejected.
+    Requires a verified KV product; a non-KV candidate is rejected.  J(A)
+    is the Jacobi subspace of the regular bimodule, whose left action is
+    the product.
     """
     verdict = is_kv(A)
     if not verdict:
         raise PreconditionError(
             f"jacobi_algebra needs a KV product; {verdict.detail}"
         )
-    gam, gam_t = _product_lists(A.product)
-    # (ij)l - i(jl)
-    return _jacobi_kernel(
-        A.dim,
-        A.dim,
-        lambda i, j, l: _two_step((False, gam[i][j], gam_t[l]), (True, gam[j][l], gam[i])),
-    )
+    return jacobi_module(A, regular_bimodule(A))
 
 
 def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
-    """J(W) = {w : (a,b,w) = 0 for all a,b}, as a kernel computation."""
+    """J(W) = {w : (a,b,w) = 0 for all a,b}, as a kernel computation.
+
+    The associator (e_i, e_j, w_l) fills column l of the rows (i, j, k),
+    one per output coordinate, so the kernel variable is the input vector.
+    """
     if A.dim != W.algebra.dim and A.dim and W.dim:
         raise DimensionError("left action operands have wrong dimensions")
+    n, m = A.dim, W.dim
     gam, _ = _product_lists(A.product)
     left, left_t, _, _ = _action_lists(W)
-    # (ij)w - i(jw)
-    return _jacobi_kernel(
-        A.dim,
-        W.dim,
-        lambda i, j, al: _two_step((False, gam[i][j], left_t[al]), (True, left[j][al], left[i])),
-    )
-
-
-def _jacobi_kernel(n: int, m: int, entry) -> Subspace:
-    """Kernel of xi -> ((e_i, e_j, xi))_{i,j} given the basis associators.
-
-    entry(i, j, l) is the associator (e_i, e_j, basis_l) as {k: value}; it
-    fills column l of the rows (i, j, k), one per output coordinate, so the
-    kernel variable is the input vector.
-    """
     items: dict[tuple[int, int], Fraction] = {}
     for i in range(n):
         for j in range(n):
             base = (i * n + j) * m
             for l in range(m):
-                for k, x in entry(i, j, l).items():
+                # (ij)w - i(jw)
+                assoc = _two_step((False, gam[i][j], left_t[l]), (True, left[j][l], left[i]))
+                for k, x in assoc.items():
                     items[(base + k, l)] = x
     return kernel(Mat.from_items(n * n * m, m, items))
 
@@ -519,6 +532,33 @@ def zero_module(A: KVAlgebra, dim: int) -> KVModule:
     )
 
 
+def _hom_actions(A: KVAlgebra, s_dim: int, s_left: list, V: KVModule) -> tuple[Tensor3, Tensor3]:
+    """The actions on the space of linear maps S -> V,
+
+        (a.f)(s) = a(f(s)) - f(as)        (f.a)(s) = (f(s))a,
+
+    for a space S of dimension s_dim given by its left action: s_left[i][ga]
+    lists the (al, c) of e_i s_ga, a repeated al adding up.  Basis maps
+    f_(al,be): s_al -> v_be are flattened with index al * dim(V) + be.
+    """
+    n, mv = A.dim, V.dim
+    dim = s_dim * mv
+    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
+    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
+    for i in range(n):
+        for src in range(dim):
+            al, be = divmod(src, mv)
+            # a(f(s_al)) and (f(s_al))a land on the same argument
+            left[i][src][al * mv : (al + 1) * mv] = V.left[i][be]
+            right[src][i][al * mv : (al + 1) * mv] = V.right[be][i]
+        # - f(a s_ga) for each s_al in a s_ga
+        for ga, terms in enumerate(s_left[i]):
+            for al, c in terms:
+                for be in range(mv):
+                    left[i][al * mv + be][ga * mv + be] -= c
+    return tensor3(left), tensor3(right)
+
+
 def hom_module(A: KVAlgebra, W: KVModule, V: KVModule) -> KVModule:
     """The space of linear maps W -> V with the actions
 
@@ -527,30 +567,8 @@ def hom_module(A: KVAlgebra, W: KVModule, V: KVModule) -> KVModule:
     Basis maps f_(alpha,beta): w_alpha -> v_beta are flattened with index
     alpha * dim(V) + beta.
     """
-    n = A.dim
-    mw, mv = W.dim, V.dim
-    dim = mw * mv
-
-    def fidx(al: int, be: int) -> int:
-        return al * mv + be
-
-    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
-    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
-    for i in range(n):
-        for al in range(mw):
-            for be in range(mv):
-                src = fidx(al, be)
-                for ga in range(mw):
-                    # (e_i . f)(w_ga) = e_i(f(w_ga)) - f(e_i w_ga)
-                    if ga == al:
-                        for de in range(mv):
-                            left[i][src][fidx(ga, de)] += V.left[i][be][de]
-                    left[i][src][fidx(ga, be)] -= W.left[i][ga][al]
-                    # (f . e_i)(w_ga) = (f(w_ga)) e_i
-                    if ga == al:
-                        for de in range(mv):
-                            right[src][i][fidx(ga, de)] += V.right[be][i][de]
-    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
+    left, right = _hom_actions(A, W.dim, _product_lists(W.left)[0], V)
+    return KVModule(algebra=A, dim=W.dim * V.dim, left=left, right=right)
 
 
 def multilinear_module(A: KVAlgebra, W: KVModule, q: int) -> KVModule:
@@ -564,37 +582,19 @@ def multilinear_module(A: KVAlgebra, W: KVModule, q: int) -> KVModule:
     """
     if q < 1:
         raise InputError("multilinear_module needs q >= 1")
-    n = A.dim
     m = W.dim
-    dim = m ** q * m
-
-    def fidx(args: tuple[int, ...], be: int) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * m + a
-        return idx * m + be
-
-    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
-    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
-    for args in itertools.product(range(m), repeat=q):
-        for be in range(m):
-            src = fidx(args, be)
-            for i in range(n):
-                # a(f(...)) lands on the same argument tuple
-                for de in range(m):
-                    left[i][src][fidx(args, de)] += W.left[i][be][de]
-                # - f(..., a w_j, ...): contributes where the evaluated tuple
-                # gamma agrees with args away from slot j
-                for j in range(q):
-                    for ga_j in range(m):
-                        coeff = W.left[i][ga_j][args[j]]
-                        if coeff == 0:
-                            continue
-                        ga = args[:j] + (ga_j,) + args[j + 1 :]
-                        left[i][src][fidx(ga, be)] -= coeff
-                for de in range(m):
-                    right[src][i][fidx(args, de)] += W.right[be][i][de]
-    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
+    gam = _product_lists(W.left)[0]
+    # e_i acts on each factor of w_ga = w_(ga_1) x ... x w_(ga_q) in turn
+    s_left = [
+        [
+            [(ga + (de - a) * m ** (q - 1 - j), c)
+             for j, a in enumerate(args) for de, c in gam[i][a]]
+            for ga, args in enumerate(itertools.product(range(m), repeat=q))
+        ]
+        for i in range(A.dim)
+    ]
+    left, right = _hom_actions(A, m**q, s_left, W)
+    return KVModule(algebra=A, dim=m**q * m, left=left, right=right)
 
 
 def semidirect(A: KVAlgebra, W: KVModule) -> KVAlgebra:
@@ -666,24 +666,28 @@ def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:
     return kernel(Mat.from_rows(rows, cols=dim))
 
 
+def _transported(t: Tensor3, xs: Sequence[Vec], ys: Sequence[Vec], z: Mat) -> Tensor3:
+    """The tensor whose (i, j) value is z t(xs[i], ys[j]): t carried along a
+    change of basis, with z square of the dimension of the values."""
+    return tensor3([[z.mat_vec(_bilinear(t, x, y, z.cols)) for y in ys] for x in xs])
+
+
+def _inverse_columns(phi: Mat) -> list[Vec]:
+    """The columns of phi^-1, the old coordinates of the new basis vectors."""
+    phi_inv = inverse(phi)
+    if phi_inv is None:
+        raise InputError("basis change matrix is singular")
+    t = phi_inv.transpose()
+    return [t.row(i) for i in range(t.rows)]
+
+
 def conjugate_algebra(A: KVAlgebra, phi: Mat) -> KVAlgebra:
     """Transport the product along an invertible map: m'(x,y) = phi(m(phi^-1 x, phi^-1 y))."""
     n = A.dim
     if phi.rows != n or phi.cols != n:
         raise DimensionError("basis change must be square of the algebra dimension")
-    phi_inv = inverse(phi)
-    if phi_inv is None:
-        raise InputError("basis change matrix is singular")
-    prod = []
-    for i in range(n):
-        x = Element(tuple(phi_inv.at(l, i) for l in range(n)))
-        plane = []
-        for j in range(n):
-            y = Element(tuple(phi_inv.at(l, j) for l in range(n)))
-            z = A.mul(x, y)
-            plane.append(phi.mat_vec(z.coords))
-        prod.append(plane)
-    return KVAlgebra(dim=n, product=tensor3(prod), name=A.name)
+    cols = _inverse_columns(phi)
+    return KVAlgebra(dim=n, product=_transported(A.product, cols, cols, phi), name=A.name)
 
 
 def conjugate_module(W: KVModule, psi: Mat) -> KVModule:
@@ -691,27 +695,11 @@ def conjugate_module(W: KVModule, psi: Mat) -> KVModule:
     m = W.dim
     if psi.rows != m or psi.cols != m:
         raise DimensionError("basis change must be square of the module dimension")
-    psi_inv = inverse(psi)
-    if psi_inv is None:
-        raise InputError("basis change matrix is singular")
-    n = W.algebra.dim
-    left = []
-    for i in range(n):
-        a = W.algebra.basis_element(i)
-        plane = []
-        for al in range(m):
-            w = Element(tuple(psi_inv.at(l, al) for l in range(m)))
-            plane.append(psi.mat_vec(W.left_act(a, w).coords))
-        left.append(plane)
-    right = []
-    for al in range(m):
-        w = Element(tuple(psi_inv.at(l, al) for l in range(m)))
-        plane = []
-        for i in range(n):
-            a = W.algebra.basis_element(i)
-            plane.append(psi.mat_vec(W.right_act(w, a).coords))
-        right.append(plane)
-    return KVModule(algebra=W.algebra, dim=m, left=tensor3(left), right=tensor3(right))
+    cols = _inverse_columns(psi)
+    units = [e.coords for e in W.algebra.basis()]
+    left = _transported(W.left, units, cols, psi)
+    right = _transported(W.right, cols, units, psi)
+    return KVModule(algebra=W.algebra, dim=m, left=left, right=right)
 
 
 _SHEAR_COEFFS = (

@@ -43,7 +43,9 @@ from .core import (
     Tensor3,
     _bilinear,
     _check_shape,
+    _entries,
     _product_lists,
+    _shaped,
     _two_step,
     is_kv,
     regular_bimodule,
@@ -233,14 +235,13 @@ def bilinear_cochain(A: KVAlgebra, mu: Tensor3) -> Cochain:
     """A bilinear tensor as a 2-cochain with regular coefficients."""
     n = A.dim
     _check_shape(mu, n, n, n, "mu")
-    vals = tuple(x for p in mu for r in p for x in r)
-    return Cochain(A, regular_bimodule(A), 2, vals)
+    return Cochain(A, regular_bimodule(A), 2, _entries(mu, 3))
 
 
 def trilinear_cochain(A: KVAlgebra, t: Tensor4) -> Cochain:
     """A trilinear tensor as a 3-cochain with regular coefficients."""
     n = A.dim
-    vals = tuple(x for q in t for p in q for r in p for x in r)
+    vals = _entries(t, 4)
     if len(vals) != n**4:
         raise DimensionError("trilinear tensor does not match the algebra")
     return Cochain(A, regular_bimodule(A), 3, vals)
@@ -251,21 +252,7 @@ def tensor4_from_cochain(f: Cochain) -> Tensor4:
     n = f.n
     if f.degree != 3 or f.m != n:
         raise DimensionError("expected a trilinear cochain with regular values")
-    return tensor4(
-        [
-            [
-                [list(f.value((a, b, c))) for c in range(n)]
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-    )
-
-
-def _tensor3_of(v: Vec, n: int) -> Tensor3:
-    """A flat degree-2 vector of Fractions, v[(a n + b) n + c], as a tensor."""
-    rows = [v[r * n : (r + 1) * n] for r in range(n * n)]
-    return tuple(tuple(rows[a * n : (a + 1) * n]) for a in range(n))
+    return tensor4(_shaped(f.values, n, n, n, n))
 
 
 def _jet_lists(jet: MultiplicationJet) -> tuple[int, list]:
@@ -385,7 +372,7 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
                 k, target, target_is_cocycle, None, _separating(rows, n**3, rhs), None
             )
             return
-        mu_next = _tensor3_of(x, n)
+        mu_next = _shaped(x, n, n, n)
         jet = jet.extend(mu_next)
         d, L = _jet_lists(jet)
         if _residuals(jet, L, (k,))[0]:
@@ -491,8 +478,8 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
         dim_B2=B.dim,
         dim_H2=Z.dim - B.dim,
         rigid=(Z.dim == B.dim),
-        cocycle_basis=tuple(_tensor3_of(z, n) for z in Z.basis),
-        class_representatives=tuple(_tensor3_of(z, n) for z in reps),
+        cocycle_basis=tuple(_shaped(z, n, n, n) for z in Z.basis),
+        class_representatives=tuple(_shaped(z, n, n, n) for z in reps),
     )
 
 

@@ -36,6 +36,7 @@ from .complexes import (
     _cohomology_step,
     _flat,
     _matrix,
+    _pieces,
     coboundary_matrix,
 )
 from .core import (
@@ -44,6 +45,7 @@ from .core import (
     KVModule,
     _block,
     _blocks,
+    _shaped,
     is_module,
     semidirect,
 )
@@ -146,32 +148,16 @@ class BigradedCochain:
 
 def graded_piece(f: Cochain, a_dim: int, p: int) -> Cochain:
     """The part of f supported on tuples with exactly p W-arguments."""
-    N = f.n
-    m = f.m
-    vals = list(f.values)
-    for args in itertools.product(range(N), repeat=f.degree):
-        if w_count(args, a_dim) != p:
-            off = f.offset(args)
-            for t in range(m):
-                vals[off + t] = _ZERO
+    vals = _pieces(f, a_dim).get(p)
+    if vals is None:
+        return Cochain.zero(f.algebra, f.module, f.degree)
     return Cochain(f.algebra, f.module, f.degree, tuple(vals))
 
 
 def bigrade(f: Cochain, a_dim: int) -> list[tuple[int, int, BigradedCochain]]:
-    """Decompose f into its nonzero homogeneous components; they sum to f.
-
-    One pass sends the value on each basis tuple, when nonzero, to the
-    component of its W-degree.
-    """
-    m, q = f.m, f.degree
-    pieces: dict[int, list[Fraction]] = {}
-    for s, args in enumerate(itertools.product(range(f.n), repeat=q)):
-        value = f.values[s * m : (s + 1) * m]
-        if any(value):
-            p = w_count(args, a_dim)
-            if p not in pieces:
-                pieces[p] = [_ZERO] * len(f.values)
-            pieces[p][s * m : (s + 1) * m] = value
+    """Decompose f into its nonzero homogeneous components; they sum to f."""
+    q = f.degree
+    pieces = _pieces(f, a_dim)
     return [
         (p, q - p, BigradedCochain(Cochain(f.algebra, f.module, q, tuple(pieces[p])), a_dim, p, q - p))
         for p in sorted(pieces)
@@ -368,18 +354,14 @@ class ModuleExtension:
     def theta_values(self) -> list[list[Vec]]:
         """theta(e_i, w_al) in V-coordinates, read back from the total action."""
         v = self.kernel.dim
-        return [
-            [self.total.left[i][v + al][:v] for al in range(self.quotient.dim)]
-            for i in range(self.base.dim)
-        ]
+        theta = _block(self.total.left, 0, v, 0, self.base.dim, self.quotient.dim, v)
+        return [list(p) for p in theta]
 
     def psi_values(self) -> list[list[Vec]]:
         """psi(e_i, w_al) in V-coordinates, read back from the total action."""
-        v = self.kernel.dim
-        return [
-            [self.total.right[v + al][i][:v] for al in range(self.quotient.dim)]
-            for i in range(self.base.dim)
-        ]
+        n, v = self.base.dim, self.kernel.dim
+        psi = _block(self.total.right, v, 0, 0, self.quotient.dim, n, v)
+        return [[p[i] for p in psi] for i in range(n)]
 
 
 def module_extension_from_cocycle(
@@ -396,9 +378,10 @@ def module_extension_from_cocycle(
     n, m, v = A.dim, W.dim, V.dim
     if f.a_dim != n or f.cochain.n != n + m or f.cochain.m != v:
         raise DimensionError("cocycle does not match the given algebra and modules")
-    t = v + m
-    theta = [[f.cochain.value((i, n + al)) for al in range(m)] for i in range(n)]
-    psi = [[f.cochain.value((n + al, i)) for i in range(n)] for al in range(m)]
+    t, N = v + m, n + m
+    table = _shaped(f.cochain.values, N, N, v)
+    theta = _block(table, 0, n, 0, n, m, v)
+    psi = _block(table, n, 0, 0, m, n, v)
     left = _blocks(n, t, t, (V.left, 0, 0, 0), (theta, 0, v, 0), (W.left, 0, v, v))
     right = _blocks(t, n, t, (V.right, 0, 0, 0), (psi, v, 0, 0), (W.right, v, 0, v))
     T = KVModule(algebra=A, dim=t, left=left, right=right)
@@ -529,7 +512,7 @@ def algebra_extension_from_cocycle(
         raise InputError("omega must be a 2-cochain over (A, W)")
     n, m = A.dim, W.dim
     t = m + n
-    ome = [[omega.value((i, j)) for j in range(n)] for i in range(n)]
+    ome = _shaped(omega.values, n, n, m)
     prod = _blocks(
         t, t, t, (ome, m, m, 0), (A.product, m, m, m), (W.left, m, 0, 0), (W.right, 0, m, 0)
     )

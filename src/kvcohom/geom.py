@@ -46,7 +46,9 @@ from .core import (
     KVModule,
     Tensor3,
     _derivation_failure,
+    _entries,
     _product_lists,
+    _shaped,
     is_module,
     tensor3,
 )
@@ -149,7 +151,7 @@ def pencil_suite(alpha: RatLike, beta: RatLike) -> PencilReport:
     St = _s_tensor(a, b)
     cocycle = coboundary(S).is_zero()
     square = kv_bracket(St, St)
-    square_zero = not any(x for plane in square for block in plane for row in block for x in row)
+    square_zero = not any(_entries(square, 4))
     nontrivial = None if a == 0 else is_coboundary(S) is None
     return PencilReport(a, b, S, cocycle, square_zero, nontrivial)
 
@@ -494,7 +496,7 @@ def radiant_primitive(
         raise InputError("expected a 2-cochain with values in the given module")
     m = W.dim
     gam = _product_lists(A.product)[0]
-    g_tensor = tuple(tuple(g.value((b, c)) for c in range(n)) for b in range(n))
+    g_tensor = _shaped(g.values, n, n, m)
     failure = _derivation_failure(g_tensor, gam, gam, _product_lists(W.left)[0])
     if failure is not None:
         i, bdx, cdx = failure
@@ -502,10 +504,7 @@ def radiant_primitive(
             "the 2-cochain is not parallel: direction "
             f"e_{i + 1} fails at ({bdx + 1},{cdx + 1})"
         )
-    values: list[Fraction] = []
-    for adx in range(n):
-        for be in range(m):
-            values.append(
-                sum(coords[j] * g.value((j, adx))[be] for j in range(n))
-            )
-    return Cochain(A, W, 1, tuple(values))
+    values = tuple(
+        sum(coords[j] * g_tensor[j][adx][be] for j in range(n)) for adx in range(n) for be in range(m)
+    )
+    return Cochain(A, W, 1, values)

@@ -34,16 +34,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import Cochain, coboundary
+from .complexes import Cochain, _pieces, coboundary
 from .core import (
     CheckResult,
     KVAlgebra,
     KVModule,
     Tensor3,
+    _block,
     _blocks,
     _check_shape,
     _derivation_failure,
+    _entries,
     _product_lists,
+    _shaped,
     _symmetry_failure,
     _two_step,
     is_kv,
@@ -142,20 +145,14 @@ def graded_component(G: GradedKVAlgebra, f: Cochain, r: int, s: int, p: int) -> 
         )
     if r < 0 or s < 0 or p not in (0, 1):
         raise InputError("component indices must be non-negative with parity 0 or 1")
-    n = G.n
-    vals = list(f.values)
-    if r + s != f.degree:
+    vals = _pieces(f, G.n).get(s) if r + s == f.degree else None
+    if vals is None:
         return Cochain.zero(f.algebra, f.module, f.degree)
-    for args in itertools.product(range(G.dim), repeat=f.degree):
-        odd = sum(1 for a in args if a >= n)
-        off = f.offset(args)
-        if odd != s:
-            for t in range(f.m):
-                vals[off + t] = _ZERO
-        else:
-            lo, hi = (n, G.dim) if p == 0 else (0, n)
-            for t in range(lo, hi):
-                vals[off + t] = _ZERO
+    # clear the other parity in each value; a nonzero piece has G.dim > 0
+    N = G.dim
+    lo, hi = (G.n, N) if p == 0 else (0, G.n)
+    for off in range(0, len(vals), N):
+        vals[off + lo : off + hi] = [_ZERO] * (hi - lo)
     return Cochain(f.algebra, f.module, f.degree, tuple(vals))
 
 
@@ -191,8 +188,7 @@ def _regular_cochain(G: GradedKVAlgebra, *blocks: tuple[Tensor3, int, int, int])
     out on G x G x G."""
     total = G.total()
     N = G.dim
-    values = tuple(x for plane in _blocks(N, N, N, *blocks) for row in plane for x in row)
-    return Cochain(total, regular_bimodule(total), 2, values)
+    return Cochain(total, regular_bimodule(total), 2, _entries(_blocks(N, N, N, *blocks), 3))
 
 
 def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
@@ -229,9 +225,7 @@ class ConnectionlikePair:
     psi: Tensor3
 
     def is_zero(self) -> bool:
-        return not any(x for p in self.theta for r in p for x in r) and not any(
-            x for p in self.psi for r in p for x in r
-        )
+        return not any(_entries(self.theta, 3)) and not any(_entries(self.psi, 3))
 
 
 @dataclass(frozen=True)
@@ -384,10 +378,11 @@ def connectionlike_from_cocycle(G: GradedKVAlgebra, c: Cochain) -> ExtractionRes
             "coefficients"
         )
     n, m, N = G.n, G.m, G.dim
+    table = _shaped(c.values, N, N, N)
     for args in itertools.product(range(N), repeat=2):
         x, y = args
         odd = sum(1 for a in args if a >= n)
-        val = c.value(args)
+        val = table[x][y]
         even_part = val[:n]
         odd_part = val[n:]
         if odd == 2:
@@ -405,30 +400,21 @@ def connectionlike_from_cocycle(G: GradedKVAlgebra, c: Cochain) -> ExtractionRes
                 return ExtractionResult(
                     None, f"component on the even-even slot {args}"
                 )
+    psi = _block(table, 0, n, 0, n, m, n)
+    psi_swapped = _block(table, n, 0, 0, m, n, n)
     for i in range(n):
         for al in range(m):
-            if c.value((i, n + al))[:n] != c.value((n + al, i))[:n]:
+            if psi[i][al] != psi_swapped[al][i]:
                 return ExtractionResult(
                     None,
                     f"mixed part is not symmetric at (e_{i+1}, w_{al+1})",
                 )
     if not coboundary(c).is_zero():
         return ExtractionResult(None, "the cochain is not a cocycle")
-    theta = tensor3(
-        [
-            [list(c.value((n + al, n + be))[n:]) for be in range(m)]
-            for al in range(m)
-        ]
-    )
+    theta = tensor3(_block(table, n, n, n, m, m, m))
     chain = is_kv_chain(theta)
     if not chain:
         return ExtractionResult(
             None, f"odd-odd part is not a KV-chain: witness {chain.witness}"
         )
-    psi = tensor3(
-        [
-            [list(c.value((i, n + al))[:n]) for al in range(m)]
-            for i in range(n)
-        ]
-    )
-    return ExtractionResult(ConnectionlikePair(theta=theta, psi=psi))
+    return ExtractionResult(ConnectionlikePair(theta=theta, psi=tensor3(psi)))

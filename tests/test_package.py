@@ -184,6 +184,43 @@ def _referenced_names(tree: ast.Module) -> set:
     return used
 
 
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private names (one leading underscore, not a dunder) that the module
+    binds at top level by ``def``, ``class`` or assignment, with their line
+    numbers."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node.lineno) for name in names if name[:1] == "_" and name[:2] != "__")
+    return out
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a private helper that no module of the package reads any more is dead
+    home = Path(kvcohom.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(home.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [
+        f"{file}:{line} {name}"
+        for file, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert dead == []
+
+
 def test_every_module_level_import_is_used():
     home = Path(kvcohom.__file__).resolve().parent
     dead = []

@@ -1,0 +1,712 @@
+"""The shared table layout of multilinear maps against the loops it replaced.
+
+`core._entries` lists the row-major entries of a nested tensor and
+`core._shaped` nests values back into one: they carry every cochain reshape
+of `deform`, `graded`, `geom` and the CLI, and, with `core._block`, read the
+blocks of a cochain over a direct sum in `extensions` and `graded`.
+`complexes._pieces` splits a cochain by how many arguments fall in the
+second summand (`bigrade`, `graded_piece`, `graded_component`);
+`core._transported` carries a tensor along a change of basis (both
+conjugations); and `core._hom_actions` builds the actions on a Hom space
+(`hom_module`, `multilinear_module`).  `jacobi_algebra` is `jacobi_module`
+of the regular bimodule.  Each check below runs a copy of the loop a
+builder had before as a reference, on fixtures and on seeded random inputs,
+and asserts equal results or the same error text.  The extension totals,
+the graded 2-cochains and `radiant_primitive` are checked against their
+loops in `test_blocks.py` and `test_contractions.py`.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from kvcohom import serialize as sz
+from kvcohom.cli import JobSpec, run
+from kvcohom.complexes import (
+    Cochain,
+    _coboundary_rows,
+    _cohomology_step,
+    _pieces,
+    coboundary_matrix,
+    cohomology,
+)
+from kvcohom.core import (
+    Element,
+    KVAlgebra,
+    KVModule,
+    _entries,
+    _product_lists,
+    _shaped,
+    _two_step,
+    conjugate_algebra,
+    conjugate_module,
+    hom_module,
+    is_kv,
+    jacobi_algebra,
+    left_regular_module,
+    multilinear_module,
+    random_invertible,
+    random_kv,
+    random_module,
+    regular_bimodule,
+    semidirect,
+    tensor3,
+    zero3,
+    zero_module,
+)
+from kvcohom.deform import (
+    MultiplicationJet,
+    bilinear_cochain,
+    curvature_check,
+    kv_bracket,
+    rigidity_report,
+    solve_next_order,
+    tensor4,
+    tensor4_from_cochain,
+    trilinear_cochain,
+)
+from kvcohom.errors import DimensionError, InputError, PreconditionError
+from kvcohom.extensions import (
+    BigradedCochain,
+    bigrade,
+    e11_cohomology,
+    extend_module_to_semidirect,
+    graded_piece,
+    module_extension_from_cocycle,
+    w_count,
+)
+from kvcohom.fixtures import (
+    aff,
+    algebra_catalog,
+    flat_polynomial_module,
+    flat_psi,
+    flat_theta,
+    graded_flat,
+    rad2,
+    rad2_left_module,
+)
+from kvcohom.geom import _s_tensor, pencil_suite
+from kvcohom.graded import (
+    ConnectionlikePair,
+    GradedKVAlgebra,
+    cocycle_from_connectionlike,
+    connectionlike_from_cocycle,
+    graded_component,
+    is_kv_chain,
+)
+from kvcohom.linalg import Mat, inverse, kernel, solve
+
+_ZERO = Fraction(0)
+_COEFFS = (-2, -1, 0, 0, 1, 3, Fraction(1, 2))
+
+
+def _values(rng, k, density=0.5):
+    return tuple(Fraction(rng.choice(_COEFFS)) if rng.random() < density else _ZERO for _ in range(k))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (DimensionError, InputError, PreconditionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _setups():
+    """(A, W, V) over fixtures and seeded random algebras and modules."""
+    out = [(A, regular_bimodule(A), left_regular_module(A)) for A in algebra_catalog()]
+    out.append((rad2(), rad2_left_module(), zero_module(rad2(), 2)))
+    for s in range(1, 25):
+        A = random_kv(s, 2 + s % 3)
+        out.append((A, random_module(A, s, 3), random_module(A, s + 50, 2)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the helpers themselves
+
+
+def reference_shaped(values, dims):
+    """values[(..(i_1 d_2 + i_2) d_3 + ..) + i_r] at [i_1][i_2]..[i_r]."""
+
+    def nest(prefix, axis):
+        if axis == len(dims):
+            flat = 0
+            for i, d in zip(prefix, dims):
+                flat = flat * d + i
+            return values[flat]
+        return tuple(nest(prefix + (i,), axis + 1) for i in range(dims[axis]))
+
+    return nest((), 0)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(3,), (2, 3), (3, 2), (2, 3, 4), (4, 3, 2), (2, 1, 3, 2), (3, 3, 3, 3), (2, 0, 3), (2, 3, 0), (0, 2, 2)],
+)
+def test_shaped_nests_row_major_and_entries_flattens_back(dims):
+    # a zero axis keeps the axes before it: (2, 3, 0) nests as ((), (), ()) twice
+    values = tuple(range(1, 1 + math.prod(dims)))
+    t = _shaped(values, *dims)
+    assert t == reference_shaped(values, dims)
+    assert _entries(t, len(dims)) == values
+
+
+def test_entries_matches_the_comprehensions():
+    rng = random.Random(1)
+    for _ in range(30):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        t3 = _shaped(_values(rng, n * n * m), n, n, m)
+        assert _entries(t3, 3) == tuple(x for p in t3 for r in p for x in r)
+        t4 = _shaped(_values(rng, n**4), n, n, n, n)
+        assert _entries(t4, 4) == tuple(x for q in t4 for p in q for r in p for x in r)
+
+
+# ---------------------------------------------------------------------------
+# deform: the cochain reshapes
+
+
+def reference_bilinear_cochain(A, mu):
+    return Cochain(A, regular_bimodule(A), 2, tuple(x for p in mu for r in p for x in r))
+
+
+def reference_trilinear_cochain(A, t):
+    n = A.dim
+    vals = tuple(x for q in t for p in q for r in p for x in r)
+    if len(vals) != n**4:
+        raise DimensionError("trilinear tensor does not match the algebra")
+    return Cochain(A, regular_bimodule(A), 3, vals)
+
+
+def reference_tensor4_from_cochain(f):
+    n = f.n
+    if f.degree != 3 or f.m != n:
+        raise DimensionError("expected a trilinear cochain with regular values")
+    return tensor4(
+        [[[list(f.value((a, b, c))) for c in range(n)] for b in range(n)] for a in range(n)]
+    )
+
+
+def reference_tensor3_of(v, n):
+    rows = [v[r * n : (r + 1) * n] for r in range(n * n)]
+    return tuple(tuple(rows[a * n : (a + 1) * n]) for a in range(n))
+
+
+def test_deform_reshapes_match_the_copy_loops():
+    rng = random.Random(2)
+    for A, _, _ in _setups():
+        n = A.dim
+        mu = _shaped(_values(rng, n**3), n, n, n)
+        assert bilinear_cochain(A, mu) == reference_bilinear_cochain(A, mu)
+        t = _shaped(_values(rng, n**4), n, n, n, n)
+        assert trilinear_cochain(A, t) == reference_trilinear_cochain(A, t)
+        f = Cochain(A, regular_bimodule(A), 3, _values(rng, n**4))
+        got = tensor4_from_cochain(f)
+        assert got == reference_tensor4_from_cochain(f)
+        assert all(type(x) is Fraction for x in _entries(got, 4))
+        v = _values(rng, n**3)
+        assert _shaped(v, n, n, n) == reference_tensor3_of(v, n)
+    A = algebra_catalog()[0]
+    short = ((((_ZERO,),),),)
+    assert _outcome(trilinear_cochain, A, short) == _outcome(reference_trilinear_cochain, A, short)
+    g = Cochain.zero(A, regular_bimodule(A), 2)
+    assert _outcome(tensor4_from_cochain, g) == _outcome(reference_tensor4_from_cochain, g)
+
+
+def reference_rigidity_tensors(A):
+    """The cocycle basis and class representatives of H^2(A, A), each flat
+    vector sliced into a tensor as `rigidity_report` did."""
+    n = A.dim
+    W = regular_bimodule(A)
+    d2, d1 = (_coboundary_rows(A, W, q)[1] for q in (2, 1))
+    Z, _, reps = _cohomology_step((d2, n**3), (d1, n**2))
+    return (
+        tuple(reference_tensor3_of(z, n) for z in Z.basis),
+        tuple(reference_tensor3_of(z, n) for z in reps),
+    )
+
+
+def test_rigidity_and_next_order_tensors_are_the_sliced_vectors():
+    solved = 0
+    for s in range(1, 20):
+        A = random_kv(s, 2 + s % 3)
+        n = A.dim
+        report = rigidity_report(A)
+        assert (report.cocycle_basis, report.class_representatives) == reference_rigidity_tensors(A)
+        for rep in report.class_representatives[:2]:
+            sol = solve_next_order(MultiplicationJet(A, (rep,)))
+            if sol.solved:
+                # the solve of delta mu_2 = R_2 over the public coboundary matrix
+                rhs = trilinear_cochain(A, sol.target).values
+                x = solve(coboundary_matrix(A, regular_bimodule(A), 2), rhs)
+                assert sol.coefficient == reference_tensor3_of(x, n)
+                solved += 1
+    assert solved
+
+
+# ---------------------------------------------------------------------------
+# core: conjugations, Hom modules, the Jacobi subspace
+
+
+def reference_conjugate_algebra(A, phi):
+    n = A.dim
+    if phi.rows != n or phi.cols != n:
+        raise DimensionError("basis change must be square of the algebra dimension")
+    phi_inv = inverse(phi)
+    if phi_inv is None:
+        raise InputError("basis change matrix is singular")
+    prod = []
+    for i in range(n):
+        x = Element(tuple(phi_inv.at(l, i) for l in range(n)))
+        plane = []
+        for j in range(n):
+            y = Element(tuple(phi_inv.at(l, j) for l in range(n)))
+            z = A.mul(x, y)
+            plane.append(phi.mat_vec(z.coords))
+        prod.append(plane)
+    return KVAlgebra(dim=n, product=tensor3(prod), name=A.name)
+
+
+def reference_conjugate_module(W, psi):
+    m = W.dim
+    if psi.rows != m or psi.cols != m:
+        raise DimensionError("basis change must be square of the module dimension")
+    psi_inv = inverse(psi)
+    if psi_inv is None:
+        raise InputError("basis change matrix is singular")
+    n = W.algebra.dim
+    left = []
+    for i in range(n):
+        a = W.algebra.basis_element(i)
+        plane = []
+        for al in range(m):
+            w = Element(tuple(psi_inv.at(l, al) for l in range(m)))
+            plane.append(psi.mat_vec(W.left_act(a, w).coords))
+        left.append(plane)
+    right = []
+    for al in range(m):
+        w = Element(tuple(psi_inv.at(l, al) for l in range(m)))
+        plane = []
+        for i in range(n):
+            a = W.algebra.basis_element(i)
+            plane.append(psi.mat_vec(W.right_act(w, a).coords))
+        right.append(plane)
+    return KVModule(algebra=W.algebra, dim=m, left=tensor3(left), right=tensor3(right))
+
+
+def test_conjugations_match_the_copy_loops():
+    rng = random.Random(3)
+    for A, W, V in _setups():
+        for moves in (1, 4):
+            phi = random_invertible(rng, A.dim, moves)
+            got = conjugate_algebra(A, phi)
+            assert got == reference_conjugate_algebra(A, phi) and got.name == A.name
+            for M in (W, V):
+                psi = random_invertible(rng, M.dim, moves)
+                assert conjugate_module(M, psi) == reference_conjugate_module(M, psi)
+    A, W = rad2(), rad2_left_module()
+    singular = Mat.from_rows([[1, 2], [2, 4]])
+    for fn, ref, x, phi in (
+        (conjugate_algebra, reference_conjugate_algebra, A, singular),
+        (conjugate_algebra, reference_conjugate_algebra, A, Mat.from_rows([[1]])),
+        (conjugate_module, reference_conjugate_module, W, Mat.from_rows([[1]])),
+        (conjugate_module, reference_conjugate_module, zero_module(A, 2), singular),
+    ):
+        assert _outcome(fn, x, phi) == _outcome(ref, x, phi)
+        assert _outcome(fn, x, phi)[0] != "value"
+    Z = zero_module(A, 0)
+    empty = Mat.from_rows([], cols=0)
+    assert conjugate_module(Z, empty) == reference_conjugate_module(Z, empty)
+
+
+def reference_hom_module(A, W, V):
+    n = A.dim
+    mw, mv = W.dim, V.dim
+    dim = mw * mv
+
+    def fidx(al, be):
+        return al * mv + be
+
+    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
+    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
+    for i in range(n):
+        for al in range(mw):
+            for be in range(mv):
+                src = fidx(al, be)
+                for ga in range(mw):
+                    if ga == al:
+                        for de in range(mv):
+                            left[i][src][fidx(ga, de)] += V.left[i][be][de]
+                    left[i][src][fidx(ga, be)] -= W.left[i][ga][al]
+                    if ga == al:
+                        for de in range(mv):
+                            right[src][i][fidx(ga, de)] += V.right[be][i][de]
+    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
+
+
+def reference_multilinear_module(A, W, q):
+    if q < 1:
+        raise InputError("multilinear_module needs q >= 1")
+    n = A.dim
+    m = W.dim
+    dim = m**q * m
+
+    def fidx(args, be):
+        idx = 0
+        for a in args:
+            idx = idx * m + a
+        return idx * m + be
+
+    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
+    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
+    for args in itertools.product(range(m), repeat=q):
+        for be in range(m):
+            src = fidx(args, be)
+            for i in range(n):
+                for de in range(m):
+                    left[i][src][fidx(args, de)] += W.left[i][be][de]
+                for j in range(q):
+                    for ga_j in range(m):
+                        coeff = W.left[i][ga_j][args[j]]
+                        if coeff == 0:
+                            continue
+                        ga = args[:j] + (ga_j,) + args[j + 1 :]
+                        left[i][src][fidx(ga, be)] -= coeff
+                for de in range(m):
+                    right[src][i][fidx(args, de)] += W.right[be][i][de]
+    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
+
+
+def test_hom_module_matches_the_copy_loop():
+    for A, W, V in _setups():
+        for X, Y in ((W, V), (V, W), (W, W), (W, zero_module(A, 0)), (zero_module(A, 0), V)):
+            assert hom_module(A, X, Y) == reference_hom_module(A, X, Y)
+    # a zero-dimensional algebra still has a Hom space of dimension mw * mv
+    E = KVAlgebra(0, ())
+    Z2, Z1 = zero_module(E, 2), zero_module(E, 1)
+    assert hom_module(E, Z2, Z1) == reference_hom_module(E, Z2, Z1)
+    assert hom_module(E, Z2, Z1).dim == 2
+
+
+def test_multilinear_module_matches_the_copy_loop_up_to_q3():
+    degrees = set()
+    rng = random.Random(4)
+    for A, W, V in _setups():
+        for M in (W, V, zero_module(A, 0)):
+            for q in (1, 2, 3):
+                if M.dim ** (2 * q + 2) * A.dim > 60_000:
+                    continue
+                got = multilinear_module(A, M, q)
+                assert got == reference_multilinear_module(A, M, q)
+                degrees.add(q)
+    # a module whose left action mixes every slot, at q = 3
+    A = rad2()
+    W = conjugate_module(rad2_left_module(), random_invertible(rng, 2, 4))
+    assert multilinear_module(A, W, 3) == reference_multilinear_module(A, W, 3)
+    assert degrees == {1, 2, 3}
+    assert _outcome(multilinear_module, A, W, 0) == _outcome(reference_multilinear_module, A, W, 0)
+
+
+def reference_jacobi_algebra(A):
+    verdict = is_kv(A)
+    if not verdict:
+        raise PreconditionError(f"jacobi_algebra needs a KV product; {verdict.detail}")
+    n = A.dim
+    gam, gam_t = _product_lists(A.product)
+    items = {}
+    for i in range(n):
+        for j in range(n):
+            base = (i * n + j) * n
+            for l in range(n):
+                entry = _two_step((False, gam[i][j], gam_t[l]), (True, gam[j][l], gam[i]))
+                for k, x in entry.items():
+                    items[(base + k, l)] = x
+    return kernel(Mat.from_items(n * n * n, n, items))
+
+
+def test_jacobi_algebra_matches_its_own_kernel():
+    for A, _, _ in _setups():
+        assert jacobi_algebra(A) == reference_jacobi_algebra(A)
+    bad = KVAlgebra(2, tensor3([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]))
+    assert not is_kv(bad)
+    assert _outcome(jacobi_algebra, bad) == _outcome(reference_jacobi_algebra, bad)
+
+
+# ---------------------------------------------------------------------------
+# complexes and extensions: the summand split
+
+
+def reference_graded_piece(f, a_dim, p):
+    vals = list(f.values)
+    for args in itertools.product(range(f.n), repeat=f.degree):
+        if w_count(args, a_dim) != p:
+            off = f.offset(args)
+            for t in range(f.m):
+                vals[off + t] = _ZERO
+    return Cochain(f.algebra, f.module, f.degree, tuple(vals))
+
+
+def reference_bigrade(f, a_dim):
+    m, q = f.m, f.degree
+    pieces = {}
+    for s, args in enumerate(itertools.product(range(f.n), repeat=q)):
+        value = f.values[s * m : (s + 1) * m]
+        if any(value):
+            p = w_count(args, a_dim)
+            if p not in pieces:
+                pieces[p] = [_ZERO] * len(f.values)
+            pieces[p][s * m : (s + 1) * m] = value
+    return [
+        (p, q - p, BigradedCochain(Cochain(f.algebra, f.module, q, tuple(pieces[p])), a_dim, p, q - p))
+        for p in sorted(pieces)
+    ]
+
+
+def _split_cochains(rng):
+    """Cochains over G = A + W with values in V, degrees 0 to 3."""
+    for A, W, V in _setups()[::2]:
+        G = semidirect(A, W)
+        Vt = extend_module_to_semidirect(G, A.dim, V)
+        for q in (0, 1, 2, 3):
+            size = G.dim**q * Vt.dim
+            if size > 3000:
+                continue
+            for density in (0.1, 0.6):
+                yield A.dim, Cochain(G, Vt, q, _values(rng, size, density))
+            yield A.dim, Cochain.zero(G, Vt, q)
+
+
+def test_summand_split_matches_the_scans():
+    rng = random.Random(5)
+    degrees = set()
+    for a_dim, f in _split_cochains(rng):
+        pieces = _pieces(f, a_dim)
+        assert sorted(pieces) == [p for p, _, _ in reference_bigrade(f, a_dim)]
+        assert bigrade(f, a_dim) == reference_bigrade(f, a_dim)
+        for p in range(f.degree + 2):
+            assert graded_piece(f, a_dim, p) == reference_graded_piece(f, a_dim, p)
+        degrees.add(f.degree)
+    assert degrees == {0, 1, 2, 3}
+
+
+def test_summand_split_of_a_zero_dimensional_module():
+    A = rad2()
+    Z = zero_module(A, 0)
+    G = semidirect(A, rad2_left_module())
+    Zt = extend_module_to_semidirect(G, A.dim, Z)
+    for q in (0, 1, 2):
+        for f in (Cochain.zero(A, Z, q), Cochain.zero(G, Zt, q)):
+            assert _pieces(f, A.dim) == {}
+            assert bigrade(f, A.dim) == reference_bigrade(f, A.dim) == []
+            assert graded_piece(f, A.dim, 0) == reference_graded_piece(f, A.dim, 0)
+
+
+# ---------------------------------------------------------------------------
+# graded: the component split, the extraction, the zero test
+
+
+def reference_graded_component(G, f, r, s, p):
+    total = G.total()
+    if f.algebra != total:
+        raise DimensionError("cochain does not live over this graded algebra")
+    if f.module != regular_bimodule(total):
+        raise InputError("graded components need regular coefficients (values in G itself)")
+    if r < 0 or s < 0 or p not in (0, 1):
+        raise InputError("component indices must be non-negative with parity 0 or 1")
+    n = G.n
+    vals = list(f.values)
+    if r + s != f.degree:
+        return Cochain.zero(f.algebra, f.module, f.degree)
+    for args in itertools.product(range(G.dim), repeat=f.degree):
+        odd = sum(1 for a in args if a >= n)
+        off = f.offset(args)
+        if odd != s:
+            for t in range(f.m):
+                vals[off + t] = _ZERO
+        else:
+            lo, hi = (n, G.dim) if p == 0 else (0, n)
+            for t in range(lo, hi):
+                vals[off + t] = _ZERO
+    return Cochain(f.algebra, f.module, f.degree, tuple(vals))
+
+
+def reference_connectionlike_from_cocycle(G, c):
+    from kvcohom.complexes import coboundary
+    from kvcohom.graded import ExtractionResult
+
+    total = G.total()
+    if c.degree != 2 or c.algebra != total or c.module != regular_bimodule(total):
+        raise InputError(
+            "expected a 2-cochain over the graded total algebra with regular coefficients"
+        )
+    n, m, N = G.n, G.m, G.dim
+    for args in itertools.product(range(N), repeat=2):
+        odd = sum(1 for a in args if a >= n)
+        val = c.value(args)
+        if odd == 2:
+            if any(v != 0 for v in val[:n]):
+                return ExtractionResult(None, f"even-valued component on the odd-odd slot {args}")
+        elif odd == 1:
+            if any(v != 0 for v in val[n:]):
+                return ExtractionResult(None, f"odd-valued component on the mixed slot {args}")
+        elif any(v != 0 for v in val):
+            return ExtractionResult(None, f"component on the even-even slot {args}")
+    for i in range(n):
+        for al in range(m):
+            if c.value((i, n + al))[:n] != c.value((n + al, i))[:n]:
+                return ExtractionResult(None, f"mixed part is not symmetric at (e_{i+1}, w_{al+1})")
+    if not coboundary(c).is_zero():
+        return ExtractionResult(None, "the cochain is not a cocycle")
+    theta = tensor3([[list(c.value((n + al, n + be))[n:]) for be in range(m)] for al in range(m)])
+    chain = is_kv_chain(theta)
+    if not chain:
+        return ExtractionResult(None, f"odd-odd part is not a KV-chain: witness {chain.witness}")
+    psi = tensor3([[list(c.value((i, n + al))[:n]) for al in range(m)] for i in range(n)])
+    return ExtractionResult(ConnectionlikePair(theta=theta, psi=psi))
+
+
+def _graded_algebras():
+    out = [graded_flat(), GradedKVAlgebra(rad2(), rad2_left_module())]
+    out.append(GradedKVAlgebra(flat_polynomial_module().algebra, flat_polynomial_module()))
+    out.append(GradedKVAlgebra(aff(), zero_module(aff(), 0)))
+    out.append(GradedKVAlgebra(KVAlgebra(0, ()), zero_module(KVAlgebra(0, ()), 0)))
+    for s in range(1, 8):
+        A = random_kv(s, 1 + s % 3)
+        for W in (left_regular_module(A), zero_module(A, 2)):
+            try:
+                out.append(GradedKVAlgebra(A, W))
+            except PreconditionError:
+                pass
+    return out
+
+
+def test_graded_component_matches_the_scan():
+    rng = random.Random(6)
+    graded = _graded_algebras()
+    assert any(G.m == 0 for G in graded) and any(G.dim == 0 for G in graded)
+    for G in graded:
+        T = G.total()
+        R = regular_bimodule(T)
+        fs = [Cochain.zero(T, R, q) for q in (0, 1, 2)]
+        for q in (0, 1, 2, 3):
+            if G.dim ** (q + 1) <= 3000:
+                fs += [Cochain(T, R, q, _values(rng, G.dim ** (q + 1), d)) for d in (0.15, 0.7)]
+        for f in fs:
+            for r, s, p in itertools.product(range(4), range(4), (0, 1)):
+                assert graded_component(G, f, r, s, p) == reference_graded_component(G, f, r, s, p)
+    G = graded[0]
+    f = Cochain.zero(G.total(), regular_bimodule(G.total()), 1)
+    for args in ((G, f, -1, 1, 0), (G, f, 0, 1, 2), (G, Cochain.zero(G.even, regular_bimodule(G.even), 1), 0, 1, 0)):
+        assert _outcome(graded_component, *args) == _outcome(reference_graded_component, *args)
+        assert _outcome(graded_component, *args)[0] != "value"
+
+
+def test_connectionlike_extraction_matches_the_scan():
+    rng = random.Random(7)
+    reasons = set()
+    for G in _graded_algebras():
+        T = G.total()
+        R = regular_bimodule(T)
+        N = G.dim
+        cs = [Cochain(T, R, 2, _values(rng, N**3, d)) for d in (0.05, 0.5)]
+        theta = _shaped(_values(rng, G.m**3, 0.3), G.m, G.m, G.m)
+        psi = _shaped(_values(rng, G.n * G.m * G.n, 0.3), G.n, G.m, G.n)
+        pair = cocycle_from_connectionlike(G, ConnectionlikePair(theta=theta, psi=psi))
+        cs += [pair, Cochain.zero(T, R, 2)]
+        if G.n and G.m:
+            # an asymmetric mixed part: psi(e_0, w_0) moves, psi(w_0, e_0) does not
+            vals = list(pair.values)
+            vals[G.n * N] += 1
+            cs.append(Cochain(T, R, 2, tuple(vals)))
+        if N <= 5:
+            cs += list(cohomology(T, R, 2).degree(2).representatives[:3])
+        for c in cs:
+            got = connectionlike_from_cocycle(G, c)
+            want = reference_connectionlike_from_cocycle(G, c)
+            assert got == want
+            reasons.add(got.reason.split(" ")[0] if got.reason else "ok")
+    G = graded_flat()
+    c = cocycle_from_connectionlike(G, ConnectionlikePair(flat_theta(), flat_psi()))
+    assert connectionlike_from_cocycle(G, c) == reference_connectionlike_from_cocycle(G, c)
+    assert connectionlike_from_cocycle(G, c).pair == ConnectionlikePair(flat_theta(), flat_psi())
+    assert {"ok", "even-valued", "odd-valued", "component", "mixed"} <= reasons
+
+
+def test_connectionlike_pair_zero_test_matches_the_scan():
+    rng = random.Random(8)
+    for G in _graded_algebras():
+        for d in (0.0, 0.1, 0.6):
+            theta = _shaped(_values(rng, G.m**3, d), G.m, G.m, G.m)
+            psi = _shaped(_values(rng, G.n * G.m * G.n, d), G.n, G.m, G.n)
+            pair = ConnectionlikePair(theta=theta, psi=psi)
+            want = not any(x for p in theta for r in p for x in r) and not any(
+                x for p in psi for r in p for x in r
+            )
+            assert pair.is_zero() == want
+
+
+# ---------------------------------------------------------------------------
+# extensions: theta and psi read back from the total module
+
+
+def test_extension_values_match_the_entry_reads():
+    seen = 0
+    for A, W, V in _setups():
+        if A.dim > 3 or W.dim > 2:
+            continue
+        for r in e11_cohomology(A, W, V, 1).degree(1).representatives[:2]:
+            f = BigradedCochain(r, A.dim, 1, 1)
+            ext = module_extension_from_cocycle(A, W, V, f)
+            v, n, m = V.dim, A.dim, W.dim
+            theta = [[ext.total.left[i][v + al][:v] for al in range(m)] for i in range(n)]
+            psi = [[ext.total.right[v + al][i][:v] for al in range(m)] for i in range(n)]
+            assert ext.theta_values() == theta and ext.psi_values() == psi
+            # and they are the cocycle's own values
+            assert theta == [[r.value((i, n + al)) for al in range(m)] for i in range(n)]
+            assert psi == [[r.value((n + al, i)) for al in range(m)] for i in range(n)]
+            seen += 1
+    assert seen
+    # a zero-dimensional quotient keeps one empty list per basis vector of A
+    A = rad2()
+    V, W = rad2_left_module(), zero_module(A, 0)
+    G = semidirect(A, W)
+    f = BigradedCochain(Cochain.zero(G, extend_module_to_semidirect(G, A.dim, V), 2), A.dim, 1, 1)
+    ext = module_extension_from_cocycle(A, W, V, f)
+    assert ext.theta_values() == [[], []] and ext.psi_values() == [[], []]
+
+
+# ---------------------------------------------------------------------------
+# geom and the CLI: the zero tests over rank-4 tensors
+
+
+def test_pencil_square_zero_matches_the_scan():
+    for a, b in ((0, 0), (1, 0), (2, 3), (Fraction(-1, 2), 5)):
+        St = _s_tensor(Fraction(a), Fraction(b))
+        square = kv_bracket(St, St)
+        want = not any(x for plane in square for block in plane for row in block for x in row)
+        assert pencil_suite(a, b).square_zero == want
+
+
+def test_curvature_check_verb_matches_the_scan(tmp_path):
+    A = aff()
+    apath = tmp_path / "aff.json"
+    apath.write_text(sz.canonical_json(sz.algebra_to_obj(A)))
+    rng = random.Random(10)
+    tensors = [_s_tensor(Fraction(1), Fraction(2)), zero3(2, 2, 2)]
+    for _ in range(4):
+        sym = [[[rng.choice((-1, 0, 2)) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+        for k in range(2):
+            sym[1][0][k] = sym[0][1][k]
+        tensors.append(tensor3(sym))
+    seen = set()
+    for k, S in enumerate(tensors):
+        tpath = tmp_path / f"s{k}.json"
+        tpath.write_text(sz.canonical_json({"tensor": sz.tensor3_to_obj(S)}))
+        report = run(JobSpec("curvature-check", {"algebra": str(apath), "tensor": str(tpath)}))
+        residual = curvature_check(A, S)
+        flat = [x for q in residual for p in q for r in p for x in r]
+        assert report.body["results"]["residual_zero"] == (not any(flat))
+        seen.add(not any(flat))
+    assert seen == {True, False}
