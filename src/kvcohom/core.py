@@ -27,13 +27,17 @@ theta-cocycle and even flow rules of `graded`, the parallelism law of
 Block spaces share one layout as well: `_blocks` builds a tensor on a
 direct sum of spaces that is zero outside the blocks it is given, and
 `_block` reads one block back out.  They back `semidirect`, `direct_sum`,
-`module_direct_sum`, the extension totals of `extensions` and the graded
-deformations and cochains of `graded`.
+`module_direct_sum`, the extension totals of `extensions`, its (1,1)
+cochains placed from the blocks of a morphism defect (the bottom
+coboundary and both section cocycles) and the graded deformations and
+cochains of `graded`.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
 values back into a tensor.  `_transported` carries a bilinear tensor along
-a change of basis (`conjugate_algebra`, `conjugate_module`), and
+a change of basis (`conjugate_algebra`, `conjugate_module`, the pushforward
+of a basis flow in `deform`, and through `conjugate_algebra` the shear check
+of an algebra extension equivalence), and
 `_hom_actions` builds the actions on Hom(S, V) for a space S given by its
 left action (`hom_module`, `multilinear_module`).
 """

@@ -41,11 +41,11 @@ from .core import (
     CheckResult,
     KVAlgebra,
     Tensor3,
-    _bilinear,
     _check_shape,
     _entries,
     _product_lists,
     _shaped,
+    _transported,
     _two_step,
     is_kv,
     regular_bimodule,
@@ -53,7 +53,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, _kernel, _quotient, _solve, _transposed
+from .linalg import IntRow, Mat, Vec, _kernel, _quotient, _solve, _transposed, identity, mat_mul
 
 __all__ = [
     "Tensor4",
@@ -404,44 +404,23 @@ def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
     if flow.dim != n:
         raise DimensionError("flow does not act on this algebra")
     K = flow.order
-    ident = [[Fraction(1) if j == i else _ZERO for j in range(n)] for i in range(n)]
-
-    def theta(k: int) -> list[list[Fraction]]:
-        if k == 0:
-            return ident
-        return [list(flow.thetas[k - 1].row(i)) for i in range(n)]
-
+    thetas = (identity(n),) + flow.thetas
     # psi_0 = id; psi_k = -sum_{j<k} psi_j theta_{k-j} (row convention:
     # composing phi after psi multiplies matrices as psi . theta).
-    psis: list[list[list[Fraction]]] = [ident]
+    psis = [thetas[0]]
     for k in range(1, K + 1):
-        acc = [[_ZERO] * n for _ in range(n)]
-        for j in range(k):
-            th = theta(k - j)
-            ps = psis[j]
-            for r in range(n):
-                for c in range(n):
-                    s = _ZERO
-                    for t in range(n):
-                        s += ps[r][t] * th[t][c]
-                    acc[r][c] -= s
-        psis.append(acc)
+        terms = [mat_mul(psis[j], thetas[k - j]).entries for j in range(k)]
+        psis.append(Mat(n, n, [-sum(col, _ZERO) for col in zip(*terms)]))
+    rows = [[psi.row(a) for a in range(n)] for psi in psis]
+    # mu_k(a, b) = sum_{p+q+r=k} theta_p^T mu(psi_q a, psi_r b)
     coeffs: list[Tensor3] = []
     for k in range(1, K + 1):
-        mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for p in range(k + 1):
-            for q in range(k + 1 - p):
-                r = k - p - q
-                th = theta(p)
-                for a in range(n):
-                    for b in range(n):
-                        prod = _bilinear(A.product, psis[q][a], psis[r][b], n)
-                        for s in range(n):
-                            if prod[s] == 0:
-                                continue
-                            for c in range(n):
-                                mu_k[a][b][c] += prod[s] * th[s][c]
-        coeffs.append(tensor3(mu_k))
+        terms = [
+            _entries(_transported(A.product, rows[q], rows[k - p - q], thetas[p].transpose()), 3)
+            for p in range(k + 1)
+            for q in range(k + 1 - p)
+        ]
+        coeffs.append(_shaped([sum(col, _ZERO) for col in zip(*terms)], n, n, n))
     return MultiplicationJet(A, tuple(coeffs))
 
 

@@ -18,6 +18,14 @@ morphisms, and its first cohomology classifies module extensions
 0 -> V -> T -> W -> 0; its differentials are assembled on their (1, q+1)
 rows only.  One level up, 2-cocycles in C_2(A, W) classify algebra
 extensions with abelian kernel W.
+
+Both rest on one map, the defect of a linear map phi: W -> X from being a
+module morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a.
+`_morphism_defect` builds its two mixed blocks from the structure constants;
+`e11_coboundary0` places them as they are (X = V) and `cocycle_from_section`
+places their negatives (X = T), both in the block layout of `core`.  The
+algebra section cocycle reads sigma(a) sigma(a') - sigma(aa') the same way,
+and the shear of an algebra equivalence is checked by `conjugate_algebra`.
 """
 
 from __future__ import annotations
@@ -40,17 +48,19 @@ from .complexes import (
     coboundary_matrix,
 )
 from .core import (
-    Element,
     KVAlgebra,
     KVModule,
+    _bilinear,
     _block,
     _blocks,
+    _entries,
     _shaped,
+    conjugate_algebra,
     is_module,
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, solve
+from .linalg import IntRow, Mat, Vec, identity, solve
 
 __all__ = [
     "BigradedCochain",
@@ -182,19 +192,47 @@ def _theta_matrix(theta: Mat, mw: int, mv: int, what: str) -> Mat:
     return theta
 
 
+def _minus(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+    return [p - q for p, q in zip(x, y)]
+
+
+def _morphism_defect(W: KVModule, X: KVModule, phi: Mat) -> tuple[list, list]:
+    """The two mixed blocks of the defect of phi: W -> X from being a module
+    morphism, for phi given by its rows phi(w_al) in X-coordinates:
+
+        [i][al] = phi(e_i w_al) - e_i phi(w_al)      (n x m x dim X)
+        [al][i] = phi(w_al e_i) - phi(w_al) e_i      (m x n x dim X)
+    """
+    units = [identity(W.algebra.dim).row(i) for i in range(W.algebra.dim)]
+    rows = [phi.row(al) for al in range(W.dim)]
+    phi_of, x = phi.transpose().mat_vec, X.dim
+    left = [
+        [_minus(phi_of(W.left[i][al]), _bilinear(X.left, e, r, x)) for al, r in enumerate(rows)]
+        for i, e in enumerate(units)
+    ]
+    right = [
+        [_minus(phi_of(W.right[al][i]), _bilinear(X.right, r, e, x)) for i, e in enumerate(units)]
+        for al, r in enumerate(rows)
+    ]
+    return left, right
+
+
+def _one_one(A: KVAlgebra, W: KVModule, V: KVModule, left, right) -> BigradedCochain:
+    """The (1,1) cochain over G = A + W with (A, W) block left and (W, A)
+    block right, valued in V."""
+    G = semidirect(A, W)
+    n, N = A.dim, G.dim
+    table = _blocks(N, N, V.dim, (left, 0, n, 0), (right, n, 0, 0))
+    cochain = Cochain(G, extend_module_to_semidirect(G, n, V), 2, _entries(table, 3))
+    return BigradedCochain(cochain, n, 1, 1)
+
+
 def embed_w_map(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Cochain:
     """A linear map theta: W -> V as a 1-cochain over G supported on W."""
     _theta_matrix(theta, W.dim, V.dim, "theta")
     G = semidirect(A, W)
-    Vt = extend_module_to_semidirect(G, A.dim, V)
-    n, v = A.dim, V.dim
-    vals: list[Fraction] = []
-    for i in range(G.dim):
-        if i < n:
-            vals.extend([_ZERO] * v)
-        else:
-            vals.extend(theta.row(i - n))
-    return Cochain(G, Vt, 1, tuple(vals))
+    values = _expand_support(theta.entries, e11_support(A, W, V, 0), G.dim * V.dim)
+    return Cochain(G, extend_module_to_semidirect(G, A.dim, V), 1, values)
 
 
 def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> BigradedCochain:
@@ -202,33 +240,12 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
 
     (delta theta)(a, w) = -a theta(w) + theta(aw)
     (delta theta)(w, a) = theta(wa) - theta(w) a
+
+    These are the two blocks of the morphism defect of theta, placed as
+    they are.
     """
     _theta_matrix(theta, W.dim, V.dim, "theta")
-    G = semidirect(A, W)
-    Vt = extend_module_to_semidirect(G, A.dim, V)
-    n, v = A.dim, V.dim
-    theta_of = theta.transpose().mat_vec
-
-    def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
-        x, y = args
-        if x < n and y >= n:
-            i, al = x, y - n
-            a = A.basis_element(i)
-            w = W.basis_element(al)
-            atw = V.left_act(a, Element(theta_of(w.coords)))
-            taw = theta_of(W.left_act(a, w).coords)
-            return [taw[be] - atw.coords[be] for be in range(v)]
-        if x >= n and y < n:
-            al, i = x - n, y
-            a = A.basis_element(i)
-            w = W.basis_element(al)
-            twa = theta_of(W.right_act(w, a).coords)
-            twa_right = V.right_act(Element(theta_of(w.coords)), a)
-            return [twa[be] - twa_right.coords[be] for be in range(v)]
-        return [_ZERO] * v
-
-    cochain = Cochain.from_function(G, Vt, 2, fn)
-    return BigradedCochain(cochain, n, 1, 1)
+    return _one_one(A, W, V, *_morphism_defect(W, V, theta))
 
 
 def _one_w_tuples(n: int, N: int, length: int) -> list[tuple[int, ...]]:
@@ -394,50 +411,34 @@ def module_extension_from_cocycle(
     return ModuleExtension(base=A, kernel=V, quotient=W, total=T)
 
 
+def _section(sigma: Mat, k: int, t: int, off: int) -> None:
+    """Check that the k x t matrix sigma is a section: the k coordinates of
+    each row sigma(e_i) from off on are those of e_i."""
+    if sigma.rows != k or sigma.cols != t:
+        raise DimensionError(f"section must be {k}x{t}")
+    for i in range(k):
+        row = sigma.row(i)
+        if any(row[off + j] != (_ONE if j == i else _ZERO) for j in range(k)):
+            raise InputError("sigma is not a section: proj o sigma != id")
+
+
 def cocycle_from_section(ext: ModuleExtension, sigma: Mat) -> BigradedCochain:
     """f_sigma(a,w) = a sigma(w) - sigma(aw), f_sigma(w,a) = sigma(w) a - sigma(wa).
 
     sigma is a linear right inverse of the projection T -> W; its defect
-    from being a module morphism is the cocycle, whose class does not
-    depend on the choice of sigma.
+    from being a module morphism, negated, is the cocycle, whose class does
+    not depend on the choice of sigma.
     """
     A, V, W, T = ext.base, ext.kernel, ext.quotient, ext.total
     n, m, v = A.dim, W.dim, V.dim
-    if sigma.rows != m or sigma.cols != T.dim:
-        raise DimensionError(f"section must be {m}x{T.dim}")
-    for al in range(m):
-        row = sigma.row(al)
-        for ga in range(m):
-            want = _ONE if ga == al else _ZERO
-            if row[v + ga] != want:
-                raise InputError("sigma is not a section: proj o sigma != id")
-    G = semidirect(A, W)
-    Vt = extend_module_to_semidirect(G, n, V)
-    sigma_t = sigma.transpose()
-
-    def sigma_of(wcoords: Vec) -> Element:
-        return Element(sigma_t.mat_vec(wcoords))
-
-    def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
-        x, y = args
-        if x < n and y >= n:
-            i, al = x, y - n
-            a = A.basis_element(i)
-            w = W.basis_element(al)
-            val = T.left_act(a, sigma_of(w.coords)) - sigma_of(W.left_act(a, w).coords)
-        elif x >= n and y < n:
-            al, i = x - n, y
-            a = A.basis_element(i)
-            w = W.basis_element(al)
-            val = T.right_act(sigma_of(w.coords), a) - sigma_of(W.right_act(w, a).coords)
-        else:
-            return [_ZERO] * v
-        if any(val.coords[v + ga] != 0 for ga in range(m)):
+    _section(sigma, m, T.dim, v)
+    left, right = _morphism_defect(W, T, sigma)
+    cocycle = []
+    for t, d1, d2 in ((left, n, m), (right, m, n)):
+        if any(_entries(_block(t, 0, 0, v, d1, d2, m), 3)):
             raise AssertionError("section defect left the kernel V")
-        return val.coords[:v]
-
-    cochain = Cochain.from_function(G, Vt, 2, fn)
-    return BigradedCochain(cochain, n, 1, 1)
+        cocycle.append([[[-x for x in r] for r in p] for p in _block(t, 0, 0, 0, d1, d2, v)])
+    return _one_one(A, W, V, *cocycle)
 
 
 def extensions_equivalent(f: BigradedCochain, g: BigradedCochain) -> bool:
@@ -524,32 +525,17 @@ def algebra_cocycle_from_section(ext: AlgebraExtension, sigma: Mat) -> Cochain:
     """omega_sigma(a, a') = sigma(a) sigma(a') - sigma(a a'), valued in W."""
     A, W, T = ext.base, ext.kernel, ext.total
     n, m = A.dim, W.dim
-    if sigma.rows != n or sigma.cols != T.dim:
-        raise DimensionError(f"section must be {n}x{T.dim}")
-    for i in range(n):
-        row = sigma.row(i)
-        for j in range(n):
-            want = _ONE if j == i else _ZERO
-            if row[m + j] != want:
-                raise InputError("sigma is not a section: proj o sigma != id")
-
-    sigma_t = sigma.transpose()
-
-    def sigma_of(acoords: Vec) -> Element:
-        return Element(sigma_t.mat_vec(acoords))
-
-    def fn(args: tuple[int, ...]) -> Sequence[Fraction]:
-        i, j = args
-        a = A.basis_element(i)
-        b = A.basis_element(j)
-        val = T.mul(sigma_of(a.coords), sigma_of(b.coords)) - sigma_of(
-            A.mul(a, b).coords
-        )
-        if any(val.coords[m + k] != 0 for k in range(n)):
-            raise AssertionError("section defect left the kernel W")
-        return val.coords[:m]
-
-    return Cochain.from_function(A, W, 2, fn)
+    _section(sigma, n, T.dim, m)
+    rows = [sigma.row(i) for i in range(n)]
+    sigma_of = sigma.transpose().mat_vec
+    defect = [
+        [_minus(_bilinear(T.product, x, y, T.dim), sigma_of(A.product[i][j]))
+         for j, y in enumerate(rows)]
+        for i, x in enumerate(rows)
+    ]
+    if any(_entries(_block(defect, 0, 0, m, n, n, n), 3)):
+        raise AssertionError("section defect left the kernel W")
+    return Cochain(A, W, 2, _entries(_block(defect, 0, 0, 0, n, n, m), 3))
 
 
 def algebra_extensions_equivalent(
@@ -559,7 +545,8 @@ def algebra_extensions_equivalent(
 
     An equivalence is an algebra isomorphism (w, a) -> (w + psi(a), a); its
     existence is decided by an exact linear solve for psi and then the
-    candidate is verified by transporting every basis product.
+    candidate is verified by transporting the product of the first total
+    along the shear, as the basis change [[I, psi^T], [0, I]].
     """
     if ext1.base != ext2.base or ext1.kernel != ext2.kernel:
         raise DimensionError("extensions live over different data")
@@ -573,23 +560,12 @@ def algebra_extensions_equivalent(
     if x is None:
         return None
     psi = Mat.from_rows([x[i * m : (i + 1) * m] for i in range(n)], cols=m)
-    # Verify: phi(u .1 v) = phi(u) .2 phi(v) on every basis pair of T.
-    T1, T2 = ext1.total, ext2.total
-    psi_t = psi.transpose()
-
-    def phi(el: Element) -> Element:
-        shift = psi_t.mat_vec(el.coords[m:])
-        return Element(tuple(x + y for x, y in zip(el.coords, shift)) + el.coords[m:])
-
-    for x1 in range(T1.dim):
-        for y1 in range(T1.dim):
-            u = T1.basis_element(x1)
-            v = T1.basis_element(y1)
-            lhs = phi(T1.mul(u, v))
-            rhs = T2.mul(phi(u), phi(v))
-            if lhs != rhs:
-                raise AssertionError(
-                    "shear solved from the cocycle difference failed to "
-                    "transport the product; the correspondence is broken"
-                )
+    t = m + n
+    diagonal = {(k, k): _ONE for k in range(t)}
+    shear = Mat.from_items(t, t, diagonal | {(al, m + i): c for (i, al), c in psi.items()})
+    if conjugate_algebra(ext1.total, shear).product != ext2.total.product:
+        raise AssertionError(
+            "shear solved from the cocycle difference failed to "
+            "transport the product; the correspondence is broken"
+        )
     return psi

@@ -101,6 +101,8 @@ class GradedKVAlgebra:
             raise PreconditionError(
                 f"odd part is not a verified module: {verdict.detail}"
             )
+        # not a field: equality, hash and repr stay those of (even, odd)
+        object.__setattr__(self, "_total", semidirect(self.even, self.odd))
         total_verdict = is_kv(self.total())
         if not total_verdict:
             raise PreconditionError(
@@ -120,8 +122,9 @@ class GradedKVAlgebra:
         return self.n + self.m
 
     def total(self) -> KVAlgebra:
-        """The underlying ungraded algebra on A + W (even block first)."""
-        return semidirect(self.even, self.odd)
+        """The underlying ungraded algebra on A + W (even block first), built
+        once per object."""
+        return self._total
 
     def parity_of_index(self, i: int) -> int:
         if not 0 <= i < self.dim:

@@ -3,11 +3,16 @@
 `core._blocks` builds every tensor on a direct sum of spaces: the products
 of `semidirect` and `direct_sum`, the actions of `module_direct_sum` and
 `extend_module_to_semidirect`, the extension totals, the graded deformation
-and the graded 2-cochains.  `core._block` reads a block back out for
-`extensions._split_semidirect`.  Each check below runs a copy of the loop
-it replaced as a reference, on fixtures and on seeded random inputs (cocycles
-and non-cocycles alike), and asserts equal results, names included, or the
-same error text.
+and the graded 2-cochains, and the (1,1) cochains that `e11_coboundary0`
+and `cocycle_from_section` place from the blocks of
+`extensions._morphism_defect`.  `core._block` reads a block back out for
+`extensions._split_semidirect` and the two section cocycles.
+`embed_w_map`, the shear check of `algebra_extensions_equivalent` and
+`deform.pushforward_jet` are checked against the loops they replaced too.
+Each check below runs a copy of the loop it replaced as a reference, on
+fixtures and on seeded random inputs (cocycles and non-cocycles alike,
+zero-dimensional spaces included), and asserts equal results, names
+included, or the same error text.
 """
 
 import itertools
@@ -16,10 +21,12 @@ from fractions import Fraction
 
 import pytest
 
-from kvcohom.complexes import Cochain, cohomology
+from kvcohom.complexes import Cochain, coboundary, coboundary_matrix, cohomology
 from kvcohom.core import (
+    Element,
     KVAlgebra,
     KVModule,
+    _bilinear,
     _block,
     _blocks,
     direct_sum,
@@ -34,16 +41,21 @@ from kvcohom.core import (
     zero3,
     zero_module,
 )
+from kvcohom.deform import BasisFlowJet, MultiplicationJet, pushforward_jet
 from kvcohom.errors import DimensionError, InputError, PreconditionError
 from kvcohom.extensions import (
     AlgebraExtension,
     BigradedCochain,
     ModuleExtension,
     _split_semidirect,
+    algebra_cocycle_from_section,
     algebra_extension_from_cocycle,
+    algebra_extensions_equivalent,
+    cocycle_from_section,
     e11_coboundary0,
     e11_cohomology,
     e11_support,
+    embed_w_map,
     extend_module_to_semidirect,
     module_extension_from_cocycle,
 )
@@ -63,7 +75,7 @@ from kvcohom.graded import (
     deform_graded,
     embed_theta,
 )
-from kvcohom.linalg import Mat
+from kvcohom.linalg import Mat, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -488,3 +500,270 @@ def test_graded_builders_match_the_copy_loops():
         assert embed_theta(G, theta) == reference_embed_theta(G, theta)
         pair = ConnectionlikePair(theta=theta, psi=psi)
         assert cocycle_from_connectionlike(G, pair) == reference_cocycle_from_connectionlike(G, pair)
+
+
+# ---------------------------------------------------------------------------
+# extensions: the morphism defect and the section cocycles
+
+
+def reference_embed_w_map(A, W, V, theta):
+    G = semidirect(A, W)
+    Vt = extend_module_to_semidirect(G, A.dim, V)
+    n, v = A.dim, V.dim
+    vals = []
+    for i in range(G.dim):
+        if i < n:
+            vals.extend([_ZERO] * v)
+        else:
+            vals.extend(theta.row(i - n))
+    return Cochain(G, Vt, 1, tuple(vals))
+
+
+def reference_e11_coboundary0(A, W, V, theta):
+    G = semidirect(A, W)
+    Vt = extend_module_to_semidirect(G, A.dim, V)
+    n, v = A.dim, V.dim
+    theta_of = theta.transpose().mat_vec
+
+    def fn(args):
+        x, y = args
+        if x < n and y >= n:
+            a, w = A.basis_element(x), W.basis_element(y - n)
+            atw = V.left_act(a, Element(theta_of(w.coords)))
+            taw = theta_of(W.left_act(a, w).coords)
+            return [taw[be] - atw.coords[be] for be in range(v)]
+        if x >= n and y < n:
+            a, w = A.basis_element(y), W.basis_element(x - n)
+            twa = theta_of(W.right_act(w, a).coords)
+            twa_right = V.right_act(Element(theta_of(w.coords)), a)
+            return [twa[be] - twa_right.coords[be] for be in range(v)]
+        return [_ZERO] * v
+
+    return BigradedCochain(Cochain.from_function(G, Vt, 2, fn), n, 1, 1)
+
+
+def reference_cocycle_from_section(ext, sigma):
+    A, V, W, T = ext.base, ext.kernel, ext.quotient, ext.total
+    n, m, v = A.dim, W.dim, V.dim
+    if sigma.rows != m or sigma.cols != T.dim:
+        raise DimensionError(f"section must be {m}x{T.dim}")
+    for al in range(m):
+        row = sigma.row(al)
+        for ga in range(m):
+            if row[v + ga] != (_ONE if ga == al else _ZERO):
+                raise InputError("sigma is not a section: proj o sigma != id")
+    G = semidirect(A, W)
+    Vt = extend_module_to_semidirect(G, n, V)
+
+    def sigma_of(wcoords):
+        return Element(sigma.transpose().mat_vec(wcoords))
+
+    def fn(args):
+        x, y = args
+        if x < n and y >= n:
+            a, w = A.basis_element(x), W.basis_element(y - n)
+            val = T.left_act(a, sigma_of(w.coords)) - sigma_of(W.left_act(a, w).coords)
+        elif x >= n and y < n:
+            a, w = A.basis_element(y), W.basis_element(x - n)
+            val = T.right_act(sigma_of(w.coords), a) - sigma_of(W.right_act(w, a).coords)
+        else:
+            return [_ZERO] * v
+        if any(val.coords[v + ga] != 0 for ga in range(m)):
+            raise AssertionError("section defect left the kernel V")
+        return val.coords[:v]
+
+    return BigradedCochain(Cochain.from_function(G, Vt, 2, fn), n, 1, 1)
+
+
+def reference_algebra_cocycle_from_section(ext, sigma):
+    A, W, T = ext.base, ext.kernel, ext.total
+    n, m = A.dim, W.dim
+    if sigma.rows != n or sigma.cols != T.dim:
+        raise DimensionError(f"section must be {n}x{T.dim}")
+    for i in range(n):
+        row = sigma.row(i)
+        for j in range(n):
+            if row[m + j] != (_ONE if j == i else _ZERO):
+                raise InputError("sigma is not a section: proj o sigma != id")
+
+    def sigma_of(acoords):
+        return Element(sigma.transpose().mat_vec(acoords))
+
+    def fn(args):
+        a, b = A.basis_element(args[0]), A.basis_element(args[1])
+        val = T.mul(sigma_of(a.coords), sigma_of(b.coords)) - sigma_of(A.mul(a, b).coords)
+        if any(val.coords[m + k] != 0 for k in range(n)):
+            raise AssertionError("section defect left the kernel W")
+        return val.coords[:m]
+
+    return Cochain.from_function(A, W, 2, fn)
+
+
+def reference_algebra_extensions_equivalent(ext1, ext2):
+    if ext1.base != ext2.base or ext1.kernel != ext2.kernel:
+        raise DimensionError("extensions live over different data")
+    A, W = ext1.base, ext1.kernel
+    n, m = A.dim, W.dim
+    o1 = reference_algebra_cocycle_from_section(ext1, ext1.canonical_section())
+    o2 = reference_algebra_cocycle_from_section(ext2, ext2.canonical_section())
+    x = solve(coboundary_matrix(A, W, 1), (o2 - o1).values)
+    if x is None:
+        return None
+    psi = Mat.from_rows([x[i * m : (i + 1) * m] for i in range(n)], cols=m)
+    T1, T2 = ext1.total, ext2.total
+
+    def phi(el):
+        shift = psi.transpose().mat_vec(el.coords[m:])
+        return Element(tuple(x + y for x, y in zip(el.coords, shift)) + el.coords[m:])
+
+    for x1, y1 in itertools.product(range(T1.dim), repeat=2):
+        u, v = T1.basis_element(x1), T1.basis_element(y1)
+        if phi(T1.mul(u, v)) != T2.mul(phi(u), phi(v)):
+            raise AssertionError(
+                "shear solved from the cocycle difference failed to "
+                "transport the product; the correspondence is broken"
+            )
+    return psi
+
+
+def _checked_outcome(fn, *args):
+    try:
+        return _outcome(fn, *args)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
+def _random_mat(rng, rows, cols, density=0.6):
+    coeffs = (-2, -1, 1, 2, Fraction(1, 2))
+    return Mat.from_rows(
+        [[rng.choice(coeffs) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _sections(rng, k, t, off):
+    """A section with random entries off the identity block, and two
+    matrices that are not sections: one of the wrong shape, one random."""
+    rows = _random_mat(rng, k, t).row_lists()
+    for i in range(k):
+        rows[i][off : off + k] = [_ONE if j == i else _ZERO for j in range(k)]
+    return [Mat.from_rows(rows, cols=t), _random_mat(rng, k, t + 1), _random_mat(rng, k, t)]
+
+
+def _zero_dimensional_triples():
+    out = []
+    for n, m, v in itertools.product(range(3), repeat=3):
+        A = KVAlgebra(n, zero3(n, n, n)) if n != 1 else random_kv(3, 1)
+        W = zero_module(A, m) if m != 1 else random_module(A, 5, 1)
+        out.append((A, W, zero_module(A, v)))
+    return out
+
+
+def test_extension_maps_and_section_cocycles_match_the_element_loops():
+    rng = random.Random(11)
+    kinds = set()
+    for A, W, V in _pairs() + _zero_dimensional_triples():
+        theta = _random_mat(rng, W.dim, V.dim)
+        assert embed_w_map(A, W, V, theta) == reference_embed_w_map(A, W, V, theta)
+        assert e11_coboundary0(A, W, V, theta) == reference_e11_coboundary0(A, W, V, theta)
+        for f in _one_one_cochains(rng, A, W, V):
+            got = _outcome(module_extension_from_cocycle, A, W, V, f)
+            if got[0] != "value":
+                continue
+            ext = got[1]
+            for sigma in [ext.canonical_section()] + _sections(rng, W.dim, ext.total.dim, V.dim):
+                got = _checked_outcome(cocycle_from_section, ext, sigma)
+                assert got == _checked_outcome(reference_cocycle_from_section, ext, sigma)
+                kinds.add(("module", got[0]))
+        omegas = [Cochain.from_values(A, W, 2, [rng.choice((-1, 0, 0, 2)) for _ in range(A.dim**2 * W.dim)])]
+        if A.dim <= 3 and W.dim <= 2:
+            omegas += list(cohomology(A, W, 2).degree(2).representatives[:2])
+        # the last one differs from the first by a coboundary: a nonzero shear
+        phi = Cochain.from_values(A, W, 1, [rng.choice((-1, 0, 1)) for _ in range(A.dim * W.dim)])
+        omegas.append(omegas[0] + coboundary(phi))
+        exts = [algebra_extension_from_cocycle(A, W, omega) for omega in omegas]
+        for ext in exts:
+            for sigma in [ext.canonical_section()] + _sections(rng, A.dim, ext.total.dim, W.dim):
+                got = _checked_outcome(algebra_cocycle_from_section, ext, sigma)
+                assert got == _checked_outcome(reference_algebra_cocycle_from_section, ext, sigma)
+                kinds.add(("algebra", got[0]))
+        for ext1, ext2 in itertools.product(exts, repeat=2):
+            got = _checked_outcome(algebra_extensions_equivalent, ext1, ext2)
+            assert got == _checked_outcome(reference_algebra_extensions_equivalent, ext1, ext2)
+            psi = got[1]
+            kinds.add(("equivalent", None if psi is None else any(psi.entries)))
+    assert kinds >= {
+        ("module", "value"), ("module", "DimensionError"), ("module", "InputError"),
+        ("algebra", "value"), ("algebra", "DimensionError"), ("algebra", "InputError"),
+        ("equivalent", True), ("equivalent", False), ("equivalent", None),
+    }
+
+
+def test_section_cocycles_and_the_shear_match_on_totals_outside_block_form():
+    A = rad2()
+    W, V = rad2_left_module(), zero_module(rad2(), 1)
+    m, v = W.dim, V.dim
+    f = e11_coboundary0(A, W, V, Mat.from_rows([[1], [0]], cols=1))
+    ext = module_extension_from_cocycle(A, W, V, f)
+    # e_0 now sends the quotient vector w_0 onto w_1 in the total as well
+    left = [[list(r) for r in p] for p in ext.total.left]
+    left[0][v][v + 1] += 1
+    bent = ModuleExtension(A, V, W, KVModule(A, v + m, tensor3(left), ext.total.right))
+    assert _checked_outcome(cocycle_from_section, bent, bent.canonical_section()) == (
+        _checked_outcome(reference_cocycle_from_section, bent, bent.canonical_section())
+    )
+    M = regular_bimodule(A)
+    alg = algebra_extension_from_cocycle(A, M, Cochain.zero(A, M, 2))
+    t, k = alg.total.dim, M.dim
+    for x, y, z in [(k, k, k), (0, 0, 1)]:
+        # a base product leaving the kernel, then a kernel that squares to w_1
+        prod = [[list(r) for r in p] for p in alg.total.product]
+        prod[x][y][z] += 1
+        bent = AlgebraExtension(A, M, KVAlgebra(t, tensor3(prod)))
+        for e1, e2 in [(bent, bent), (alg, bent)]:
+            assert _checked_outcome(algebra_extensions_equivalent, e1, e2) == (
+                _checked_outcome(reference_algebra_extensions_equivalent, e1, e2)
+            )
+
+
+# ---------------------------------------------------------------------------
+# deform: the pushforward of a basis flow
+
+
+def reference_pushforward_jet(flow, A):
+    n, K = A.dim, flow.order
+    ident = [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
+
+    def theta(k):
+        return ident if k == 0 else [list(flow.thetas[k - 1].row(i)) for i in range(n)]
+
+    psis = [ident]
+    for k in range(1, K + 1):
+        acc = [[_ZERO] * n for _ in range(n)]
+        for j in range(k):
+            th, ps = theta(k - j), psis[j]
+            for r, c in itertools.product(range(n), repeat=2):
+                acc[r][c] -= sum((ps[r][t] * th[t][c] for t in range(n)), _ZERO)
+        psis.append(acc)
+    coeffs = []
+    for k in range(1, K + 1):
+        mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        for p in range(k + 1):
+            for q in range(k + 1 - p):
+                th = theta(p)
+                for a, b in itertools.product(range(n), repeat=2):
+                    prod = _bilinear(A.product, psis[q][a], psis[k - p - q][b], n)
+                    for s, c in itertools.product(range(n), repeat=2):
+                        mu_k[a][b][c] += prod[s] * th[s][c]
+        coeffs.append(tensor3(mu_k))
+    return MultiplicationJet(A, tuple(coeffs))
+
+
+def test_pushforward_jet_matches_the_matrix_loops():
+    rng = random.Random(13)
+    algebras = [KVAlgebra(0, ())] + algebra_catalog() + [random_kv(s, n_max=4) for s in range(1, 25)]
+    for A in algebras:
+        for K in (1, 2, 3):
+            flow = BasisFlowJet(tuple(_random_mat(rng, A.dim, A.dim, 0.4) for _ in range(K)))
+            assert pushforward_jet(flow, A) == reference_pushforward_jet(flow, A)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line: verbs, reports, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -938,3 +939,23 @@ def test_fuzz_run_on_mutated_files(file_requests, data):
     report = run(JobSpec(verb, dict(options, **{key: str(target)})))
     assert report.exit_code in (0, 1, 2, 3)
     json.loads(report.text)
+
+
+def test_cli_verbs_reproduce_the_known_report_digests(monkeypatch):
+    """Every request of the benchmark's cli-verbs pool, run in process from
+    the checkout root, exits and prints exactly as its known-answer table
+    records: the byte contract of the reports."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(root)
+    import cli_verbs
+    import pool
+
+    known = pool.load("cli_verbs")
+    cli_verbs.write_inputs()
+    requests = cli_verbs.request_pool()
+    assert len(requests) == len(known)
+    for argv in requests:
+        code, out = cli_verbs.in_process(argv)
+        key = " ".join(argv)
+        assert (code, hashlib.sha256(out).hexdigest()) == (known[key]["exit"], known[key]["sha256"]), key

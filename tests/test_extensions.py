@@ -22,6 +22,7 @@ from kvcohom.complexes import (
 )
 from kvcohom.core import (
     Element,
+    KVAlgebra,
     KVModule,
     is_kv,
     is_module,
@@ -40,7 +41,9 @@ from kvcohom.errors import (
     PreconditionError,
 )
 from kvcohom.extensions import (
+    AlgebraExtension,
     BigradedCochain,
+    ModuleExtension,
     algebra_cocycle_from_section,
     algebra_extension_from_cocycle,
     algebra_extensions_equivalent,
@@ -680,6 +683,70 @@ def test_algebra_section_must_split_the_projection():
     bad = Mat.from_rows([[0, 0, 1, 0], [0, 0, 0, 2]], cols=4)
     with pytest.raises(InputError, match="section"):
         algebra_cocycle_from_section(ext, bad)
+
+
+def _aff_extensions():
+    """A module extension and an algebra extension over aff, both 2 + 2."""
+    A, W, V = aff_setup()
+    mext = module_extension_from_cocycle(A, W, V, cocycle_basis(A, W, V, limit=1)[0])
+    aext = algebra_extension_from_cocycle(A, W, random_omega(A, W, random.Random("aff-ext")))
+    return mext, aext
+
+
+def test_sections_of_the_wrong_shape_are_rejected():
+    mext, aext = _aff_extensions()
+    for sigma in (Mat.from_rows([[0, 0, 1, 0]], cols=4), Mat.from_rows([[0, 0, 1, 0, 0]] * 2, cols=5)):
+        with pytest.raises(DimensionError, match=r"^section must be 2x4$"):
+            cocycle_from_section(mext, sigma)
+        with pytest.raises(DimensionError, match=r"^section must be 2x4$"):
+            algebra_cocycle_from_section(aext, sigma)
+
+
+def test_matrices_that_do_not_split_the_projection_are_rejected():
+    mext, aext = _aff_extensions()
+    text = r"^sigma is not a section: proj o sigma != id$"
+    # the identity block scaled, then the identity block swapped
+    for rows in ([[5, 0, 1, 0], [0, 0, 0, 2]], [[0, 0, 0, 1], [0, 0, 1, 0]]):
+        with pytest.raises(InputError, match=text):
+            cocycle_from_section(mext, Mat.from_rows(rows, cols=4))
+        with pytest.raises(InputError, match=text):
+            algebra_cocycle_from_section(aext, Mat.from_rows([r[2:] + r[:2] for r in rows], cols=4))
+
+
+def test_totals_outside_block_form_trip_the_kernel_guards():
+    mext, aext = _aff_extensions()
+    T = mext.total
+    left = [[list(r) for r in p] for p in T.left]
+    left[0][2][3] += 1  # e_0 w_0 picks up w_1 in the total only
+    bent = ModuleExtension(mext.base, mext.kernel, mext.quotient, KVModule(T.algebra, T.dim, tensor3(left), T.right))
+    with pytest.raises(AssertionError, match=r"^section defect left the kernel V$"):
+        cocycle_from_section(bent, bent.canonical_section())
+    prod = [[list(r) for r in p] for p in aext.total.product]
+    prod[2][2][3] += 1  # e_0 e_0 picks up e_1 in the total only
+    bent = AlgebraExtension(aext.base, aext.kernel, KVAlgebra(aext.total.dim, tensor3(prod)))
+    with pytest.raises(AssertionError, match=r"^section defect left the kernel W$"):
+        algebra_cocycle_from_section(bent, bent.canonical_section())
+    with pytest.raises(AssertionError, match=r"^section defect left the kernel W$"):
+        algebra_extensions_equivalent(aext, bent)
+
+
+def test_a_total_the_shear_cannot_transport_trips_the_guard():
+    _, aext = _aff_extensions()
+    prod = [[list(r) for r in p] for p in aext.total.product]
+    prod[0][0][1] += 1  # the kernel no longer squares to zero
+    bent = AlgebraExtension(aext.base, aext.kernel, KVAlgebra(aext.total.dim, tensor3(prod)))
+    # the canonical cocycles agree, so the solve succeeds with psi = 0
+    assert algebra_cocycle_from_section(bent, bent.canonical_section()) == (
+        algebra_cocycle_from_section(aext, aext.canonical_section())
+    )
+    assert algebra_extensions_equivalent(bent, bent) == Mat.from_rows([[0, 0], [0, 0]], cols=2)
+    text = (
+        r"^shear solved from the cocycle difference failed to transport the "
+        r"product; the correspondence is broken$"
+    )
+    for ext1, ext2 in [(aext, bent), (bent, aext)]:
+        with pytest.raises(AssertionError, match=text):
+            algebra_extensions_equivalent(ext1, ext2)
 
 
 def test_round_trips_hold_on_random_small_inputs():

@@ -29,6 +29,7 @@ from kvcohom.core import (
     random_kv,
     random_module,
     regular_bimodule,
+    semidirect,
     tensor3,
     zero3,
     zero_module,
@@ -338,6 +339,15 @@ def test_embedded_coboundary_places_the_derivation_defect():
         assert verdict.witness == (bad[0] if bad else None)
         verdicts.add(bool(verdict))
     assert verdicts == {True, False}
+
+
+def test_total_is_built_once_and_stays_out_of_equality_hash_and_repr():
+    G = graded_flat()
+    assert G.total() is G.total()
+    assert G.total() == semidirect(G.even, G.odd)
+    twin = GradedKVAlgebra(G.even, G.odd)
+    assert twin == G and hash(twin) == hash(G)
+    assert repr(G) == f"GradedKVAlgebra(even={G.even!r}, odd={G.odd!r})"
 
 
 # ---------------------------------------------------------------------------
