@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
-    _bilinear,
+    Tensor3,
     center,
     is_kv,
     jacobi_algebra,
@@ -193,6 +194,19 @@ def _check_bidegree(
     return None
 
 
+def _integer_planes(*tensors: Tensor3) -> tuple[int, list]:
+    """d and each tensor times d as nested int lists, d the lcm of the
+    denominators of all their entries.
+
+    A product of two basis vectors is a row of structure constants, so a
+    two-step product of basis vectors sums ints from these planes; the sum
+    is d^2 times its value.
+    """
+    d = math.lcm(*{x.denominator for t in tensors for p in t for r in p for x in r})
+    scaled = [[[[x.numerator * (d // x.denominator) for x in r] for r in p] for p in t] for t in tensors]
+    return d, scaled
+
+
 def _check_pair_bracket(base: int) -> Optional[str]:
     rng = random.Random(base)
     n = rng.choice((1, 2, 3))
@@ -203,21 +217,21 @@ def _check_pair_bracket(base: int) -> Optional[str]:
         ]
     )
     br = kv_bracket(mu, mu)
+    d, (M,) = _integer_planes(mu)
+    dd = d * d
     for x, y, z in itertools.product(range(n), repeat=3):
-        ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
-        ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
-        ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        # A product of two basis vectors is a row of structure constants.
-        first = _bilinear(mu, mu[x][y], ez, n)
-        second = _bilinear(mu, ex, mu[y][z], n)
-        swap1 = _bilinear(mu, mu[y][x], ez, n)
-        swap2 = _bilinear(mu, ey, mu[x][z], n)
         for k in range(n):
-            want = 2 * ((first[k] - second[k]) - (swap1[k] - swap2[k]))
-            if br[x][y][z][k] != want:
+            # 2 [(xy)z - x(yz) - (yx)z + y(xz)], times d^2
+            want = 2 * sum(
+                M[x][y][s] * M[s][z][k] - M[y][z][s] * M[x][s][k]
+                - M[y][x][s] * M[s][z][k] + M[x][z][s] * M[y][s][k]
+                for s in range(n)
+            )
+            got = br[x][y][z][k]
+            if got.numerator * dd != want * got.denominator:
                 return (
                     f"d_μμ(e_{x + 1},e_{y + 1},e_{z + 1}) coordinate {k + 1}: "
-                    f"{br[x][y][z][k]} != {want}"
+                    f"{got} != {Fraction(want, dd)}"
                 )
     return None
 
@@ -273,22 +287,23 @@ def _check_curvature(base: int, a: KVAlgebra, delta: CoboundaryFn) -> Optional[s
         ]
     )
     ds = tensor4_from_cochain(delta(bilinear_cochain(a, s)))
+    d, (M, G, T) = _integer_planes(mu, mu0, s)
+    dd = d * d
     for x, y, z in itertools.product(range(n), repeat=3):
-        ex = [Fraction(1) if t == x else _ZERO for t in range(n)]
-        ey = [Fraction(1) if t == y else _ZERO for t in range(n)]
-        ez = [Fraction(1) if t == z else _ZERO for t in range(n)]
-        direct = _bilinear(mu, ex, mu[y][z], n)
-        swap = _bilinear(mu, ey, mu[x][z], n)
-        br = [mu0[x][y][t] - mu0[y][x][t] for t in range(n)]
-        br_term = _bilinear(mu, br, ez, n)
-        comm = _bilinear(s, ex, s[y][z], n)
-        comm2 = _bilinear(s, ey, s[x][z], n)
         for k in range(n):
-            residual = direct[k] - swap[k] - br_term[k] - comm[k] + comm2[k]
-            if residual != -ds[x][y][z][k]:
+            # mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - s(x,s(y,z)) + s(y,s(x,z)),
+            # times d^2
+            residual = sum(
+                M[y][z][t] * M[x][t][k] - M[x][z][t] * M[y][t][k]
+                - (G[x][y][t] - G[y][x][t]) * M[t][z][k]
+                - T[y][z][t] * T[x][t][k] + T[x][z][t] * T[y][t][k]
+                for t in range(n)
+            )
+            want = -ds[x][y][z][k]
+            if residual * want.denominator != want.numerator * dd:
                 return (
                     f"curvature defect at (e_{x + 1},e_{y + 1},e_{z + 1}) "
-                    f"coordinate {k + 1}: {residual} != {-ds[x][y][z][k]}"
+                    f"coordinate {k + 1}: {Fraction(residual, dd)} != {want}"
                 )
     return None
 

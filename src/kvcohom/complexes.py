@@ -23,6 +23,12 @@ the differential, so elimination reads the rows as they are, and the
 right-hand side of a solve is multiplied by D instead.  The public matrices
 (`coboundary_matrix`, `nijenhuis_matrices`) are the same rows with each
 entry divided by D once.
+
+The cochain route keeps the same integer contract: `coboundary` reads the
+constants times D (`core._integral_lists`) and the values of its cochain
+times d, the lcm of their denominators, sums Python ints, and divides each
+nonzero output by D * d once.  It follows the nonzeros of the cochain and
+never makes a dense pass of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     _action_lists,
+    _integral_lists,
     _product_lists,
     is_kv,
     is_module,
@@ -309,15 +316,19 @@ def coboundary(f: Cochain) -> Cochain:
     The formula is scattered from the nonzero values of f: each one is sent
     to every output that reads it, through the nonzero action constants and
     a table of the products landing on each basis vector, so the work
-    follows the nonzeros of f.  This is a second route to the same map as
-    `coboundary_matrix`, not a product with that matrix.
+    follows the nonzeros of f.  The sums run on integers: the constants
+    times D, as `_coboundary_rows` reads them, and the values of f times d,
+    the lcm of their denominators; each nonzero output is divided by D * d
+    once.  This is a second route to the same map as `coboundary_matrix`,
+    not a product with that matrix.
     """
     if f.degree == 0:
         return coboundary0(f.module, Element(f.values))
     A, W, q = f.algebra, f.module, f.degree
     n, m = A.dim, W.dim
-    gammas, _ = _product_lists(A.product)
-    lefts, _, rights, _ = _action_lists(W)
+    D, (gammas, lefts, rights) = _integral_constants(A, W)
+    nonzero = [(pos, v) for pos, v in enumerate(f.values) if v]
+    d = math.lcm(*{v.denominator for _, v in nonzero})
     # landing[k]: the (i, r, -co) with co the e_k-coordinate of e_i e_r
     landing = [[] for _ in range(n)]
     for i in range(n):
@@ -327,10 +338,9 @@ def coboundary(f: Cochain) -> Cochain:
     # an output (a_1, ..., a_{q+1}) takes a_j (sign (-1)^j) into a rest tuple
     # of q arguments; strides[p] is the flat step of slot p of the rest
     strides = [n ** (q - 1 - p) for p in range(q)]
-    out = [_ZERO] * (n ** (q + 1) * m)
-    for pos, v in enumerate(f.values):
-        if not v:
-            continue
+    acc: dict[int, int] = {}
+    for pos, v in nonzero:
+        v = v.numerator * (d // v.denominator)
         s, be = divmod(pos, m)
         t = s % n
         # (rest, a_j, coordinate, value): a_j . f(rest), then
@@ -345,10 +355,10 @@ def coboundary(f: Cochain) -> Cochain:
             for j, st in enumerate(strides):
                 hi, lo = divmod(rest, st * n)
                 off = ((hi * n + i) * st * n + lo) * m + ga
-                if j % 2:
-                    out[off] += x
-                else:
-                    out[off] -= x
+                acc[off] = acc.get(off, 0) + (x if j % 2 else -x)
+    out = [_ZERO] * (n ** (q + 1) * m)
+    for off, x in _quotient({off: x for off, x in acc.items() if x}, D * d).items():
+        out[off] = x
     return Cochain(A, W, q + 1, tuple(out))
 
 
@@ -377,19 +387,11 @@ def _matrix(D: int, rows: list[IntRow], cols: int) -> Mat:
     return Mat._of(len(rows), cols, tuple(_quotient(r, D) for r in rows))
 
 
-def _integral_lists(*tables: list) -> tuple[int, list]:
-    """D and the tables of nonzero lists times D, as ints.
-
-    Each table is a list of lists of nonzero ``(index, value)`` lists, as
-    `_product_lists` and `_action_lists` build them; D is the lcm of the
-    denominators of every value in them.
-    """
-    D = math.lcm(*{x.denominator for t in tables for row in t for pairs in row for _, x in pairs})
-    scaled = [
-        [[[(k, x.numerator * (D // x.denominator)) for k, x in pairs] for pairs in row] for row in t]
-        for t in tables
-    ]
-    return D, scaled
+def _integral_constants(A: KVAlgebra, W: KVModule) -> tuple[int, list]:
+    """D and the nonzero lists of A's product and of W's left and right
+    actions, each times D, as ints; D is the lcm of their denominators."""
+    lefts, _, rights, _ = _action_lists(W)
+    return _integral_lists(_product_lists(A.product)[0], lefts, rights)
 
 
 def _nonzero_rows(block: list[dict]) -> list[IntRow]:
@@ -411,8 +413,7 @@ def _coboundary_rows(
     of the rest.
     """
     n, m = A.dim, W.dim
-    lefts, _, rights, _ = _action_lists(W)
-    D, (gammas, lefts, rights) = _integral_lists(_product_lists(A.product)[0], lefts, rights)
+    D, (gammas, lefts, rights) = _integral_constants(A, W)
 
     def negated(t):
         return [[[(k, -x) for k, x in pairs] for pairs in row] for row in t]

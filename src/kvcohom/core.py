@@ -15,14 +15,24 @@ nonzero structure constants only; `associator`, `mixed_associators` and
 
 Each contraction has one private implementation here, shared by the other
 layers: `_bilinear` applies a bilinear tensor to two coordinate vectors
-(the body of `mul`, `left_act` and `right_act`); `_product_lists` lists
-the nonzero constants of any d1 x d2 x d3 tensor; `_two_step` sums
-products of two such steps; `_symmetry_failure` scans for the first
-triple where an associator is not symmetric in its first two arguments
-(`is_kv`, `graded.is_kv_chain`); and `_derivation_failure` scans for the
-first triple where a rule a.b(x, y) = b(ax, y) + b(x, ay) fails (the
-theta-cocycle and even flow rules of `graded`, the parallelism law of
-`geom.radiant_primitive`).
+(the body of `mul`, `left_act` and `right_act`, and of the basis changes
+below); `_product_lists` lists the nonzero constants of any d1 x d2 x d3
+tensor; `_two_step` sums products of two such steps; `_symmetry_failure`
+scans for the first triple where an associator is not symmetric in its
+first two arguments (`is_kv`, `graded.is_kv_chain`); and
+`_derivation_failure` scans for the first triple where a rule
+a.b(x, y) = b(ax, y) + b(x, ay) fails (the theta-cocycle and even flow
+rules of `graded`, the parallelism law of `geom.radiant_primitive`).
+
+The cochain-level contractions run on integers: `_integral_lists` scales
+nonzero lists by the lcm D of their denominators, and `_scaled_lists`
+builds the scaled (gam, gam_t) lists of several tensors over one common
+denominator.  Over such lists `_two_step` sums ints, and a value is divided
+by its scale once, when it leaves as a Fraction.  They back
+`complexes.coboundary` and the row assemblers of `complexes`, and the pair
+bracket, residuals and curvature of `deform`; the battery's second routes
+read the structure constants on their own and no longer go through
+`_bilinear`.  The verdict scans above stay on Fractions.
 
 Block spaces share one layout as well: `_blocks` builds a tensor on a
 direct sum of spaces that is zero outside the blocks it is given, and
@@ -114,14 +124,15 @@ def _blocks(d1: int, d2: int, d3: int, *blocks: tuple[Tensor3, int, int, int]) -
     """The d1 x d2 x d3 tensor that is zero outside the given blocks.
 
     Each block (t, o1, o2, o3) places t[i][j][k] at [o1 + i][o2 + j][o3 + k];
-    where two blocks overlap, the later one wins.
+    where two blocks overlap, the later one wins.  The entries are placed
+    as they are, so blocks of Fractions give a tensor of Fractions.
     """
     out = [[[_ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
     for t, o1, o2, o3 in blocks:
         for i, plane in enumerate(t):
             for j, row in enumerate(plane):
                 out[o1 + i][o2 + j][o3 : o3 + len(row)] = row
-    return tensor3(out)
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
 
 
 def _block(t: Tensor3, o1: int, o2: int, o3: int, d1: int, d2: int, d3: int) -> Tensor3:
@@ -335,6 +346,31 @@ def _product_lists(t: Tensor3):
     """
     gam = [[_nonzero(r) for r in p] for p in t]
     return gam, list(zip(*gam))
+
+
+def _integral_lists(*tables: list) -> tuple[int, list]:
+    """D and the tables of nonzero lists times D, as ints.
+
+    Each table is a list of lists of nonzero ``(index, value)`` lists, as
+    `_product_lists` and `_action_lists` build them; D is the lcm of the
+    denominators of every value in them.
+    """
+    D = math.lcm(*{x.denominator for t in tables for row in t for pairs in row for _, x in pairs})
+    scaled = [
+        [[[(k, x.numerator * (D // x.denominator)) for k, x in pairs] for pairs in row] for row in t]
+        for t in tables
+    ]
+    return D, scaled
+
+
+def _scaled_lists(*tensors: Tensor3) -> tuple[int, list]:
+    """d and the `_product_lists` (gam, gam_t) of each tensor times d, as ints;
+    d is the lcm of the denominators of all the tensors' entries.
+
+    A sum of two-step products over these lists is d^2 times its value.
+    """
+    d, gams = _integral_lists(*(_product_lists(t)[0] for t in tensors))
+    return d, [(g, list(zip(*g))) for g in gams]
 
 
 def _action_lists(W: KVModule):

@@ -18,8 +18,9 @@ deformations arise by pushing the base product through a formal basis flow;
 their first coefficient is a coboundary.  The same bracket mechanics yield
 the curvature identity for connections mu_0 + S with S symmetric: the
 defect of the commutation formula is exactly -delta S.  All of these are
-evaluated from the nonzero structure constants and kept sparse until a
-public function returns a tensor.
+evaluated from the nonzero structure constants, as integers over one common
+denominator d (`core._scaled_lists`), and kept sparse until a public
+function returns a tensor, when each entry is divided by d^2 once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .complexes import (
     Cochain,
     _coboundary_rows,
     _cohomology_step,
-    _integral_lists,
     check_budget,
     coboundary,
 )
@@ -43,7 +43,7 @@ from .core import (
     Tensor3,
     _check_shape,
     _entries,
-    _product_lists,
+    _scaled_lists,
     _shaped,
     _transported,
     _two_step,
@@ -133,6 +133,11 @@ def _dense4(n: int, s: Sparse4) -> Tensor4:
     )
 
 
+def _divided4(n: int, s: Sparse4, d: int) -> Tensor4:
+    """The dense tensor of the integer rows s, each entry divided by d once."""
+    return _dense4(n, {abc: _quotient(row, d) for abc, row in s.items()})
+
+
 def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
     """The symmetric pair bracket d_mu nu of two bilinear tensors.
 
@@ -142,15 +147,17 @@ def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
 
     With mu the base product this is exactly the coboundary of nu, and
     d_mu mu = 2[(a,b,c)_mu - (b,a,c)_mu] for any mu whatsoever.  The
-    eight terms are A(mu, nu) + A(nu, mu) of `pair_residual`.
+    eight terms are A(mu, nu) + A(nu, mu) of `pair_residual`, summed over
+    the nonzero constants times their common denominator d and divided by
+    d^2 once.
     """
     n = len(mu)
     if len(nu) != n:
         raise DimensionError("bracket arguments must share a dimension")
     _check_shape(mu, n, n, n, "mu")
     _check_shape(nu, n, n, n, "nu")
-    L = [_product_lists(mu), _product_lists(nu)]
-    return _dense4(n, _sparse4(n, _pairs(L, ((0, 1), (1, 0)))))
+    d, L = _scaled_lists(mu, nu)
+    return _divided4(n, _sparse4(n, _pairs(L, ((0, 1), (1, 0)))), d * d)
 
 
 def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
@@ -165,8 +172,8 @@ def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
         raise DimensionError("residual arguments must share a dimension")
     _check_shape(mu_i, n, n, n, "mu_i")
     _check_shape(mu_j, n, n, n, "mu_j")
-    L = [_product_lists(mu_i), _product_lists(mu_j)]
-    return _dense4(n, _sparse4(n, _pairs(L, ((0, 1),))))
+    d, L = _scaled_lists(mu_i, mu_j)
+    return _divided4(n, _sparse4(n, _pairs(L, ((0, 1),))), d * d)
 
 
 @dataclass(frozen=True)
@@ -261,8 +268,7 @@ def _jet_lists(jet: MultiplicationJet) -> tuple[int, list]:
 
     A sum of two-step terms over these lists is d^2 times its value.
     """
-    d, gams = _integral_lists(*(_product_lists(jet.coefficient(i))[0] for i in range(jet.order + 1)))
-    return d, [(g, list(zip(*g))) for g in gams]
+    return _scaled_lists(*(jet.coefficient(i) for i in range(jet.order + 1)))
 
 
 def _target(n: int, L, d: int, k: int) -> Sparse4:
@@ -286,8 +292,7 @@ def jet_residuals(jet: MultiplicationJet) -> tuple[Tensor4, ...]:
     """E_0, ..., E_K: the exact order-k coefficients of the KV identity,
     expanded directly from the coefficients (see `_residuals`)."""
     d, L = _jet_lists(jet)
-    E = _residuals(jet, L, range(jet.order + 1))
-    return tuple(_dense4(jet.dim, {abc: _quotient(row, d * d) for abc, row in Ek.items()}) for Ek in E)
+    return tuple(_divided4(jet.dim, Ek, d * d) for Ek in _residuals(jet, L, range(jet.order + 1)))
 
 
 def jet_check(jet: MultiplicationJet) -> CheckResult:
@@ -491,8 +496,9 @@ def curvature_check(A: KVAlgebra, S: Tensor3) -> Tensor4:
             for i in range(n)
         ]
     )
-    (M, M_t), G, T = _product_lists(mu), _product_lists(mu0)[0], _product_lists(S)[0]
-    # mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - S(x,S(y,z)) + S(y,S(x,z))
+    d, ((M, M_t), (G, _), (T, _)) = _scaled_lists(mu, mu0, S)
+    # mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - S(x,S(y,z)) + S(y,S(x,z)),
+    # times d^2
     residual = _sparse4(
         n,
         lambda x, y, z: (
@@ -504,4 +510,4 @@ def curvature_check(A: KVAlgebra, S: Tensor3) -> Tensor4:
             (False, T[x][z], T[y]),
         ),
     )
-    return _dense4(n, residual)
+    return _divided4(n, residual, d * d)

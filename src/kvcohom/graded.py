@@ -188,10 +188,12 @@ def embed_theta(G: GradedKVAlgebra, theta: Tensor3) -> Cochain:
 def _regular_cochain(G: GradedKVAlgebra, *blocks: tuple[Tensor3, int, int, int]) -> Cochain:
     """The 2-cochain over the total algebra, with regular coefficients, whose
     value on (e_x, e_y) is row [x][y] of the block tensor `core._blocks` lays
-    out on G x G x G."""
+    out on G x G x G.  The blocks are caller tensors, so they are coerced to
+    Fractions first."""
     total = G.total()
     N = G.dim
-    return Cochain(total, regular_bimodule(total), 2, _entries(_blocks(N, N, N, *blocks), 3))
+    coerced = [(tensor3(t), o1, o2, o3) for t, o1, o2, o3 in blocks]
+    return Cochain(total, regular_bimodule(total), 2, _entries(_blocks(N, N, N, *coerced), 3))
 
 
 def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
@@ -338,8 +340,11 @@ def deform_graded(G: GradedKVAlgebra, theta: Tensor3) -> KVAlgebra:
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
     n, N = G.n, G.dim
-    # The total product vanishes on the odd-odd block, where theta goes.
-    return KVAlgebra(dim=N, product=_blocks(N, N, N, (G.total().product, 0, 0, 0), (theta, n, n, n)))
+    # The total product vanishes on the odd-odd block, where theta, a caller
+    # tensor coerced to Fractions, goes.
+    return KVAlgebra(
+        dim=N, product=_blocks(N, N, N, (G.total().product, 0, 0, 0), (tensor3(theta), n, n, n))
+    )
 
 
 def cocycle_from_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Cochain:

@@ -225,13 +225,14 @@ class Mat:
         return Mat._of(self.cols, self.rows, tuple(_transposed(self._rows, self.cols)))
 
     def mat_vec(self, v: Sequence[RatLike]) -> Vec:
-        """Matrix-vector product ``self @ v``."""
+        """Matrix-vector product ``self @ v``, over the nonzero coordinates of v only."""
         x = vec(v)
         if len(x) != self.cols:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} matrix by length-{len(x)} vector"
             )
-        return tuple(sum((a * x[j] for j, a in r.items()), _ZERO) for r in self._rows)
+        nz = _sparse(x)
+        return tuple(sum((a * nz[j] for j, a in r.items() if j in nz), _ZERO) for r in self._rows)
 
 
 def zeros(rows: int, cols: int) -> Mat:

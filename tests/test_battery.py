@@ -137,3 +137,37 @@ def test_pair_bracket_failure_names_the_corrupted_cell(monkeypatch):
     assert len(set(dims)) > 1
     for f, n in zip(failures, dims):
         assert f.witness.startswith(f"d_μμ(e_{n},e_1,e_{n}) coordinate {n}: ")
+
+
+def test_mutant_witness_texts_are_pinned(monkeypatch):
+    """The second routes sum integer structure constants over a common
+    denominator d and print a value as Fraction(x, d * d); these texts were
+    captured from the Fraction routes they replaced, on instances whose
+    algebras have denominators 1, 2, 4 and 16."""
+    import kvcohom.battery as bt
+    from kvcohom.deform import kv_bracket
+
+    curvature = {
+        13: "curvature defect at (e_2,e_1,e_1) coordinate 1: -7/2 != -25/2",
+        21: "curvature defect at (e_1,e_1,e_1) coordinate 1: 0 != -4",
+        24: "curvature defect at (e_2,e_1,e_1) coordinate 1: -1 != 1",
+        28: "curvature defect at (e_2,e_1,e_1) coordinate 1: 12 != 4",
+    }
+    for seed, text in curvature.items():
+        report = run_battery(seed, 1, coboundary_fn=leading_term_flipped)
+        assert [f.witness for f in report.failures if f.invariant == "curvature"] == [text]
+
+    def off_by_a_third(mu, nu):
+        n = len(mu)
+        br = [[[list(r) for r in p] for p in q] for q in kv_bracket(mu, nu)]
+        br[n - 1][0][n - 1][n - 1] += Fraction(1, 3)
+        return br
+
+    monkeypatch.setattr(bt, "kv_bracket", off_by_a_third)
+    pair = {
+        2: "d_μμ(e_2,e_1,e_2) coordinate 2: -11/3 != -4",
+        3: "d_μμ(e_1,e_1,e_1) coordinate 1: 1/3 != 0",
+        4: "d_μμ(e_3,e_1,e_3) coordinate 3: -59/3 != -20",
+    }
+    for seed, text in pair.items():
+        assert [f.witness for f in run_battery(seed, 1).failures] == [text]

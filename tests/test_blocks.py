@@ -767,3 +767,70 @@ def test_pushforward_jet_matches_the_matrix_loops():
         for K in (1, 2, 3):
             flow = BasisFlowJet(tuple(_random_mat(rng, A.dim, A.dim, 0.4) for _ in range(K)))
             assert pushforward_jet(flow, A) == reference_pushforward_jet(flow, A)
+
+
+# ---------------------------------------------------------------------------
+# every `_blocks` call site: entries placed as they are, Fractions out
+
+
+def reference_blocks(d1, d2, d3, *blocks):
+    """The layout with its whole output coerced through `tensor3`, as it was built."""
+    out = [[[_ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
+    for t, o1, o2, o3 in blocks:
+        for i, plane in enumerate(t):
+            for j, row in enumerate(plane):
+                out[o1 + i][o2 + j][o3 : o3 + len(row)] = row
+    return tensor3(out)
+
+
+def test_every_blocks_call_site_returns_fractions(monkeypatch):
+    import sys
+
+    import kvcohom.core as core_mod
+    import kvcohom.extensions as ext_mod
+    import kvcohom.graded as graded_mod
+
+    seen = {}
+
+    def recording(d1, d2, d3, *blocks):
+        caller = sys._getframe(1)
+        out = _blocks(d1, d2, d3, *blocks)
+        seen.setdefault((caller.f_code.co_name, caller.f_lineno), []).append(
+            (out, reference_blocks(d1, d2, d3, *blocks))
+        )
+        return out
+
+    for mod in (core_mod, ext_mod, graded_mod):
+        monkeypatch.setattr(mod, "_blocks", recording)
+    rng = random.Random(21)
+    for s in range(1, 9):
+        A = random_kv(s, n_max=3)
+        W, V = random_module(A, s, 2), random_module(A, s + 1, 2)
+        direct_sum(A, random_kv(s + 1, n_max=2))
+        module_direct_sum(W, V)
+        theta = _random_mat(rng, W.dim, V.dim, 0.5)
+        f = e11_coboundary0(A, W, V, theta)  # semidirect, extend_module_to_semidirect, _one_one
+        module_extension_from_cocycle(A, W, V, f)
+        values = [rng.choice((0, 1, Fraction(1, 2))) for _ in range(A.dim * W.dim)]
+        omega = coboundary(Cochain.from_values(A, W, 1, values))
+        algebra_extension_from_cocycle(A, W, omega)
+        G = GradedKVAlgebra(A, left_regular_module(A))
+        # graded tensors given as plain ints
+        raw = [[[rng.choice((-1, 0, 1)) for _ in range(G.m)] for _ in range(G.m)] for _ in range(G.m)]
+        deform_graded(G, raw)
+        embed_theta(G, raw)
+    sites = {name for name, _ in seen}
+    assert sites == {
+        "semidirect", "direct_sum", "module_direct_sum", "extend_module_to_semidirect",
+        "_one_one", "module_extension_from_cocycle", "algebra_extension_from_cocycle",
+        "_regular_cochain", "deform_graded",
+    }
+    assert len(seen) == 12
+    for calls in seen.values():
+        for out, want in calls:
+            assert out == want
+            for plane in out:
+                assert type(plane) is tuple
+                for row in plane:
+                    assert type(row) is tuple
+                    assert all(type(x) is Fraction for x in row)

@@ -687,3 +687,49 @@ def test_sparse_deform_kernels_match_dense_loops():
             if sol.solved and jet.order < 2:
                 jets.append(sol.extended)
     assert outcomes == {"precondition", "solved", "obstructed"}
+
+
+def dense_curvature(A, S):
+    """mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - S(x,S(y,z)) + S(y,S(x,z))
+    with mu = mu_0 + S, each product of basis vectors a row of constants."""
+    n, mu0 = A.dim, A.product
+    mu = [[[mu0[i][j][k] + S[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    out = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        acc = out[x][y][z]
+        for p in range(n):
+            for sign, c, row in (
+                (1, mu[y][z][p], mu[x][p]),
+                (-1, mu[x][z][p], mu[y][p]),
+                (-1, mu0[x][y][p] - mu0[y][x][p], mu[p][z]),
+                (-1, S[y][z][p], S[x][p]),
+                (1, S[x][z][p], S[y][p]),
+            ):
+                for k in range(n):
+                    acc[k] += sign * c * row[k]
+    return tensor4(out)
+
+
+def test_integer_contractions_match_fraction_references_off_the_integers():
+    """kv_bracket, pair_residual and curvature_check sum ints over a common
+    denominator d and divide by d^2 once; with the rational products of
+    random_kv and tensors of denominators 2, 3 and 7 they equal plain
+    Fraction loops (random pairs of tensors alone are in the test above)."""
+    rng = random.Random("integer-contractions")
+    seen = set()
+    for s in range(1, 31):
+        A = random_kv(s, n_max=4)
+        n = A.dim
+        nu = _sparse_tensor(rng, n, 0.3)
+        raw = _sparse_tensor(rng, n, 0.4)
+        S = tensor3(
+            [[[raw[i][j][k] + raw[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+        )
+        seen |= {x.denominator for t in (A.product, nu, S) for p in t for r in p for x in r}
+        for x, y in ((A.product, nu), (nu, A.product), (A.product, A.product)):
+            assert pair_residual(x, y) == dense_pair_residual(x, y)
+            assert kv_bracket(x, y) == dense_kv_bracket(x, y)
+        assert curvature_check(A, S) == dense_curvature(A, S)
+        for t4 in (kv_bracket(A.product, nu), pair_residual(nu, A.product), curvature_check(A, S)):
+            assert all(type(v) is F for v in flatten4(t4))
+    assert {2, 3, 7} <= seen
