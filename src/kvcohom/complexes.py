@@ -20,21 +20,27 @@ Each differential is assembled from the nonzero structure constants, once,
 straight into the integer rows of D times its matrix, D the lcm of the
 constants' denominators: that multiple has the kernel, image and rank of
 the differential, so elimination reads the rows as they are, and the
-right-hand side of a solve is multiplied by D instead.  The public matrices
+right-hand side of a solve is multiplied by D instead.  The constants come
+from the module's integer view (`core._view`: the algebra's product and
+both actions times D, listed once per object), and the assembler
+scatters them: it groups the output tuples by the slot values a constant
+reads, then adds each nonzero constant into the rows of its group, so no
+work is spent on constants that are zero.  The public matrices
 (`coboundary_matrix`, `nijenhuis_matrices`) are the same rows with each
 entry divided by D once.
 
 The cochain route keeps the same integer contract: `coboundary` reads the
-constants times D (`core._integral_lists`) and the values of its cochain
-times d, the lcm of their denominators, sums Python ints, and divides each
-nonzero output by D * d once.  It follows the nonzeros of the cochain and
-never makes a dense pass of its own.
+same view and the values of its cochain times d, the lcm of their
+denominators, sums Python ints, and divides each nonzero output by D * d
+once.  It follows the nonzeros of the cochain and never makes a dense pass
+of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,9 +50,9 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
-    _action_lists,
-    _integral_lists,
-    _product_lists,
+    _common,
+    _int_lists,
+    _module_view,
     is_kv,
     is_module,
     jacobi_module,
@@ -94,6 +100,11 @@ _ZERO = Fraction(0)
 
 DEFAULT_ENTRY_BUDGET = 10**7
 ENTRY_BUDGET_ENV = "KVCOHOM_ENTRY_BUDGET"
+
+# Output tuples per chunk of `_coboundary_rows`: small enough that the rows
+# a chunk scatters into stay close together in memory, large enough that
+# the differentials of small algebras come in one chunk.
+_CHUNK = 256
 
 
 def entry_budget(override: Optional[int] = None) -> int:
@@ -326,7 +337,7 @@ def coboundary(f: Cochain) -> Cochain:
         return coboundary0(f.module, Element(f.values))
     A, W, q = f.algebra, f.module, f.degree
     n, m = A.dim, W.dim
-    D, (gammas, lefts, rights) = _integral_constants(A, W)
+    D, gammas, _, lefts, _, rights, _ = _module_view(A, W)
     nonzero = [(pos, v) for pos, v in enumerate(f.values) if v]
     d = math.lcm(*{v.denominator for _, v in nonzero})
     # landing[k]: the (i, r, -co) with co the e_k-coordinate of e_i e_r
@@ -363,9 +374,28 @@ def coboundary(f: Cochain) -> Cochain:
 
 
 def _delta0_matrix(A: KVAlgebra, W: KVModule, J) -> Mat:
-    """The degree-0 coboundary on the echelon basis of J = J(W)."""
-    cols = [coboundary0(W, Element(b), check=False).values for b in J.basis]
-    return Mat.from_cols(cols, rows=A.dim * W.dim)
+    """The degree-0 coboundary on the echelon basis of J = J(W).
+
+    Column t holds (delta b)(e_i) = -e_i b + b e_i for the basis vector b
+    of J at rows i * m + ga, read from the action lists of W's integer view
+    and divided by D once.
+    """
+    m = W.dim
+    D, _, _, left, _, _, right_t = _module_view(A, W)
+    rows: list[dict] = [{} for _ in range(A.dim * m)]
+    for t, b in enumerate(J.basis):
+        acc: dict[int, Fraction] = {}
+        for be, y in enumerate(b):
+            if y:
+                for i, (lefts, rights) in enumerate(zip(left, right_t)):
+                    for ga, x in rights[be]:
+                        acc[i * m + ga] = acc.get(i * m + ga, 0) + x * y
+                    for ga, x in lefts[be]:
+                        acc[i * m + ga] = acc.get(i * m + ga, 0) - x * y
+        for pos, x in acc.items():
+            if x:
+                rows[pos][t] = x / D
+    return Mat._of(len(rows), J.dim, tuple(rows))
 
 
 def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
@@ -387,13 +417,6 @@ def _matrix(D: int, rows: list[IntRow], cols: int) -> Mat:
     return Mat._of(len(rows), cols, tuple(_quotient(r, D) for r in rows))
 
 
-def _integral_constants(A: KVAlgebra, W: KVModule) -> tuple[int, list]:
-    """D and the nonzero lists of A's product and of W's left and right
-    actions, each times D, as ints; D is the lcm of their denominators."""
-    lefts, _, rights, _ = _action_lists(W)
-    return _integral_lists(_product_lists(A.product)[0], lefts, rights)
-
-
 def _nonzero_rows(block: list[dict]) -> list[IntRow]:
     """The accumulated rows of a block, each without the sums that cancelled."""
     return [{c: x for c, x in r.items() if x} if 0 in r.values() else r for r in block]
@@ -403,57 +426,81 @@ def _coboundary_rows(
     A: KVAlgebra, W: KVModule, q: int, outputs: Optional[Iterable[tuple[int, ...]]] = None
 ) -> tuple[int, list[IntRow]]:
     """D and the integer rows of D times the degree-q (q >= 1)
-    `coboundary_matrix`, from nonzero structure constants; D is the lcm of
-    their denominators.
+    `coboundary_matrix`, scattered from the nonzero constants of W's
+    integer view; D is the lcm of their denominators.
 
     Each output tuple (all of A^(q+1) in order by default) gives its m
-    rows.  The rest tuple of slot j (the output without a_j) sits at the
-    column ``base``; replacing its slot p moves that by a multiple of the
-    stride of p, and passing from slot j to slot j + 1 changes only slot j
-    of the rest.
+    rows, empty ones included.  The outputs are taken in chunks of
+    `_CHUNK`, so the rows being written stay few.  A pass over a chunk
+    groups, for each slot j, the (row, column) bases that each kind of
+    constant reaches: by a_j for the left action (the rest tuple, the
+    output without a_j), by a_q for the right action (the rest with a_j in
+    its last slot) and by (a_j, rest_p) for the product in slot p of the
+    rest (the rest with 0 in slot p); only groups that a nonzero constant
+    reaches are kept.  Each nonzero constant is then added into the bases
+    of its group.
     """
     n, m = A.dim, W.dim
-    D, (gammas, lefts, rights) = _integral_constants(A, W)
-
-    def negated(t):
-        return [[[(k, -x) for k, x in pairs] for pairs in row] for row in t]
-
-    # slot j + 1 of the formula has the sign (-1)^(j+1): the action terms
-    # take it and the product terms its opposite, by the parity of j
-    signed = [(negated(lefts), gammas, negated(rights)), (lefts, negated(gammas), rights)]
+    D, gam, _, left, _, _, right_t = _module_view(A, W)
     strides = [n ** (q - 1 - p) * m for p in range(q)]
+    acting = [any(t) for t in left]
+    acted = [any(t) for t in right_t]
+    products = [bool(t) for row in gam for t in row]
     if outputs is None:
         outputs = itertools.product(range(n), repeat=q + 1)
+    outputs = iter(outputs)
     rows: list[IntRow] = []
-    for args in outputs:
-        block: list[dict] = [{} for _ in range(m)]
-        last = args[q]
-        base = sum(a * st for a, st in zip(args[1:], strides))
+    while chunk := list(itertools.islice(outputs, _CHUNK)):
+        acts = [[[] for _ in range(n)] for _ in range(q)]
+        lasts = [[[] for _ in range(n)] for _ in range(q)]
+        prods = [[[[] for _ in range(n * n)] for _ in range(q)] for _ in range(q)]
+        base = 0
+        for args in chunk:
+            last = args[q]
+            # col is the column of the rest tuple of slot j, from j = 0 on;
+            # passing from slot j to slot j + 1 changes only slot j of the rest
+            col = sum(map(operator.mul, args[1:], strides))
+            for j in range(q):
+                ij = args[j]
+                if acting[ij]:
+                    acts[j][ij].append((base, col))
+                if acted[last]:
+                    lasts[j][last].append((base, col + (ij - last) * m))
+                for p, st in enumerate(strides):
+                    rp = args[p] if p < j else args[p + 1]
+                    if products[ij * n + rp]:
+                        prods[j][p][ij * n + rp].append((base, col - rp * st))
+                if j + 1 < q:
+                    col += (ij - args[j + 1]) * strides[j]
+            base += m
+        block: list[dict] = [{} for _ in range(base)]
         for j in range(q):
-            ls, gs, rs = signed[j % 2]
-            ij = args[j]
-            for be in range(m):
-                c = base + be
-                for ga, x in ls[ij][be]:
-                    r = block[ga]
-                    r[c] = r.get(c, 0) + x
-            for p in range(q):
-                rp = args[p] if p < j else args[p + 1]
-                st = strides[p]
-                for k, co in gs[ij][rp]:
-                    c = base + (k - rp) * st
-                    for r in block:
-                        r[c] = r.get(c, 0) + co
-                        c += 1
-            src = base + (ij - last) * m
-            for be in range(m):
-                c = src + be
-                for ga, x in rs[be][last]:
-                    r = block[ga]
-                    r[c] = r.get(c, 0) + x
-            if j + 1 < q:
-                base += (ij - args[j + 1]) * strides[j]
-        rows.extend(_nonzero_rows(block))
+            # slot j + 1 of the formula has the sign (-1)^(j+1): the action
+            # terms take it and the product terms its opposite
+            sign = 1 if j % 2 else -1
+            for i in range(n):
+                for bases, consts in ((acts[j][i], left[i]), (lasts[j][i], right_t[i])):
+                    if not bases:
+                        continue
+                    for be, terms in enumerate(consts):
+                        for ga, x in terms:
+                            x *= sign
+                            for r, c in bases:
+                                row = block[r + ga]
+                                c += be
+                                row[c] = row.get(c, 0) + x
+            for p, st in enumerate(strides):
+                for key, bases in enumerate(prods[j][p]):
+                    if not bases:
+                        continue
+                    for k, co in gam[key // n][key % n]:
+                        co *= -sign
+                        for r, c in bases:
+                            c += k * st
+                            for row in block[r : r + m]:
+                                row[c] = row.get(c, 0) + co
+                                c += 1
+        rows += _nonzero_rows(block)
     return D, rows
 
 
@@ -594,7 +641,8 @@ def _nijenhuis_rows(A: KVAlgebra, W: KVModule, q_max: int) -> tuple[int, list[li
     action and bracket constants."""
     n, m = A.dim, W.dim
     nv = n * m
-    D, (lefts, brackets) = _integral_lists(_action_lists(W)[0], _product_lists(lie_bracket(A))[0])
+    view = _module_view(A, W)
+    D, (lefts, brackets) = _common((view.D, view.left), _int_lists(lie_bracket(A)))
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 

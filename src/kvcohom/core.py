@@ -24,15 +24,21 @@ first two arguments (`is_kv`, `graded.is_kv_chain`); and
 a.b(x, y) = b(ax, y) + b(x, ay) fails (the theta-cocycle and even flow
 rules of `graded`, the parallelism law of `geom.radiant_primitive`).
 
-The cochain-level contractions run on integers: `_integral_lists` scales
-nonzero lists by the lcm D of their denominators, and `_scaled_lists`
-builds the scaled (gam, gam_t) lists of several tensors over one common
-denominator.  Over such lists `_two_step` sums ints, and a value is divided
-by its scale once, when it leaves as a Fraction.  They back
-`complexes.coboundary` and the row assemblers of `complexes`, and the pair
-bracket, residuals and curvature of `deform`; the battery's second routes
-read the structure constants on their own and no longer go through
-`_bilinear`.  The verdict scans above stay on Fractions.
+The cochain-level contractions run on integers: `_int_lists` lists the
+nonzero constants of a tensor times the lcm d of their denominators,
+`_common` brings several such lists to one scale D, and `_scaled_lists`
+indexes them both ways.  Over such lists `_two_step` sums ints, and a value
+is divided by its scale once, when it leaves as a Fraction.  Each
+`KVAlgebra` and `KVModule` keeps its own lists as an integer view
+(`_view`), built on first use and stored outside its fields; a module's
+view holds its algebra's product and its two actions over one D, and
+reuses the algebra's lists for an action that is the product, so a fresh
+`regular_bimodule` lists nothing again.  The view backs the verdict scans
+of `is_kv` and `is_module`, `jacobi_module`, and the coboundary, the row
+assemblers and the degree-0 matrix of `complexes`; the scaled lists back
+the pair bracket, residuals and curvature of `deform`.  The battery's
+second routes read the structure constants on their own and do not go
+through `_bilinear`.
 
 Block spaces share one layout as well: `_blocks` builds a tensor on a
 direct sum of spaces that is zero outside the blocks it is given, and
@@ -59,10 +65,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, inverse, kernel, rat, vec
+from .linalg import Mat, RatLike, Subspace, Vec, _kernel, inverse, kernel, rat, vec
 
 __all__ = [
     "Tensor3",
@@ -348,38 +354,83 @@ def _product_lists(t: Tensor3):
     return gam, list(zip(*gam))
 
 
-def _integral_lists(*tables: list) -> tuple[int, list]:
-    """D and the tables of nonzero lists times D, as ints.
+def _int_lists(t: Tensor3) -> tuple[int, tuple]:
+    """d and the nonzero lists of t times d, as int tuples: entry [i][j]
+    lists the (k, x) of t(e_i, f_j); d is the lcm of their denominators."""
+    gam = [[_nonzero(r) for r in p] for p in t]
+    d = math.lcm(*{x.denominator for p in gam for pairs in p for _, x in pairs})
+    return d, tuple(
+        tuple(tuple((k, x.numerator * (d // x.denominator)) for k, x in pairs) for pairs in p)
+        for p in gam
+    )
 
-    Each table is a list of lists of nonzero ``(index, value)`` lists, as
-    `_product_lists` and `_action_lists` build them; D is the lcm of the
-    denominators of every value in them.
-    """
-    D = math.lcm(*{x.denominator for t in tables for row in t for pairs in row for _, x in pairs})
-    scaled = [
-        [[[(k, x.numerator * (D // x.denominator)) for k, x in pairs] for pairs in row] for row in t]
-        for t in tables
+
+def _common(*parts: tuple[int, tuple]) -> tuple[int, list]:
+    """D, the lcm of the scales d of the given (d, lists) parts, and the
+    lists of each part times D / d, as `_int_lists` gives them."""
+    D = math.lcm(*(d for d, _ in parts))
+    return D, [
+        g if d == D else tuple(tuple(tuple((k, x * (D // d)) for k, x in pairs) for pairs in p) for p in g)
+        for d, g in parts
     ]
-    return D, scaled
 
 
-def _scaled_lists(*tensors: Tensor3) -> tuple[int, list]:
-    """d and the `_product_lists` (gam, gam_t) of each tensor times d, as ints;
-    d is the lcm of the denominators of all the tensors' entries.
+def _scaled_lists(*parts: tuple[int, tuple]) -> tuple[int, list]:
+    """D and the lists of each (d, lists) part over the common scale D
+    (`_common`), each indexed both ways as (gam, gam_t).
 
-    A sum of two-step products over these lists is d^2 times its value.
+    A sum of two-step products over these lists is D^2 times its value.
     """
-    d, gams = _integral_lists(*(_product_lists(t)[0] for t in tensors))
-    return d, [(g, list(zip(*g))) for g in gams]
+    D, gams = _common(*parts)
+    return D, [(g, tuple(zip(*g))) for g in gams]
 
 
-def _action_lists(W: KVModule):
-    """Nonzero action constants of W, each side indexed both ways.
+class _IntView(NamedTuple):
+    """The nonzero structure constants of an algebra or a module, times D,
+    as int tuples; D is the lcm of their denominators.
 
-    left[i][al] is e_i w_al and left_t[al][i] the same list; right[al][i]
-    is w_al e_i and right_t[i][al] the same list.
+    gam[i][j] lists the (k, x) of e_i e_j and gam_t[j][i] is the same tuple.
+    A module's view holds the product of its algebra as gam, over the
+    module's D, and its actions: left[i][al] lists e_i w_al and left_t[al][i]
+    is the same tuple; right[al][i] lists w_al e_i and right_t[i][al] is the
+    same tuple.
     """
-    return _product_lists(W.left) + _product_lists(W.right)
+
+    D: int
+    gam: tuple
+    gam_t: tuple
+    left: tuple = ()
+    left_t: tuple = ()
+    right: tuple = ()
+    right_t: tuple = ()
+
+
+def _view(x: "KVAlgebra | KVModule") -> _IntView:
+    """The integer view of an algebra or a module, built on first use and
+    kept on the object outside its fields, so equality, hash and repr
+    ignore it.
+
+    A module's view reuses the lists of its algebra's view for every action
+    tensor that is the algebra's product, as in the regular bimodule.
+    """
+    view = getattr(x, "_int_view", None)
+    if view is None:
+        if isinstance(x, KVModule):
+            a = _view(x.algebra)
+            own = (a.D, a.gam)
+            D, (gam, left, right) = _common(
+                own, *(own if t is x.algebra.product else _int_lists(t) for t in (x.left, x.right))
+            )
+            gam_t = a.gam_t if gam is a.gam else tuple(zip(*gam))
+            # an empty axis would lose the other one in the transpose
+            left_t = tuple(zip(*left)) or ((),) * x.dim
+            right_t = tuple(zip(*right)) or ((),) * x.algebra.dim
+            view = _IntView(D, gam, gam_t, left, left_t, right, right_t)
+        else:
+            D, gam = _int_lists(x.product)
+            view = _IntView(D, gam, tuple(zip(*gam)))
+        object.__setattr__(x, "_int_view", view)
+    return view
 
 
 def _two_step(*terms) -> dict[int, Fraction]:
@@ -401,15 +452,15 @@ def _two_step(*terms) -> dict[int, Fraction]:
     return {t: v for t, v in acc.items() if v}
 
 
-def _symmetry_failure(t: Tensor3) -> Optional[tuple[int, int, int]]:
-    """The first basis triple (i, j, k) at which the associator of the square
-    tensor t is not symmetric in its first two arguments, or None.
+def _symmetry_failure(gam, gam_t) -> Optional[tuple[int, int, int]]:
+    """The first basis triple (i, j, k) at which the associator of a square
+    tensor, given by its nonzero lists (gam, gam_t), is not symmetric in its
+    first two arguments, or None.
 
     Only i < j is scanned: the identity is trivial at i = j, and a failure
     at i > j mirrors one at (j, i, k), which the scan meets first.
     """
-    n = len(t)
-    gam, gam_t = _product_lists(t)
+    n = len(gam)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
@@ -441,9 +492,17 @@ def _derivation_failure(beta: Tensor3, lx, ly, lz) -> Optional[tuple[int, int, i
     return None
 
 
+def _module_view(A: KVAlgebra, W: KVModule) -> _IntView:
+    """W's integer view, after checking that W is a module over A."""
+    if W.algebra is not A and W.algebra != A:
+        raise DimensionError("module is attached to a different algebra")
+    return _view(W)
+
+
 def is_kv(A: KVAlgebra) -> CheckResult:
     """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants."""
-    failure = _symmetry_failure(A.product)
+    view = _view(A)
+    failure = _symmetry_failure(view.gam, view.gam_t)
     if failure is None:
         return CheckResult(True)
     i, j, k = failure
@@ -459,8 +518,7 @@ def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:
     """
     if W.algebra is not A and W.algebra != A:
         return CheckResult(False, None, "module is attached to a different algebra")
-    gam, _ = _product_lists(A.product)
-    left, left_t, right, right_t = _action_lists(W)
+    _, gam, _, left, left_t, right, right_t = _view(W)
     for i in range(A.dim):
         for j in range(A.dim):
             for al in range(W.dim):
@@ -510,23 +568,21 @@ def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
     """J(W) = {w : (a,b,w) = 0 for all a,b}, as a kernel computation.
 
     The associator (e_i, e_j, w_l) fills column l of the rows (i, j, k),
-    one per output coordinate, so the kernel variable is the input vector.
+    one per output coordinate, so the kernel variable is the input vector;
+    the rows are D^2 times the associators, read from W's integer view.
     """
-    if A.dim != W.algebra.dim and A.dim and W.dim:
-        raise DimensionError("left action operands have wrong dimensions")
     n, m = A.dim, W.dim
-    gam, _ = _product_lists(A.product)
-    left, left_t, _, _ = _action_lists(W)
-    items: dict[tuple[int, int], Fraction] = {}
+    _, gam, _, left, left_t, _, _ = _module_view(A, W)
+    rows: list[dict[int, int]] = [{} for _ in range(n * n * m)]
     for i in range(n):
         for j in range(n):
             base = (i * n + j) * m
             for l in range(m):
-                # (ij)w - i(jw)
+                # (ij)w - i(jw), times D^2
                 assoc = _two_step((False, gam[i][j], left_t[l]), (True, left[j][l], left[i]))
                 for k, x in assoc.items():
-                    items[(base + k, l)] = x
-    return kernel(Mat.from_items(n * n * m, m, items))
+                    rows[base + k][l] = x
+    return _kernel(rows, m)
 
 
 def center(A: KVAlgebra) -> Subspace:

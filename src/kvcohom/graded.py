@@ -167,7 +167,7 @@ def is_kv_chain(theta: Tensor3) -> CheckResult:
     """
     m = len(theta)
     _check_shape(theta, m, m, m, "theta")
-    failure = _symmetry_failure(theta)
+    failure = _symmetry_failure(*_product_lists(theta))
     if failure is None:
         return CheckResult(True)
     a, b, c = failure

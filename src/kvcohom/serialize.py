@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 # The heavier layers by module: each executes on its first use (see
 # the package docstring), so a verb runs only the layers it calls.
 from . import complexes, deform, extensions, graded
-from .core import KVAlgebra, KVModule, Tensor3, tensor3
+from .core import KVAlgebra, KVModule, Tensor3
 from .errors import InputError
 from .linalg import Mat, Vec
 
@@ -50,7 +50,9 @@ __all__ = [
     "load_algebra",
 ]
 
-_RAT_GRAMMAR = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+# "p/q" or "p": a signed numerator without leading zeros and an optional
+# positive denominator, captured for one parse
+_RAT = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
 
 def format_rat(x: Fraction) -> str:
@@ -69,10 +71,12 @@ def parse_rat(x: Any) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RAT_GRAMMAR.match(x):
+        match = _RAT.match(x)
+        if match is None:
             raise InputError(f"malformed rational string {x!r}; expected \"p/q\"")
+        p, q = match.groups()
         try:
-            return Fraction(x)
+            return Fraction(int(p), int(q or 1))
         except ValueError:  # the grammar holds, so only the digit limit is left
             raise InputError(
                 f"rational string of {len(x)} characters exceeds the integer digit limit"
@@ -97,8 +101,8 @@ def tensor3_from_obj(obj: Any, d1: int, d2: int, d3: int, what: str) -> Tensor3:
     for plane in obj:
         if not isinstance(plane, list) or len(plane) != d2:
             raise InputError(f"{what} must be a {d1}x{d2}x{d3} nested array")
-        planes.append([_rat_row(row, d3, what) for row in plane])
-    return tensor3(planes)
+        planes.append(tuple(tuple(_rat_row(row, d3, what)) for row in plane))
+    return tuple(planes)
 
 
 def matrix_to_obj(m: Mat) -> list:

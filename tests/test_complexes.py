@@ -47,7 +47,13 @@ from kvcohom.core import (
 )
 from kvcohom.deform import MultiplicationJet, kv_bracket, rigidity_report, solve_next_order
 from kvcohom.errors import BudgetError, PreconditionError
-from kvcohom.extensions import e11_cohomology, e11_matrix, e11_support, extend_module_to_semidirect
+from kvcohom.extensions import (
+    _one_w_tuples,
+    e11_cohomology,
+    e11_matrix,
+    e11_support,
+    extend_module_to_semidirect,
+)
 from kvcohom.fixtures import aff, assoc1, poly2, rad2, zero_algebra
 from kvcohom.linalg import (
     Mat,
@@ -858,3 +864,111 @@ def test_library_differentials_never_build_the_public_matrices(monkeypatch):
     report = rigidity_report(B)
     sol = solve_next_order(MultiplicationJet(B, (report.class_representatives[1],)))
     assert not sol.solved and sol.certificate is not None
+
+
+# ---------------------------------------------------------------------------
+# the scatter assembler against the gather assembler it replaced
+
+
+def gather_coboundary_rows(A, W, q, outputs=None):
+    """The gather assembler that `_coboundary_rows` replaced: each output
+    tuple in turn visits every (slot, beta, p) head, over the integer
+    constants times D listed straight from the dense tensors."""
+    n, m = A.dim, W.dim
+    tables = (A.product, W.left, W.right)
+    D = lcm(*{x.denominator for t in tables for p in t for r in p for x in r if x})
+
+    def lists(t):
+        return [[[(k, x.numerator * (D // x.denominator)) for k, x in enumerate(r) if x] for r in p] for p in t]
+
+    gammas, lefts, rights = map(lists, tables)
+
+    def negated(t):
+        return [[[(k, -x) for k, x in pairs] for pairs in row] for row in t]
+
+    signed = [(negated(lefts), gammas, negated(rights)), (lefts, negated(gammas), rights)]
+    strides = [n ** (q - 1 - p) * m for p in range(q)]
+    if outputs is None:
+        outputs = itertools.product(range(n), repeat=q + 1)
+    rows = []
+    for args in outputs:
+        block = [{} for _ in range(m)]
+        last = args[q]
+        base = sum(a * st for a, st in zip(args[1:], strides))
+        for j in range(q):
+            ls, gs, rs = signed[j % 2]
+            ij = args[j]
+            for be in range(m):
+                c = base + be
+                for ga, x in ls[ij][be]:
+                    r = block[ga]
+                    r[c] = r.get(c, 0) + x
+            for p in range(q):
+                rp = args[p] if p < j else args[p + 1]
+                st = strides[p]
+                for k, co in gs[ij][rp]:
+                    c = base + (k - rp) * st
+                    for r in block:
+                        r[c] = r.get(c, 0) + co
+                        c += 1
+            src = base + (ij - last) * m
+            for be in range(m):
+                c = src + be
+                for ga, x in rs[be][last]:
+                    r = block[ga]
+                    r[c] = r.get(c, 0) + x
+            if j + 1 < q:
+                base += (ij - args[j + 1]) * strides[j]
+        rows.extend({c: x for c, x in r.items() if x} for r in block)
+    return D, rows
+
+
+def _assert_same_rows(got, want):
+    (D, rows), (D_want, rows_want) = got, want
+    assert D == D_want and len(rows) == len(rows_want)
+    for r, r_want in zip(rows, rows_want):
+        assert r == r_want
+        assert all(type(x) is int for x in r.values())
+
+
+def test_scatter_rows_match_the_gather_assembler():
+    setups = _route_setups()
+    # n = 5 at q = 3 has 625 output tuples, more than one chunk
+    for s in (2, 5):
+        A = random_kv(s, n_max=5)
+        setups.append((A, [regular_bimodule(A), random_module(A, s, m_max=3)], random_module(A, s + 1, m_max=2)))
+    assert max(A.dim for A, _, _ in setups) == 5
+    empty = 0
+    for A, modules, V in setups:
+        for M in modules:
+            for q in (1, 2, 3):
+                want = gather_coboundary_rows(A, M, q)
+                _assert_same_rows(_coboundary_rows(A, M, q), want)
+                empty += sum(1 for r in want[1] if not r)
+        # the (1, q+1) output tuples of e11_cohomology, in their order
+        W = modules[0]
+        G = semidirect(A, W)
+        Vt = extend_module_to_semidirect(G, A.dim, V)
+        for q in (0, 1, 2):
+            outputs = _one_w_tuples(A.dim, G.dim, q + 2)
+            want = gather_coboundary_rows(G, Vt, q + 1, outputs)
+            _assert_same_rows(_coboundary_rows(G, Vt, q + 1, iter(outputs)), want)
+    assert empty > 0  # empty rows keep their places
+
+
+def test_differentials_refuse_a_module_over_another_algebra():
+    from kvcohom.errors import DimensionError
+
+    A = aff()
+    B = KVAlgebra(A.dim, tensor3([[[2 * x for x in r] for r in p] for p in A.product]))
+    assert B != A
+    W = regular_bimodule(A)
+    for call in (
+        lambda: jacobi_module(B, W),
+        lambda: coboundary_matrix(B, W, 0),
+        lambda: coboundary_matrix(B, W, 2),
+        lambda: nijenhuis_matrices(B, W, 2),
+    ):
+        with pytest.raises(DimensionError, match="different algebra"):
+            call()
+    assert not is_module(B, W)

@@ -542,3 +542,107 @@ def test_jacobi_subspaces_match_element_products():
         assert jacobi_module(A, W) == reference_jacobi(
             A.dim, W.dim, lambda i, j, l: mixed_associators(A, W, e[i], e[j], w[l])[0].coords
         )
+
+
+# ---------------------------------------------------------------------------
+# the integer view: built once per object, outside equality, hash and repr
+
+
+def _fresh_copies(A, W):
+    """Copies of A and of W over the copy, with tensors of their own, so
+    no view exists on them yet."""
+    B = KVAlgebra(A.dim, tensor3(A.product), A.name)
+    return B, KVModule(B, W.dim, tensor3(W.left), tensor3(W.right))
+
+
+def _nested_tuples(x):
+    return isinstance(x, tuple) and all(isinstance(y, int) or _nested_tuples(y) for y in x)
+
+
+def test_integer_view_is_ignored_by_equality_hash_and_repr():
+    from kvcohom.core import _view
+
+    A = random_kv(5, n_max=4)
+    A, W = _fresh_copies(A, random_module(A, 5, m_max=3))
+    for x in (A, W):
+        before = (repr(x), hash(x))
+        twin = _fresh_copies(A, W)[0 if x is A else 1]
+        view = _view(x)
+        assert (repr(x), hash(x)) == before
+        assert x == twin and twin == x and hash(twin) == hash(x)
+        assert "_int_view" not in repr(x) and not hasattr(twin, "_int_view")
+        assert _view(x) is view
+
+
+def test_integer_view_lists_are_tuples_of_the_scaled_constants():
+    from kvcohom.core import _view
+
+    A = _scaled_kv(random_kv(7, n_max=4), Fraction(2, 3))
+    W = KVModule(A, 2, tensor3([[[Fraction(1, 5) * (i == j == k) for k in range(2)] for j in range(2)]
+                                 for i in range(A.dim)]), zero3(2, A.dim, 2))
+    views = (_view(A), _view(W), _view(regular_bimodule(A)))
+    for view in views:
+        assert all(_nested_tuples(t) for t in view[1:])
+    a, w, r = views
+    assert a.D > 1 and w.D % a.D == 0 and w.D % 5 == 0
+    for view in views:
+        for i, plane in enumerate(A.product):
+            for j, row in enumerate(plane):
+                want = tuple((k, int(x * view.D)) for k, x in enumerate(row) if x)
+                assert view.gam[i][j] == view.gam_t[j][i] == want
+    assert w.left[0][0] == w.left_t[0][0] == ((0, w.D // 5),)
+    assert r.gam is a.gam and r.left is a.gam and r.right is a.gam
+
+
+def _scaled_kv(A, c):
+    # the KV identity is homogeneous of degree 2 in the constants
+    B = KVAlgebra(A.dim, tensor3([[[c * x for x in r] for r in p] for p in A.product]))
+    assert is_kv(B)
+    return B
+
+
+def test_each_algebra_and_module_lists_its_constants_once(monkeypatch):
+    import kvcohom.core as core
+    from kvcohom.complexes import coboundary_matrix, cohomology
+
+    A = random_kv(11, n_max=4)
+    A, W = _fresh_copies(A, random_module(A, 11, m_max=3))
+    listed = []
+    real = core._int_lists
+
+    def counted(t):
+        listed.append(id(t))
+        return real(t)
+
+    monkeypatch.setattr(core, "_int_lists", counted)
+    for _ in range(3):
+        assert is_kv(A) and is_module(A, W)
+        jacobi_module(A, W)
+        cohomology(A, W, 2)
+        for q in range(3):
+            coboundary_matrix(A, W, q)
+        assert is_module(A, regular_bimodule(A)) == is_module(A, regular_bimodule(A))
+    assert sorted(listed) == sorted({id(A.product), id(W.left), id(W.right)})
+
+
+def test_solve_next_order_lists_the_base_product_once(monkeypatch):
+    import kvcohom.core as core
+    import kvcohom.deform as df
+
+    B = random_kv(3, n_max=5)
+    rep = df.rigidity_report(B).class_representatives[0]
+    A = KVAlgebra(B.dim, tensor3(B.product))
+    listed = []
+    real = core._int_lists
+
+    def counted(t):
+        listed.append(t is A.product)
+        return real(t)
+
+    monkeypatch.setattr(core, "_int_lists", counted)
+    monkeypatch.setattr(df, "_int_lists", counted)
+    sol = df.solve_next_order(df.MultiplicationJet(A, (rep,)))
+    assert sol.solved
+    df.solve_next_order(sol.extended)
+    df.rigidity_report(A)
+    assert listed.count(True) == 1 and len(listed) > 1

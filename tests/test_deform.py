@@ -14,7 +14,17 @@ from kvcohom.complexes import (
     is_coboundary,
     is_cocycle,
 )
-from kvcohom.core import KVAlgebra, is_kv, random_kv, regular_bimodule, tensor3, zero3
+from kvcohom.core import (
+    KVAlgebra,
+    _int_lists,
+    _scaled_lists,
+    _two_step,
+    is_kv,
+    random_kv,
+    regular_bimodule,
+    tensor3,
+    zero3,
+)
 from kvcohom.deform import (
     BasisFlowJet,
     MultiplicationJet,
@@ -733,3 +743,93 @@ def test_integer_contractions_match_fraction_references_off_the_integers():
         for t4 in (kv_bracket(A.product, nu), pair_residual(nu, A.product), curvature_check(A, S)):
             assert all(type(v) is F for v in flatten4(t4))
     assert {2, 3, 7} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the scatter kernel against the gather loop it replaced, keys in order
+
+
+def gather_sparse4(n, terms):
+    """The gather loop `_sparse4` replaced: each triple (a, b, c) in
+    lexicographic order sums the two-step terms(a, b, c)."""
+    rows = ((abc, _two_step(*terms(*abc))) for abc in itertools.product(range(n), repeat=3))
+    return {abc: row for abc, row in rows if row}
+
+
+def gather_pairs(L, pairs):
+    """terms(a, b, c) of the sum of A_ij over (i, j) in pairs, as the
+    gather loop read them."""
+
+    def terms(a, b, c):
+        out = []
+        for i, j in pairs:
+            (gi, gi_t), gj = L[i], L[j][0]
+            out += (
+                (False, gj[a][b], gi_t[c]),
+                (True, gj[b][c], gi[a]),
+                (True, gj[b][a], gi_t[c]),
+                (False, gj[a][c], gi[b]),
+            )
+        return out
+
+    return terms
+
+
+def _assert_same_sparse4(got, want):
+    assert list(got) == list(want)  # lexicographic, the witness order
+    assert got == want
+
+
+def test_scatter_kernel_matches_the_gather_loop_for_pair_terms():
+    from kvcohom.deform import _pair_terms, _sparse4
+
+    rng = random.Random("scatter-pairs")
+    partial = 0
+    for t in range(30):
+        n = 1 + t % 5
+        tensors = [_sparse_tensor(rng, n, (0.03, 0.1, 0.3)[t % 3]) for _ in range(3)]
+        _, L = _scaled_lists(*map(_int_lists, tensors))
+        for pairs in (((0, 1),), ((0, 1), (1, 0)), ((0, 2), (1, 1), (2, 0)), ((1, 2), (2, 1))):
+            want = gather_sparse4(n, gather_pairs(L, pairs))
+            _assert_same_sparse4(_sparse4(n, _pair_terms(L, pairs)), want)
+            partial += 0 < len(want) < n**3
+    assert partial > 20
+
+
+def test_scatter_kernel_matches_the_gather_loop_for_curvature_terms(monkeypatch):
+    import kvcohom.deform as df
+
+    seen = []
+
+    def recorded(n, terms):
+        seen.append(df_sparse4(n, terms))
+        return seen[-1]
+
+    df_sparse4 = df._sparse4
+    monkeypatch.setattr(df, "_sparse4", recorded)
+    rng = random.Random("scatter-curvature")
+    partial = 0
+    for s in range(1, 21):
+        A = random_kv(s, n_max=4)
+        n = A.dim
+        raw = _sparse_tensor(rng, n, 0.3)
+        S = tensor3([[[raw[i][j][k] + raw[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)])
+        mu = tensor3([[[A.product[i][j][k] + S[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)])
+        _, ((M, M_t), (G, _), (T, _)) = _scaled_lists(*map(_int_lists, (mu, A.product, S)))
+        want = gather_sparse4(
+            n,
+            lambda x, y, z: (
+                (False, M[y][z], M[x]),
+                (True, M[x][z], M[y]),
+                (True, G[x][y], M_t[z]),
+                (False, G[y][x], M_t[z]),
+                (True, T[y][z], T[x]),
+                (False, T[x][z], T[y]),
+            ),
+        )
+        seen.clear()
+        curvature_check(A, S)
+        assert len(seen) == 1
+        _assert_same_sparse4(seen[0], want)
+        partial += 0 < len(want) < n**3
+    assert partial > 5
