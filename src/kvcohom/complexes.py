@@ -29,11 +29,32 @@ work is spent on constants that are zero.  The public matrices
 (`coboundary_matrix`, `nijenhuis_matrices`) are the same rows with each
 entry divided by D once.
 
-The cochain route keeps the same integer contract: `coboundary` reads the
-same view and the values of its cochain times d, the lcm of their
-denominators, sums Python ints, and divides each nonzero output by D * d
-once.  It follows the nonzeros of the cochain and never makes a dense pass
+The cochain route keeps the same integer contract: `_coboundary_sums`
+reads the same view and the nonzero values of its cochain times d, the lcm
+of their denominators, sums Python ints and returns only the nonzero sums;
+`coboundary` divides each by D * d once, and `is_cocycle` (with the
+cocycle checks of `deform`, `geom` and `graded`) asks only whether any is
+left.  It follows the nonzeros of the cochain and never makes a dense pass
 of its own.
+
+In degree 2 the coboundary is antisymmetric in its first two arguments,
+
+    (delta f)(b, a, c) = -(delta f)(a, b, c)
+
+for every bilinear f and every module, with no KV identity used: at q = 2
+the formula has exactly the two summands j = 1 and j = 2, and swapping a_1
+and a_2 swaps them while their signs (-1)^j differ.  So the rows of D times
+delta_2 at (b, a, c) are the negated rows at (a, b, c), the rows at
+(a, a, c) are empty, and the rows at the a < b output tuples
+(`_pair_outputs`) have the same row space, hence the same reduced row
+echelon form, kernel and free-variables-zero solutions.  Where delta_2 is
+only eliminated for its kernel or solved against, only those rows are
+assembled: the top degree of `cohomology` when q_max = 2,
+`deform.rigidity_report`, the next-order solver of `deform` and
+`is_coboundary` on a 3-cochain.  A right-hand side is first checked to be
+antisymmetric on its nonzeros (`_pair_rhs`); one that is not lies outside
+the image.  Where delta_2 also serves as the previous differential, whose
+image is needed, its full rows are kept.
 """
 
 from __future__ import annotations
@@ -50,13 +71,10 @@ from .core import (
     Element,
     KVAlgebra,
     KVModule,
-    _common,
-    _int_lists,
     _module_view,
     is_kv,
     is_module,
     jacobi_module,
-    lie_bracket,
 )
 from .errors import BudgetError, DimensionError, InputError, PreconditionError
 from .linalg import (
@@ -324,22 +342,41 @@ def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
 def coboundary(f: Cochain) -> Cochain:
     """The coboundary of a cochain; degree 0 is routed through coboundary0.
 
-    The formula is scattered from the nonzero values of f: each one is sent
-    to every output that reads it, through the nonzero action constants and
-    a table of the products landing on each basis vector, so the work
-    follows the nonzeros of f.  The sums run on integers: the constants
-    times D, as `_coboundary_rows` reads them, and the values of f times d,
-    the lcm of their denominators; each nonzero output is divided by D * d
-    once.  This is a second route to the same map as `coboundary_matrix`,
-    not a product with that matrix.
+    The nonzero outputs come from `_coboundary_sums`, each divided by its
+    scale once.  This is a second route to the same map as
+    `coboundary_matrix`, not a product with that matrix.
     """
     if f.degree == 0:
         return coboundary0(f.module, Element(f.values))
     A, W, q = f.algebra, f.module, f.degree
+    scale, sums = _coboundary_sums(A, W, q, _nonzero_values(f))
+    out = [_ZERO] * (A.dim ** (q + 1) * W.dim)
+    for off, x in _quotient(sums, scale).items():
+        out[off] = x
+    return Cochain(A, W, q + 1, tuple(out))
+
+
+def _nonzero_values(f: Cochain) -> dict[int, Fraction]:
+    return {pos: v for pos, v in enumerate(f.values) if v}
+
+
+def _coboundary_sums(
+    A: KVAlgebra, W: KVModule, q: int, values: dict[int, Fraction]
+) -> tuple[int, dict[int, int]]:
+    """(D * d, the nonzero entries of D * d times the coboundary) of the
+    degree-q (q >= 1) cochain with the nonzero values {position: value}.
+
+    The formula is scattered from those values: each one is sent to every
+    output that reads it, through the nonzero action constants and a table
+    of the products landing on each basis vector, so the work follows the
+    nonzeros of the cochain.  The sums run on integers: the constants times
+    D, as `_coboundary_rows` reads them, and the values times d, the lcm of
+    their denominators.  The cochain is a cocycle exactly when no sum is
+    left.
+    """
     n, m = A.dim, W.dim
     D, gammas, _, lefts, _, rights, _ = _module_view(A, W)
-    nonzero = [(pos, v) for pos, v in enumerate(f.values) if v]
-    d = math.lcm(*{v.denominator for _, v in nonzero})
+    d = math.lcm(*{v.denominator for v in values.values()})
     # landing[k]: the (i, r, -co) with co the e_k-coordinate of e_i e_r
     landing = [[] for _ in range(n)]
     for i in range(n):
@@ -350,7 +387,7 @@ def coboundary(f: Cochain) -> Cochain:
     # of q arguments; strides[p] is the flat step of slot p of the rest
     strides = [n ** (q - 1 - p) for p in range(q)]
     acc: dict[int, int] = {}
-    for pos, v in nonzero:
+    for pos, v in values.items():
         v = v.numerator * (d // v.denominator)
         s, be = divmod(pos, m)
         t = s % n
@@ -367,10 +404,7 @@ def coboundary(f: Cochain) -> Cochain:
                 hi, lo = divmod(rest, st * n)
                 off = ((hi * n + i) * st * n + lo) * m + ga
                 acc[off] = acc.get(off, 0) + (x if j % 2 else -x)
-    out = [_ZERO] * (n ** (q + 1) * m)
-    for off, x in _quotient({off: x for off, x in acc.items() if x}, D * d).items():
-        out[off] = x
-    return Cochain(A, W, q + 1, tuple(out))
+    return D * d, {off: x for off, x in acc.items() if x}
 
 
 def _delta0_matrix(A: KVAlgebra, W: KVModule, J) -> Mat:
@@ -504,6 +538,30 @@ def _coboundary_rows(
     return D, rows
 
 
+def _pair_outputs(n: int) -> list[tuple[int, int, int]]:
+    """The output tuples (a, b, c) of delta_2 with a < b, in order; their
+    rows span the rows of delta_2 (see the module docstring)."""
+    return [(a, b, c) for a, b in itertools.combinations(range(n), 2) for c in range(n)]
+
+
+def _pair_rhs(rhs: dict[int, RatLike], n: int, m: int) -> Optional[dict[int, RatLike]]:
+    """A right-hand side of delta_2, given by its nonzero entries, on the
+    rows of `_pair_outputs`, or None when it is not antisymmetric in its
+    first two arguments and so lies outside the image."""
+    pairs = {ab: p for p, ab in enumerate(itertools.combinations(range(n), 2))}
+    block = n * m
+    out = {}
+    for i, y in rhs.items():
+        ab, ct = divmod(i, block)
+        a, b = divmod(ab, n)
+        # at a == b the entry would have to be its own negative
+        if rhs.get((b * n + a) * block + ct) != -y:
+            return None
+        if a < b:
+            out[pairs[a, b] * block + ct] = y
+    return out
+
+
 @dataclass(frozen=True)
 class DegreeData:
     """Exact dimensions and representatives at a single degree."""
@@ -564,7 +622,9 @@ def cohomology(
     degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
 
     for q in range(1, q_max + 1):
-        d_q = (_coboundary_rows(A, W, q)[1], n**q * m)
+        # delta_2 at the top degree is eliminated for its kernel only
+        outputs = _pair_outputs(n) if q == 2 == q_max else None
+        d_q = (_coboundary_rows(A, W, q, outputs)[1], n**q * m)
         Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
         reps = tuple(Cochain(A, W, q, v) for v in rep_vecs)
         degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, Z.dim - B.dim, reps))
@@ -597,7 +657,7 @@ def is_cocycle(f: Cochain) -> bool:
         if not jacobi_module(f.algebra, W).contains(f.values):
             return False
         return coboundary0(W, Element(f.values), check=False).is_zero()
-    return coboundary(f).is_zero()
+    return not _coboundary_sums(f.algebra, f.module, f.degree, _nonzero_values(f))[1]
 
 
 def is_coboundary(f: Cochain) -> Optional[Cochain]:
@@ -614,9 +674,15 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         J = jacobi_module(A, W)
         x = solve(_delta0_matrix(A, W, J), f.values)
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
-    D, rows = _coboundary_rows(A, W, f.degree - 1)
-    x = _solve(rows, A.dim ** (f.degree - 1) * W.dim, {i: D * y for i, y in enumerate(f.values) if y})
-    return None if x is None else Cochain(A, W, f.degree - 1, x)
+    q, values, outputs = f.degree - 1, _nonzero_values(f), None
+    if q == 2:
+        values = _pair_rhs(values, A.dim, W.dim)
+        if values is None:
+            return None
+        outputs = _pair_outputs(A.dim)
+    D, rows = _coboundary_rows(A, W, q, outputs)
+    x = _solve(rows, A.dim**q * W.dim, {i: D * y for i, y in values.items()})
+    return None if x is None else Cochain(A, W, q, x)
 
 
 def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
@@ -637,12 +703,22 @@ def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:
 
 def _nijenhuis_rows(A: KVAlgebra, W: KVModule, q_max: int) -> tuple[int, list[list[IntRow]]]:
     """D and, for p < q_max, the integer rows of D times the differential
-    d_p of `nijenhuis_matrices`; D is the lcm of the denominators of the
-    action and bracket constants."""
+    d_p of `nijenhuis_matrices`; D is W's integer view's.
+
+    The bracket [e_x, e_b] is read from the view as gam[x][b] - gam[b][x]:
+    its denominators divide those of the product, so D is theirs too.
+    """
     n, m = A.dim, W.dim
     nv = n * m
-    view = _module_view(A, W)
-    D, (lefts, brackets) = _common((view.D, view.left), _int_lists(lie_bracket(A)))
+    D, gam, _, lefts = _module_view(A, W)[:4]
+
+    def bracket(x: int, b: int) -> list[tuple[int, int]]:
+        acc = dict(gam[x][b])
+        for k, co in gam[b][x]:
+            acc[k] = acc.get(k, 0) - co
+        return [(k, co) for k, co in sorted(acc.items()) if co]
+
+    brackets = [[bracket(x, b) for b in range(n)] for x in range(n)]
     combos = {p: list(itertools.combinations(range(n), p)) for p in range(q_max + 1)}
     combo_pos = {p: {c: t for t, c in enumerate(combos[p])} for p in range(q_max + 1)}
 

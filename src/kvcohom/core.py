@@ -51,9 +51,10 @@ cochains of `graded`.
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
 values back into a tensor.  `_transported` carries a bilinear tensor along
-a change of basis (`conjugate_algebra`, `conjugate_module`, the pushforward
-of a basis flow in `deform`, and through `conjugate_algebra` the shear check
-of an algebra extension equivalence), and
+a change of basis (`conjugate_algebra`, the pushforward of a basis flow in
+`deform`, and through `conjugate_algebra` the shear check of an algebra
+extension equivalence); `conjugate_module` moves each action plane of
+structure constants by two sparse matrix products instead, and
 `_hom_actions` builds the actions on Hom(S, V) for a space S given by its
 left action (`hom_module`, `multilinear_module`).
 """
@@ -68,7 +69,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, _kernel, inverse, kernel, rat, vec
+from .linalg import Mat, RatLike, Subspace, Vec, _kernel, _sparse, inverse, kernel, mat_mul, rat, vec
 
 __all__ = [
     "Tensor3",
@@ -161,7 +162,8 @@ def _shaped(values: Sequence, *dims: int) -> tuple:
     out = tuple(values)
     for axis in range(len(dims) - 1, 0, -1):
         d = dims[axis]
-        out = tuple(out[k * d : (k + 1) * d] for k in range(math.prod(dims[:axis])))
+        # zip over d references to one iterator takes d entries per tuple
+        out = tuple(zip(*[iter(out)] * d)) if d else ((),) * math.prod(dims[:axis])
     return out
 
 
@@ -787,14 +789,26 @@ def conjugate_algebra(A: KVAlgebra, phi: Mat) -> KVAlgebra:
 
 
 def conjugate_module(W: KVModule, psi: Mat) -> KVModule:
-    """Transport both actions along an invertible map of the module space."""
+    """Transport both actions along an invertible map of the module space.
+
+    The action of e_i on the basis of W is a plane of structure constants,
+    row al the value on w_al: W.left[i] on the left and the rows
+    W.right[al][i] on the right.  Each plane P becomes C P psi^T, with C
+    the rows of old coordinates of the new basis vectors.
+    """
     m = W.dim
     if psi.rows != m or psi.cols != m:
         raise DimensionError("basis change must be square of the module dimension")
-    cols = _inverse_columns(psi)
-    units = [e.coords for e in W.algebra.basis()]
-    left = _transported(W.left, units, cols, psi)
-    right = _transported(W.right, cols, units, psi)
+    old = Mat.from_rows(_inverse_columns(psi), cols=m)
+    psi_t = psi.transpose()
+
+    def moved(plane) -> tuple[Vec, ...]:
+        p = mat_mul(mat_mul(old, Mat._of(m, m, tuple(map(_sparse, plane)))), psi_t)
+        return tuple(p.row(j) for j in range(m))
+
+    left = tuple(moved(plane) for plane in W.left)
+    # an empty algebra axis would lose the module axis in the transpose
+    right = tuple(zip(*(moved(plane) for plane in zip(*W.right)))) or ((),) * m
     return KVModule(algebra=W.algebra, dim=m, left=left, right=right)
 
 

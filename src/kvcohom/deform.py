@@ -13,7 +13,12 @@ d_mu nu, which satisfies d_{mu_0} nu = delta nu, so that
     E_k = delta mu_k + (1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j
 
 and the order-by-order solver becomes exact linear algebra against the
-degree-2 coboundary matrix: obstructions are classes in degree 3.  Trivial
+degree-2 coboundary matrix: obstructions are classes in degree 3.  The
+pair bracket is antisymmetric in (a, b), and so is R_k, so the solver and
+`rigidity_report` eliminate only the a < b rows of that matrix (see
+`complexes`); the full rows are assembled once, on an obstruction, for the
+certificate, a functional on all n^4 rows.  The target's cocycle verdict
+is read from the nonzero sums of its coboundary.  Trivial
 deformations arise by pushing the base product through a formal basis flow;
 their first coefficient is a coboundary.  The same bracket mechanics yield
 the curvature identity for connections mu_0 + S with S symmetric: the
@@ -39,9 +44,11 @@ from typing import Iterator, Optional, Sequence
 from .complexes import (
     Cochain,
     _coboundary_rows,
+    _coboundary_sums,
     _cohomology_step,
+    _pair_outputs,
+    _pair_rhs,
     check_budget,
-    coboundary,
 )
 from .core import (
     CheckResult,
@@ -60,7 +67,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, _kernel, _quotient, _solve, _transposed, identity, mat_mul
+from .linalg import Mat, Vec, _quotient, _separating, _solve, identity, mat_mul
 
 __all__ = [
     "Tensor4",
@@ -157,14 +164,12 @@ def _pair_terms(L, pairs) -> list:
 
 
 def _dense4(n: int, s: Sparse4) -> Tensor4:
-    def row(abc):
-        r = s.get(abc, {})
-        return tuple(r.get(t, _ZERO) for t in range(n))
-
-    return tuple(
-        tuple(tuple(row((a, b, c)) for c in range(n)) for b in range(n))
-        for a in range(n)
-    )
+    flat = [_ZERO] * n**4
+    for (a, b, c), row in s.items():
+        base = ((a * n + b) * n + c) * n
+        for t, x in row.items():
+            flat[base + t] = x
+    return _shaped(flat, n, n, n, n)
 
 
 def _divided4(n: int, s: Sparse4, d: int) -> Tensor4:
@@ -385,10 +390,12 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
     extending the jet of the one before; it ends after an obstruction.
 
     The budget and the integer rows of D times the degree-2 coboundary
-    matrix are set up once for the chain, and each order is checked
-    exactly once: the input orders on entry, then each new order after its
-    solve.  The right-hand side of order k is R_k times D, on its nonzero
-    entries only.
+    matrix at its a < b output tuples are set up once for the chain, and
+    each order is checked exactly once: the input orders on entry, then
+    each new order after its solve.  The right-hand side of order k is R_k
+    times D, on its nonzero entries only, read on those rows once it is
+    found antisymmetric; one that is not takes the obstruction path, which
+    assembles the full rows for the certificate.
     """
     A = jet.base
     n = jet.dim
@@ -400,18 +407,27 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
             raise PreconditionError(
                 f"cannot raise the order: the order-{kk} residual is nonzero"
             )
-    D, rows = _coboundary_rows(A, regular_bimodule(A), 2)
+    W = regular_bimodule(A)
+    D, rows = _coboundary_rows(A, W, 2, _pair_outputs(n))
     while True:
         k = jet.order + 1
         R = _target(n, L, d, k)
         target = _dense4(n, R)
-        target_is_cocycle = coboundary(trilinear_cochain(A, target)).is_zero()
-        rhs = {((a * n + b) * n + c) * n + t: D * v for (a, b, c), row in R.items() for t, v in row.items()}
-        x = _solve(rows, n**3, rhs)
+        values = {((a * n + b) * n + c) * n + t: v for (a, b, c), row in R.items() for t, v in row.items()}
+        target_is_cocycle = not _coboundary_sums(A, W, 3, values)[1]
+        rhs = {i: D * v for i, v in values.items()}
+        # R_k is antisymmetric in (a, b), as the pair bracket is
+        pair_rhs = _pair_rhs(rhs, n, n)
+        x = None if pair_rhs is None else _solve(rows, n**3, pair_rhs)
         if x is None:
-            yield NextOrderSolution(
-                k, target, target_is_cocycle, None, _separating(rows, n**3, rhs), None
-            )
+            # the certificate is a functional on all n^4 rows of delta_2
+            certificate = _separating(_coboundary_rows(A, W, 2)[1], n**3, rhs)
+            if certificate is None:
+                raise AssertionError(
+                    "solve failed but no separating functional exists; "
+                    "the linear algebra is inconsistent"
+                )
+            yield NextOrderSolution(k, target, target_is_cocycle, None, certificate, None)
             return
         mu_next = _shaped(x, n, n, n)
         jet = jet.extend(mu_next)
@@ -419,19 +435,6 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
         if _residuals(jet, L, (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
         yield NextOrderSolution(k, target, target_is_cocycle, mu_next, None, jet)
-
-
-def _separating(rows: list[IntRow], cols: int, rhs: dict[int, Fraction]) -> Vec:
-    """A functional from the left kernel of the matrix with these integer
-    rows that pairs nonzero with the right-hand side, given by its nonzero
-    entries."""
-    for y in _kernel(_transposed(rows, cols), len(rows)).basis:
-        if sum(y[i] * v for i, v in rhs.items()) != 0:
-            return y
-    raise AssertionError(
-        "solve failed but no separating functional exists; "
-        "the linear algebra is inconsistent"
-    )
 
 
 def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
@@ -490,7 +493,9 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
     W = regular_bimodule(A)
-    d2, d1 = (_coboundary_rows(A, W, q)[1] for q in (2, 1))
+    # delta_2 is eliminated for its kernel only, so its a < b rows suffice
+    d2 = _coboundary_rows(A, W, 2, _pair_outputs(n))[1]
+    d1 = _coboundary_rows(A, W, 1)[1]
     Z, B, reps = _cohomology_step((d2, n**3), (d1, n**2))
     return RigidityReport(
         dim_C2=n**3,

@@ -249,8 +249,15 @@ def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Bigra
 
 
 def _one_w_tuples(n: int, N: int, length: int) -> list[tuple[int, ...]]:
-    """Basis tuples over G, in order, with exactly one index in the W summand."""
-    return [args for args in itertools.product(range(N), repeat=length) if w_count(args, n) == 1]
+    """Basis tuples over G, in order, with exactly one index in the W summand:
+    for each position of the W index, the product over the A indices around
+    it, all sorted once."""
+    return sorted(
+        itertools.chain.from_iterable(
+            itertools.product(*[range(n)] * p, range(n, N), *[range(n)] * (length - 1 - p))
+            for p in range(length)
+        )
+    )
 
 
 def e11_support(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> list[int]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .complexes import Cochain, coboundary, is_coboundary
+from .complexes import Cochain, is_coboundary, is_cocycle
 from .core import (
     Element,
     KVAlgebra,
@@ -149,7 +149,7 @@ def pencil_suite(alpha: RatLike, beta: RatLike) -> PencilReport:
     b = Fraction(beta)
     S = s_alpha_beta(a, b)
     St = _s_tensor(a, b)
-    cocycle = coboundary(S).is_zero()
+    cocycle = is_cocycle(S)
     square = kv_bracket(St, St)
     square_zero = not any(_entries(square, 4))
     nontrivial = None if a == 0 else is_coboundary(S) is None

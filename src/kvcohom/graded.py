@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import Cochain, _pieces, coboundary
+from .complexes import Cochain, _pieces, is_cocycle
 from .core import (
     CheckResult,
     KVAlgebra,
@@ -417,7 +417,7 @@ def connectionlike_from_cocycle(G: GradedKVAlgebra, c: Cochain) -> ExtractionRes
                     None,
                     f"mixed part is not symmetric at (e_{i+1}, w_{al+1})",
                 )
-    if not coboundary(c).is_zero():
+    if not is_cocycle(c):
         return ExtractionResult(None, "the cochain is not a cocycle")
     theta = tensor3(_block(table, n, n, n, m, m, m))
     chain = is_kv_chain(theta)

@@ -13,16 +13,16 @@ clearing the entry c at a pivot a takes ``row * (a/g) - (c/g) * pivot``
 with g = gcd(a, c), and the content of the remainder is removed once.  A
 back-substitution pass in the same arithmetic then yields the reduced row
 echelon form, each row scaled to coprime integers with a positive pivot
-entry.  That form is unique for a row space, so neither the order in which
-rows are taken nor a scale on them ever shows in a result.  ``kernel``,
-``image``, ``solve`` and ``rank`` are thin wrappers over private entry
-points that take such integer rows and a column count, and a
-:class:`Subspace` is that pivot table itself: membership, coordinates,
-sums, intersections and :func:`extend_basis` reduce integer rows against
-it.  Fractions come back only where an entry leaves the module (a dense
-``basis``, a remainder, a solution, an inverse, a combination), one
-division per entry.  Everything is exact: no floats, no tolerances,
-anywhere.
+entry; a rank is the pivot count of the forward pass alone.  That form is
+unique for a row space, so neither the order in which rows are taken nor a
+scale on them ever shows in a result.  ``kernel``, ``image``, ``solve``
+and ``rank`` are thin wrappers over private entry points that take such
+integer rows and a column count, and a :class:`Subspace` is that pivot
+table itself: membership, coordinates, sums, intersections and
+:func:`extend_basis` reduce integer rows against it.  Fractions come back
+only where an entry leaves the module (a dense ``basis``, a remainder, a
+solution, an inverse, a combination), one division per entry.  Everything
+is exact: no floats, no tolerances, anywhere.
 """
 
 from __future__ import annotations
@@ -341,6 +341,22 @@ def _eliminate(row: IntRow, pivots: dict[int, IntRow]) -> tuple[IntRow, int]:
     return out, scale
 
 
+def _echelon(rows: Iterable[IntRow]) -> dict[int, IntRow]:
+    """The forward pass of `_rref`: a pivot table of the span of sparse
+    integer rows, in the order the pivots were found.
+
+    Each row is primitive, positive at its pivot and 0 at every pivot column
+    found before it, so the table has one row per unit of rank.  The rows
+    are taken sparsest first and are not modified.
+    """
+    pivots: dict[int, IntRow] = {}
+    for row in sorted((r for r in rows if r), key=len):
+        rest = _eliminate(row, pivots)[0]
+        if rest:
+            pivots[min(rest)] = _primitive(rest)
+    return pivots
+
+
 def _rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     """Reduced row echelon form of the span of sparse integer rows.
 
@@ -350,11 +366,7 @@ def _rref(rows: Iterable[IntRow]) -> dict[int, IntRow]:
     at every other pivot column.  The remainder of a row is determined up
     to a scale, so the rows need not be primitive; they are not modified.
     """
-    pivots: dict[int, IntRow] = {}
-    for row in sorted((r for r in rows if r), key=len):
-        rest = _eliminate(row, pivots)[0]
-        if rest:
-            pivots[min(rest)] = _primitive(rest)
+    pivots = _echelon(rows)
     order = sorted(pivots)
     # Back-substitution, last pivot first: the rows below are already
     # reduced and carry no pivot column but their own, so subtracting one
@@ -481,8 +493,9 @@ class Subspace:
 
 
 def _rank(rows: Iterable[IntRow]) -> int:
-    """The rank of a matrix given by integer rows."""
-    return len(_rref(rows))
+    """The rank of a matrix given by integer rows: the pivot count of the
+    forward pass, which needs no back-substitution."""
+    return len(_echelon(rows))
 
 
 def _kernel(rows: Sequence[IntRow], cols: int) -> Subspace:
@@ -532,6 +545,21 @@ def _solve(rows: Sequence[IntRow], cols: int, rhs: Mapping[int, RatLike]) -> Opt
         if y:
             x[c] = Fraction(y, row[c])
     return tuple(x)
+
+
+def _separating(rows: Sequence[IntRow], cols: int, rhs: Mapping[int, RatLike]) -> Optional[Vec]:
+    """The first basis vector of the left kernel of the matrix with these
+    integer rows and ``cols`` columns that pairs nonzero with b, given by its
+    nonzero entries ``{row: value}``, or None when every one pairs to 0, that
+    is when ``M x = b`` is consistent.
+
+    The sparse kernel rows are paired as they are; only the one returned is
+    densified.
+    """
+    for c, y in _kernel(_transposed(rows, cols), len(rows))._rows.items():
+        if sum(y[i] * v for i, v in rhs.items() if i in y):
+            return _dense(_quotient(y, y[c]), len(rows))
+    return None
 
 
 def rank(m: Mat) -> int:

@@ -395,9 +395,9 @@ def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path
     built, checked = [], []
     real_rows, real_residuals = df._coboundary_rows, df._residuals
 
-    def counted_rows(A, W, q):
+    def counted_rows(A, W, q, outputs=None):
         built.append(q)
-        return real_rows(A, W, q)
+        return real_rows(A, W, q, outputs)
 
     def counted_residuals(jet, L, orders):
         checked.extend(orders)

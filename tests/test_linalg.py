@@ -25,6 +25,10 @@ from kvcohom.linalg import (
     Mat,
     Subspace,
     _combine,
+    _echelon,
+    _integral_rows,
+    _rank,
+    _rref,
     extend_basis,
     identity,
     image,
@@ -755,3 +759,18 @@ def test_integer_tables_of_the_constructors():
     assert echelon._rows == {0: {0: 6, 1: 3, 3: -4}, 2: {2: 6, 3: 5}}
     spanned = Subspace.from_vectors(n, [[0, -2, 4, 0], [0, 3, -6, 1]])
     assert spanned._rows == {1: {1: 1, 2: -2}, 3: {3: 1}}
+
+
+def test_rank_reads_the_pivot_count_of_the_forward_pass():
+    # the forward pass finds the pivot columns of the reduced form, each row
+    # primitive, positive at its pivot and 0 at the pivots found before it
+    for rng, data, rows, cols in _integer_core_cases():
+        int_rows = _integral_rows(Mat.from_rows(data, cols=cols))[1]
+        forward, reduced = _echelon(int_rows), _rref(int_rows)
+        assert sorted(forward) == list(reduced)
+        assert _rank(int_rows) == len(reduced) == len(fraction_rref([_sparse_row(r) for r in data]))
+        found = []
+        for c, row in forward.items():
+            assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+            assert not any(p in row for p in found)
+            found.append(c)

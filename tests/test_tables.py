@@ -71,6 +71,7 @@ from kvcohom.deform import (
 from kvcohom.errors import DimensionError, InputError, PreconditionError
 from kvcohom.extensions import (
     BigradedCochain,
+    _one_w_tuples,
     bigrade,
     e11_cohomology,
     extend_module_to_semidirect,
@@ -152,6 +153,22 @@ def test_shaped_nests_row_major_and_entries_flattens_back(dims):
     t = _shaped(values, *dims)
     assert t == reference_shaped(values, dims)
     assert _entries(t, len(dims)) == values
+
+
+def sliced_shaped(values, *dims):
+    """The slicing loop `_shaped` ran before it zipped each axis."""
+    out = tuple(values)
+    for axis in range(len(dims) - 1, 0, -1):
+        d = dims[axis]
+        out = tuple(out[k * d : (k + 1) * d] for k in range(math.prod(dims[:axis])))
+    return out
+
+
+def test_shaped_matches_the_slicing_loop_on_every_small_shape():
+    for rank in (3, 4):
+        for dims in itertools.product(range(4), repeat=rank):
+            values = tuple(range(1, 1 + math.prod(dims)))
+            assert _shaped(values, *dims) == sliced_shaped(values, *dims), dims
 
 
 def test_entries_matches_the_comprehensions():
@@ -321,6 +338,15 @@ def test_conjugations_match_the_copy_loops():
     assert conjugate_module(Z, empty) == reference_conjugate_module(Z, empty)
 
 
+def test_random_module_is_unchanged_by_the_plane_products(monkeypatch):
+    import kvcohom.core as core
+
+    algebras = [random_kv(s, n_max=4) for s in range(1, 401)]
+    got = [random_module(A, s) for s, A in enumerate(algebras, 1)]
+    monkeypatch.setattr(core, "conjugate_module", reference_conjugate_module)
+    assert got == [random_module(A, s) for s, A in enumerate(algebras, 1)]
+
+
 def reference_hom_module(A, W, V):
     n = A.dim
     mw, mv = W.dim, V.dim
@@ -476,6 +502,13 @@ def _split_cochains(rng):
             for density in (0.1, 0.6):
                 yield A.dim, Cochain(G, Vt, q, _values(rng, size, density))
             yield A.dim, Cochain.zero(G, Vt, q)
+
+
+def test_one_w_tuples_match_the_w_count_filter():
+    for n, w, length in itertools.product(range(4), range(4), range(5)):
+        N = n + w
+        want = [args for args in itertools.product(range(N), repeat=length) if w_count(args, n) == 1]
+        assert _one_w_tuples(n, N, length) == want
 
 
 def test_summand_split_matches_the_scans():
