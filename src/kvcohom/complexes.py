@@ -730,12 +730,15 @@ def _nijenhuis_rows(A: KVAlgebra, W: KVModule, q_max: int) -> tuple[int, list[li
                 sign = -1 if i % 2 else 1
                 x = T[i]
                 src_base = combo_pos[p][T[:i] + T[i + 1 :]] * nv
-                # x(f(e_j)) on the map e_j -> w_be, then -f([x, e_b]) for
-                # each b whose bracket with x has an e_j component
-                for j in range(n):
-                    for be in range(m):
+                # x(f(e_j)) on the map e_j -> w_be for each be that x moves,
+                # then -f([x, e_b]) for each b whose bracket with x has an
+                # e_j component
+                for be, pairs in enumerate(lefts[x]):
+                    if not pairs:
+                        continue
+                    for j in range(n):
                         c = src_base + j * m + be
-                        for ga, a in lefts[x][be]:
+                        for ga, a in pairs:
                             r = block[j * m + ga]
                             r[c] = r.get(c, 0) + sign * a
                 for b in range(n):

@@ -16,29 +16,35 @@ nonzero structure constants only; `associator`, `mixed_associators` and
 Each contraction has one private implementation here, shared by the other
 layers: `_bilinear` applies a bilinear tensor to two coordinate vectors
 (the body of `mul`, `left_act` and `right_act`, and of the basis changes
-below); `_product_lists` lists the nonzero constants of any d1 x d2 x d3
-tensor; `_two_step` sums products of two such steps; `_symmetry_failure`
-scans for the first triple where an associator is not symmetric in its
-first two arguments (`is_kv`, `graded.is_kv_chain`); and
-`_derivation_failure` scans for the first triple where a rule
-a.b(x, y) = b(ax, y) + b(x, ay) fails (the theta-cocycle and even flow
-rules of `graded`, the parallelism law of `geom.radiant_primitive`).
+below), and `_sparse4` is the one kernel for sums of two-step products.
+Its terms are specs over integer lists: each names its first and second
+product and the places of their arguments, and is scattered from the
+nonzero constants of its first product.  The output tuples come back in
+lexicographic order, so the witness of a scan is its first key.
+`_pair_terms` gives the specs of the residual terms A_ij of `deform`; A_00
+is the KV defect (a,b,c) - (b,a,c), which `is_kv` and `graded.is_kv_chain`
+scan.  `is_module` scans both module identities, `jacobi_module` reads its
+rows from one spec, and `_derivation_failure` scans a rule
+a.b(x, y) = b(ax, y) + b(x, ay) (the theta-cocycle and even flow rules of
+`graded`, the parallelism law of `geom.radiant_primitive`).
 
-The cochain-level contractions run on integers: `_int_lists` lists the
-nonzero constants of a tensor times the lcm d of their denominators,
-`_common` brings several such lists to one scale D, and `_scaled_lists`
-indexes them both ways.  Over such lists `_two_step` sums ints, and a value
-is divided by its scale once, when it leaves as a Fraction.  Each
-`KVAlgebra` and `KVModule` keeps its own lists as an integer view
-(`_view`), built on first use and stored outside its fields; a module's
-view holds its algebra's product and its two actions over one D, and
-reuses the algebra's lists for an action that is the product, so a fresh
+The constants are integers: `_int_lists` lists the nonzero constants of a
+tensor times the lcm d of their denominators, `_common` brings several
+such lists to one scale D, and `_scaled_lists` indexes them both ways.  A
+sum of two-step products over them is an int, and a value is divided by
+its scale once, when it leaves as a Fraction.  Each `KVAlgebra` and
+`KVModule` keeps its own lists as an integer view (`_view`), built on
+first use and stored outside its fields; a module's view holds its
+algebra's product and its two actions over one D, and reuses the
+algebra's lists for an action that is the product, so a fresh
 `regular_bimodule` lists nothing again.  The view backs the verdict scans
-of `is_kv` and `is_module`, `jacobi_module`, and the coboundary, the row
-assemblers and the degree-0 matrix of `complexes`; the scaled lists back
-the pair bracket, residuals and curvature of `deform`.  The battery's
-second routes read the structure constants on their own and do not go
-through `_bilinear`.
+of `is_kv` and `is_module`, `jacobi_module`, the action lists of the
+derivation rules, `hom_module` and `multilinear_module`, and the
+coboundary, the row assemblers and the degree-0 matrix of `complexes`; so
+the rules of `graded` and `geom` list only the caller's tensor.  The
+scaled lists back the pair bracket, residuals and curvature of `deform`.
+The battery's second routes read the structure constants on their own
+and do not go through `_bilinear` or `_sparse4`.
 
 Block spaces share one layout as well: `_blocks` builds a tensor on a
 direct sum of spaces that is zero outside the blocks it is given, and
@@ -346,16 +352,6 @@ def _bilinear(t: Tensor3, x: Sequence[Fraction], y: Sequence[Fraction], dim: int
     return out
 
 
-def _product_lists(t: Tensor3):
-    """Nonzero entries of a d1 x d2 x d3 bilinear tensor t, indexed both ways.
-
-    gam[i][j] is t(e_i, f_j) and gam_t[j][i] the same list, so gam_t is
-    d2 x d1.
-    """
-    gam = [[_nonzero(r) for r in p] for p in t]
-    return gam, list(zip(*gam))
-
-
 def _int_lists(t: Tensor3) -> tuple[int, tuple]:
     """d and the nonzero lists of t times d, as int tuples: entry [i][j]
     lists the (k, x) of t(e_i, f_j); d is the lcm of their denominators."""
@@ -435,63 +431,104 @@ def _view(x: "KVAlgebra | KVModule") -> _IntView:
     return view
 
 
-def _two_step(*terms) -> dict[int, Fraction]:
-    """The sum of two-step products x(y), as {coordinate: nonzero value}.
+# The nonzero part of a rank-4 tensor: {(a, b, c): {t: value}}.
+Sparse4 = dict[tuple[int, int, int], dict[int, Fraction]]
 
-    Each term is (negate, first, second): ``first`` lists the nonzero
-    (s, c) of the first product y, and ``second[s]`` the nonzero (t, x) of
-    the second product taken on the basis vector s.  The sums start from
-    int 0, so integer lists give integer values and Fraction lists
-    Fraction values.
+
+def _sparse4(dims: tuple[int, int, int], terms) -> Sparse4:
+    """The nonzero rows (a, b, c) -> sum of the two-step terms, for (a, b, c)
+    in a d0 x d1 x d2 box, (d0, d1, d2) = dims, with the keys in
+    lexicographic order: the first key of a scan is its witness.
+
+    Each term (negate, first, second, slots) is scattered from the nonzeros
+    of its first factor: first[u][v] lists the (s, c) of the first product
+    on (u, v), second[s][z] the (t, x) of the second product with s in one
+    argument and z in the other, and slots gives the places of u, v and z in
+    (a, b, c).  The sums start from int 0, so integer lists give integer
+    sums.
     """
-    acc: dict[int, Fraction] = {}
-    for negate, first, second in terms:
-        for s, c in first:
-            if negate:
-                c = -c
-            for t, x in second[s]:
-                acc[t] = acc.get(t, 0) + c * x
-    return {t: v for t, v in acc.items() if v}
+    _, d1, d2 = dims
+    strides = (d1 * d2, d2, 1)
+    acc: dict[int, dict[int, int]] = {}
+    for negate, first, second, (pu, pv, pz) in terms:
+        wu, wv, wz = strides[pu], strides[pv], strides[pz]
+        for u, row in enumerate(first):
+            for v, pairs in enumerate(row):
+                if not pairs:
+                    continue
+                uv = u * wu + v * wv
+                for s, c in pairs:
+                    if negate:
+                        c = -c
+                    for z, lists in enumerate(second[s]):
+                        if lists:
+                            key = uv + z * wz
+                            out = acc.get(key)
+                            if out is None:
+                                out = acc[key] = {}
+                            for t, x in lists:
+                                out[t] = out.get(t, 0) + c * x
+    rows: Sparse4 = {}
+    for key in sorted(acc):
+        row = {t: x for t, x in acc[key].items() if x}
+        if row:
+            a, bc = divmod(key, d1 * d2)
+            rows[(a, *divmod(bc, d2))] = row
+    return rows
 
 
-def _symmetry_failure(gam, gam_t) -> Optional[tuple[int, int, int]]:
-    """The first basis triple (i, j, k) at which the associator of a square
-    tensor, given by its nonzero lists (gam, gam_t), is not symmetric in its
-    first two arguments, or None.
+def _first(rows: Sparse4) -> Optional[tuple[int, int, int]]:
+    """The first key of `_sparse4` rows, the witness of a scan, or None."""
+    return next(iter(rows), None)
 
-    Only i < j is scanned: the identity is trivial at i = j, and a failure
-    at i > j mirrors one at (j, i, k), which the scan meets first.
+
+def _verdict(failure: Optional[tuple[int, ...]], detail) -> CheckResult:
+    """The verdict of a scan that found the given first failure, or None:
+    the failure is the witness and detail(*failure) the detail."""
+    if failure is None:
+        return CheckResult(True)
+    return CheckResult(False, failure, detail(*failure))
+
+
+def _pair_terms(L, pairs) -> list:
+    """The `_sparse4` terms of the sum of A_ij over (i, j) in pairs,
+
+        A_ij(a,b,c) = mu_i(mu_j(a,b),c) - mu_i(a,mu_j(b,c))
+                      - mu_i(mu_j(b,a),c) + mu_i(b,mu_j(a,c)),
+
+    with L[i] the nonzero lists (gam, gam_t) of mu_i.  A_00 is the defect
+    (a,b,c) - (b,a,c) of the KV identity of mu_0; it is antisymmetric in
+    (a, b), so its first nonzero triple has a < b.
     """
-    n = len(gam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # (ij)k - i(jk) - (ji)k + j(ik)
-                if _two_step(
-                    (False, gam[i][j], gam_t[k]),
-                    (True, gam[j][k], gam[i]),
-                    (True, gam[j][i], gam_t[k]),
-                    (False, gam[i][k], gam[j]),
-                ):
-                    return i, j, k
-    return None
+    out = []
+    for i, j in pairs:
+        (gi, gi_t), gj = L[i], L[j][0]
+        out += (
+            (False, gj, gi, (0, 1, 2)),
+            (True, gj, gi_t, (1, 2, 0)),
+            (True, gj, gi, (1, 0, 2)),
+            (False, gj, gi_t, (0, 2, 1)),
+        )
+    return out
 
 
-def _derivation_failure(beta: Tensor3, lx, ly, lz) -> Optional[tuple[int, int, int]]:
+def _derivation_failure(B, lx, ly, lz_t) -> Optional[tuple[int, int, int]]:
     """The first (i, x, y), in lexicographic order, at which
     e_i beta(x, y) - beta(e_i x, y) - beta(x, e_i y) is nonzero, or None.
 
-    beta is a bilinear tensor X x Y -> Z on basis vectors; lx[i][x], ly[i][y]
-    and lz[i][z] list the nonzero coordinates of e_i acting on the basis
-    vectors of X, Y and Z.
+    beta is a bilinear map X x Y -> Z with nonzero lists B, B[x][y] the
+    (z, c) of beta(x, y) as `_int_lists` gives them; lx[i][x] and ly[i][y]
+    list the (s, c) of e_i on the basis vectors of X and Y, and lz_t[z][i]
+    those of e_i on the basis vectors of Z, all over one scale, as one
+    integer view (`_view`) holds them.
     """
-    B, B_t = _product_lists(beta)
-    for i, (ax, ay, az) in enumerate(zip(lx, ly, lz)):
-        for x, bx in enumerate(B):
-            for y, by in enumerate(B_t):
-                if _two_step((False, bx[y], az), (True, ax[x], by), (True, ay[y], bx)):
-                    return i, x, y
-    return None
+    dims = (len(lx), len(B), len(ly[0]) if ly else 0)
+    terms = (
+        (False, B, lz_t, (1, 2, 0)),
+        (True, lx, B, (0, 1, 2)),
+        (True, ly, tuple(zip(*B)), (0, 2, 1)),
+    )
+    return _first(_sparse4(dims, terms))
 
 
 def _module_view(A: KVAlgebra, W: KVModule) -> _IntView:
@@ -502,52 +539,47 @@ def _module_view(A: KVAlgebra, W: KVModule) -> _IntView:
 
 
 def is_kv(A: KVAlgebra) -> CheckResult:
-    """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants."""
+    """Check (e_i,e_j,e_k) = (e_j,e_i,e_k) from the nonzero structure constants.
+
+    The defect is A_00 of `_pair_terms`, the order-0 residual of `deform`.
+    """
     view = _view(A)
-    failure = _symmetry_failure(view.gam, view.gam_t)
-    if failure is None:
-        return CheckResult(True)
-    i, j, k = failure
-    return CheckResult(False, failure, f"associator symmetry fails at basis triple ({i},{j},{k})")
+    failure = _first(_sparse4((A.dim,) * 3, _pair_terms([(view.gam, view.gam_t)], [(0, 0)])))
+    return _verdict(failure, "associator symmetry fails at basis triple ({},{},{})".format)
 
 
 def is_module(A: KVAlgebra, W: KVModule) -> CheckResult:
     """Check (a,b,w) = (b,a,w) and (a,w,b) = (w,a,b) over all basis triples.
 
-    The scan runs over (i, j, alpha) and evaluates the associators from the
-    nonzero structure constants.  The first identity is checked only for
-    i < j, for the same reason as in `is_kv`.
+    Both defects are scattered over (i, j, alpha) from the nonzero structure
+    constants.  The first is antisymmetric in (i, j), so its first failure
+    has i < j, as in `is_kv`; the second is reported at (i, alpha, j), and a
+    tie at one (i, j, alpha) goes to the first.
     """
     if W.algebra is not A and W.algebra != A:
         return CheckResult(False, None, "module is attached to a different algebra")
     _, gam, _, left, left_t, right, right_t = _view(W)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for al in range(W.dim):
-                # (ij)w - i(jw) - (ji)w + j(iw)
-                if i < j and _two_step(
-                    (False, gam[i][j], left_t[al]),
-                    (True, left[j][al], left[i]),
-                    (True, gam[j][i], left_t[al]),
-                    (False, left[i][al], left[j]),
-                ):
-                    return CheckResult(
-                        False,
-                        (i, j, al),
-                        f"(a,b,w) = (b,a,w) fails at (e_{i}, e_{j}, w_{al})",
-                    )
-                # (iw)j - i(wj) - (wi)j + w(ij)
-                if _two_step(
-                    (False, left[i][al], right_t[j]),
-                    (True, right[al][j], left[i]),
-                    (True, right[al][i], right_t[j]),
-                    (False, gam[i][j], right[al]),
-                ):
-                    return CheckResult(
-                        False,
-                        (i, al, j),
-                        f"(a,w,b) = (w,a,b) fails at (e_{i}, w_{al}, e_{j})",
-                    )
+    dims = (A.dim, A.dim, W.dim)
+    # (ij)w - i(jw) - (ji)w + j(iw)
+    first = _first(_sparse4(dims, (
+        (False, gam, left, (0, 1, 2)),
+        (True, left, left_t, (1, 2, 0)),
+        (True, gam, left, (1, 0, 2)),
+        (False, left, left_t, (0, 2, 1)),
+    )))
+    # (iw)j - i(wj) - (wi)j + w(ij)
+    second = _first(_sparse4(dims, (
+        (False, left, right, (0, 2, 1)),
+        (True, right, left_t, (2, 1, 0)),
+        (True, right, right, (2, 0, 1)),
+        (False, gam, right_t, (0, 1, 2)),
+    )))
+    if first is not None and (second is None or first <= second):
+        i, j, al = first
+        return CheckResult(False, first, f"(a,b,w) = (b,a,w) fails at (e_{i}, e_{j}, w_{al})")
+    if second is not None:
+        i, j, al = second
+        return CheckResult(False, (i, al, j), f"(a,w,b) = (w,a,b) fails at (e_{i}, w_{al}, e_{j})")
     return CheckResult(True)
 
 
@@ -575,15 +607,13 @@ def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
     """
     n, m = A.dim, W.dim
     _, gam, _, left, left_t, _, _ = _module_view(A, W)
+    # (ij)w_l - i(jw_l) at (i, j, l), times D^2
+    assoc = _sparse4((n, n, m), ((False, gam, left, (0, 1, 2)), (True, left, left_t, (1, 2, 0))))
     rows: list[dict[int, int]] = [{} for _ in range(n * n * m)]
-    for i in range(n):
-        for j in range(n):
-            base = (i * n + j) * m
-            for l in range(m):
-                # (ij)w - i(jw), times D^2
-                assoc = _two_step((False, gam[i][j], left_t[l]), (True, left[j][l], left[i]))
-                for k, x in assoc.items():
-                    rows[base + k][l] = x
+    for (i, j, l), row in assoc.items():
+        base = (i * n + j) * m
+        for k, x in row.items():
+            rows[base + k][l] = x
     return _kernel(rows, m)
 
 
@@ -630,14 +660,15 @@ def zero_module(A: KVAlgebra, dim: int) -> KVModule:
     )
 
 
-def _hom_actions(A: KVAlgebra, s_dim: int, s_left: list, V: KVModule) -> tuple[Tensor3, Tensor3]:
+def _hom_actions(A: KVAlgebra, s_dim: int, s_left: list, D: int, V: KVModule) -> tuple[Tensor3, Tensor3]:
     """The actions on the space of linear maps S -> V,
 
         (a.f)(s) = a(f(s)) - f(as)        (f.a)(s) = (f(s))a,
 
     for a space S of dimension s_dim given by its left action: s_left[i][ga]
-    lists the (al, c) of e_i s_ga, a repeated al adding up.  Basis maps
-    f_(al,be): s_al -> v_be are flattened with index al * dim(V) + be.
+    lists the (al, c) of e_i s_ga, c an int over the scale D and a repeated
+    al adding up.  Basis maps f_(al,be): s_al -> v_be are flattened with
+    index al * dim(V) + be.
     """
     n, mv = A.dim, V.dim
     dim = s_dim * mv
@@ -652,6 +683,7 @@ def _hom_actions(A: KVAlgebra, s_dim: int, s_left: list, V: KVModule) -> tuple[T
         # - f(a s_ga) for each s_al in a s_ga
         for ga, terms in enumerate(s_left[i]):
             for al, c in terms:
+                c = Fraction(c, D)
                 for be in range(mv):
                     left[i][al * mv + be][ga * mv + be] -= c
     return tensor3(left), tensor3(right)
@@ -665,7 +697,8 @@ def hom_module(A: KVAlgebra, W: KVModule, V: KVModule) -> KVModule:
     Basis maps f_(alpha,beta): w_alpha -> v_beta are flattened with index
     alpha * dim(V) + beta.
     """
-    left, right = _hom_actions(A, W.dim, _product_lists(W.left)[0], V)
+    view = _view(W)
+    left, right = _hom_actions(A, W.dim, view.left, view.D, V)
     return KVModule(algebra=A, dim=W.dim * V.dim, left=left, right=right)
 
 
@@ -681,17 +714,17 @@ def multilinear_module(A: KVAlgebra, W: KVModule, q: int) -> KVModule:
     if q < 1:
         raise InputError("multilinear_module needs q >= 1")
     m = W.dim
-    gam = _product_lists(W.left)[0]
+    view = _view(W)
     # e_i acts on each factor of w_ga = w_(ga_1) x ... x w_(ga_q) in turn
     s_left = [
         [
             [(ga + (de - a) * m ** (q - 1 - j), c)
-             for j, a in enumerate(args) for de, c in gam[i][a]]
+             for j, a in enumerate(args) for de, c in view.left[i][a]]
             for ga, args in enumerate(itertools.product(range(m), repeat=q))
         ]
         for i in range(A.dim)
     ]
-    left, right = _hom_actions(A, m**q, s_left, W)
+    left, right = _hom_actions(A, m**q, s_left, view.D, W)
     return KVModule(algebra=A, dim=m**q * m, left=left, right=right)
 
 

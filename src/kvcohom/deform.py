@@ -27,12 +27,12 @@ evaluated from the nonzero structure constants, as integers over one common
 denominator d (`core._scaled_lists`; the base product comes from the
 algebra's integer view, `core._view`, so a jet never lists it again), and
 kept sparse until a public function returns a tensor, when each entry is
-divided by d^2 once.  One scatter kernel, `_sparse4`, expands every such
-sum of two-step products: each term is a spec naming its two products and
-where their arguments sit, and it is scattered from the nonzeros of its
-first product, so the work follows the nonzero constants and not the n^3
-basis triples.  The residuals, the targets of the solver, the pair bracket
-and the curvature are term specs for it.
+divided by d^2 once.  Every such sum of two-step products is expanded by
+the one scatter kernel of the package, `core._sparse4`, from term specs,
+so the work follows the nonzero constants and not the n^3 basis triples.
+The residuals, the targets of the solver and the pair bracket are sums of
+the A_ij specs of `core._pair_terms`, whose A_00 is the KV defect that
+`is_kv` scans; the curvature is a spec of its own.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ from .core import (
     Tensor3,
     _check_shape,
     _entries,
+    Sparse4,
     _int_lists,
+    _pair_terms,
     _scaled_lists,
     _shaped,
+    _sparse4,
     _transported,
     _view,
     is_kv,
@@ -104,65 +107,6 @@ def zero4(n: int) -> Tensor4:
     return tuple(zero3(n, n, n) for _ in range(n))
 
 
-# The nonzero part of a rank-4 tensor: {(a, b, c): {t: value}}.
-Sparse4 = dict[tuple[int, int, int], dict[int, Fraction]]
-
-
-def _sparse4(n: int, terms) -> Sparse4:
-    """The nonzero rows (a, b, c) -> sum of the two-step terms, with the
-    keys in lexicographic order.
-
-    Each term (negate, first, second, slots) is scattered from the nonzeros
-    of its first factor: first[u][v] lists the (s, c) of the first product
-    on (e_u, e_v), second[s][z] the (t, x) of the second product with e_s
-    in one argument and e_z in the other, and slots gives the places of
-    u, v and z in (a, b, c).  The sums start from int 0, as in `_two_step`.
-    """
-    acc: dict[int, dict[int, Fraction]] = {}
-    for negate, first, second, slots in terms:
-        wu, wv, wz = (n ** (2 - p) for p in slots)
-        for u, row in enumerate(first):
-            for v, pairs in enumerate(row):
-                uv = u * wu + v * wv
-                for s, c in pairs:
-                    if negate:
-                        c = -c
-                    for z, lists in enumerate(second[s]):
-                        if lists:
-                            key = uv + z * wz
-                            out = acc.get(key)
-                            if out is None:
-                                out = acc[key] = {}
-                            for t, x in lists:
-                                out[t] = out.get(t, 0) + c * x
-    rows: Sparse4 = {}
-    for key in sorted(acc):
-        row = {t: x for t, x in acc[key].items() if x}
-        if row:
-            a, bc = divmod(key, n * n)
-            rows[(a, *divmod(bc, n))] = row
-    return rows
-
-
-def _pair_terms(L, pairs) -> list:
-    """The `_sparse4` terms of the sum of A_ij over (i, j) in pairs.
-
-    L[i] holds the nonzero lists (gam, gam_t) of mu_i (see pair_residual
-    for A_ij).
-    """
-    out = []
-    for i, j in pairs:
-        (gi, gi_t), gj = L[i], L[j][0]
-        # mu_i(mu_j(a,b),c) - mu_i(a,mu_j(b,c)) - mu_i(mu_j(b,a),c) + mu_i(b,mu_j(a,c))
-        out += (
-            (False, gj, gi, (0, 1, 2)),
-            (True, gj, gi_t, (1, 2, 0)),
-            (True, gj, gi, (1, 0, 2)),
-            (False, gj, gi_t, (0, 2, 1)),
-        )
-    return out
-
-
 def _dense4(n: int, s: Sparse4) -> Tensor4:
     flat = [_ZERO] * n**4
     for (a, b, c), row in s.items():
@@ -196,7 +140,7 @@ def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
     _check_shape(mu, n, n, n, "mu")
     _check_shape(nu, n, n, n, "nu")
     d, L = _scaled_lists(_int_lists(mu), _int_lists(nu))
-    return _divided4(n, _sparse4(n, _pair_terms(L, ((0, 1), (1, 0)))), d * d)
+    return _divided4(n, _sparse4((n,) * 3, _pair_terms(L, ((0, 1), (1, 0)))), d * d)
 
 
 def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
@@ -212,7 +156,7 @@ def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
     _check_shape(mu_i, n, n, n, "mu_i")
     _check_shape(mu_j, n, n, n, "mu_j")
     d, L = _scaled_lists(_int_lists(mu_i), _int_lists(mu_j))
-    return _divided4(n, _sparse4(n, _pair_terms(L, ((0, 1),))), d * d)
+    return _divided4(n, _sparse4((n,) * 3, _pair_terms(L, ((0, 1),))), d * d)
 
 
 @dataclass(frozen=True)
@@ -315,7 +259,7 @@ def _jet_lists(jet: MultiplicationJet) -> tuple[int, list]:
 def _target(n: int, L, d: int, k: int) -> Sparse4:
     """R_k = -(1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j; L[i] holds the
     nonzero lists of mu_i times d, as `_jet_lists` gives them."""
-    B = _sparse4(n, _pair_terms(L, [p for i in range(1, k) for p in ((i, k - i), (k - i, i))]))
+    B = _sparse4((n,) * 3, _pair_terms(L, [p for i in range(1, k) for p in ((i, k - i), (k - i, i))]))
     return {abc: _quotient({t: -v for t, v in row.items()}, 2 * d * d) for abc, row in B.items()}
 
 
@@ -326,7 +270,7 @@ def _residuals(jet: MultiplicationJet, L, orders) -> list[Sparse4]:
     Each E_k is the direct expansion sum_{i+j=k} A_ij (see pair_residual).
     """
     n = jet.dim
-    return [_sparse4(n, _pair_terms(L, [(i, k - i) for i in range(k + 1)])) for k in orders]
+    return [_sparse4((n,) * 3, _pair_terms(L, [(i, k - i) for i in range(k + 1)])) for k in orders]
 
 
 def jet_residuals(jet: MultiplicationJet) -> tuple[Tensor4, ...]:
@@ -544,7 +488,7 @@ def curvature_check(A: KVAlgebra, S: Tensor3) -> Tensor4:
     # mu(x,mu(y,z)) - mu(y,mu(x,z)) - mu([x,y],z) - S(x,S(y,z)) + S(y,S(x,z)),
     # times d^2, over (a, b, c) = (x, y, z)
     residual = _sparse4(
-        n,
+        (n,) * 3,
         (
             (False, M, M_t, (1, 2, 0)),
             (True, M, M_t, (0, 2, 1)),

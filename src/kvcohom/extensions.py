@@ -60,7 +60,7 @@ from .core import (
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, identity, solve
+from .linalg import IntRow, Mat, Vec, _sparse, mat_mul, solve
 
 __all__ = [
     "BigradedCochain",
@@ -203,16 +203,21 @@ def _morphism_defect(W: KVModule, X: KVModule, phi: Mat) -> tuple[list, list]:
         [i][al] = phi(e_i w_al) - e_i phi(w_al)      (n x m x dim X)
         [al][i] = phi(w_al e_i) - phi(w_al) e_i      (m x n x dim X)
     """
-    units = [identity(W.algebra.dim).row(i) for i in range(W.algebra.dim)]
-    rows = [phi.row(al) for al in range(W.dim)]
     phi_of, x = phi.transpose().mat_vec, X.dim
+
+    def times(planes) -> list[Mat]:
+        # row al of phi P is phi(w_al) acted on by the plane P of constants
+        return [mat_mul(phi, Mat._of(x, x, tuple(map(_sparse, p)))) for p in planes]
+
+    # e_i x reads row x of X.left[i], and x e_i row x of the plane X.right[.][i];
+    # an empty module axis would lose the algebra axis in the transpose
+    on_left = times(X.left)
+    on_right = times(tuple(zip(*X.right)) or ((),) * W.algebra.dim)
     left = [
-        [_minus(phi_of(W.left[i][al]), _bilinear(X.left, e, r, x)) for al, r in enumerate(rows)]
-        for i, e in enumerate(units)
+        [_minus(phi_of(W.left[i][al]), p.row(al)) for al in range(W.dim)] for i, p in enumerate(on_left)
     ]
     right = [
-        [_minus(phi_of(W.right[al][i]), _bilinear(X.right, r, e, x)) for i, e in enumerate(units)]
-        for al, r in enumerate(rows)
+        [_minus(phi_of(W.right[al][i]), p.row(al)) for i, p in enumerate(on_right)] for al in range(W.dim)
     ]
     return left, right
 

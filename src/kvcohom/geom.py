@@ -47,8 +47,9 @@ from .core import (
     Tensor3,
     _derivation_failure,
     _entries,
-    _product_lists,
+    _int_lists,
     _shaped,
+    _view,
     is_module,
     tensor3,
 )
@@ -495,9 +496,9 @@ def radiant_primitive(
     if g.degree != 2 or g.algebra != A or g.module != W:
         raise InputError("expected a 2-cochain with values in the given module")
     m = W.dim
-    gam = _product_lists(A.product)[0]
+    view = _view(W)
     g_tensor = _shaped(g.values, n, n, m)
-    failure = _derivation_failure(g_tensor, gam, gam, _product_lists(W.left)[0])
+    failure = _derivation_failure(_int_lists(g_tensor)[1], view.gam, view.gam, view.left_t)
     if failure is not None:
         i, bdx, cdx = failure
         raise PreconditionError(

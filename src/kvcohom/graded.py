@@ -20,11 +20,14 @@ correspondence proof, reporting every condition separately (the
 compatibility condition is evaluated in both printed orientations, which
 genuinely differ).
 
-Every condition is scanned from the nonzero constants of theta, psi and
-the two products, with the scans `core` shares among the layers: the
-chain symmetry is the associator scan behind `is_kv`, and the derivation
-rule and the even flow rule are one derivation-rule scan, with theta and
-psi in the place of the bilinear map.
+Every condition is a term spec for the one scatter kernel of `core`,
+`_sparse4`, scattered from the nonzero constants of theta, psi and the two
+products as integers, with the witness its first key: the chain symmetry
+is the A_00 spec behind `is_kv`, the derivation rule and the even flow
+rule are one derivation-rule scan (`core._derivation_failure`, with theta
+and psi in the place of the bilinear map and the actions read from the odd
+module's integer view), and the two compatibility scans read theta and psi
+over one scale.
 """
 
 from __future__ import annotations
@@ -45,10 +48,14 @@ from .core import (
     _check_shape,
     _derivation_failure,
     _entries,
-    _product_lists,
+    _first,
+    _int_lists,
+    _pair_terms,
+    _scaled_lists,
     _shaped,
-    _symmetry_failure,
-    _two_step,
+    _sparse4,
+    _verdict,
+    _view,
     is_kv,
     is_module,
     regular_bimodule,
@@ -167,15 +174,9 @@ def is_kv_chain(theta: Tensor3) -> CheckResult:
     """
     m = len(theta)
     _check_shape(theta, m, m, m, "theta")
-    failure = _symmetry_failure(*_product_lists(theta))
-    if failure is None:
-        return CheckResult(True)
-    a, b, c = failure
-    return CheckResult(
-        False,
-        witness=failure,
-        detail=f"theta-associator is not symmetric on the basis triple ({a},{b},{c})",
-    )
+    # A_00 of `core._pair_terms`, with theta in the place of the product
+    failure = _first(_sparse4((m, m, m), _pair_terms(_scaled_lists(_int_lists(theta))[1], [(0, 0)])))
+    return _verdict(failure, "theta-associator is not symmetric on the basis triple ({},{},{})".format)
 
 
 def embed_theta(G: GradedKVAlgebra, theta: Tensor3) -> Cochain:
@@ -206,15 +207,10 @@ def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
     and nothing anywhere else.
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
-    left = _product_lists(G.odd.left)[0]
-    failure = _derivation_failure(theta, left, left, left)
-    if failure is None:
-        return CheckResult(True)
-    i, al, be = failure
-    return CheckResult(
-        False,
-        witness=failure,
-        detail=f"derivation rule fails at (e_{i+1}, w_{al+1}, w_{be+1})",
+    view = _view(G.odd)
+    return _verdict(
+        _derivation_failure(_int_lists(theta)[1], view.left, view.left, view.left_t),
+        lambda i, al, be: f"derivation rule fails at (e_{i+1}, w_{al+1}, w_{be+1})",
     )
 
 
@@ -270,57 +266,31 @@ def is_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Connectio
     n, m = G.n, G.m
     _check_shape(pair.theta, m, m, m, "theta")
     _check_shape(pair.psi, n, m, n, "psi")
-    T = _product_lists(pair.theta)[0]
-    P, P_t = _product_lists(pair.psi)
+    # theta and psi over one scale, so both terms of a scan carry its square
+    _, ((T, _), (P, P_t)) = _scaled_lists(_int_lists(pair.theta), _int_lists(pair.psi))
+    # an empty even axis would lose the odd one in the transpose
+    P_t = P_t or ((),) * m
 
     psi_symmetric = CheckResult(
         True, detail="psi is stored once; both slot orders read the same tensor"
     )
     theta_cocycle = is_theta_cocycle(G, pair.theta)
-
-    # (c3) as defined: psi(theta(w,w'), a) = psi(w, psi(w',a)).
-    compat = CheckResult(True)
-    for al, be, i in itertools.product(range(m), range(m), range(n)):
-        if _two_step((False, T[al][be], P[i]), (True, P[i][be], P_t[al])):
-            compat = CheckResult(
-                False,
-                witness=(al, be, i),
-                detail=(
-                    f"psi(theta(w_{al+1},w_{be+1}),e_{i+1}) != "
-                    f"psi(w_{al+1},psi(w_{be+1},e_{i+1}))"
-                ),
-            )
-            break
-
-    # the other printed orientation: psi(a, theta(w',w'')) = psi(psi(a,w'),w'').
-    compat_alt = CheckResult(True)
-    for i, be, ga in itertools.product(range(n), range(m), range(m)):
-        if _two_step((False, T[be][ga], P[i]), (True, P[i][be], P_t[ga])):
-            compat_alt = CheckResult(
-                False,
-                witness=(i, be, ga),
-                detail=(
-                    f"psi(e_{i+1},theta(w_{be+1},w_{ga+1})) != "
-                    f"psi(psi(e_{i+1},w_{be+1}),w_{ga+1})"
-                ),
-            )
-            break
-
-    # closedness on the even flow: a psi(a',w) = psi(aa',w) + psi(a',aw).
-    gam = _product_lists(G.even.product)[0]
-    failure = _derivation_failure(pair.psi, gam, _product_lists(G.odd.left)[0], gam)
-    flow = CheckResult(True)
-    if failure is not None:
-        i, j, ga = failure
-        flow = CheckResult(
-            False,
-            witness=failure,
-            detail=(
-                f"a psi(a',w) != psi(aa',w) + psi(a',aw) at "
-                f"(e_{i+1},e_{j+1},w_{ga+1})"
-            ),
-        )
-
+    # (c3) as defined: psi(theta(w,w'), a) = psi(w, psi(w',a)), at (al, be, i)
+    compat = _verdict(
+        _first(_sparse4((m, m, n), ((False, T, P_t, (0, 1, 2)), (True, P, P, (2, 1, 0))))),
+        lambda al, be, i: f"psi(theta(w_{al+1},w_{be+1}),e_{i+1}) != psi(w_{al+1},psi(w_{be+1},e_{i+1}))",
+    )
+    # the other printed orientation: psi(a, theta(w',w'')) = psi(psi(a,w'),w''), at (i, be, ga)
+    compat_alt = _verdict(
+        _first(_sparse4((n, m, m), ((False, T, P_t, (1, 2, 0)), (True, P, P, (0, 1, 2))))),
+        lambda i, be, ga: f"psi(e_{i+1},theta(w_{be+1},w_{ga+1})) != psi(psi(e_{i+1},w_{be+1}),w_{ga+1})",
+    )
+    # closedness on the even flow: a psi(a',w) = psi(aa',w) + psi(a',aw)
+    view = _view(G.odd)
+    flow = _verdict(
+        _derivation_failure(P, view.gam, view.left, view.gam_t),
+        lambda i, j, ga: f"a psi(a',w) != psi(aa',w) + psi(a',aw) at (e_{i+1},e_{j+1},w_{ga+1})",
+    )
     return ConnectionlikeReport(
         psi_symmetric=psi_symmetric,
         theta_cocycle=theta_cocycle,

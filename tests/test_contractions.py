@@ -1,12 +1,12 @@
 """The shared contractions of `core` against the dense loops they replaced.
 
-`core._bilinear`, `core._symmetry_failure` and `core._derivation_failure`
-back the element products, `is_kv_chain`, the theta-cocycle, flow and
-parallelism rules, the compatibility scans of `is_connectionlike` and
-`pushforward_jet`.  Each check below runs a copy of the dense loop it
-replaced as a reference, on fixtures and on seeded random inputs that fail
-as well as pass, and asserts the same verdict, witness and detail, the
-same values, or the same error text.
+`core._bilinear` backs the element products and `pushforward_jet`; the one
+scatter kernel `core._sparse4` backs `is_kv_chain`, the theta-cocycle, flow
+and parallelism rules (`core._derivation_failure`) and the compatibility
+scans of `is_connectionlike`.  Each check below runs a copy of the dense
+loop it replaced as a reference, on fixtures and on seeded random inputs
+that fail as well as pass, and asserts the same verdict, witness and
+detail, the same values, or the same error text.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from kvcohom.core import (
     KVAlgebra,
     KVModule,
     _bilinear,
-    _product_lists,
     is_kv,
     is_module,
     random_kv,
@@ -61,6 +60,8 @@ from kvcohom.graded import (
     is_theta_cocycle,
 )
 from kvcohom.linalg import Mat, kernel, vec
+
+from gather_loops import product_lists
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -193,12 +194,12 @@ def test_bilinear_matches_the_nonzero_list_apply():
     for _ in range(200):
         n = rng.randint(1, 4)
         mu = _random_tensor(rng, n, n, n, rng.choice((0.2, 0.6)))
-        gam = _product_lists(mu)[0]
+        gam = product_lists(mu)[0]
         x, y = _random_vec(rng, n), _random_vec(rng, n)
         assert _bilinear(mu, x, y, n) == reference_apply(gam, x, y)
     # a rectangular tensor psi: A x W -> A, read both ways by the lists
     psi = _random_tensor(rng, 3, 2, 3, 0.6)
-    gam, gam_t = _product_lists(psi)
+    gam, gam_t = product_lists(psi)
     assert len(gam) == 3 and len(gam_t) == 2
     assert all(gam_t[al][i] == gam[i][al] for i in range(3) for al in range(2))
 
@@ -226,7 +227,7 @@ def reference_pushforward_jet(flow, A):
                         s += ps[r][t] * th[t][c]
                     acc[r][c] -= s
         psis.append(acc)
-    gam = _product_lists(A.product)[0]
+    gam = product_lists(A.product)[0]
     coeffs = []
     for k in range(1, K + 1):
         mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]

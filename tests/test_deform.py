@@ -17,8 +17,9 @@ from kvcohom.complexes import (
 from kvcohom.core import (
     KVAlgebra,
     _int_lists,
+    _pair_terms,
     _scaled_lists,
-    _two_step,
+    _sparse4,
     is_kv,
     random_kv,
     regular_bimodule,
@@ -52,6 +53,8 @@ from kvcohom.fixtures import (
     zero_algebra,
 )
 from kvcohom.linalg import Mat, Subspace, kernel, solve
+
+from gather_loops import two_step
 
 F = Fraction
 
@@ -752,7 +755,7 @@ def test_integer_contractions_match_fraction_references_off_the_integers():
 def gather_sparse4(n, terms):
     """The gather loop `_sparse4` replaced: each triple (a, b, c) in
     lexicographic order sums the two-step terms(a, b, c)."""
-    rows = ((abc, _two_step(*terms(*abc))) for abc in itertools.product(range(n), repeat=3))
+    rows = ((abc, two_step(*terms(*abc))) for abc in itertools.product(range(n), repeat=3))
     return {abc: row for abc, row in rows if row}
 
 
@@ -781,8 +784,6 @@ def _assert_same_sparse4(got, want):
 
 
 def test_scatter_kernel_matches_the_gather_loop_for_pair_terms():
-    from kvcohom.deform import _pair_terms, _sparse4
-
     rng = random.Random("scatter-pairs")
     partial = 0
     for t in range(30):
@@ -791,7 +792,7 @@ def test_scatter_kernel_matches_the_gather_loop_for_pair_terms():
         _, L = _scaled_lists(*map(_int_lists, tensors))
         for pairs in (((0, 1),), ((0, 1), (1, 0)), ((0, 2), (1, 1), (2, 0)), ((1, 2), (2, 1))):
             want = gather_sparse4(n, gather_pairs(L, pairs))
-            _assert_same_sparse4(_sparse4(n, _pair_terms(L, pairs)), want)
+            _assert_same_sparse4(_sparse4((n,) * 3, _pair_terms(L, pairs)), want)
             partial += 0 < len(want) < n**3
     assert partial > 20
 
@@ -801,8 +802,8 @@ def test_scatter_kernel_matches_the_gather_loop_for_curvature_terms(monkeypatch)
 
     seen = []
 
-    def recorded(n, terms):
-        seen.append(df_sparse4(n, terms))
+    def recorded(dims, terms):
+        seen.append(df_sparse4(dims, terms))
         return seen[-1]
 
     df_sparse4 = df._sparse4

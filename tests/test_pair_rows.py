@@ -253,3 +253,65 @@ def test_next_order_certificates_are_functionals_on_all_rows():
             rhs = {i: D * y for i, y in target.items()}
             assert sol.certificate == reference_separating(full, n**3, rhs)
     assert obstructed and solved
+
+
+# ---------------------------------------------------------------------------
+# the cochains that alternate in their first q - 1 arguments
+
+
+def _sign(perm):
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _alternating_values(rng, n, m, q):
+    """The values of a random q-cochain that alternates in its first q - 1
+    arguments: a random table summed over the permutations of those
+    arguments, with signs."""
+    g = _random_values(rng, n**q * m)
+    perms = [(p, _sign(p)) for p in itertools.permutations(range(q - 1))]
+    out = []
+    for args in itertools.product(range(n), repeat=q):
+        for t in range(m):
+            total = Fraction(0)
+            for p, s in perms:
+                moved = tuple(args[i] for i in p) + args[q - 1 :]
+                pos = 0
+                for a in moved:
+                    pos = pos * n + a
+                total += s * g[pos * m + t]
+            out.append(total)
+    return tuple(out)
+
+
+def test_cochains_alternating_in_all_but_the_last_argument_form_a_subcomplex():
+    """If f in C^q alternates in its first q - 1 arguments, delta f alternates
+    in its first q.  No KV identity is used.  Swap a_k and a_(k+1), k + 1 <= q.
+    A summand j of the coboundary formula (see `complexes`) with j not k or
+    k + 1 omits neither; each of its terms then swaps two of the first q - 1
+    arguments of f, or, in the middle sum, trades the terms at slots k and
+    k + 1 with such a swap, so it changes sign.  The summands j = k and
+    j = k + 1 omit one of the two and leave the same remaining sequence, so
+    the swap exchanges them, and their signs (-1)^j differ.  At q = 2 this
+    is the antisymmetry of delta_2 above.  The space of these cochains is
+    Hom(Lambda^(q-1) A (x) A, W), Nijenhuis's cochain space."""
+    rng = random.Random("alternating-subcomplex")
+    checked = nonzero = 0
+    for s in range(1, 13):
+        A = random_kv(s, n_max=4)
+        n = A.dim
+        modules = [random_module(A, s, m_max=3), left_regular_module(A)]
+        if is_module(A, regular_bimodule(A)):
+            modules.append(regular_bimodule(A))
+        for W in modules:
+            m = W.dim
+            for q in (1, 2, 3):
+                df = coboundary(Cochain(A, W, q, _alternating_values(rng, n, m, q)))
+                for args in itertools.product(range(n), repeat=q + 1):
+                    value = df.value(args)
+                    nonzero += any(value)
+                    for k in range(q - 1):
+                        swapped = args[:k] + (args[k + 1], args[k]) + args[k + 2 :]
+                        assert df.value(swapped) == tuple(-x for x in value)
+                checked += 1
+    assert checked >= 80 and nonzero > 1000

@@ -38,9 +38,7 @@ from kvcohom.core import (
     KVAlgebra,
     KVModule,
     _entries,
-    _product_lists,
     _shaped,
-    _two_step,
     conjugate_algebra,
     conjugate_module,
     hom_module,
@@ -99,6 +97,8 @@ from kvcohom.graded import (
     is_kv_chain,
 )
 from kvcohom.linalg import Mat, inverse, kernel, solve
+
+from gather_loops import product_lists, two_step
 
 _ZERO = Fraction(0)
 _COEFFS = (-2, -1, 0, 0, 1, 3, Fraction(1, 2))
@@ -440,13 +440,13 @@ def reference_jacobi_algebra(A):
     if not verdict:
         raise PreconditionError(f"jacobi_algebra needs a KV product; {verdict.detail}")
     n = A.dim
-    gam, gam_t = _product_lists(A.product)
+    gam, gam_t = product_lists(A.product)
     items = {}
     for i in range(n):
         for j in range(n):
             base = (i * n + j) * n
             for l in range(n):
-                entry = _two_step((False, gam[i][j], gam_t[l]), (True, gam[j][l], gam[i]))
+                entry = two_step((False, gam[i][j], gam_t[l]), (True, gam[j][l], gam[i]))
                 for k, x in entry.items():
                     items[(base + k, l)] = x
     return kernel(Mat.from_items(n * n * n, n, items))
