@@ -700,13 +700,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cohomology", "exact cohomology table through a degree")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", help="coefficient module file (default: regular)")
-    p.add_argument("--q-max", dest="q_max", type=int, default=2)
+    p.add_argument("--q-max", dest="q_max", type=int)
     p.add_argument("--budget", type=int, help="table-cell budget override")
 
     p = add("nijenhuis", "commutator Chevalley-Eilenberg comparison table")
     p.add_argument("--algebra", required=True)
     p.add_argument("--module", help="coefficient module file (default: regular)")
-    p.add_argument("--q-max", dest="q_max", type=int, default=2)
+    p.add_argument("--q-max", dest="q_max", type=int)
 
     p = add("extend-algebra", "build the extension classified by a 2-cocycle")
     p.add_argument("--algebra", required=True)
@@ -730,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("deform-solve", "extend a jet order by order or certify obstructions")
     p.add_argument("--jet", required=True)
-    p.add_argument("--orders", type=int, default=1)
+    p.add_argument("--orders", type=int)
     p.add_argument("--emit", help="write the extended jet file here")
 
     p = add("rigidity", "tangent-space dimensions and the rigidity verdict")
@@ -754,26 +754,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True)
 
     p = add("aff-suite", "worked two-dimensional example with its cocycle pencil")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="0")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
 
     p = add("geodesic", "integrate the deformed-connection geodesic system")
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--beta", default="0")
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--vx0", type=float, default=1.0)
-    p.add_argument("--vy0", type=float, default=0.0)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--x0", type=float)
+    p.add_argument("--y0", type=float)
+    p.add_argument("--vx0", type=float)
+    p.add_argument("--vy0", type=float)
+    p.add_argument("--t0", type=float)
+    p.add_argument("--t1", type=float)
+    p.add_argument("--step", type=float)
 
     p = add("radiant", "solve for right identities")
     p.add_argument("--algebra", required=True)
 
     p = add("proptest", "seeded random invariant battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int)
 
     p = add("fixtures", "emit a named fixture file")
     p.add_argument("name", help=f"one of: {', '.join(fixture_names())}")

@@ -51,8 +51,11 @@ direct sum of spaces that is zero outside the blocks it is given, and
 `_block` reads one block back out.  They back `semidirect`, `direct_sum`,
 `module_direct_sum`, the extension totals of `extensions`, its (1,1)
 cochains placed from the blocks of a morphism defect (the bottom
-coboundary and both section cocycles) and the graded deformations and
-cochains of `graded`.
+coboundary and both section cocycles), the block checks of an extension
+file in `serialize` and the graded deformations and cochains of `graded`.
+`_morphism_defect` is the one defect of a linear map from being a module
+morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a, in those two blocks;
+`module_morphism_space` is the kernel of the defects of the basis maps.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
@@ -765,36 +768,52 @@ def module_direct_sum(W: KVModule, V: KVModule) -> KVModule:
     return KVModule(algebra=W.algebra, dim=M, left=left, right=right)
 
 
+def _minus(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+    return [p - q for p, q in zip(x, y)]
+
+
+def _morphism_defect(W: KVModule, X: KVModule, phi: Mat) -> tuple[list, list]:
+    """The two mixed blocks of the defect of phi: W -> X from being a module
+    morphism, for phi given by its rows phi(w_al) in X-coordinates:
+
+        [i][al] = phi(e_i w_al) - e_i phi(w_al)      (n x m x dim X)
+        [al][i] = phi(w_al e_i) - phi(w_al) e_i      (m x n x dim X)
+    """
+    phi_of, x = phi.transpose().mat_vec, X.dim
+
+    def times(planes) -> list[Mat]:
+        # row al of phi P is phi(w_al) acted on by the plane P of constants
+        return [mat_mul(phi, Mat._of(x, x, tuple(map(_sparse, p)))) for p in planes]
+
+    # e_i x reads row x of X.left[i], and x e_i row x of the plane X.right[.][i];
+    # an empty module axis would lose the algebra axis in the transpose
+    on_left = times(X.left)
+    on_right = times(tuple(zip(*X.right)) or ((),) * W.algebra.dim)
+    left = [
+        [_minus(phi_of(W.left[i][al]), p.row(al)) for al in range(W.dim)] for i, p in enumerate(on_left)
+    ]
+    right = [
+        [_minus(phi_of(W.right[al][i]), p.row(al)) for i, p in enumerate(on_right)] for al in range(W.dim)
+    ]
+    return left, right
+
+
 def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:
     """All linear maps phi: W -> V with phi(aw) = a phi(w) and phi(wa) = phi(w) a.
 
     Returned as a subspace of Hom(W, V) in the flattening phi[alpha][beta]
-    -> alpha * dim(V) + beta.
+    -> alpha * dim(V) + beta: the kernel of the matrix whose column
+    (alpha, beta) is the morphism defect of the basis map w_alpha -> v_beta,
+    both blocks flattened.
     """
     if W.algebra != V.algebra:
         raise DimensionError("module morphisms need a common base algebra")
-    n = W.algebra.dim
     mw, mv = W.dim, V.dim
-    dim = mw * mv
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        for al in range(mw):
-            for ga in range(mv):
-                # phi(e_i w_al) - e_i phi(w_al) = 0, coordinate ga
-                row = [_ZERO] * dim
-                for de in range(mw):
-                    row[de * mv + ga] += W.left[i][al][de]
-                for be in range(mv):
-                    row[al * mv + be] -= V.left[i][be][ga]
-                rows.append(row)
-                # phi(w_al e_i) - phi(w_al) e_i = 0, coordinate ga
-                row = [_ZERO] * dim
-                for de in range(mw):
-                    row[de * mv + ga] += W.right[al][i][de]
-                for be in range(mv):
-                    row[al * mv + be] -= V.right[be][i][ga]
-                rows.append(row)
-    return kernel(Mat.from_rows(rows, cols=dim))
+    columns = []
+    for al, be in itertools.product(range(mw), range(mv)):
+        left, right = _morphism_defect(W, V, Mat.from_items(mw, mv, {(al, be): _ONE}))
+        columns.append(_entries(left, 3) + _entries(right, 3))
+    return kernel(Mat.from_cols(columns, rows=2 * W.algebra.dim * mw * mv))
 
 
 def _transported(t: Tensor3, xs: Sequence[Vec], ys: Sequence[Vec], z: Mat) -> Tensor3:

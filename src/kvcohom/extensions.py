@@ -21,7 +21,8 @@ extensions with abelian kernel W.
 
 Both rest on one map, the defect of a linear map phi: W -> X from being a
 module morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a.
-`_morphism_defect` builds its two mixed blocks from the structure constants;
+`core._morphism_defect` builds its two mixed blocks from the structure
+constants (its kernel over the basis maps is `core.module_morphism_space`);
 `e11_coboundary0` places them as they are (X = V) and `cocycle_from_section`
 places their negatives (X = T), both in the block layout of `core`.  The
 algebra section cocycle reads sigma(a) sigma(a') - sigma(aa') the same way,
@@ -54,13 +55,15 @@ from .core import (
     _block,
     _blocks,
     _entries,
+    _minus,
+    _morphism_defect,
     _shaped,
     conjugate_algebra,
     is_module,
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, _sparse, mat_mul, solve
+from .linalg import IntRow, Mat, Vec, solve
 
 __all__ = [
     "BigradedCochain",
@@ -133,27 +136,17 @@ class BigradedCochain:
                         f"({self.w_degree},{self.a_degree}): nonzero at {args}"
                     )
 
-    def __add__(self, other: "BigradedCochain") -> "BigradedCochain":
-        if (self.a_dim, self.w_degree, self.a_degree) != (
-            other.a_dim,
-            other.w_degree,
-            other.a_degree,
-        ):
+    def _check_component(self, other: "BigradedCochain") -> None:
+        if (self.a_dim, self.w_degree, self.a_degree) != (other.a_dim, other.w_degree, other.a_degree):
             raise DimensionError("bigraded cochains live in different components")
-        return BigradedCochain(
-            self.cochain + other.cochain, self.a_dim, self.w_degree, self.a_degree
-        )
+
+    def __add__(self, other: "BigradedCochain") -> "BigradedCochain":
+        self._check_component(other)
+        return BigradedCochain(self.cochain + other.cochain, self.a_dim, self.w_degree, self.a_degree)
 
     def __sub__(self, other: "BigradedCochain") -> "BigradedCochain":
-        if (self.a_dim, self.w_degree, self.a_degree) != (
-            other.a_dim,
-            other.w_degree,
-            other.a_degree,
-        ):
-            raise DimensionError("bigraded cochains live in different components")
-        return BigradedCochain(
-            self.cochain - other.cochain, self.a_dim, self.w_degree, self.a_degree
-        )
+        self._check_component(other)
+        return BigradedCochain(self.cochain - other.cochain, self.a_dim, self.w_degree, self.a_degree)
 
 
 def graded_piece(f: Cochain, a_dim: int, p: int) -> Cochain:
@@ -190,36 +183,6 @@ def _theta_matrix(theta: Mat, mw: int, mv: int, what: str) -> Mat:
             f"{what} must be a {mw}x{mv} matrix, got {theta.rows}x{theta.cols}"
         )
     return theta
-
-
-def _minus(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    return [p - q for p, q in zip(x, y)]
-
-
-def _morphism_defect(W: KVModule, X: KVModule, phi: Mat) -> tuple[list, list]:
-    """The two mixed blocks of the defect of phi: W -> X from being a module
-    morphism, for phi given by its rows phi(w_al) in X-coordinates:
-
-        [i][al] = phi(e_i w_al) - e_i phi(w_al)      (n x m x dim X)
-        [al][i] = phi(w_al e_i) - phi(w_al) e_i      (m x n x dim X)
-    """
-    phi_of, x = phi.transpose().mat_vec, X.dim
-
-    def times(planes) -> list[Mat]:
-        # row al of phi P is phi(w_al) acted on by the plane P of constants
-        return [mat_mul(phi, Mat._of(x, x, tuple(map(_sparse, p)))) for p in planes]
-
-    # e_i x reads row x of X.left[i], and x e_i row x of the plane X.right[.][i];
-    # an empty module axis would lose the algebra axis in the transpose
-    on_left = times(X.left)
-    on_right = times(tuple(zip(*X.right)) or ((),) * W.algebra.dim)
-    left = [
-        [_minus(phi_of(W.left[i][al]), p.row(al)) for al in range(W.dim)] for i, p in enumerate(on_left)
-    ]
-    right = [
-        [_minus(phi_of(W.right[al][i]), p.row(al)) for i, p in enumerate(on_right)] for al in range(W.dim)
-    ]
-    return left, right
 
 
 def _one_one(A: KVAlgebra, W: KVModule, V: KVModule, left, right) -> BigradedCochain:

@@ -476,7 +476,7 @@ def radiant_primitive(
     n = A.dim
     if W.algebra != A:
         raise DimensionError("the module is over a different algebra")
-    if any(x != 0 for plane in W.right for row in plane for x in row):
+    if any(_entries(W.right, 3)):
         raise InputError("radiant primitives need a left module (zero right action)")
     verdict = is_module(A, W)
     if not verdict:

@@ -27,7 +27,11 @@ is the A_00 spec behind `is_kv`, the derivation rule and the even flow
 rule are one derivation-rule scan (`core._derivation_failure`, with theta
 and psi in the place of the bilinear map and the actions read from the odd
 module's integer view), and the two compatibility scans read theta and psi
-over one scale.
+over one scale; `is_connectionlike` lists theta once, for those scans and
+for its theta-cocycle rule.  `connectionlike_from_cocycle` reads the value
+range each (x, y) slot must leave zero from one table indexed by the
+number of odd arguments, and the two components from the block layout of
+`core`.
 """
 
 from __future__ import annotations
@@ -92,12 +96,8 @@ class GradedKVAlgebra:
     def __post_init__(self) -> None:
         if self.odd.algebra != self.even:
             raise DimensionError("odd part is not a module over the even part")
-        for plane in self.odd.right:
-            for row in plane:
-                if any(x != 0 for x in row):
-                    raise InputError(
-                        "the odd part must have zero right action (W . A = 0)"
-                    )
+        if any(_entries(self.odd.right, 3)):
+            raise InputError("the odd part must have zero right action (W . A = 0)")
         verdict = is_kv(self.even)
         if not verdict:
             raise PreconditionError(
@@ -207,9 +207,15 @@ def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
     and nothing anywhere else.
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
+    return _theta_rule(G, _int_lists(theta)[1])
+
+
+def _theta_rule(G: GradedKVAlgebra, T: tuple) -> CheckResult:
+    """The verdict of `is_theta_cocycle` from the nonzero lists T of theta,
+    over any one scale, as `_int_lists` or `_scaled_lists` gives them."""
     view = _view(G.odd)
     return _verdict(
-        _derivation_failure(_int_lists(theta)[1], view.left, view.left, view.left_t),
+        _derivation_failure(T, view.left, view.left, view.left_t),
         lambda i, al, be: f"derivation rule fails at (e_{i+1}, w_{al+1}, w_{be+1})",
     )
 
@@ -274,7 +280,7 @@ def is_connectionlike(G: GradedKVAlgebra, pair: ConnectionlikePair) -> Connectio
     psi_symmetric = CheckResult(
         True, detail="psi is stored once; both slot orders read the same tensor"
     )
-    theta_cocycle = is_theta_cocycle(G, pair.theta)
+    theta_cocycle = _theta_rule(G, T)
     # (c3) as defined: psi(theta(w,w'), a) = psi(w, psi(w',a)), at (al, be, i)
     compat = _verdict(
         _first(_sparse4((m, m, n), ((False, T, P_t, (0, 1, 2)), (True, P, P, (2, 1, 0))))),
@@ -357,27 +363,16 @@ def connectionlike_from_cocycle(G: GradedKVAlgebra, c: Cochain) -> ExtractionRes
         )
     n, m, N = G.n, G.m, G.dim
     table = _shaped(c.values, N, N, N)
-    for args in itertools.product(range(N), repeat=2):
-        x, y = args
-        odd = sum(1 for a in args if a >= n)
-        val = table[x][y]
-        even_part = val[:n]
-        odd_part = val[n:]
-        if odd == 2:
-            if any(v != 0 for v in even_part):
-                return ExtractionResult(
-                    None, f"even-valued component on the odd-odd slot {args}"
-                )
-        elif odd == 1:
-            if any(v != 0 for v in odd_part):
-                return ExtractionResult(
-                    None, f"odd-valued component on the mixed slot {args}"
-                )
-        else:
-            if any(v != 0 for v in val):
-                return ExtractionResult(
-                    None, f"component on the even-even slot {args}"
-                )
+    # by the number of odd arguments: the value coordinates that must vanish
+    slots = (
+        (0, N, "component on the even-even slot"),
+        (n, N, "odd-valued component on the mixed slot"),
+        (0, n, "even-valued component on the odd-odd slot"),
+    )
+    for x, y in itertools.product(range(N), repeat=2):
+        lo, hi, what = slots[(x >= n) + (y >= n)]
+        if any(table[x][y][lo:hi]):
+            return ExtractionResult(None, f"{what} {(x, y)}")
     psi = _block(table, 0, n, 0, n, m, n)
     psi_swapped = _block(table, n, 0, 0, m, n, n)
     for i in range(n):

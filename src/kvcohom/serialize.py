@@ -5,7 +5,9 @@ integers) so no float ever touches algebraic data, and all indices are
 0-based.  Emission is canonical — sorted keys, two-space indent, one
 trailing newline — so equal objects always produce identical bytes.
 Parsing is strict: wrong keys, wrong shapes, floats, or malformed
-rational strings raise InputError rather than being coerced.
+rational strings raise InputError rather than being coerced.  An extension
+file's total space is re-validated block by block in the block layout of
+`core`, against the base, kernel and quotient it carries.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any, Optional, Sequence
 # The heavier layers by module: each executes on its first use (see
 # the package docstring), so a verb runs only the layers it calls.
 from . import complexes, deform, extensions, graded
-from .core import KVAlgebra, KVModule, Tensor3
+from .core import KVAlgebra, KVModule, Tensor3, _block, _blocks, _entries
 from .errors import InputError
 from .linalg import Mat, Vec
 
@@ -264,28 +266,21 @@ def graded_from_obj(obj: Any) -> graded.GradedKVAlgebra:
 
 def extension_to_obj(ext) -> dict:
     """File body for an extension: the spaces plus the structural matrices."""
-    if isinstance(ext, extensions.AlgebraExtension):
-        return {
-            "kind": "algebra",
-            "base": algebra_to_obj(ext.base),
-            "kernel": module_to_obj(ext.kernel),
-            "total": algebra_to_obj(ext.total),
-            "injection": matrix_to_obj(ext.injection()),
-            "projection": matrix_to_obj(ext.projection()),
-            "section": matrix_to_obj(ext.canonical_section()),
-        }
-    if isinstance(ext, extensions.ModuleExtension):
-        return {
-            "kind": "module",
-            "base": algebra_to_obj(ext.base),
-            "kernel": module_to_obj(ext.kernel),
-            "quotient": module_to_obj(ext.quotient),
-            "total": module_to_obj(ext.total),
-            "injection": matrix_to_obj(ext.injection()),
-            "projection": matrix_to_obj(ext.projection()),
-            "section": matrix_to_obj(ext.canonical_section()),
-        }
-    raise InputError(f"cannot serialize {type(ext).__name__} as an extension")
+    algebra = isinstance(ext, extensions.AlgebraExtension)
+    if not algebra and not isinstance(ext, extensions.ModuleExtension):
+        raise InputError(f"cannot serialize {type(ext).__name__} as an extension")
+    out = {
+        "kind": "algebra" if algebra else "module",
+        "base": algebra_to_obj(ext.base),
+        "kernel": module_to_obj(ext.kernel),
+        "total": algebra_to_obj(ext.total) if algebra else module_to_obj(ext.total),
+        "injection": matrix_to_obj(ext.injection()),
+        "projection": matrix_to_obj(ext.projection()),
+        "section": matrix_to_obj(ext.canonical_section()),
+    }
+    if not algebra:
+        out["quotient"] = module_to_obj(ext.quotient)
+    return out
 
 
 def _check_matrix(obj: dict, key: str, want: Mat, what: str) -> None:
@@ -296,13 +291,22 @@ def _check_matrix(obj: dict, key: str, want: Mat, what: str) -> None:
         )
 
 
+def _require_blocks(message: str, *pairs: tuple[Tensor3, Tensor3]) -> None:
+    """Reject the file with message unless each (got, want) block pair is equal."""
+    if any(got != want for got, want in pairs):
+        raise InputError(message)
+
+
 def extension_from_obj(obj: Any):
     """Parse an extension file into the matching extension object.
 
-    The kernel (and quotient) blocks of the total space are checked
-    against the carried pieces entry by entry, and the three matrices
-    must equal the canonical block maps; anything else is rejected, since
-    the builders only ever produce block-form totals.
+    The total space is checked block by block in the layout of `core`
+    (`_block` reads each block, `_blocks` pads a kernel action to the
+    total's width): for an algebra the base block, then the kernel
+    actions, then the square-zero kernel block; for a module the kernel
+    blocks, then the quotient blocks.  The three matrices must equal the
+    canonical block maps; anything else is rejected, since the builders
+    only ever produce block-form totals.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("extension must be an object with a \"kind\" field")
@@ -317,55 +321,42 @@ def extension_from_obj(obj: Any):
         if total.dim != n + m:
             raise InputError("total algebra dimension must be dim base + dim kernel")
         ext = extensions.AlgebraExtension(base=base, kernel=kernel, total=total)
-        for i in range(n):
-            for j in range(n):
-                if total.product[m + i][m + j][m:] != base.product[i][j]:
-                    raise InputError("total product does not project onto the base")
-            for al in range(m):
-                if (
-                    total.product[m + i][al][:m] != kernel.left[i][al]
-                    or any(x != 0 for x in total.product[m + i][al][m:])
-                    or total.product[al][m + i][:m] != kernel.right[al][i]
-                    or any(x != 0 for x in total.product[al][m + i][m:])
-                ):
-                    raise InputError(
-                        "total product does not restrict to the kernel actions"
-                    )
-        for al in range(m):
-            for be in range(m):
-                if any(x != 0 for x in total.product[al][be]):
-                    raise InputError("the kernel must square to zero in the total")
+        P, t = total.product, n + m
+        _require_blocks(
+            "total product does not project onto the base",
+            (_block(P, m, m, m, n, n, n), base.product),
+        )
+        _require_blocks(
+            "total product does not restrict to the kernel actions",
+            (_block(P, m, 0, 0, n, m, t), _blocks(n, m, t, (kernel.left, 0, 0, 0))),
+            (_block(P, 0, m, 0, m, n, t), _blocks(m, n, t, (kernel.right, 0, 0, 0))),
+        )
+        if any(_entries(_block(P, 0, 0, 0, m, m, t), 3)):
+            raise InputError("the kernel must square to zero in the total")
     elif kind == "module":
         _require_keys(obj, common + ["quotient"], [], "module extension")
         base = algebra_from_obj(obj["base"])
         kernel = module_from_obj(obj["kernel"], algebra=base)
         quotient = module_from_obj(obj["quotient"], algebra=base)
         total = module_from_obj(obj["total"], algebra=base)
-        v, m = kernel.dim, quotient.dim
-        if total.dim != v + m:
+        n, v, m = base.dim, kernel.dim, quotient.dim
+        t = v + m
+        if total.dim != t:
             raise InputError(
                 "total module dimension must be dim kernel + dim quotient"
             )
         ext = extensions.ModuleExtension(base=base, kernel=kernel, quotient=quotient, total=total)
-        for i in range(base.dim):
-            for ga in range(v):
-                if (
-                    total.left[i][ga][:v] != kernel.left[i][ga]
-                    or any(x != 0 for x in total.left[i][ga][v:])
-                    or total.right[ga][i][:v] != kernel.right[ga][i]
-                    or any(x != 0 for x in total.right[ga][i][v:])
-                ):
-                    raise InputError(
-                        "total actions do not restrict to the kernel module"
-                    )
-            for al in range(m):
-                if (
-                    total.left[i][v + al][v:] != quotient.left[i][al]
-                    or total.right[v + al][i][v:] != quotient.right[al][i]
-                ):
-                    raise InputError(
-                        "total actions do not project onto the quotient module"
-                    )
+        L, R = total.left, total.right
+        _require_blocks(
+            "total actions do not restrict to the kernel module",
+            (_block(L, 0, 0, 0, n, v, t), _blocks(n, v, t, (kernel.left, 0, 0, 0))),
+            (_block(R, 0, 0, 0, v, n, t), _blocks(v, n, t, (kernel.right, 0, 0, 0))),
+        )
+        _require_blocks(
+            "total actions do not project onto the quotient module",
+            (_block(L, 0, v, v, n, m, m), quotient.left),
+            (_block(R, v, 0, v, m, n, m), quotient.right),
+        )
     else:
         raise InputError(f"unknown extension kind {kind!r}")
     _check_matrix(obj, "injection", ext.injection(), f"{kind} extension")

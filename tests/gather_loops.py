@@ -1,13 +1,25 @@
-"""The gather loops that the package's one scatter kernel replaced, kept as
-references for the tests.
+"""Loops that the package replaced by its shared kernels and layouts, kept
+as references for the tests.
 
 `product_lists` lists the nonzero constants of any d1 x d2 x d3 tensor as
 they are, Fractions or ints, indexed both ways, and `two_step` sums the
 two-step products that reach one output tuple.  A scan built on them visits
 every output tuple in lexicographic order, zero constants included, and
-stops at the first nonzero sum.  Tests import this module by name; pytest
-puts the directory of the test files on the import path.
+stops at the first nonzero sum, as the package's one scatter kernel did
+not replace.
+
+`extension_defects` runs the entry-by-entry checks of an extension file's
+total space with hand-written offsets, and `dense_morphism_space` builds
+the module-morphism equations as dense Fraction rows; the package reads
+both from the block layout and the one morphism defect of `core`.
+
+Tests import this module by name; pytest puts the directory of the test
+files on the import path.
 """
+
+from fractions import Fraction
+
+from kvcohom.linalg import Mat, kernel
 
 
 def product_lists(t):
@@ -37,3 +49,78 @@ def two_step(*terms):
             for t, x in second[s]:
                 acc[t] = acc.get(t, 0) + c * x
     return {t: v for t, v in acc.items() if v}
+
+
+def extension_defects(kind, base, kernel_module, total, quotient=None):
+    """Every defect message of the entry-by-entry checks of an extension
+    file's total space, in the order the loops meet them; the first is the
+    one a file used to be rejected with, and an empty list accepts it.
+
+    An algebra total lives on W + A (kernel first), a module total on V + W.
+    """
+    out = []
+    if kind == "algebra":
+        n, m = base.dim, kernel_module.dim
+        P = total.product
+        for i in range(n):
+            for j in range(n):
+                if P[m + i][m + j][m:] != base.product[i][j]:
+                    out.append("total product does not project onto the base")
+            for al in range(m):
+                if (
+                    P[m + i][al][:m] != kernel_module.left[i][al]
+                    or any(x != 0 for x in P[m + i][al][m:])
+                    or P[al][m + i][:m] != kernel_module.right[al][i]
+                    or any(x != 0 for x in P[al][m + i][m:])
+                ):
+                    out.append("total product does not restrict to the kernel actions")
+        for al in range(m):
+            for be in range(m):
+                if any(x != 0 for x in P[al][be]):
+                    out.append("the kernel must square to zero in the total")
+        return out
+    v = kernel_module.dim
+    for i in range(base.dim):
+        for ga in range(v):
+            if (
+                total.left[i][ga][:v] != kernel_module.left[i][ga]
+                or any(x != 0 for x in total.left[i][ga][v:])
+                or total.right[ga][i][:v] != kernel_module.right[ga][i]
+                or any(x != 0 for x in total.right[ga][i][v:])
+            ):
+                out.append("total actions do not restrict to the kernel module")
+        for al in range(quotient.dim):
+            if (
+                total.left[i][v + al][v:] != quotient.left[i][al]
+                or total.right[v + al][i][v:] != quotient.right[al][i]
+            ):
+                out.append("total actions do not project onto the quotient module")
+    return out
+
+
+def dense_morphism_space(W, V):
+    """The maps phi: W -> V with phi(aw) = a phi(w) and phi(wa) = phi(w) a,
+    as the kernel of dense Fraction rows, one per (i, al, ga) and side, in
+    the flattening phi[al][be] -> al * dim(V) + be."""
+    n = W.algebra.dim
+    mw, mv = W.dim, V.dim
+    dim = mw * mv
+    rows = []
+    for i in range(n):
+        for al in range(mw):
+            for ga in range(mv):
+                # phi(e_i w_al) - e_i phi(w_al) = 0, coordinate ga
+                row = [Fraction(0)] * dim
+                for de in range(mw):
+                    row[de * mv + ga] += W.left[i][al][de]
+                for be in range(mv):
+                    row[al * mv + be] -= V.left[i][be][ga]
+                rows.append(row)
+                # phi(w_al e_i) - phi(w_al) e_i = 0, coordinate ga
+                row = [Fraction(0)] * dim
+                for de in range(mw):
+                    row[de * mv + ga] += W.right[al][i][de]
+                for be in range(mv):
+                    row[al * mv + be] -= V.right[be][i][ga]
+                rows.append(row)
+    return kernel(Mat.from_rows(rows, cols=dim))

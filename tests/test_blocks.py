@@ -5,7 +5,7 @@ of `semidirect` and `direct_sum`, the actions of `module_direct_sum` and
 `extend_module_to_semidirect`, the extension totals, the graded deformation
 and the graded 2-cochains, and the (1,1) cochains that `e11_coboundary0`
 and `cocycle_from_section` place from the blocks of
-`extensions._morphism_defect`.  `core._block` reads a block back out for
+`core._morphism_defect`.  `core._block` reads a block back out for
 `extensions._split_semidirect` and the two section cocycles.
 `embed_w_map`, the shear check of `algebra_extensions_equivalent` and
 `deform.pushforward_jet` are checked against the loops they replaced too.

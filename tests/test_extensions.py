@@ -65,6 +65,8 @@ from kvcohom.extensions import (
 from kvcohom.fixtures import aff, zero_algebra
 from kvcohom.linalg import Mat, kernel, mat_mul, rank, solve
 
+from gather_loops import dense_morphism_space
+
 F = Fraction
 
 
@@ -287,6 +289,17 @@ def test_bottom_kernel_is_the_module_morphism_space():
     # morphisms are exactly the scalar multiples of the identity.
     assert ker.dim == 1
     assert ker.contains([F(1), F(0), F(0), F(1)])
+    setups = []
+    for s in range(1, 25):
+        A = random_kv(s, n_max=3)
+        setups.append((A, random_module(A, s), random_module(A, s + 1)))
+    assert any(any(x for t in V.right for r in t for x in r) for _, _, V in setups)
+    assert len({module_morphism_space(W, V).dim for _, W, V in setups}) > 2
+    for A, W, V in setups:
+        morphs = module_morphism_space(W, V)
+        assert morphs == kernel(e11_matrix(A, W, V, 0))
+        # the dense rows of the equations phi(aw) = a phi(w), phi(wa) = phi(w) a
+        assert morphs == dense_morphism_space(W, V)
 
 
 def test_e11_matrices_compose_to_zero():

@@ -395,7 +395,7 @@ def test_graded_and_parallelism_rules_list_no_module_constants_again(monkeypatch
     assert len(listed) == 1 and listed[0] is theta
     listed.clear()
     is_connectionlike(G, ConnectionlikePair(theta, psi))
-    assert listed and all(t is theta or t is psi for t in listed)
+    assert len(listed) == 2 and listed[0] is theta and listed[1] is psi
     for g in gs:
         listed.clear()
         try:

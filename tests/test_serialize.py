@@ -1,6 +1,7 @@
 """File-format round trips and strict-parsing rejections."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,20 +12,26 @@ from kvcohom import serialize as sz
 from kvcohom.complexes import Cochain
 from kvcohom.core import (
     KVModule,
+    _blocks,
     random_kv,
     random_module,
     regular_bimodule,
     semidirect,
+    tensor3,
     zero3,
+    zero_module,
 )
 from kvcohom.errors import DimensionError, InputError
 from kvcohom.extensions import (
     BigradedCochain,
+    ModuleExtension,
     algebra_extension_from_cocycle,
     extend_module_to_semidirect,
     module_extension_from_cocycle,
 )
 from kvcohom.fixtures import aff, graded_flat, obstructed_jet
+
+from gather_loops import extension_defects
 
 F = Fraction
 
@@ -246,6 +253,81 @@ def test_tampered_extension_files_are_rejected():
     bad["kind"] = "mystery"
     with pytest.raises(InputError):
         sz.extension_from_obj(bad)
+
+
+_VALUES = ("0", "1", "-1", "1/2", "3")
+
+
+def _random_block(rng, d1, d2, d3):
+    return tensor3([[[rng.choice(_VALUES) for _ in range(d3)] for _ in range(d2)] for _ in range(d1)])
+
+
+def _extension_files(rng):
+    """Algebra and module extension files over seeded algebras and modules,
+    with random values in the blocks a file leaves free (omega; theta and
+    psi), kernels of dimension 0 included."""
+    files = []
+    for s in range(1, 31):
+        A = random_kv(s, n_max=3)
+        n = A.dim
+        W = random_module(A, s, m_max=2) if s % 5 else zero_module(A, 0)
+        omega = Cochain(A, W, 2, tuple(F(rng.choice(_VALUES)) for _ in range(n * n * W.dim)))
+        files.append(sz.extension_to_obj(algebra_extension_from_cocycle(A, W, omega)))
+        V = random_module(A, s + 1, m_max=2) if s % 7 else zero_module(A, 0)
+        v, m = V.dim, W.dim
+        theta, psi = _random_block(rng, n, m, v), _random_block(rng, m, n, v)
+        left = _blocks(n, v + m, v + m, (V.left, 0, 0, 0), (theta, 0, v, 0), (W.left, 0, v, v))
+        right = _blocks(v + m, n, v + m, (V.right, 0, 0, 0), (psi, v, 0, 0), (W.right, v, 0, v))
+        total = KVModule(algebra=A, dim=v + m, left=left, right=right)
+        files.append(sz.extension_to_obj(ModuleExtension(base=A, kernel=V, quotient=W, total=total)))
+    return files
+
+
+def _defects(obj):
+    """The defect messages of the entry-by-entry reference on a parsed file."""
+    base = sz.algebra_from_obj(obj["base"])
+    kernel = sz.module_from_obj(obj["kernel"], algebra=base)
+    if obj["kind"] == "algebra":
+        return extension_defects("algebra", base, kernel, sz.algebra_from_obj(obj["total"]))
+    quotient = sz.module_from_obj(obj["quotient"], algebra=base)
+    total = sz.module_from_obj(obj["total"], algebra=base)
+    return extension_defects("module", base, kernel, total, quotient)
+
+
+def test_block_checks_of_extension_files_match_the_entrywise_reference():
+    rng = random.Random("extension-mutants")
+    seen = {"accepted": 0, "one kind": 0, "two kinds": 0}
+    for good in _extension_files(rng):
+        assert sz.extension_from_obj(good) is not None and _defects(good) == []
+        tensors = ["product"] if good["kind"] == "algebra" else ["left", "right"]
+        cells = [
+            (key, i, j, k)
+            for key in tensors
+            for i, plane in enumerate(good["total"][key])
+            for j, row in enumerate(plane)
+            for k in range(len(row))
+        ]
+        for _ in range(20):
+            bad = json.loads(json.dumps(good))
+            for key, i, j, k in rng.sample(cells, min(len(cells), rng.choice((1, 2)))):
+                bad["total"][key][i][j][k] = rng.choice(_VALUES)
+            defects = _defects(bad)
+            try:
+                sz.extension_from_obj(bad)
+                got = None
+            except InputError as exc:
+                got = str(exc)
+            if not defects:
+                assert got is None
+                seen["accepted"] += 1
+            elif len(set(defects)) == 1:
+                assert got == defects[0]
+                seen["one kind"] += 1
+            else:
+                # two kinds of defect: the block order may name the other one
+                assert got in defects
+                seen["two kinds"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- canonical emission -------------------------------------------------------
