@@ -316,7 +316,8 @@ def _pieces(f: Cochain, k: int) -> dict[int, list[Fraction]]:
 
 
 def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
-    """(delta w)(a) = -aw + wa as a degree-1 cochain.
+    """(delta w)(a) = -aw + wa as a degree-1 cochain: the one column of the
+    degree-0 matrix on w.
 
     With check=True (the default) the element must lie in J(W); outside J(W)
     the formula still parses but delta(delta w) fails to vanish, so admission
@@ -331,12 +332,7 @@ def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
                 "degree-0 cochains live in the Jacobi subspace J(W); "
                 "this element is outside it"
             )
-    out: list[Fraction] = []
-    for i in range(A.dim):
-        a = A.basis_element(i)
-        val = W.right_act(w, a) - W.left_act(a, w)
-        out.extend(val.coords)
-    return Cochain(A, W, 1, tuple(out))
+    return Cochain(A, W, 1, _delta0_matrix(A, W, [w.coords]).entries)
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -407,17 +403,18 @@ def _coboundary_sums(
     return D * d, {off: x for off, x in acc.items() if x}
 
 
-def _delta0_matrix(A: KVAlgebra, W: KVModule, J) -> Mat:
-    """The degree-0 coboundary on the echelon basis of J = J(W).
+def _delta0_matrix(A: KVAlgebra, W: KVModule, vectors: Sequence[Sequence[Fraction]]) -> Mat:
+    """The degree-0 coboundary on the given vectors of W, one column each;
+    on the echelon basis of J(W) it is the matrix of delta_0.
 
-    Column t holds (delta b)(e_i) = -e_i b + b e_i for the basis vector b
-    of J at rows i * m + ga, read from the action lists of W's integer view
-    and divided by D once.
+    Column t holds (delta b)(e_i) = -e_i b + b e_i for the vector b =
+    vectors[t] at rows i * m + ga, read from the action lists of W's
+    integer view and divided by D once.
     """
     m = W.dim
     D, _, _, left, _, _, right_t = _module_view(A, W)
     rows: list[dict] = [{} for _ in range(A.dim * m)]
-    for t, b in enumerate(J.basis):
+    for t, b in enumerate(vectors):
         acc: dict[int, Fraction] = {}
         for be, y in enumerate(b):
             if y:
@@ -429,7 +426,7 @@ def _delta0_matrix(A: KVAlgebra, W: KVModule, J) -> Mat:
         for pos, x in acc.items():
             if x:
                 rows[pos][t] = x / D
-    return Mat._of(len(rows), J.dim, tuple(rows))
+    return Mat._of(len(rows), len(vectors), tuple(rows))
 
 
 def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
@@ -442,7 +439,7 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     if q < 0:
         raise InputError("coboundary degree must be non-negative")
     if q == 0:
-        return _delta0_matrix(A, W, jacobi_module(A, W))
+        return _delta0_matrix(A, W, jacobi_module(A, W).basis)
     return _matrix(*_coboundary_rows(A, W, q), A.dim**q * W.dim)
 
 
@@ -613,7 +610,7 @@ def cohomology(
     for q in range(q_max + 2):
         check_budget(n, m, q, budget)
     J = jacobi_module(A, W)
-    d_prev = (_integral_rows(_delta0_matrix(A, W, J))[1], J.dim)
+    d_prev = (_integral_rows(_delta0_matrix(A, W, J.basis))[1], J.dim)
 
     degrees: list[DegreeData] = []
     # Degree 0: C_0 = J(W), no coboundaries from below.
@@ -672,7 +669,7 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         return f if f.is_zero() else None
     if f.degree == 1:
         J = jacobi_module(A, W)
-        x = solve(_delta0_matrix(A, W, J), f.values)
+        x = solve(_delta0_matrix(A, W, J.basis), f.values)
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
     q, values, outputs = f.degree - 1, _nonzero_values(f), None
     if q == 2:

@@ -55,7 +55,8 @@ coboundary and both section cocycles), the block checks of an extension
 file in `serialize` and the graded deformations and cochains of `graded`.
 `_morphism_defect` is the one defect of a linear map from being a module
 morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a, in those two blocks;
-`module_morphism_space` is the kernel of the defects of the basis maps.
+`module_morphism_space` is the kernel of the bottom matrix of the p = 1
+column of `extensions`, whose degree-0 cocycles are the module morphisms.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
@@ -802,18 +803,14 @@ def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:
     """All linear maps phi: W -> V with phi(aw) = a phi(w) and phi(wa) = phi(w) a.
 
     Returned as a subspace of Hom(W, V) in the flattening phi[alpha][beta]
-    -> alpha * dim(V) + beta: the kernel of the matrix whose column
-    (alpha, beta) is the morphism defect of the basis map w_alpha -> v_beta,
-    both blocks flattened.
+    -> alpha * dim(V) + beta: the degree-0 cocycles of the p = 1 column of
+    `extensions`, the kernel of its bottom matrix.
     """
     if W.algebra != V.algebra:
         raise DimensionError("module morphisms need a common base algebra")
-    mw, mv = W.dim, V.dim
-    columns = []
-    for al, be in itertools.product(range(mw), range(mv)):
-        left, right = _morphism_defect(W, V, Mat.from_items(mw, mv, {(al, be): _ONE}))
-        columns.append(_entries(left, 3) + _entries(right, 3))
-    return kernel(Mat.from_cols(columns, rows=2 * W.algebra.dim * mw * mv))
+    from . import extensions
+
+    return kernel(extensions.e11_matrix(W.algebra, W, V, 0))
 
 
 def _transported(t: Tensor3, xs: Sequence[Vec], ys: Sequence[Vec], z: Mat) -> Tensor3:

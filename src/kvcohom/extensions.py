@@ -22,11 +22,13 @@ extensions with abelian kernel W.
 Both rest on one map, the defect of a linear map phi: W -> X from being a
 module morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a.
 `core._morphism_defect` builds its two mixed blocks from the structure
-constants (its kernel over the basis maps is `core.module_morphism_space`);
-`e11_coboundary0` places them as they are (X = V) and `cocycle_from_section`
-places their negatives (X = T), both in the block layout of `core`.  The
-algebra section cocycle reads sigma(a) sigma(a') - sigma(aa') the same way,
-and the shear of an algebra equivalence is checked by `conjugate_algebra`.
+constants; `e11_coboundary0` places them as they are (X = V) and
+`cocycle_from_section` places their negatives (X = T), both in the block
+layout of `core`.  The kernel of the bottom matrix `e11_matrix(..., 0)` is
+`core.module_morphism_space`.  The algebra section cocycle reads
+sigma(a) sigma(a') - sigma(aa') the same way; the shear of an algebra
+equivalence is the preimage `complexes.is_coboundary` finds for the
+difference of the two section cocycles, checked by `conjugate_algebra`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .complexes import (
     _flat,
     _matrix,
     _pieces,
-    coboundary_matrix,
+    is_coboundary,
 )
 from .core import (
     KVAlgebra,
@@ -63,7 +65,7 @@ from .core import (
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, Vec, solve
+from .linalg import IntRow, Mat, solve
 
 __all__ = [
     "BigradedCochain",
@@ -73,9 +75,6 @@ __all__ = [
     "w_count",
     "bigrade",
     "graded_piece",
-    "in_filtration_at_least",
-    "in_filtration_at_most",
-    "embed_w_map",
     "e11_coboundary0",
     "e11_support",
     "e11_matrix",
@@ -167,16 +166,6 @@ def bigrade(f: Cochain, a_dim: int) -> list[tuple[int, int, BigradedCochain]]:
     ]
 
 
-def in_filtration_at_least(f: Cochain, a_dim: int, p: int) -> bool:
-    """Membership in F^p: every nonzero component has W-degree >= p."""
-    return all(comp_p >= p for comp_p, _, _ in bigrade(f, a_dim))
-
-
-def in_filtration_at_most(f: Cochain, a_dim: int, p: int) -> bool:
-    """Membership in F_p: every nonzero component has W-degree <= p."""
-    return all(comp_p <= p for comp_p, _, _ in bigrade(f, a_dim))
-
-
 def _theta_matrix(theta: Mat, mw: int, mv: int, what: str) -> Mat:
     if theta.rows != mw or theta.cols != mv:
         raise DimensionError(
@@ -193,14 +182,6 @@ def _one_one(A: KVAlgebra, W: KVModule, V: KVModule, left, right) -> BigradedCoc
     table = _blocks(N, N, V.dim, (left, 0, n, 0), (right, n, 0, 0))
     cochain = Cochain(G, extend_module_to_semidirect(G, n, V), 2, _entries(table, 3))
     return BigradedCochain(cochain, n, 1, 1)
-
-
-def embed_w_map(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> Cochain:
-    """A linear map theta: W -> V as a 1-cochain over G supported on W."""
-    _theta_matrix(theta, W.dim, V.dim, "theta")
-    G = semidirect(A, W)
-    values = _expand_support(theta.entries, e11_support(A, W, V, 0), G.dim * V.dim)
-    return Cochain(G, extend_module_to_semidirect(G, A.dim, V), 1, values)
 
 
 def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> BigradedCochain:
@@ -342,18 +323,6 @@ class ModuleExtension:
         """The block injection W -> T of the chosen splitting."""
         m = self.quotient.dim
         return _unit_block(m, self.total.dim, m, 0, self.kernel.dim)
-
-    def theta_values(self) -> list[list[Vec]]:
-        """theta(e_i, w_al) in V-coordinates, read back from the total action."""
-        v = self.kernel.dim
-        theta = _block(self.total.left, 0, v, 0, self.base.dim, self.quotient.dim, v)
-        return [list(p) for p in theta]
-
-    def psi_values(self) -> list[list[Vec]]:
-        """psi(e_i, w_al) in V-coordinates, read back from the total action."""
-        n, v = self.base.dim, self.kernel.dim
-        psi = _block(self.total.right, v, 0, 0, self.quotient.dim, n, v)
-        return [[p[i] for p in psi] for i in range(n)]
 
 
 def module_extension_from_cocycle(
@@ -518,10 +487,11 @@ def algebra_extensions_equivalent(
 ) -> Optional[Mat]:
     """The shear realizing an equivalence, or None when there is none.
 
-    An equivalence is an algebra isomorphism (w, a) -> (w + psi(a), a); its
-    existence is decided by an exact linear solve for psi and then the
-    candidate is verified by transporting the product of the first total
-    along the shear, as the basis change [[I, psi^T], [0, I]].
+    An equivalence is an algebra isomorphism (w, a) -> (w + psi(a), a); it
+    exists exactly when omega_2 - omega_1 = delta psi, so psi is the
+    preimage `is_coboundary` finds, and the candidate is then verified by
+    transporting the product of the first total along the shear, as the
+    basis change [[I, psi^T], [0, I]].
     """
     if ext1.base != ext2.base or ext1.kernel != ext2.kernel:
         raise DimensionError("extensions live over different data")
@@ -529,11 +499,10 @@ def algebra_extensions_equivalent(
     n, m = A.dim, W.dim
     o1 = algebra_cocycle_from_section(ext1, ext1.canonical_section())
     o2 = algebra_cocycle_from_section(ext2, ext2.canonical_section())
-    diff = o2 - o1  # need delta psi = omega_2 - omega_1
-    M = coboundary_matrix(A, W, 1)
-    x = solve(M, diff.values)
-    if x is None:
+    pre = is_coboundary(o2 - o1)  # need delta psi = omega_2 - omega_1
+    if pre is None:
         return None
+    x = pre.values
     psi = Mat.from_rows([x[i * m : (i + 1) * m] for i in range(n)], cols=m)
     t = m + n
     diagonal = {(k, k): _ONE for k in range(t)}

@@ -133,11 +133,6 @@ class GradedKVAlgebra:
         once per object."""
         return self._total
 
-    def parity_of_index(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise InputError(f"basis index {i} out of range")
-        return 0 if i < self.n else 1
-
 
 def graded_component(G: GradedKVAlgebra, f: Cochain, r: int, s: int, p: int) -> Cochain:
     """The piece of f with r even arguments, s odd arguments, value parity p.

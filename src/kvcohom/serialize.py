@@ -33,7 +33,6 @@ __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
     "vector_to_obj",
-    "vector_from_obj",
     "algebra_to_obj",
     "algebra_from_obj",
     "module_to_obj",
@@ -119,10 +118,6 @@ def matrix_from_obj(obj: Any, rows: int, cols: int, what: str) -> Mat:
 
 def vector_to_obj(v: Vec) -> list:
     return [format_rat(x) for x in v]
-
-
-def vector_from_obj(obj: Any, length: int, what: str) -> Vec:
-    return tuple(_rat_row(obj, length, what))
 
 
 def _require_keys(obj: Any, required: Sequence[str], optional: Sequence[str], what: str) -> None:

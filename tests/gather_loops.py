@@ -11,7 +11,12 @@ not replace.
 `extension_defects` runs the entry-by-entry checks of an extension file's
 total space with hand-written offsets, and `dense_morphism_space` builds
 the module-morphism equations as dense Fraction rows; the package reads
-both from the block layout and the one morphism defect of `core`.
+the first from the block layout of `core` and the second as the kernel of
+the bottom matrix of the p = 1 column.  `reference_coboundary0` evaluates
+(delta w)(a) = -aw + wa with `Element` arithmetic, which the package reads
+from the degree-0 matrix, and `reference_embed_w_map` places a map
+theta: W -> V as a 1-cochain over the semidirect sum, the cochain whose
+coboundary is the bottom map of the p = 1 column.
 
 Tests import this module by name; pytest puts the directory of the test
 files on the import path.
@@ -19,6 +24,9 @@ files on the import path.
 
 from fractions import Fraction
 
+from kvcohom.complexes import Cochain
+from kvcohom.core import semidirect
+from kvcohom.extensions import extend_module_to_semidirect
 from kvcohom.linalg import Mat, kernel
 
 
@@ -124,3 +132,28 @@ def dense_morphism_space(W, V):
                     row[al * mv + be] -= V.right[be][i][ga]
                 rows.append(row)
     return kernel(Mat.from_rows(rows, cols=dim))
+
+
+def reference_coboundary0(W, w):
+    """(delta w)(a) = -aw + wa as a degree-1 cochain, for any element w of
+    W, through `Element` products."""
+    A = W.algebra
+    out = []
+    for i in range(A.dim):
+        a = A.basis_element(i)
+        out.extend((W.right_act(w, a) - W.left_act(a, w)).coords)
+    return Cochain(A, W, 1, tuple(out))
+
+
+def reference_embed_w_map(A, W, V, theta):
+    """A linear map theta: W -> V, given by its rows theta(w_al), as a
+    1-cochain over G = A + W that is zero on A."""
+    G = semidirect(A, W)
+    Vt = extend_module_to_semidirect(G, A.dim, V)
+    vals = []
+    for i in range(G.dim):
+        if i < A.dim:
+            vals.extend([Fraction(0)] * V.dim)
+        else:
+            vals.extend(theta.row(i - A.dim))
+    return Cochain(G, Vt, 1, tuple(vals))

@@ -7,7 +7,8 @@ and the graded 2-cochains, and the (1,1) cochains that `e11_coboundary0`
 and `cocycle_from_section` place from the blocks of
 `core._morphism_defect`.  `core._block` reads a block back out for
 `extensions._split_semidirect` and the two section cocycles.
-`embed_w_map`, the shear check of `algebra_extensions_equivalent` and
+The bottom map of the p = 1 column against the coboundary of the
+embedded map, the shear check of `algebra_extensions_equivalent` and
 `deform.pushforward_jet` are checked against the loops they replaced too.
 Each check below runs a copy of the loop it replaced as a reference, on
 fixtures and on seeded random inputs (cocycles and non-cocycles alike,
@@ -55,7 +56,6 @@ from kvcohom.extensions import (
     e11_coboundary0,
     e11_cohomology,
     e11_support,
-    embed_w_map,
     extend_module_to_semidirect,
     module_extension_from_cocycle,
 )
@@ -76,6 +76,8 @@ from kvcohom.graded import (
     embed_theta,
 )
 from kvcohom.linalg import Mat, solve
+
+from gather_loops import reference_embed_w_map
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -506,19 +508,6 @@ def test_graded_builders_match_the_copy_loops():
 # extensions: the morphism defect and the section cocycles
 
 
-def reference_embed_w_map(A, W, V, theta):
-    G = semidirect(A, W)
-    Vt = extend_module_to_semidirect(G, A.dim, V)
-    n, v = A.dim, V.dim
-    vals = []
-    for i in range(G.dim):
-        if i < n:
-            vals.extend([_ZERO] * v)
-        else:
-            vals.extend(theta.row(i - n))
-    return Cochain(G, Vt, 1, tuple(vals))
-
-
 def reference_e11_coboundary0(A, W, V, theta):
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
@@ -665,7 +654,7 @@ def test_extension_maps_and_section_cocycles_match_the_element_loops():
     kinds = set()
     for A, W, V in _pairs() + _zero_dimensional_triples():
         theta = _random_mat(rng, W.dim, V.dim)
-        assert embed_w_map(A, W, V, theta) == reference_embed_w_map(A, W, V, theta)
+        assert e11_coboundary0(A, W, V, theta).cochain == coboundary(reference_embed_w_map(A, W, V, theta))
         assert e11_coboundary0(A, W, V, theta) == reference_e11_coboundary0(A, W, V, theta)
         for f in _one_one_cochains(rng, A, W, V):
             got = _outcome(module_extension_from_cocycle, A, W, V, f)

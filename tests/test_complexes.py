@@ -70,6 +70,8 @@ from kvcohom.linalg import (
     zeros,
 )
 
+from gather_loops import reference_coboundary0
+
 
 def _random_cochain(rng, A, W, q, scale=4):
     vals = [
@@ -139,6 +141,30 @@ def test_coboundary0_rejects_outside_jacobi():
     W = regular_bimodule(A)
     with pytest.raises(PreconditionError):
         coboundary0(W, Element.of([0, 1]))  # e2 is outside J = span{e1}
+
+
+def test_coboundary0_matches_the_element_formula():
+    """coboundary0 reads its one column from the degree-0 matrix; the
+    Element formula -aw + wa is the reference, on J(W) with the check and
+    on arbitrary elements without it."""
+    rng = random.Random(29)
+    cases = [(aff(), regular_bimodule(aff())), (rad2(), regular_bimodule(rad2()))]
+    for seed in range(1, 41):
+        A = random_kv(seed, n_max=4)
+        cases.append((A, random_module(A, seed + 7)))
+    empty = KVAlgebra(0, zero3(0, 0, 0))
+    cases += [(empty, zero_module(empty, 2)), (aff(), zero_module(aff(), 0)), (empty, zero_module(empty, 0))]
+    outside = 0
+    for A, W in cases:
+        J = jacobi_module(A, W)
+        for b in J.basis:
+            w = Element(b)
+            assert coboundary0(W, w) == reference_coboundary0(W, w)
+        for _ in range(3):
+            w = Element(tuple(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(W.dim)))
+            outside += not J.contains(w.coords)
+            assert coboundary0(W, w, check=False) == reference_coboundary0(W, w)
+    assert outside >= 5
 
 
 def test_coboundary_routes_degree0():

@@ -53,19 +53,16 @@ from kvcohom.extensions import (
     e11_cohomology,
     e11_matrix,
     e11_support,
-    embed_w_map,
     extend_module_to_semidirect,
     extensions_equivalent,
     graded_piece,
-    in_filtration_at_least,
-    in_filtration_at_most,
     module_extension_from_cocycle,
     w_count,
 )
 from kvcohom.fixtures import aff, zero_algebra
 from kvcohom.linalg import Mat, kernel, mat_mul, rank, solve
 
-from gather_loops import dense_morphism_space
+from gather_loops import dense_morphism_space, reference_embed_w_map
 
 F = Fraction
 
@@ -237,11 +234,13 @@ def test_filtrations_are_stable_under_coboundary():
                     high = high + comp.cochain
                 else:
                     low = low + comp.cochain
-            assert in_filtration_at_least(high, A.dim, p)
-            assert in_filtration_at_least(coboundary(high), A.dim, p)
+            # F^p: every nonzero component has W-degree >= p
+            assert all(comp_p >= p for comp_p, _, _ in bigrade(high, A.dim))
+            assert all(comp_p >= p for comp_p, _, _ in bigrade(coboundary(high), A.dim))
             if p >= 1:
-                assert in_filtration_at_most(low, A.dim, p - 1)
-                assert in_filtration_at_most(coboundary(low), A.dim, p - 1)
+                # F_{p-1}: every nonzero component has W-degree <= p - 1
+                assert all(comp_p <= p - 1 for comp_p, _, _ in bigrade(low, A.dim))
+                assert all(comp_p <= p - 1 for comp_p, _, _ in bigrade(coboundary(low), A.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def test_bottom_map_agrees_with_the_general_coboundary():
         for _ in range(10):
             theta = random_theta(rng, W.dim, V.dim)
             direct = e11_coboundary0(A, W, V, theta)
-            via_embed = coboundary(embed_w_map(A, W, V, theta))
+            via_embed = coboundary(reference_embed_w_map(A, W, V, theta))
             assert direct.cochain == via_embed
 
 
@@ -300,6 +299,14 @@ def test_bottom_kernel_is_the_module_morphism_space():
         assert morphs == kernel(e11_matrix(A, W, V, 0))
         # the dense rows of the equations phi(aw) = a phi(w), phi(wa) = phi(w) a
         assert morphs == dense_morphism_space(W, V)
+    # a zero-dimensional W or V leaves only the zero map, or none to choose
+    for s in range(1, 7):
+        A = random_kv(s, n_max=3)
+        W = random_module(A, s)
+        for X, Y in ((W, zero_module(A, 0)), (zero_module(A, 0), W), (zero_module(A, 0), zero_module(A, 0))):
+            morphs = module_morphism_space(X, Y)
+            assert morphs == dense_morphism_space(X, Y)
+            assert morphs.dim == 0 and morphs == kernel(e11_matrix(A, X, Y, 0))
 
 
 def test_e11_matrices_compose_to_zero():
@@ -458,10 +465,12 @@ def test_module_extension_blocks_hold_the_input_data():
     vals[(n * G.dim + 1) * v + 0] = F(3)
     f = BigradedCochain(Cochain(G, Vt, 2, tuple(vals)), n, 1, 1)
     ext = module_extension_from_cocycle(A, W, V, f)
-    assert ext.theta_values()[0][0] == (F(2),)
-    assert ext.theta_values()[1][0] == (F(0),)
-    assert ext.psi_values()[1][0] == (F(3),)
-    assert ext.psi_values()[0][0] == (F(0),)
+    # theta(e_i, w_al) sits in the V block of e_i (v + al), psi(e_i, w_al)
+    # in the V block of (v + al) e_i
+    assert ext.total.left[0][v][:v] == (F(2),)
+    assert ext.total.left[1][v][:v] == (F(0),)
+    assert ext.total.right[v][1][:v] == (F(3),)
+    assert ext.total.right[v][0][:v] == (F(0),)
     # kernel block acts as V, quotient block projects onto W.
     assert ext.total.left[0][0][0] == 0
     assert mat_mul(ext.injection(), ext.projection()).entries == (F(0),)
@@ -674,6 +683,35 @@ def test_algebra_extensions_equivalence_agrees_with_cohomology():
     # every cocycle here is a coboundary, so everything splits
     ext0 = algebra_extension_from_cocycle(A, W, Cochain.zero(A, W, 2))
     assert algebra_extensions_equivalent(ext1, ext0) is not None
+
+
+def test_shear_is_the_solve_of_the_degree_one_coboundary_matrix():
+    """The shear psi is the free-variables-zero solution of
+    delta_1 psi = omega_2 - omega_1, as the public solve reads it off
+    coboundary_matrix(A, W, 1), or None when there is none."""
+    rng = random.Random("shear-solve")
+    kinds = set()
+    for s in range(1, 31):
+        A = random_kv(s, n_max=3)
+        W = random_module(A, s + 3, m_max=2)
+        Z = kernel(coboundary_matrix(A, W, 2))
+        omegas = []
+        for _ in range(2):
+            coeffs = [rng.choice((-1, 0, 1, 2)) for _ in Z.basis]
+            vals = [sum((c * b[t] for c, b in zip(coeffs, Z.basis)), F(0)) for t in range(Z.ambient_dim)]
+            omega = Cochain(A, W, 2, tuple(vals))
+            phi = Cochain(A, W, 1, tuple(F(rng.randint(-2, 2)) for _ in range(A.dim * W.dim)))
+            omegas += [omega, omega + coboundary(phi)]
+        exts = [algebra_extension_from_cocycle(A, W, omega) for omega in omegas]
+        for (o1, e1), (o2, e2) in itertools.product(zip(omegas, exts), repeat=2):
+            x = solve(coboundary_matrix(A, W, 1), (o2 - o1).values)
+            got = algebra_extensions_equivalent(e1, e2)
+            if x is None:
+                assert got is None
+            else:
+                assert got is not None and got.entries == x
+            kinds.add(None if got is None else any(got.entries))
+    assert kinds == {None, False, True}
 
 
 def test_algebra_extensions_with_distinct_classes_do_not_shear():

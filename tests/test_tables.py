@@ -695,19 +695,18 @@ def test_extension_values_match_the_entry_reads():
             v, n, m = V.dim, A.dim, W.dim
             theta = [[ext.total.left[i][v + al][:v] for al in range(m)] for i in range(n)]
             psi = [[ext.total.right[v + al][i][:v] for al in range(m)] for i in range(n)]
-            assert ext.theta_values() == theta and ext.psi_values() == psi
-            # and they are the cocycle's own values
+            # they are the cocycle's own values
             assert theta == [[r.value((i, n + al)) for al in range(m)] for i in range(n)]
             assert psi == [[r.value((n + al, i)) for al in range(m)] for i in range(n)]
             seen += 1
     assert seen
-    # a zero-dimensional quotient keeps one empty list per basis vector of A
+    # a zero-dimensional quotient leaves the total acting as the kernel
     A = rad2()
     V, W = rad2_left_module(), zero_module(A, 0)
     G = semidirect(A, W)
     f = BigradedCochain(Cochain.zero(G, extend_module_to_semidirect(G, A.dim, V), 2), A.dim, 1, 1)
     ext = module_extension_from_cocycle(A, W, V, f)
-    assert ext.theta_values() == [[], []] and ext.psi_values() == [[], []]
+    assert (ext.total.left, ext.total.right) == (V.left, V.right)
 
 
 # ---------------------------------------------------------------------------
