@@ -55,6 +55,29 @@ assembled: the top degree of `cohomology` when q_max = 2,
 antisymmetric on its nonzeros (`_pair_rhs`); one that is not lies outside
 the image.  Where delta_2 also serves as the previous differential, whose
 image is needed, its full rows are kept.
+
+The coboundary also preserves a weight grading read off the structure
+constants.  Weights w on A's basis and mu on W's (`core._weights`) solve
+w_i + w_j = w_k for every nonzero product constant and w_i + mu_be = mu_ga
+for every nonzero action constant; each is an integer tuple over a basis
+of those solutions, so equal tuples mean equal weights at a generic one.
+The coordinate (a_1, ..., a_q; ga) has the weight mu_ga - sum_i w_{a_i},
+and every term of the formula keeps it: an action adds w_i to mu_be, and a
+product e_i e_s lands on basis vectors of weight w_i + w_s.  So each
+differential is block diagonal over the weight classes, and a solve needs
+only the rows of the classes its right-hand side touches (`_ClassRows`,
+behind `is_coboundary` from degree 2 on and the next-order solver of
+`deform`): the output tuples of those classes are assembled through the
+`outputs` argument of `_coboundary_rows`, the rows (output, ga) outside
+them are dropped, and one `_solve` runs on the rest.  The answer is the
+same vector: the free-variables-zero solution is 0 in every untouched
+class, and in each touched class it is that block's own solution, since
+the reduced row echelon form of a block-diagonal system is the union of
+its blocks'.  The left kernel splits the same way, and its vectors in an
+untouched class pair to 0 with the right-hand side, so the first basis
+vector that does not, the next-order certificate, is found among the
+full rows of the touched classes.  An input with no grading has one
+class and keeps every row.
 """
 
 from __future__ import annotations
@@ -72,6 +95,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     _module_view,
+    _weights,
     is_kv,
     is_module,
     jacobi_module,
@@ -89,6 +113,7 @@ from .linalg import (
     _kernel,
     _quotient,
     _rank,
+    _separating,
     _solve,
     extend_basis,
     rat,
@@ -559,6 +584,110 @@ def _pair_rhs(rhs: dict[int, RatLike], n: int, m: int) -> Optional[dict[int, Rat
     return out
 
 
+def _minus(x: tuple, y: tuple) -> tuple:
+    return tuple(map(operator.sub, x, y))
+
+
+class _ClassRows:
+    """The integer rows of D times delta_q (q >= 1) at the given output
+    tuples, assembled one weight class at a time, as right-hand sides reach
+    the classes, and kept (see the module docstring).
+
+    The row at position t * m + ga, output tuple outputs[t] and coordinate
+    ga, lies in the class mu_ga - sum_i w_{a_i} of W's weights
+    (`core._weights`), which are first read for a right-hand side that is
+    not zero.  An output tuple that is assembled keeps all its m rows, so
+    no row is assembled twice.
+    """
+
+    def __init__(self, A: KVAlgebra, W: KVModule, q: int, outputs: Sequence[tuple[int, ...]]) -> None:
+        self.A, self.W, self.q, self.outputs = A, W, q, outputs
+        self.D = _module_view(A, W).D
+        self.rows: dict[int, IntRow] = {}
+        self.sums: Optional[list[tuple]] = None
+
+    def _sum(self, args: Sequence[int]) -> tuple:
+        """sum_i w_{a_i} over an output tuple."""
+        s = self.w[args[0]]
+        for a in args[1:]:
+            s = tuple(map(operator.add, s, self.w[a]))
+        return s
+
+    def _grade(self) -> None:
+        """Read W's weights and group the output tuples by the sums of
+        their arguments' weights, once."""
+        if self.sums is None:
+            self.w, self.mu = _weights(self.W)
+            self.sums = [self._sum(args) for args in self.outputs]
+            self.by_sum: dict[tuple, list[int]] = {}
+            for t, s in enumerate(self.sums):
+                self.by_sum.setdefault(s, []).append(t)
+
+    def _classes(self, rhs: Iterable[int]) -> set:
+        """The classes of the rows at these positions."""
+        if rhs:
+            self._grade()
+        m = self.W.dim
+        return {_minus(self.mu[p % m], self.sums[p // m]) for p in rhs}
+
+    def _positions(self, classes: set) -> list[int]:
+        """The positions of the rows of these classes, in order; the output
+        tuples among them not assembled before are assembled now."""
+        m = self.W.dim
+        out = sorted(
+            t * m + ga for c in classes for ga, mu in enumerate(self.mu) for t in self.by_sum.get(_minus(mu, c), ())
+        )
+        new = sorted({p // m for p in out if p not in self.rows})
+        if new:
+            rows = _coboundary_rows(self.A, self.W, self.q, [self.outputs[t] for t in new])[1]
+            for t, i in zip(new, range(0, len(rows), m)):
+                for ga in range(m):
+                    self.rows[t * m + ga] = rows[i + ga]
+        return out
+
+    def solve(self, rhs: dict[int, RatLike]) -> Optional[Vec]:
+        """The free-variables-zero solution of delta_q x = b, b given by its
+        nonzero entries {position: value} on these rows, or None when there
+        is none; only the rows of the classes b touches are eliminated."""
+        positions = self._positions(self._classes(rhs))
+        local = {p: i for i, p in enumerate(positions)}
+        cols = self.A.dim**self.q * self.W.dim
+        return _solve([self.rows[p] for p in positions], cols, {local[p]: self.D * y for p, y in rhs.items()})
+
+    def separating(self, rhs: dict[int, RatLike]) -> Optional[Vec]:
+        """The `linalg._separating` functional on all n^3 m rows of delta_2
+        for b, given by its nonzero entries {position: value} over every
+        output tuple, when these rows are the a < b ones (`_pair_outputs`).
+
+        It is read from the full rows of the classes b touches alone, in
+        order: a row at (b, a, c) is the negated row at (a, b, c) and a row
+        at (a, a, c) is empty, so none is assembled again.
+        """
+        n, m = self.A.dim, self.W.dim
+        self._grade()
+        classes = {_minus(self.mu[p % m], self._sum((p // (n * n * m), p // (n * m) % n, p // m % n))) for p in rhs}
+        full: dict[int, IntRow] = {}
+        for p in self._positions(classes):
+            (a, b, c), ga = self.outputs[p // m], p % m
+            row = self.rows[p]
+            full[((a * n + b) * n + c) * m + ga] = row
+            full[((b * n + a) * n + c) * m + ga] = {j: -x for j, x in row.items()}
+        for a, c in itertools.product(range(n), repeat=2):
+            s = self._sum((a, a, c))
+            for ga, mu in enumerate(self.mu):
+                if _minus(mu, s) in classes:
+                    full[((a * n + a) * n + c) * m + ga] = {}
+        positions = sorted(full)
+        local = {p: i for i, p in enumerate(positions)}
+        y = _separating([full[p] for p in positions], n**2 * m, {local[p]: self.D * v for p, v in rhs.items()})
+        if y is None:
+            return None
+        out = [_ZERO] * (n**3 * m)
+        for p, x in zip(positions, y):
+            out[p] = x
+        return tuple(out)
+
+
 @dataclass(frozen=True)
 class DegreeData:
     """Exact dimensions and representatives at a single degree."""
@@ -671,14 +800,15 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         J = jacobi_module(A, W)
         x = solve(_delta0_matrix(A, W, J.basis), f.values)
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
-    q, values, outputs = f.degree - 1, _nonzero_values(f), None
+    q, values = f.degree - 1, _nonzero_values(f)
     if q == 2:
         values = _pair_rhs(values, A.dim, W.dim)
         if values is None:
             return None
         outputs = _pair_outputs(A.dim)
-    D, rows = _coboundary_rows(A, W, q, outputs)
-    x = _solve(rows, A.dim**q * W.dim, {i: D * y for i, y in values.items()})
+    else:
+        outputs = list(itertools.product(range(A.dim), repeat=q + 1))
+    x = _ClassRows(A, W, q, outputs).solve(values)
     return None if x is None else Cochain(A, W, q, x)
 
 

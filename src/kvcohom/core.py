@@ -435,6 +435,47 @@ def _view(x: "KVAlgebra | KVModule") -> _IntView:
     return view
 
 
+def _weights(x: "KVAlgebra | KVModule") -> tuple:
+    """The weights w of an algebra's basis, or (w, mu) of a module's and its
+    algebra's, built on first use and kept on the object outside its fields,
+    as `_view` keeps the integer view.
+
+    The weights solve w_i + w_j = w_k for every nonzero product constant of
+    e_i e_j at e_k, and w_i + mu_be = mu_ga for every nonzero action constant
+    of e_i w_be or w_be e_i at w_ga.  A basis vector's weight is the tuple
+    of its entries in the integer rows of the kernel of those equations, so
+    two vectors share a weight at a generic solution exactly when their
+    tuples are equal.  A module whose two actions are its algebra's product
+    takes mu = w, the algebra's own weights.
+    """
+    weights = getattr(x, "_int_weights", None)
+    if weights is None:
+        if isinstance(x, KVModule) and x.left is x.right is x.algebra.product:
+            w = _weights(x.algebra)
+            weights = (w, w)
+        else:
+            view = _view(x)
+            n = len(view.gam)
+            # v_i + v_j = v_k over the variables w, then mu from index n on;
+            # an algebra's view has no action lists
+            eqs = {(i, j, k) for i, row in enumerate(view.gam) for j, ks in enumerate(row) for k, _ in ks}
+            for acts in (view.left, view.right_t):
+                eqs |= {(i, n + be, n + ga) for i, row in enumerate(acts) for be, gs in enumerate(row) for ga, _ in gs}
+            rows = []
+            for i, j, k in eqs:
+                row = {i: 1}
+                row[j] = row.get(j, 0) + 1
+                row[k] = row.get(k, 0) - 1
+                rows.append({v: c for v, c in row.items() if c})
+            cols = n + (x.dim if isinstance(x, KVModule) else 0)
+            basis = _kernel(rows, cols)._rows.values()
+            weights = tuple(tuple(r.get(v, 0) for r in basis) for v in range(cols))
+            if isinstance(x, KVModule):
+                weights = (weights[:n], weights[n:])
+        object.__setattr__(x, "_int_weights", weights)
+    return weights
+
+
 # The nonzero part of a rank-4 tensor: {(a, b, c): {t: value}}.
 Sparse4 = dict[tuple[int, int, int], dict[int, Fraction]]
 

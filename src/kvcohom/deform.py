@@ -16,9 +16,17 @@ and the order-by-order solver becomes exact linear algebra against the
 degree-2 coboundary matrix: obstructions are classes in degree 3.  The
 pair bracket is antisymmetric in (a, b), and so is R_k, so the solver and
 `rigidity_report` eliminate only the a < b rows of that matrix (see
-`complexes`); the full rows are assembled once, on an obstruction, for the
-certificate, a functional on all n^4 rows.  The target's cocycle verdict
-is read from the nonzero sums of its coboundary.  Trivial
+`complexes`).  The solver also keeps to the weight classes R_k touches
+(`complexes._ClassRows`): the coboundary preserves the weights read off
+the structure constants, and a target lies in few classes, so each order
+assembles and eliminates only the rows of its own classes, and a chain
+keeps the rows it has assembled for the later orders that land in the
+same classes.  On an obstruction the certificate, a functional on all n^4
+rows, comes from the full rows of the same classes, which the a < b rows
+give by antisymmetry.  The target's cocycle verdict is read from the
+nonzero sums of its coboundary.  A jet keeps its integer lists
+(`_jet_lists`), and `extend` extends them without verifying the base
+again.  Trivial
 deformations arise by pushing the base product through a formal basis flow;
 their first coefficient is a coboundary.  The same bracket mechanics yield
 the curvature identity for connections mu_0 + S with S symmetric: the
@@ -43,6 +51,7 @@ from typing import Iterator, Optional, Sequence
 
 from .complexes import (
     Cochain,
+    _ClassRows,
     _coboundary_rows,
     _coboundary_sums,
     _cohomology_step,
@@ -59,6 +68,7 @@ from .core import (
     Sparse4,
     _int_lists,
     _pair_terms,
+    _common,
     _scaled_lists,
     _shaped,
     _sparse4,
@@ -70,7 +80,7 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Vec, _quotient, _separating, _solve, identity, mat_mul
+from .linalg import Mat, Vec, _quotient, identity, mat_mul
 
 __all__ = [
     "Tensor4",
@@ -194,8 +204,28 @@ class MultiplicationJet:
             return self.coefficients[k - 1]
         return zero3(self.dim, self.dim, self.dim)
 
+    @staticmethod
+    def _of(base: KVAlgebra, coefficients: tuple[Tensor3, ...]) -> "MultiplicationJet":
+        """A jet over a base already verified, with coefficients of its shape."""
+        jet = object.__new__(MultiplicationJet)
+        object.__setattr__(jet, "base", base)
+        object.__setattr__(jet, "coefficients", coefficients)
+        return jet
+
     def extend(self, mu_next: Tensor3) -> "MultiplicationJet":
-        return MultiplicationJet(self.base, self.coefficients + (tensor3(mu_next),))
+        """The jet one order longer, over the same verified base; its
+        integer lists extend this jet's when it has them (`_jet_lists`)."""
+        mu = tensor3(mu_next)
+        n = self.dim
+        _check_shape(mu, n, n, n, f"jet coefficient {self.order + 1}")
+        jet = MultiplicationJet._of(self.base, self.coefficients + (mu,))
+        lists = getattr(self, "_lists", None)
+        if lists is not None:
+            d, L = lists
+            D, gams = _common(*((d, g) for g, _ in L), _int_lists(mu))
+            L = [old if g is old[0] else (g, tuple(zip(*g))) for old, g in zip(L, gams)]
+            object.__setattr__(jet, "_lists", (D, L + [(gams[-1], tuple(zip(*gams[-1])))]))
+        return jet
 
 
 @dataclass(frozen=True)
@@ -248,12 +278,18 @@ def tensor4_from_cochain(f: Cochain) -> Tensor4:
 def _jet_lists(jet: MultiplicationJet) -> tuple[int, list]:
     """d and the nonzero lists of mu_0, ..., mu_K, each times d, as ints;
     d is the lcm of the denominators of all the coefficients.  mu_0 comes
-    from the base's integer view, so it is never listed again.
+    from the base's integer view, so it is never listed again.  The lists
+    are built once per jet and kept on it outside its fields, as `_view`
+    keeps an integer view.
 
     A sum of two-step terms over these lists is d^2 times its value.
     """
-    base = _view(jet.base)
-    return _scaled_lists((base.D, base.gam), *map(_int_lists, jet.coefficients))
+    lists = getattr(jet, "_lists", None)
+    if lists is None:
+        base = _view(jet.base)
+        lists = _scaled_lists((base.D, base.gam), *map(_int_lists, jet.coefficients))
+        object.__setattr__(jet, "_lists", lists)
+    return lists
 
 
 def _target(n: int, L, d: int, k: int) -> Sparse4:
@@ -333,13 +369,16 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
     """The solutions of orders order + 1, order + 2, ... in turn, each step
     extending the jet of the one before; it ends after an obstruction.
 
-    The budget and the integer rows of D times the degree-2 coboundary
-    matrix at its a < b output tuples are set up once for the chain, and
-    each order is checked exactly once: the input orders on entry, then
-    each new order after its solve.  The right-hand side of order k is R_k
-    times D, on its nonzero entries only, read on those rows once it is
-    found antisymmetric; one that is not takes the obstruction path, which
-    assembles the full rows for the certificate.
+    The budget is checked once for the chain, and each order is checked
+    exactly once: the input orders on entry, then each new order after its
+    solve.  The right-hand side of order k is R_k on its nonzero entries
+    only, read on the a < b rows of the degree-2 coboundary matrix once it
+    is found antisymmetric.  Those rows are assembled and eliminated only in
+    the weight classes R_k touches, and kept for the chain, so an order
+    whose target lands in a class seen before assembles nothing
+    (`complexes._ClassRows`).  A target that is not a coboundary takes the
+    obstruction path: the certificate is read from the full rows of the
+    same classes.
     """
     A = jet.base
     n = jet.dim
@@ -352,20 +391,18 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
                 f"cannot raise the order: the order-{kk} residual is nonzero"
             )
     W = regular_bimodule(A)
-    D, rows = _coboundary_rows(A, W, 2, _pair_outputs(n))
+    delta2 = _ClassRows(A, W, 2, _pair_outputs(n))
     while True:
         k = jet.order + 1
         R = _target(n, L, d, k)
         target = _dense4(n, R)
         values = {((a * n + b) * n + c) * n + t: v for (a, b, c), row in R.items() for t, v in row.items()}
         target_is_cocycle = not _coboundary_sums(A, W, 3, values)[1]
-        rhs = {i: D * v for i, v in values.items()}
         # R_k is antisymmetric in (a, b), as the pair bracket is
-        pair_rhs = _pair_rhs(rhs, n, n)
-        x = None if pair_rhs is None else _solve(rows, n**3, pair_rhs)
+        pair_rhs = _pair_rhs(values, n, n)
+        x = None if pair_rhs is None else delta2.solve(pair_rhs)
         if x is None:
-            # the certificate is a functional on all n^4 rows of delta_2
-            certificate = _separating(_coboundary_rows(A, W, 2)[1], n**3, rhs)
+            certificate = delta2.separating(values)
             if certificate is None:
                 raise AssertionError(
                     "solve failed but no separating functional exists; "

@@ -18,16 +18,29 @@ from the degree-0 matrix, and `reference_embed_w_map` places a map
 theta: W -> V as a 1-cochain over the semidirect sum, the cochain whose
 coboundary is the bottom map of the p = 1 column.
 
+`reference_next_order` is the next-order step on the whole degree-2
+coboundary matrix: it solves against every a < b row and, on an
+obstruction, takes the certificate from the left kernel of all n^4 rows,
+where the package eliminates only the rows of the weight classes the
+target touches.
+
 Tests import this module by name; pytest puts the directory of the test
 files on the import path.
 """
 
 from fractions import Fraction
 
-from kvcohom.complexes import Cochain
-from kvcohom.core import semidirect
+from kvcohom.complexes import (
+    Cochain,
+    _coboundary_rows,
+    _coboundary_sums,
+    _pair_outputs,
+    _pair_rhs,
+)
+from kvcohom.core import _shaped, regular_bimodule, semidirect
+from kvcohom.deform import _dense4, _jet_lists, _target
 from kvcohom.extensions import extend_module_to_semidirect
-from kvcohom.linalg import Mat, kernel
+from kvcohom.linalg import Mat, _separating, _solve, kernel
 
 
 def product_lists(t):
@@ -157,3 +170,24 @@ def reference_embed_w_map(A, W, V, theta):
         else:
             vals.extend(theta.row(i - A.dim))
     return Cochain(G, Vt, 1, tuple(vals))
+
+
+def reference_next_order(jet):
+    """(order, target, target_is_cocycle, coefficient, certificate) of the
+    next-order step of a jet, solved against all a < b rows of D times
+    delta_2 and certified on all of its rows."""
+    A, n = jet.base, jet.dim
+    W = regular_bimodule(A)
+    k = jet.order + 1
+    d, L = _jet_lists(jet)
+    R = _target(n, L, d, k)
+    values = {((a * n + b) * n + c) * n + t: v for (a, b, c), row in R.items() for t, v in row.items()}
+    target_is_cocycle = not _coboundary_sums(A, W, 3, values)[1]
+    D, rows = _coboundary_rows(A, W, 2, _pair_outputs(n))
+    rhs = {i: D * v for i, v in values.items()}
+    pair_rhs = _pair_rhs(rhs, n, n)
+    x = None if pair_rhs is None else _solve(rows, n**3, pair_rhs)
+    if x is None:
+        certificate = _separating(_coboundary_rows(A, W, 2)[1], n**3, rhs)
+        return k, _dense4(n, R), target_is_cocycle, None, certificate
+    return k, _dense4(n, R), target_is_cocycle, _shaped(x, n, n, n), None

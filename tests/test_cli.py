@@ -390,25 +390,31 @@ def test_deform_solve_reports_obstruction(tmp_path):
 
 
 def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path, monkeypatch):
+    import kvcohom.complexes as cx
     import kvcohom.deform as df
 
     built, checked = [], []
-    real_rows, real_residuals = df._coboundary_rows, df._residuals
+    real_rows, real_residuals = cx._coboundary_rows, df._residuals
 
     def counted_rows(A, W, q, outputs=None):
-        built.append(q)
+        outputs = list(outputs)
+        built.extend((q, args) for args in outputs)
         return real_rows(A, W, q, outputs)
 
     def counted_residuals(jet, L, orders):
         checked.extend(orders)
         return real_residuals(jet, L, orders)
 
+    monkeypatch.setattr(cx, "_coboundary_rows", counted_rows)
     monkeypatch.setattr(df, "_coboundary_rows", counted_rows)
     monkeypatch.setattr(df, "_residuals", counted_residuals)
     report = run(JobSpec("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": 4}))
     assert report.exit_code == 0
     assert [s["order"] for s in _body(report)["results"]["steps"]] == [2, 3, 4, 5]
-    assert built == [2]
+    # every assembly is of delta_2, and each output tuple (all its rows
+    # (output, ga) at once) is assembled at most once in the chain
+    assert all(q == 2 for q, _ in built)
+    assert len(set(built)) == len(built)
     # orders 0 and 1 of the input jet on entry, then each solved order
     assert checked == [0, 1, 2, 3, 4, 5]
 
