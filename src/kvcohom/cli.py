@@ -236,17 +236,16 @@ def _verb_extend_algebra(job, inputs, parameters, results):
     ext = extensions.algebra_extension_from_cocycle(a, w, omega)
     total_kv = is_kv(ext.total)
     results["total_is_kv"] = _check_to_obj(total_kv)
+    results["extension"] = body = sz.extension_to_obj(ext)
     if not total_kv:
-        results["extension"] = sz.extension_to_obj(ext)
         raise _MathFailure(
             f"the cochain is not a cocycle: total product fails at "
             f"{total_kv.witness}",
             results,
         )
-    results["extension"] = sz.extension_to_obj(ext)
     recovered = extensions.algebra_cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered == omega
-    _maybe_emit(job, sz.canonical_json(sz.extension_to_obj(ext)))
+    _maybe_emit(job, body)
     return True, None
 
 
@@ -272,10 +271,10 @@ def _verb_extend_module(job, inputs, parameters, results):
         ext = extensions.module_extension_from_cocycle(a, w, v, f)
     except PreconditionError as exc:
         raise _MathFailure(str(exc)) from None
-    results["extension"] = sz.extension_to_obj(ext)
+    results["extension"] = body = sz.extension_to_obj(ext)
     recovered = extensions.cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered.cochain == raw
-    _maybe_emit(job, sz.canonical_json(sz.extension_to_obj(ext)))
+    _maybe_emit(job, body)
     return True, None
 
 
@@ -350,8 +349,8 @@ def _verb_deform_solve(job, inputs, parameters, results):
     results["steps"] = steps
     solved_all = witness is None
     if solved_all:
-        results["jet"] = sz.jet_to_obj(jet)
-        _maybe_emit(job, sz.canonical_json(sz.jet_to_obj(jet)))
+        results["jet"] = body = sz.jet_to_obj(jet)
+        _maybe_emit(job, body)
     return solved_all, witness
 
 
@@ -415,8 +414,8 @@ def _verb_graded_deform(job, inputs, parameters, results):
             results,
         )
     deformed = graded.deform_graded(g, theta)
-    results["deformed"] = sz.algebra_to_obj(deformed)
-    _maybe_emit(job, sz.canonical_json(sz.algebra_to_obj(deformed)))
+    results["deformed"] = body = sz.algebra_to_obj(deformed)
+    _maybe_emit(job, body)
     return True, None
 
 
@@ -613,10 +612,11 @@ _HANDLERS = {
     "fixtures": _verb_fixtures,
 }
 
-def _maybe_emit(job: JobSpec, text: str) -> None:
+def _maybe_emit(job: JobSpec, obj: Any) -> None:
+    """Write obj's canonical JSON to the --emit path, when one is given."""
     path = job.opt("emit")
     if path is not None:
-        sz.write_text(path, text)
+        sz.write_text(path, sz.canonical_json(obj))
 
 
 def _error_report(verb: str, kind: str, message: str, exit_code: int) -> Report:

@@ -47,14 +47,15 @@ and a_2 swaps them while their signs (-1)^j differ.  So the rows of D times
 delta_2 at (b, a, c) are the negated rows at (a, b, c), the rows at
 (a, a, c) are empty, and the rows at the a < b output tuples
 (`_pair_outputs`) have the same row space, hence the same reduced row
-echelon form, kernel and free-variables-zero solutions.  Where delta_2 is
-only eliminated for its kernel or solved against, only those rows are
-assembled: the top degree of `cohomology` when q_max = 2,
-`deform.rigidity_report`, the next-order solver of `deform` and
-`is_coboundary` on a 3-cochain.  A right-hand side is first checked to be
-antisymmetric on its nonzeros (`_pair_rhs`); one that is not lies outside
-the image.  Where delta_2 also serves as the previous differential, whose
-image is needed, its full rows are kept.
+echelon form, kernel and free-variables-zero solutions.  This module alone
+makes that cut.  Where delta_2 is only eliminated for its kernel, `_rows`
+assembles those rows: the top degree of `cohomology` when q_max = 2 and
+`deform.rigidity_report`.  Where it is solved against, `_ClassRows` does,
+behind `is_coboundary` on a 3-cochain and the next-order solver of
+`deform`; a right-hand side is first checked to be antisymmetric on its
+nonzeros (`_pair_rhs`), and one that is not lies outside the image.  Where
+delta_2 also serves as the previous differential, whose image is needed,
+its full rows are kept.
 
 The coboundary also preserves a weight grading read off the structure
 constants.  Weights w on A's basis and mu on W's (`core._weights`) solve
@@ -66,14 +67,14 @@ and every term of the formula keeps it: an action adds w_i to mu_be, and a
 product e_i e_s lands on basis vectors of weight w_i + w_s.  So each
 differential is block diagonal over the weight classes, and a solve needs
 only the rows of the classes its right-hand side touches (`_ClassRows`,
-behind `is_coboundary` from degree 2 on and the next-order solver of
-`deform`): the output tuples of those classes are assembled through the
-`outputs` argument of `_coboundary_rows`, the rows (output, ga) outside
-them are dropped, and one `_solve` runs on the rest.  The answer is the
-same vector: the free-variables-zero solution is 0 in every untouched
-class, and in each touched class it is that block's own solution, since
-the reduced row echelon form of a block-diagonal system is the union of
-its blocks'.  The left kernel splits the same way, and its vectors in an
+behind `is_coboundary` from degree 2 on, which the equivalence verdicts of
+`extensions` ask, and the next-order solver of `deform`): the output
+tuples of those classes are assembled through the `outputs` argument of
+`_coboundary_rows`, the rows (output, ga) outside them are dropped, and
+one `_solve` runs on the rest.  The answer is the same vector: the
+free-variables-zero solution is 0 in every untouched class, and in each
+touched class it is that block's own solution, since the reduced row
+echelon form of a block-diagonal system is the union of its blocks'.  The left kernel splits the same way, and its vectors in an
 untouched class pair to 0 with the right-hand side, so the first basis
 vector that does not, the next-order certificate, is found among the
 full rows of the touched classes.  An input with no grading has one
@@ -584,14 +585,28 @@ def _pair_rhs(rhs: dict[int, RatLike], n: int, m: int) -> Optional[dict[int, Rat
     return out
 
 
+# A differential for elimination: the integer rows of a nonzero multiple of
+# its matrix, and its column count.
+Rows = tuple[list[IntRow], int]
+
+
+def _rows(A: KVAlgebra, W: KVModule, q: int, top: int) -> Rows:
+    """The rows of D times delta_q (q >= 1) for elimination in a complex
+    that ends at degree top: delta_2 at the top is eliminated for its kernel
+    only, so there its a < b rows (`_pair_outputs`) suffice."""
+    outputs = _pair_outputs(A.dim) if q == 2 == top else None
+    return _coboundary_rows(A, W, q, outputs)[1], A.dim**q * W.dim
+
+
 def _minus(x: tuple, y: tuple) -> tuple:
     return tuple(map(operator.sub, x, y))
 
 
 class _ClassRows:
-    """The integer rows of D times delta_q (q >= 1) at the given output
-    tuples, assembled one weight class at a time, as right-hand sides reach
-    the classes, and kept (see the module docstring).
+    """The integer rows of D times delta_q (q >= 1) for solves, assembled
+    one weight class at a time, as right-hand sides reach the classes, and
+    kept (see the module docstring).  The output tuples are the a < b ones
+    (`_pair_outputs`) at q = 2 and all of A^(q+1) otherwise.
 
     The row at position t * m + ga, output tuple outputs[t] and coordinate
     ga, lies in the class mu_ga - sum_i w_{a_i} of W's weights
@@ -600,8 +615,10 @@ class _ClassRows:
     no row is assembled twice.
     """
 
-    def __init__(self, A: KVAlgebra, W: KVModule, q: int, outputs: Sequence[tuple[int, ...]]) -> None:
-        self.A, self.W, self.q, self.outputs = A, W, q, outputs
+    def __init__(self, A: KVAlgebra, W: KVModule, q: int) -> None:
+        self.A, self.W, self.q = A, W, q
+        n = A.dim
+        self.outputs = _pair_outputs(n) if q == 2 else list(itertools.product(range(n), repeat=q + 1))
         self.D = _module_view(A, W).D
         self.rows: dict[int, IntRow] = {}
         self.sums: Optional[list[tuple]] = None
@@ -647,8 +664,14 @@ class _ClassRows:
 
     def solve(self, rhs: dict[int, RatLike]) -> Optional[Vec]:
         """The free-variables-zero solution of delta_q x = b, b given by its
-        nonzero entries {position: value} on these rows, or None when there
-        is none; only the rows of the classes b touches are eliminated."""
+        nonzero entries {position: value} over every output tuple, or None
+        when there is none; only the rows of the classes b touches are
+        eliminated.  At q = 2, b is read on the a < b rows (`_pair_rhs`),
+        and one that is not antisymmetric has no solution."""
+        if self.q == 2:
+            rhs = _pair_rhs(rhs, self.A.dim, self.W.dim)
+            if rhs is None:
+                return None
         positions = self._positions(self._classes(rhs))
         local = {p: i for i, p in enumerate(positions)}
         cols = self.A.dim**self.q * self.W.dim
@@ -656,8 +679,8 @@ class _ClassRows:
 
     def separating(self, rhs: dict[int, RatLike]) -> Optional[Vec]:
         """The `linalg._separating` functional on all n^3 m rows of delta_2
-        for b, given by its nonzero entries {position: value} over every
-        output tuple, when these rows are the a < b ones (`_pair_outputs`).
+        (q = 2) for b, given by its nonzero entries {position: value} over
+        every output tuple.
 
         It is read from the full rows of the classes b touches alone, in
         order: a row at (b, a, c) is the negated row at (a, b, c) and a row
@@ -748,19 +771,12 @@ def cohomology(
     degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
 
     for q in range(1, q_max + 1):
-        # delta_2 at the top degree is eliminated for its kernel only
-        outputs = _pair_outputs(n) if q == 2 == q_max else None
-        d_q = (_coboundary_rows(A, W, q, outputs)[1], n**q * m)
+        d_q = _rows(A, W, q, q_max)
         Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
         reps = tuple(Cochain(A, W, q, v) for v in rep_vecs)
         degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, Z.dim - B.dim, reps))
         d_prev = d_q
     return CohomologyReport(tuple(degrees))
-
-
-# A differential for elimination: the integer rows of a nonzero multiple of
-# its matrix, and its column count.
-Rows = tuple[list[IntRow], int]
 
 
 def _cohomology_step(d_q: Rows, d_prev: Optional[Rows]) -> tuple[Subspace, Subspace, list[Vec]]:
@@ -800,16 +816,8 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         J = jacobi_module(A, W)
         x = solve(_delta0_matrix(A, W, J.basis), f.values)
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
-    q, values = f.degree - 1, _nonzero_values(f)
-    if q == 2:
-        values = _pair_rhs(values, A.dim, W.dim)
-        if values is None:
-            return None
-        outputs = _pair_outputs(A.dim)
-    else:
-        outputs = list(itertools.product(range(A.dim), repeat=q + 1))
-    x = _ClassRows(A, W, q, outputs).solve(values)
-    return None if x is None else Cochain(A, W, q, x)
+    x = _ClassRows(A, W, f.degree - 1).solve(_nonzero_values(f))
+    return None if x is None else Cochain(A, W, f.degree - 1, x)
 
 
 def nijenhuis_matrices(A: KVAlgebra, W: KVModule, q_max: int) -> dict[int, Mat]:

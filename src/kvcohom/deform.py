@@ -13,24 +13,22 @@ d_mu nu, which satisfies d_{mu_0} nu = delta nu, so that
     E_k = delta mu_k + (1/2) sum_{i+j=k, i,j>=1} d_{mu_i} mu_j
 
 and the order-by-order solver becomes exact linear algebra against the
-degree-2 coboundary matrix: obstructions are classes in degree 3.  The
-pair bracket is antisymmetric in (a, b), and so is R_k, so the solver and
-`rigidity_report` eliminate only the a < b rows of that matrix (see
-`complexes`).  The solver also keeps to the weight classes R_k touches
-(`complexes._ClassRows`): the coboundary preserves the weights read off
-the structure constants, and a target lies in few classes, so each order
-assembles and eliminates only the rows of its own classes, and a chain
-keeps the rows it has assembled for the later orders that land in the
-same classes.  On an obstruction the certificate, a functional on all n^4
-rows, comes from the full rows of the same classes, which the a < b rows
-give by antisymmetry.  The target's cocycle verdict is read from the
-nonzero sums of its coboundary.  A jet keeps its integer lists
-(`_jet_lists`), and `extend` extends them without verifying the base
-again.  Trivial
-deformations arise by pushing the base product through a formal basis flow;
-their first coefficient is a coboundary.  The same bracket mechanics yield
-the curvature identity for connections mu_0 + S with S symmetric: the
-defect of the commutation formula is exactly -delta S.  All of these are
+degree-2 coboundary matrix: obstructions are classes in degree 3.  This
+module never assembles or cuts that matrix: `rigidity_report` reads
+delta_1 and delta_2 from `complexes._rows`, and the solver hands R_k, on
+every output position, to `complexes._ClassRows`, which reads it on the
+a < b rows of delta_2 (the pair bracket is antisymmetric in (a, b), and so
+is R_k) and keeps to the weight classes R_k touches; a chain keeps the
+rows it has assembled for the later orders that land in the same classes.
+On an obstruction the certificate, a functional on all n^4 rows, comes
+from the full rows of the same classes.  The target's cocycle verdict is
+read from the nonzero sums of its coboundary.  A jet keeps its integer
+lists (`_jet_lists`), and `extend` extends them without verifying the base
+again.  Trivial deformations arise by pushing the base product through a
+formal basis flow; their first coefficient is a coboundary.  The same
+bracket mechanics yield the curvature identity for connections mu_0 + S
+with S symmetric: the defect of the commutation formula is exactly
+-delta S.  All of these are
 evaluated from the nonzero structure constants, as integers over one common
 denominator d (`core._scaled_lists`; the base product comes from the
 algebra's integer view, `core._view`, so a jet never lists it again), and
@@ -52,11 +50,9 @@ from typing import Iterator, Optional, Sequence
 from .complexes import (
     Cochain,
     _ClassRows,
-    _coboundary_rows,
     _coboundary_sums,
     _cohomology_step,
-    _pair_outputs,
-    _pair_rhs,
+    _rows,
     check_budget,
 )
 from .core import (
@@ -372,11 +368,10 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
     The budget is checked once for the chain, and each order is checked
     exactly once: the input orders on entry, then each new order after its
     solve.  The right-hand side of order k is R_k on its nonzero entries
-    only, read on the a < b rows of the degree-2 coboundary matrix once it
-    is found antisymmetric.  Those rows are assembled and eliminated only in
-    the weight classes R_k touches, and kept for the chain, so an order
-    whose target lands in a class seen before assembles nothing
-    (`complexes._ClassRows`).  A target that is not a coboundary takes the
+    only, handed as it is to `complexes._ClassRows`, which assembles and
+    eliminates delta_2 only in the weight classes R_k touches and keeps the
+    rows for the chain, so an order whose target lands in a class seen
+    before assembles nothing.  A target that is not a coboundary takes the
     obstruction path: the certificate is read from the full rows of the
     same classes.
     """
@@ -391,16 +386,14 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
                 f"cannot raise the order: the order-{kk} residual is nonzero"
             )
     W = regular_bimodule(A)
-    delta2 = _ClassRows(A, W, 2, _pair_outputs(n))
+    delta2 = _ClassRows(A, W, 2)
     while True:
         k = jet.order + 1
         R = _target(n, L, d, k)
         target = _dense4(n, R)
         values = {((a * n + b) * n + c) * n + t: v for (a, b, c), row in R.items() for t, v in row.items()}
         target_is_cocycle = not _coboundary_sums(A, W, 3, values)[1]
-        # R_k is antisymmetric in (a, b), as the pair bracket is
-        pair_rhs = _pair_rhs(values, n, n)
-        x = None if pair_rhs is None else delta2.solve(pair_rhs)
+        x = delta2.solve(values)
         if x is None:
             certificate = delta2.separating(values)
             if certificate is None:
@@ -474,10 +467,7 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
     W = regular_bimodule(A)
-    # delta_2 is eliminated for its kernel only, so its a < b rows suffice
-    d2 = _coboundary_rows(A, W, 2, _pair_outputs(n))[1]
-    d1 = _coboundary_rows(A, W, 1)[1]
-    Z, B, reps = _cohomology_step((d2, n**3), (d1, n**2))
+    Z, B, reps = _cohomology_step(_rows(A, W, 2, 2), _rows(A, W, 1, 2))
     return RigidityReport(
         dim_C2=n**3,
         dim_Z2=Z.dim,

@@ -26,9 +26,11 @@ constants; `e11_coboundary0` places them as they are (X = V) and
 `cocycle_from_section` places their negatives (X = T), both in the block
 layout of `core`.  The kernel of the bottom matrix `e11_matrix(..., 0)` is
 `core.module_morphism_space`.  The algebra section cocycle reads
-sigma(a) sigma(a') - sigma(aa') the same way; the shear of an algebra
-equivalence is the preimage `complexes.is_coboundary` finds for the
-difference of the two section cocycles, checked by `conjugate_algebra`.
+sigma(a) sigma(a') - sigma(aa') the same way.  Both equivalence verdicts
+ask `complexes.is_coboundary` for a preimage of the difference of two
+cocycles, and this module solves no system of its own: for modules the
+preimage is a map theta: W -> V, for algebras it is the shear, checked by
+`conjugate_algebra`.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .core import (
     semidirect,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import IntRow, Mat, solve
+from .linalg import IntRow, Mat
 
 __all__ = [
     "BigradedCochain",
@@ -386,36 +388,17 @@ def cocycle_from_section(ext: ModuleExtension, sigma: Mat) -> BigradedCochain:
 
 
 def extensions_equivalent(f: BigradedCochain, g: BigradedCochain) -> bool:
-    """True iff f - g is the bottom coboundary of some map theta: W -> V."""
+    """True iff f - g is the bottom coboundary of some map theta: W -> V.
+
+    The coboundary keeps the W-degree, so a (1,1) cochain that is a
+    coboundary over G has a preimage in (1,0), the maps theta: W -> V, and
+    the verdict is whether `is_coboundary` finds one.
+    """
     if (f.a_dim, f.w_degree, f.a_degree) != (g.a_dim, g.w_degree, g.a_degree):
         raise DimensionError("cocycles live in different components")
     if (f.w_degree, f.a_degree) != (1, 1):
         raise InputError("extension equivalence is decided in bidegree (1,1)")
-    diff = f.cochain - g.cochain
-    A, W, V = _split_semidirect(f)
-    # The bottom map: its columns are the coboundaries of the Hom(W, V) basis.
-    target = [diff.values[pos] for pos in e11_support(A, W, V, 1)]
-    return solve(e11_matrix(A, W, V, 0), target) is not None
-
-
-def _split_semidirect(f: BigradedCochain) -> tuple[KVAlgebra, KVModule, KVModule]:
-    """Recover (A, W, V) from a bigraded cochain over G = semidirect(A, W)."""
-    G = f.cochain.algebra
-    Vt = f.cochain.module
-    n = f.a_dim
-    m = G.dim - n
-    v = Vt.dim
-    A = KVAlgebra(dim=n, product=_block(G.product, 0, 0, 0, n, n, n))
-    W = KVModule(
-        algebra=A,
-        dim=m,
-        left=_block(G.product, 0, n, n, n, m, m),
-        right=_block(G.product, n, 0, n, m, n, m),
-    )
-    V = KVModule(
-        algebra=A, dim=v, left=_block(Vt.left, 0, 0, 0, n, v, v), right=_block(Vt.right, 0, 0, 0, v, n, v)
-    )
-    return A, W, V
+    return is_coboundary(f.cochain - g.cochain) is not None
 
 
 @dataclass(frozen=True)

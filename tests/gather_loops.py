@@ -17,6 +17,11 @@ the bottom matrix of the p = 1 column.  `reference_coboundary0` evaluates
 from the degree-0 matrix, and `reference_embed_w_map` places a map
 theta: W -> V as a 1-cochain over the semidirect sum, the cochain whose
 coboundary is the bottom map of the p = 1 column.
+`reference_extensions_equivalent` decides module-extension equivalence by
+splitting the semidirect sum back into (A, W, V)
+(`reference_split_semidirect`) and solving against that bottom map, where
+the package asks `complexes.is_coboundary` for a preimage over the
+semidirect sum.
 
 `reference_next_order` is the next-order step on the whole degree-2
 coboundary matrix: it solves against every a < b row and, on an
@@ -37,10 +42,10 @@ from kvcohom.complexes import (
     _pair_outputs,
     _pair_rhs,
 )
-from kvcohom.core import _shaped, regular_bimodule, semidirect
+from kvcohom.core import KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect
 from kvcohom.deform import _dense4, _jet_lists, _target
-from kvcohom.extensions import extend_module_to_semidirect
-from kvcohom.linalg import Mat, _separating, _solve, kernel
+from kvcohom.extensions import e11_matrix, e11_support, extend_module_to_semidirect
+from kvcohom.linalg import Mat, _separating, _solve, kernel, solve
 
 
 def product_lists(t):
@@ -191,3 +196,47 @@ def reference_next_order(jet):
         certificate = _separating(_coboundary_rows(A, W, 2)[1], n**3, rhs)
         return k, _dense4(n, R), target_is_cocycle, None, certificate
     return k, _dense4(n, R), target_is_cocycle, _shaped(x, n, n, n), None
+
+
+def reference_split_semidirect(f):
+    """Recover (A, W, V) from a bigraded cochain over G = semidirect(A, W),
+    entry by entry."""
+    G = f.cochain.algebra
+    Vt = f.cochain.module
+    n = f.a_dim
+    N = G.dim
+    m = N - n
+    aprod = tuple(
+        tuple(tuple(G.product[i][j][k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    A = KVAlgebra(dim=n, product=aprod)
+    wleft = tuple(
+        tuple(tuple(G.product[i][n + al][n + be] for be in range(m)) for al in range(m))
+        for i in range(n)
+    )
+    wright = tuple(
+        tuple(tuple(G.product[n + al][i][n + be] for be in range(m)) for i in range(n))
+        for al in range(m)
+    )
+    W = KVModule(algebra=A, dim=m, left=wleft, right=wright)
+    vleft = tuple(
+        tuple(tuple(Vt.left[i][al][be] for be in range(Vt.dim)) for al in range(Vt.dim))
+        for i in range(n)
+    )
+    vright = tuple(
+        tuple(tuple(Vt.right[al][i][be] for be in range(Vt.dim)) for i in range(n))
+        for al in range(Vt.dim)
+    )
+    V = KVModule(algebra=A, dim=Vt.dim, left=vleft, right=vright)
+    return A, W, V
+
+
+def reference_extensions_equivalent(f, g):
+    """Whether two (1,1) cochains differ by the bottom coboundary of a map
+    theta: W -> V, solved against the bottom matrix of the p = 1 column on
+    the (1,1) support of f - g."""
+    diff = f.cochain - g.cochain
+    A, W, V = reference_split_semidirect(f)
+    target = [diff.values[pos] for pos in e11_support(A, W, V, 1)]
+    return solve(e11_matrix(A, W, V, 0), target) is not None

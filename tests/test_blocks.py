@@ -5,11 +5,12 @@ of `semidirect` and `direct_sum`, the actions of `module_direct_sum` and
 `extend_module_to_semidirect`, the extension totals, the graded deformation
 and the graded 2-cochains, and the (1,1) cochains that `e11_coboundary0`
 and `cocycle_from_section` place from the blocks of
-`core._morphism_defect`.  `core._block` reads a block back out for
-`extensions._split_semidirect` and the two section cocycles.
-The bottom map of the p = 1 column against the coboundary of the
-embedded map, the shear check of `algebra_extensions_equivalent` and
-`deform.pushforward_jet` are checked against the loops they replaced too.
+`core._morphism_defect`.  `core._block` reads a block back out for the
+two section cocycles.  The bottom map of the p = 1 column against the
+coboundary of the embedded map, the shear check of
+`algebra_extensions_equivalent`, the module-extension verdict of
+`extensions_equivalent` and `deform.pushforward_jet` are checked against
+the loops they replaced too.
 Each check below runs a copy of the loop it replaced as a reference, on
 fixtures and on seeded random inputs (cocycles and non-cocycles alike,
 zero-dimensional spaces included), and asserts equal results, names
@@ -48,7 +49,6 @@ from kvcohom.extensions import (
     AlgebraExtension,
     BigradedCochain,
     ModuleExtension,
-    _split_semidirect,
     algebra_cocycle_from_section,
     algebra_extension_from_cocycle,
     algebra_extensions_equivalent,
@@ -57,6 +57,7 @@ from kvcohom.extensions import (
     e11_cohomology,
     e11_support,
     extend_module_to_semidirect,
+    extensions_equivalent,
     module_extension_from_cocycle,
 )
 from kvcohom.fixtures import (
@@ -77,7 +78,7 @@ from kvcohom.graded import (
 )
 from kvcohom.linalg import Mat, solve
 
-from gather_loops import reference_embed_w_map
+from gather_loops import reference_embed_w_map, reference_extensions_equivalent
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -300,38 +301,6 @@ def reference_algebra_extension_from_cocycle(A, W, omega):
     return AlgebraExtension(base=A, kernel=W, total=total)
 
 
-def reference_split_semidirect(f):
-    G = f.cochain.algebra
-    Vt = f.cochain.module
-    n = f.a_dim
-    N = G.dim
-    m = N - n
-    aprod = tuple(
-        tuple(tuple(G.product[i][j][k] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    A = KVAlgebra(dim=n, product=aprod)
-    wleft = tuple(
-        tuple(tuple(G.product[i][n + al][n + be] for be in range(m)) for al in range(m))
-        for i in range(n)
-    )
-    wright = tuple(
-        tuple(tuple(G.product[n + al][i][n + be] for be in range(m)) for i in range(n))
-        for al in range(m)
-    )
-    W = KVModule(algebra=A, dim=m, left=wleft, right=wright)
-    vleft = tuple(
-        tuple(tuple(Vt.left[i][al][be] for be in range(Vt.dim)) for al in range(Vt.dim))
-        for i in range(n)
-    )
-    vright = tuple(
-        tuple(tuple(Vt.right[al][i][be] for be in range(Vt.dim)) for i in range(n))
-        for al in range(Vt.dim)
-    )
-    V = KVModule(algebra=A, dim=Vt.dim, left=vleft, right=vright)
-    return A, W, V
-
-
 def _one_one_cochains(rng, A, W, V):
     """(1,1) cochains over semidirect(A, W): coboundaries and class
     representatives, which are cocycles, and random ones, which mostly are not."""
@@ -362,7 +331,6 @@ def test_extension_builders_match_the_copy_loops():
             assert got == _outcome(reference_module_extension_from_cocycle, A, W, V, f)
             accepted += got[0] == "value"
             rejected += got[0] == "PreconditionError"
-            assert _split_semidirect(f) == reference_split_semidirect(f)
         omegas = [Cochain.from_values(A, W, 2, [rng.choice((-1, 0, 0, 2)) for _ in range(A.dim**2 * W.dim)])]
         if A.dim <= 3 and W.dim <= 2:
             omegas += list(cohomology(A, W, 2).degree(2).representatives[:2])
@@ -376,6 +344,22 @@ def test_extension_builders_match_the_copy_loops():
     assert _outcome(algebra_extension_from_cocycle, A, regular_bimodule(A), bad) == _outcome(
         reference_algebra_extension_from_cocycle, A, regular_bimodule(A), bad
     )
+
+
+def test_extension_equivalence_matches_the_bottom_matrix_solve():
+    # the verdict is a preimage over the semidirect sum; the reference splits
+    # the sum back into (A, W, V) and solves against the bottom map
+    rng = random.Random(24)
+    cases = _pairs()
+    cases += [(A, zero_module(A, 0), V) for A, _, V in cases[:6]]
+    cases += [(A, W, zero_module(A, 0)) for A, W, _ in cases[:6]]
+    verdicts = []
+    for A, W, V in cases:
+        for f, g in itertools.product(_one_one_cochains(rng, A, W, V), repeat=2):
+            got = extensions_equivalent(f, g)
+            assert got == reference_extensions_equivalent(f, g)
+            verdicts.append(got)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 def reference_module_maps(v, m, t):

@@ -406,7 +406,6 @@ def test_deform_solve_sets_up_the_chain_once_and_checks_each_order_once(tmp_path
         return real_residuals(jet, L, orders)
 
     monkeypatch.setattr(cx, "_coboundary_rows", counted_rows)
-    monkeypatch.setattr(df, "_coboundary_rows", counted_rows)
     monkeypatch.setattr(df, "_residuals", counted_residuals)
     report = run(JobSpec("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": 4}))
     assert report.exit_code == 0

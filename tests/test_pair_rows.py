@@ -9,7 +9,9 @@ eliminated for its kernel or solved against, those rows are used, with
 the right-hand side read on them by `complexes._pair_rhs`.  The checks
 below compare each use with the full rows, and the sparse helpers of the
 next-order step (`complexes._coboundary_sums`, `linalg._separating`) with
-the dense routes they replaced.
+the dense routes they replaced.  The cut is made in `complexes` alone
+(`_rows`, `_ClassRows`), and the last check pins that `deform` and
+`extensions` no longer hold the names they used to make it themselves.
 """
 
 import itertools
@@ -152,7 +154,6 @@ def test_is_coboundary_on_three_cochains_matches_the_full_rows():
 
 def test_top_degree_two_reports_match_the_full_rows(monkeypatch):
     import kvcohom.complexes as cx
-    import kvcohom.deform as df
 
     setups = _setups()[::2]
     regular = [A for A, W in setups if W == regular_bimodule(A)]
@@ -160,8 +161,7 @@ def test_top_degree_two_reports_match_the_full_rows(monkeypatch):
     rigid = [rigidity_report(A) for A in regular]
     # the same reports with every output tuple of delta_2 assembled
     real = cx._coboundary_rows
-    for module in (cx, df):
-        monkeypatch.setattr(module, "_coboundary_rows", lambda A, W, q, outputs=None: real(A, W, q))
+    monkeypatch.setattr(cx, "_coboundary_rows", lambda A, W, q, outputs=None: real(A, W, q))
     assert tops == [cohomology(A, W, 2) for A, W in setups]
     assert rigid == [rigidity_report(A) for A in regular]
     assert len(rigid) >= 3
@@ -315,3 +315,15 @@ def test_cochains_alternating_in_all_but_the_last_argument_form_a_subcomplex():
                         assert df.value(swapped) == tuple(-x for x in value)
                 checked += 1
     assert checked >= 80 and nonzero > 1000
+
+
+def test_complexes_alone_cuts_delta2_and_answers_the_coboundary_questions():
+    # `deform` and `extensions` ask `complexes` for rows or a preimage; none
+    # of them assembles, cuts or solves a differential of its own
+    import kvcohom.deform as df
+    import kvcohom.extensions as ex
+
+    for name in ("_coboundary_rows", "_pair_outputs", "_pair_rhs"):
+        assert not hasattr(df, name), name
+    for name in ("_split_semidirect", "solve"):
+        assert not hasattr(ex, name), name

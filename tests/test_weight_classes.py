@@ -209,9 +209,8 @@ def test_a_graded_jet_assembles_and_eliminates_fewer_rows_than_half_of_delta2(mo
         eliminated.append(len(rows))
         return solve_of(rows, cols, rhs)
 
-    for module in (cx, df):
-        monkeypatch.setattr(module, "_coboundary_rows", counted_rows)
-        monkeypatch.setattr(module, "_solve", counted_solve, raising=False)
+    monkeypatch.setattr(cx, "_coboundary_rows", counted_rows)
+    monkeypatch.setattr(cx, "_solve", counted_solve)
     sol = solve_next_order(jet)
     assert _fields(sol) == expected and sol.solved
     half = n * (n - 1) // 2 * n * n
