@@ -56,7 +56,9 @@ file in `serialize` and the graded deformations and cochains of `graded`.
 `_morphism_defect` is the one defect of a linear map from being a module
 morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a, in those two blocks;
 `module_morphism_space` is the kernel of the bottom matrix of the p = 1
-column of `extensions`, whose degree-0 cocycles are the module morphisms.
+column of `extensions`, whose degree-0 cocycles are the module morphisms,
+and `center` the kernel of the degree-0 matrix of `complexes` with
+regular coefficients, (delta c)(a) = -ac + ca.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
@@ -663,13 +665,11 @@ def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
 
 
 def center(A: KVAlgebra) -> Subspace:
-    """C(A) = {c : c x = x c for all x}, the commutative part."""
-    n = A.dim
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        for k in range(n):
-            rows.append([A.product[l][i][k] - A.product[i][l][k] for l in range(n)])
-    return kernel(Mat.from_rows(rows, cols=n))
+    """C(A) = {c : c x = x c for all x}: the kernel of the degree-0 matrix
+    of `complexes`, (delta c)(a) = -ac + ca, on the unit vectors."""
+    from . import complexes
+
+    return kernel(complexes._delta0_matrix(A, regular_bimodule(A), Subspace.full(A.dim).basis))
 
 
 def lie_bracket(A: KVAlgebra) -> Tensor3:

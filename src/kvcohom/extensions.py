@@ -74,7 +74,6 @@ __all__ = [
     "ModuleExtension",
     "AlgebraExtension",
     "extend_module_to_semidirect",
-    "w_count",
     "bigrade",
     "graded_piece",
     "e11_coboundary0",
@@ -105,11 +104,6 @@ def extend_module_to_semidirect(G: KVAlgebra, a_dim: int, V: KVModule) -> KVModu
     return KVModule(algebra=G, dim=v, left=left, right=right)
 
 
-def w_count(args: Sequence[int], a_dim: int) -> int:
-    """How many of the basis indices fall in the W summand."""
-    return sum(1 for i in args if i >= a_dim)
-
-
 @dataclass(frozen=True)
 class BigradedCochain:
     """A homogeneous component: exactly w_degree arguments from W, a_degree from A."""
@@ -126,16 +120,23 @@ class BigradedCochain:
             raise DimensionError(
                 "cochain degree does not match the claimed bidegree"
             )
-        N = self.cochain.n
+        N, q = self.cochain.n, self.cochain.degree
         if not (0 <= self.a_dim <= N):
             raise DimensionError("a_dim must split the semidirect dimension")
-        for args in itertools.product(range(N), repeat=self.cochain.degree):
-            if w_count(args, self.a_dim) != self.w_degree:
-                if any(x != 0 for x in self.cochain.value(args)):
-                    raise InputError(
-                        f"cochain is not homogeneous of bidegree "
-                        f"({self.w_degree},{self.a_degree}): nonzero at {args}"
-                    )
+        offending = [
+            next(t for t, x in enumerate(values) if x)
+            for p, values in _pieces(self.cochain, self.a_dim).items()
+            if p != self.w_degree
+        ]
+        if offending:
+            # the first nonzero position off the summand is on the first
+            # offending basis tuple in lexicographic order
+            s = min(offending) // self.cochain.m
+            args = tuple(s // N ** (q - 1 - r) % N for r in range(q))
+            raise InputError(
+                f"cochain is not homogeneous of bidegree "
+                f"({self.w_degree},{self.a_degree}): nonzero at {args}"
+            )
 
     def _check_component(self, other: "BigradedCochain") -> None:
         if (self.a_dim, self.w_degree, self.a_degree) != (other.a_dim, other.w_degree, other.a_degree):
@@ -293,13 +294,30 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
     return CohomologyReport(tuple(degrees))
 
 
-def _unit_block(rows: int, cols: int, k: int, r0: int, c0: int) -> Mat:
-    """The rows x cols block map with ones at (r0 + i, c0 + i) for i < k."""
-    return Mat.from_items(rows, cols, {(r0 + i, c0 + i): _ONE for i in range(k)})
+class _KernelFirst:
+    """The block maps of an extension whose total space lives on the kernel
+    followed by the rest: the quotient module of a module extension, the
+    base algebra of an algebra extension.  With k = dim kernel and
+    t = dim total the rest has r = t - k coordinates."""
+
+    def injection(self) -> Mat:
+        """kernel -> total as a k x t coordinate matrix."""
+        k = self.kernel.dim
+        return Mat.from_items(k, self.total.dim, {(i, i): _ONE for i in range(k)})
+
+    def projection(self) -> Mat:
+        """total -> rest as a t x r coordinate matrix."""
+        k, t = self.kernel.dim, self.total.dim
+        return Mat.from_items(t, t - k, {(k + i, i): _ONE for i in range(t - k)})
+
+    def canonical_section(self) -> Mat:
+        """The block injection rest -> total of the chosen splitting, r x t."""
+        k, t = self.kernel.dim, self.total.dim
+        return Mat.from_items(t - k, t, {(i, k + i): _ONE for i in range(t - k)})
 
 
 @dataclass(frozen=True)
-class ModuleExtension:
+class ModuleExtension(_KernelFirst):
     """An extension 0 -> V -> T -> W -> 0 of modules over the base algebra.
 
     The total module T lives on V + W (V block first) with
@@ -310,21 +328,6 @@ class ModuleExtension:
     kernel: KVModule
     quotient: KVModule
     total: KVModule
-
-    def injection(self) -> Mat:
-        """V -> T as a (dim V) x (dim T) coordinate matrix."""
-        v = self.kernel.dim
-        return _unit_block(v, self.total.dim, v, 0, 0)
-
-    def projection(self) -> Mat:
-        """T -> W as a (dim T) x (dim W) coordinate matrix."""
-        m = self.quotient.dim
-        return _unit_block(self.total.dim, m, m, self.kernel.dim, 0)
-
-    def canonical_section(self) -> Mat:
-        """The block injection W -> T of the chosen splitting."""
-        m = self.quotient.dim
-        return _unit_block(m, self.total.dim, m, 0, self.kernel.dim)
 
 
 def module_extension_from_cocycle(
@@ -402,7 +405,7 @@ def extensions_equivalent(f: BigradedCochain, g: BigradedCochain) -> bool:
 
 
 @dataclass(frozen=True)
-class AlgebraExtension:
+class AlgebraExtension(_KernelFirst):
     """An extension 0 -> W -> T -> A -> 0 with abelian kernel W.
 
     The total algebra lives on W + A (W block first) with the product
@@ -413,18 +416,6 @@ class AlgebraExtension:
     base: KVAlgebra
     kernel: KVModule
     total: KVAlgebra
-
-    def injection(self) -> Mat:
-        m = self.kernel.dim
-        return _unit_block(m, self.total.dim, m, 0, 0)
-
-    def projection(self) -> Mat:
-        n = self.base.dim
-        return _unit_block(self.total.dim, n, n, self.kernel.dim, 0)
-
-    def canonical_section(self) -> Mat:
-        n = self.base.dim
-        return _unit_block(n, self.total.dim, n, 0, self.kernel.dim)
 
 
 def algebra_extension_from_cocycle(

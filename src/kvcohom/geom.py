@@ -61,7 +61,7 @@ from .errors import (
     PreconditionError,
 )
 from .fixtures import aff
-from .linalg import Mat, RatLike, Subspace, Vec, kernel, solve, vec
+from .linalg import RatLike, Subspace, Vec, _kernel, _solve, vec
 
 __all__ = [
     "aff_algebra",
@@ -83,7 +83,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: Width to which a blow-up time is bracketed by step halving.
 _REFINE_WIDTH = 1e-6
@@ -445,18 +444,23 @@ class RadiantSolutions:
 
 
 def find_radiant(A: KVAlgebra) -> RadiantSolutions:
-    """Solve e_i H = e_i for all basis elements e_i, exactly."""
+    """Solve e_i H = e_i for all basis elements e_i, exactly.
+
+    The equation (i, k) is the e_k-coordinate of e_i H, times D: row
+    i * n + k holds D (e_i e_j)_k at column j, read from A's integer view,
+    and the right-hand side is D at the rows (i, i).
+    """
     n = A.dim
     if n == 0:
         raise InputError("the radiant system needs a positive dimension")
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    view = _view(A)
+    rows: list[dict[int, int]] = [{} for _ in range(n * n)]
     for i in range(n):
-        for k in range(n):
-            rows.append([A.product[i][j][k] for j in range(n)])
-            rhs.append(_ONE if i == k else _ZERO)
-    M = Mat.from_rows(rows, cols=n)
-    return RadiantSolutions(solve(M, vec(rhs)), kernel(M))
+        for j in range(n):
+            for k, x in view.gam[i][j]:
+                rows[i * n + k][j] = x
+    rhs = {i * n + i: view.D for i in range(n)}
+    return RadiantSolutions(_solve(rows, n, rhs), _kernel(rows, n))
 
 
 def radiant_primitive(

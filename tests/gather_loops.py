@@ -29,10 +29,22 @@ obstruction, takes the certificate from the left kernel of all n^4 rows,
 where the package eliminates only the rows of the weight classes the
 target touches.
 
+`dense_center`, `dense_radiant`, `scanned_homogeneity` and
+`per_class_block_maps` are the degree-0 invariants, the homogeneity check
+and the extension block maps as each used to compute them on its own: the
+commutator rows and the radiant system as dense Fraction matrices, the
+bidegree by a count of W arguments on every basis tuple, and the block
+maps of each extension class from its own summand dimensions.  The
+package reads the first as the kernel of the degree-0 matrix of
+`complexes`, the second from the algebra's integer view, the third from
+the summand split `complexes._pieces`, and the last from one kernel-first
+layout shared by both classes.
+
 Tests import this module by name; pytest puts the directory of the test
 files on the import path.
 """
 
+import itertools
 from fractions import Fraction
 
 from kvcohom.complexes import (
@@ -44,8 +56,10 @@ from kvcohom.complexes import (
 )
 from kvcohom.core import KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect
 from kvcohom.deform import _dense4, _jet_lists, _target
-from kvcohom.extensions import e11_matrix, e11_support, extend_module_to_semidirect
-from kvcohom.linalg import Mat, _separating, _solve, kernel, solve
+from kvcohom.errors import InputError
+from kvcohom.extensions import ModuleExtension, e11_matrix, e11_support, extend_module_to_semidirect
+from kvcohom.geom import RadiantSolutions
+from kvcohom.linalg import Mat, _separating, _solve, kernel, solve, vec
 
 
 def product_lists(t):
@@ -240,3 +254,57 @@ def reference_extensions_equivalent(f, g):
     A, W, V = reference_split_semidirect(f)
     target = [diff.values[pos] for pos in e11_support(A, W, V, 1)]
     return solve(e11_matrix(A, W, V, 0), target) is not None
+
+
+def dense_center(A):
+    """{c : c x = x c}: the kernel of the dense rows (i, k), whose entry at
+    column l is (e_l e_i - e_i e_l)_k."""
+    n = A.dim
+    rows = []
+    for i in range(n):
+        for k in range(n):
+            rows.append([A.product[l][i][k] - A.product[i][l][k] for l in range(n)])
+    return kernel(Mat.from_rows(rows, cols=n))
+
+
+def dense_radiant(A):
+    """The solutions of e_i H = e_i from the dense system: row (i, k) holds
+    (e_i e_j)_k at column j and the right-hand side is 1 at (i, i)."""
+    n = A.dim
+    if n == 0:
+        raise InputError("the radiant system needs a positive dimension")
+    rows = []
+    rhs = []
+    for i in range(n):
+        for k in range(n):
+            rows.append([A.product[i][j][k] for j in range(n)])
+            rhs.append(Fraction(int(i == k)))
+    M = Mat.from_rows(rows, cols=n)
+    return RadiantSolutions(solve(M, vec(rhs)), kernel(M))
+
+
+def scanned_homogeneity(f, a_dim, w_degree, a_degree):
+    """The rejection message of a cochain that is not homogeneous of
+    bidegree (w_degree, a_degree), or None: every basis tuple in
+    lexicographic order, its W arguments counted."""
+    for args in itertools.product(range(f.n), repeat=f.degree):
+        if sum(1 for i in args if i >= a_dim) != w_degree:
+            if any(x != 0 for x in f.value(args)):
+                return (
+                    f"cochain is not homogeneous of bidegree "
+                    f"({w_degree},{a_degree}): nonzero at {args}"
+                )
+    return None
+
+
+def per_class_block_maps(ext):
+    """(injection, projection, canonical section) of an extension from the
+    dimensions of its own summands: the kernel, then the quotient module or
+    the base algebra."""
+    k, t = ext.kernel.dim, ext.total.dim
+    r = ext.quotient.dim if isinstance(ext, ModuleExtension) else ext.base.dim
+
+    def unit_block(rows, cols, count, r0, c0):
+        return Mat.from_items(rows, cols, {(r0 + i, c0 + i): Fraction(1) for i in range(count)})
+
+    return unit_block(k, t, k, 0, 0), unit_block(t, r, r, k, 0), unit_block(r, t, r, 0, k)

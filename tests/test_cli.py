@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from kvcohom import serialize as sz
 from kvcohom.cli import JobSpec, fixture_names, main, run
 from kvcohom.complexes import Cochain, coboundary, is_cocycle
-from kvcohom.core import KVAlgebra, is_kv, regular_bimodule, tensor3, zero_module
+from kvcohom.core import KVAlgebra, KVModule, is_kv, is_module, regular_bimodule, tensor3, zero3, zero_module
 from kvcohom.deform import bilinear_cochain
-from kvcohom.fixtures import flat_psi, flat_theta, graded_flat
+from kvcohom.fixtures import flat_psi, flat_theta, graded_flat, rad2
 from kvcohom.geom import aff_algebra, s_alpha_beta
 
 F = Fraction
@@ -266,7 +266,7 @@ def test_extend_module_rejects_non_homogeneous_cochain(tmp_path):
             {"algebra": path, "kernel": kpath, "quotient": qpath, "cochain": cpath},
         )
     )
-    assert report.exit_code == 2
+    _input_error(report, "cochain is not homogeneous of bidegree (1,1): nonzero at (0, 0)")
 
 
 def _emit_extension(tmp_path, name, cochain):
@@ -836,6 +836,150 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# error paths: each exits with its documented code and a JSON body
+
+
+def _not_a_module():
+    """A one-dimensional left action of aff that fails (a,b,w) = (b,a,w)."""
+    a = aff_algebra()
+    return KVModule(a, 1, tensor3([[[1]], [[1]]]), zero3(1, 2, 1))
+
+
+def _input_error(report, message):
+    assert report.exit_code == 2
+    assert _body(report)["error"] == {"kind": "input", "message": message}
+    assert "Traceback" not in report.text
+
+
+def _math_failure(report, witness):
+    assert report.exit_code == 1
+    body = _body(report)
+    assert body["verdict"] is False and body["witness"] == witness
+    assert "Traceback" not in report.text
+    return body
+
+
+def test_verify_rejects_a_module_over_another_algebra(tmp_path):
+    mpath = _write(tmp_path, "rad2.json", sz.module_to_obj(zero_module(rad2(), 1)))
+    report = run(JobSpec("verify", {"algebra": _aff_path(tmp_path), "module": mpath}))
+    _input_error(report, "module file is over a different algebra")
+
+
+def test_verify_reports_the_witness_of_a_failing_module(tmp_path):
+    w = _not_a_module()
+    mpath = _write(tmp_path, "bad.json", sz.module_to_obj(w))
+    report = run(JobSpec("verify", {"algebra": _aff_path(tmp_path), "module": mpath}))
+    body = _math_failure(report, is_module(w.algebra, w).detail)
+    assert body["results"]["is_kv"]["ok"] is True
+    assert body["results"]["is_module"]["witness"] == [0, 1, 0]
+
+
+def test_extend_algebra_error_paths(tmp_path):
+    aff = _aff_path(tmp_path)
+    w = _not_a_module()
+    bad = _write(tmp_path, "bad.json", sz.module_to_obj(w))
+    zero2 = _write(tmp_path, "zero2.json", {"degree": 2, "values": ["0"] * 4})
+    report = run(JobSpec("extend-algebra", {"algebra": aff, "module": bad, "cochain": zero2}))
+    _math_failure(report, f"coefficients are not a module: {is_module(w.algebra, w).detail}")
+    zmod = _write(tmp_path, "zmod.json", sz.module_to_obj(zero_module(aff_algebra(), 1)))
+    zero1 = _write(tmp_path, "zero1.json", {"degree": 1, "values": ["0"] * 2})
+    report = run(JobSpec("extend-algebra", {"algebra": aff, "module": zmod, "cochain": zero1}))
+    _input_error(report, "algebra extensions need a degree-2 cochain")
+
+
+def test_extend_module_error_paths(tmp_path):
+    a = aff_algebra()
+    w = _not_a_module()
+    zmod = _write(tmp_path, "zmod.json", sz.module_to_obj(zero_module(a, 1)))
+    options = {"algebra": _aff_path(tmp_path), "kernel": zmod, "quotient": zmod}
+
+    def extend(cochain=None, **files):
+        if cochain is None:
+            cochain = {"degree": 2, "values": ["0"] * 9}
+        cpath = _write(tmp_path, "cochain.json", cochain)
+        return run(JobSpec("extend-module", dict(options, cochain=cpath, **files)))
+
+    other = _write(tmp_path, "other.json", sz.module_to_obj(zero_module(rad2(), 1)))
+    _input_error(extend(kernel=other), "kernel and quotient must be modules over the algebra")
+    bad = _write(tmp_path, "bad.json", sz.module_to_obj(w))
+    _math_failure(extend(kernel=bad), f"kernel is not a module: {is_module(a, w).detail}")
+    _input_error(
+        extend({"degree": 3, "values": ["0"] * 27}), "module extensions need a degree-2 cochain"
+    )
+    values = ["0"] * 9
+    values[5] = "1"  # f(e_2, w) = v, while e_2 e_1 = 0 and e_1 e_2 = e_2
+    report = extend({"degree": 2, "values": values})
+    assert report.exit_code == 1
+    assert _body(report)["witness"].startswith("the (1,1) cochain is not a cocycle")
+
+
+def test_classify_ext_rejects_mismatched_extensions(tmp_path):
+    alg = _emit_extension(tmp_path, "alg", s_alpha_beta(1, 0))
+    mod = _module_extension_path(tmp_path)
+    _input_error(run(JobSpec("classify-ext", {"ext1": alg, "ext2": mod})),
+                 "extensions have different kinds")
+    a = aff_algebra()
+    emitted = tmp_path / "zext.json"
+    options = {
+        "algebra": _aff_path(tmp_path),
+        "module": _write(tmp_path, "zmod.json", sz.module_to_obj(zero_module(a, 1))),
+        "cochain": _write(tmp_path, "zero.json", {"degree": 2, "values": ["0"] * 4}),
+        "emit": str(emitted),
+    }
+    assert run(JobSpec("extend-algebra", options)).exit_code == 0
+    _input_error(run(JobSpec("classify-ext", {"ext1": alg, "ext2": str(emitted)})),
+                 "extensions live over different base data")
+
+
+def test_deform_solve_error_paths(tmp_path):
+    _input_error(run(JobSpec("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": 0})),
+                 "--orders must be at least 1")
+    a = aff_algebra()
+    bad = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+    bad[1][1][0] = F(1)  # S(e2,e2) = e1, not a cocycle
+    obj = {"base": sz.algebra_to_obj(a), "coefficients": [sz.tensor3_to_obj(tensor3(bad))]}
+    report = run(JobSpec("deform-solve", {"jet": _write(tmp_path, "badjet.json", obj)}))
+    _math_failure(report, "cannot raise the order: the order-1 residual is nonzero")
+
+
+def test_geodesic_number_flags():
+    _input_error(run(_geodesic_job(alpha="abc")), "--alpha must be a number, got 'abc'")
+    # a float literal is read as the exact rational of the float
+    report = run(_geodesic_job(alpha="1e-3", t1=0.5))
+    assert report.exit_code == 0
+    assert report.text == run(_geodesic_job(alpha=str(Fraction(1e-3)), t1=0.5)).text
+    _input_error(run(JobSpec("geodesic", {"x0": "abc"})), "--x0 must be a float, got 'abc'")
+    _input_error(run(JobSpec("geodesic", {"t1": None})), "--t1 is required")
+
+
+def test_proptest_reports_the_first_failure(monkeypatch):
+    import kvcohom.battery as bt
+    from kvcohom.deform import kv_bracket
+
+    def off_by_one(mu, nu):
+        n = len(mu)
+        br = [[[list(r) for r in p] for p in q] for q in kv_bracket(mu, nu)]
+        br[n - 1][0][n - 1][n - 1] += 1
+        return br
+
+    monkeypatch.setattr(bt, "kv_bracket", off_by_one)
+    report = run(JobSpec("proptest", {"seed": 4, "count": 2}))
+    assert report.exit_code == 1
+    body = _body(report)
+    first = body["results"]["failures"][0]
+    assert body["witness"] == f"{first['invariant']} (instance {first['instance']}): {first['witness']}"
+    assert body["witness"].startswith("pair-bracket (instance 0): d_μμ(")
+
+
+def test_main_output_to_a_directory_is_an_input_error(tmp_path, capsys):
+    code = main(["verify", "--algebra", _aff_path(tmp_path), "--output", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write ") and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
