@@ -10,6 +10,11 @@ query), 1 on a mathematical failure with a witness in the report, 2 on
 malformed input, 3 when a computation would exceed the cell budget.  A
 mathematical failure is never reported as an input error: well-formed
 files describing objects that flunk an identity exit with 1.
+
+One table, `_VERBS`, gives each verb's handler, help text and flags, with
+each flag's type, default and lower bound.  The shell parser is built from
+it, and `run` checks a job's options against it by the rule its docstring
+states: what the flag cannot take is exit 2 with a message naming the flag.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ def _cohomology_to_obj(rep: complexes.CohomologyReport) -> list:
 def _module_or_regular(
     job: JobSpec, a: KVAlgebra, inputs: dict, parameters: dict
 ) -> KVModule:
-    path = job.opt("module")
+    path = job.options["module"]
     if path is None:
         parameters["module"] = "regular"
         return regular_bimodule(a)
@@ -178,7 +183,7 @@ def _verb_verify(job, inputs, parameters, results):
     results["is_kv"] = _check_to_obj(kv)
     verdict = bool(kv)
     witness = kv.detail if not kv else None
-    if job.opt("module") is not None:
+    if job.options["module"] is not None:
         w = _load_module(job.options["module"], inputs, "module", a)
         mod = is_module(a, w)
         results["is_module"] = _check_to_obj(mod)
@@ -191,7 +196,7 @@ def _verb_verify(job, inputs, parameters, results):
 def _verb_jacobi(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     results["algebra_jacobi"] = _subspace_to_obj(jacobi_algebra(a))
-    if job.opt("module") is not None:
+    if job.options["module"] is not None:
         w = _load_module(job.options["module"], inputs, "module", a)
         results["module_jacobi"] = _subspace_to_obj(jacobi_module(a, w))
     return None, None
@@ -200,9 +205,9 @@ def _verb_jacobi(job, inputs, parameters, results):
 def _verb_cohomology(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     w = _module_or_regular(job, a, inputs, parameters)
-    q_max = job.opt("q_max", 2)
+    q_max = job.options["q_max"]
     parameters["q_max"] = q_max
-    budget = job.opt("budget")
+    budget = job.options["budget"]
     if budget is not None:
         parameters["budget"] = budget
     rep = complexes.cohomology(a, w, q_max, budget=budget)
@@ -213,7 +218,7 @@ def _verb_cohomology(job, inputs, parameters, results):
 def _verb_nijenhuis(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     w = _module_or_regular(job, a, inputs, parameters)
-    q_max = job.opt("q_max", 2)
+    q_max = job.options["q_max"]
     parameters["q_max"] = q_max
     rep = complexes.nijenhuis_cohomology(a, w, q_max)
     results["degrees"] = _cohomology_to_obj(rep)
@@ -317,9 +322,7 @@ def _verb_deform_check(job, inputs, parameters, results):
 
 def _verb_deform_solve(job, inputs, parameters, results):
     jet = sz.jet_from_obj(_read_json_file(job.options["jet"], inputs, "jet"))
-    orders = job.opt("orders", 1)
-    if orders < 1:
-        raise InputError("--orders must be at least 1")
+    orders = job.options["orders"]
     parameters["orders"] = orders
     steps = []
     witness = None
@@ -445,8 +448,8 @@ def _verb_connectionlike(job, inputs, parameters, results):
 
 
 def _verb_aff_suite(job, inputs, parameters, results):
-    alpha = sz.parse_rat(job.opt("alpha", "1"))
-    beta = sz.parse_rat(job.opt("beta", "0"))
+    alpha = sz.parse_rat(job.options["alpha"])
+    beta = sz.parse_rat(job.options["beta"])
     parameters["alpha"] = sz.format_rat(alpha)
     parameters["beta"] = sz.format_rat(beta)
     a = geom.aff_algebra()
@@ -501,25 +504,11 @@ def _parse_number(text: str, what: str) -> Fraction:
 
 
 def _verb_geodesic(job, inputs, parameters, results):
-    def flt(key: str, default: Optional[float] = None) -> float:
-        raw = job.opt(key, default)
-        if raw is None:
-            raise InputError(f"--{key.replace('_', '-')} is required")
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise InputError(f"--{key} must be a float, got {raw!r}") from None
-
+    o = job.options
     problem = geom.GeodesicProblem(
-        alpha=_parse_number(str(job.opt("alpha", "0")), "--alpha"),
-        beta=_parse_number(str(job.opt("beta", "0")), "--beta"),
-        x0=flt("x0", 0.0),
-        y0=flt("y0", 0.0),
-        vx0=flt("vx0", 1.0),
-        vy0=flt("vy0", 0.0),
-        t0=flt("t0", 0.0),
-        t1=flt("t1", 1.0),
-        step=flt("step", 1e-3),
+        alpha=_parse_number(o["alpha"], "--alpha"),
+        beta=_parse_number(o["beta"], "--beta"),
+        **{key: o[key] for key in ("x0", "y0", "vx0", "vy0", "t0", "t1", "step")},
     )
     trajectory = geom.integrate_geodesic(problem)
     lines = [f"# termination: {trajectory.termination}"]
@@ -551,10 +540,8 @@ def _verb_radiant(job, inputs, parameters, results):
 
 
 def _verb_proptest(job, inputs, parameters, results):
-    seed = job.opt("seed", 0)
-    count = job.opt("count", 20)
-    if count < 1:
-        raise InputError("--count must be at least 1")
+    seed = job.options["seed"]
+    count = job.options["count"]
     parameters["seed"] = seed
     parameters["count"] = count
     rep = battery.run_battery(seed, count)
@@ -590,31 +577,121 @@ def _verb_fixtures(job, inputs, parameters, results):
     )
 
 
-_HANDLERS = {
-    "verify": _verb_verify,
-    "jacobi": _verb_jacobi,
-    "cohomology": _verb_cohomology,
-    "nijenhuis": _verb_nijenhuis,
-    "extend-algebra": _verb_extend_algebra,
-    "extend-module": _verb_extend_module,
-    "classify-ext": _verb_classify_ext,
-    "deform-check": _verb_deform_check,
-    "deform-solve": _verb_deform_solve,
-    "rigidity": _verb_rigidity,
-    "curvature-check": _verb_curvature_check,
-    "graded-check": _verb_graded_check,
-    "graded-deform": _verb_graded_deform,
-    "connectionlike": _verb_connectionlike,
-    "aff-suite": _verb_aff_suite,
-    "geodesic": _verb_geodesic,
-    "radiant": _verb_radiant,
-    "proptest": _verb_proptest,
-    "fixtures": _verb_fixtures,
+# ---------------------------------------------------------------------------
+# the flag table: each verb's handler, help text and flags, read by both the
+# shell parser and run
+
+_REQUIRED = object()  # the default of a flag that has none
+
+_NOUNS = {str: "a string", int: "an integer", float: "a float"}
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """A flag as the shell spells it ("--q-max"; "name" is positional)."""
+
+    spelling: str
+    type: type = str
+    default: Any = None
+    at_least: Optional[int] = None
+    help: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        return self.spelling.lstrip("-").replace("-", "_")
+
+    def read(self, options: dict) -> Any:
+        """This flag's value in options, by the rule of run's docstring."""
+        value = options.get(self.key, self.default)
+        if value is None and self.default is None:
+            return None
+        if value is None or value is _REQUIRED:
+            raise InputError(f"{self.spelling} is required")
+        accepted = (int, float) if self.type is float else (self.type,)
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, *accepted)):
+                raise TypeError
+            value = self.type(value)  # a string converts as argparse converts it
+        except (TypeError, ValueError, OverflowError):
+            got = repr(value) if isinstance(value, (str, float, bool)) else type(value).__name__
+            raise InputError(f"{self.spelling} must be {_NOUNS[self.type]}, got {got}") from None
+        if self.at_least is not None and value < self.at_least:
+            raise InputError(f"{self.spelling} must be at least {self.at_least}")
+        return value
+
+
+def _required(spelling: str) -> _Flag:
+    return _Flag(spelling, default=_REQUIRED)
+
+
+def _verb(handler: Callable, help_text: str, *flags: _Flag) -> tuple:
+    output = _Flag("--output", help="write the report/artifact here instead of stdout")
+    return handler, help_text, (output, *flags)
+
+
+_ALGEBRA, _COCHAIN, _GRADED, _THETA, _JET = map(
+    _required, ("--algebra", "--cochain", "--graded", "--theta", "--jet")
+)
+_MODULE = _Flag("--module")
+_COEFFICIENTS = _Flag("--module", help="coefficient module file (default: regular)")
+_Q_MAX = _Flag("--q-max", int, 2)
+_EXTENSION_FILE = _Flag("--emit", help="also write the extension file here")
+
+_VERBS = {
+    "verify": _verb(_verb_verify, "check the KV identity (and module identities)",
+                    _ALGEBRA, _MODULE),
+    "jacobi": _verb(_verb_jacobi, "Jacobi elements of an algebra (and a module)",
+                    _ALGEBRA, _MODULE),
+    "cohomology": _verb(_verb_cohomology, "exact cohomology table through a degree",
+                        _ALGEBRA, _COEFFICIENTS, _Q_MAX,
+                        _Flag("--budget", int, help="table-cell budget override")),
+    "nijenhuis": _verb(_verb_nijenhuis, "commutator Chevalley-Eilenberg comparison table",
+                       _ALGEBRA, _COEFFICIENTS, _Q_MAX),
+    "extend-algebra": _verb(_verb_extend_algebra, "build the extension classified by a 2-cocycle",
+                            _ALGEBRA, _required("--module"), _COCHAIN, _EXTENSION_FILE),
+    "extend-module": _verb(_verb_extend_module, "build the module extension of a (1,1) cocycle",
+                           _ALGEBRA, _required("--kernel"), _required("--quotient"), _COCHAIN,
+                           _EXTENSION_FILE),
+    "classify-ext": _verb(_verb_classify_ext, "decide whether two extensions are equivalent",
+                          _required("--ext1"), _required("--ext2")),
+    "deform-check": _verb(_verb_deform_check, "verify the deformation equations of a jet", _JET),
+    "deform-solve": _verb(_verb_deform_solve, "extend a jet order by order or certify obstructions",
+                          _JET, _Flag("--orders", int, 1, at_least=1),
+                          _Flag("--emit", help="write the extended jet file here")),
+    "rigidity": _verb(_verb_rigidity, "tangent-space dimensions and the rigidity verdict",
+                      _ALGEBRA),
+    "curvature-check": _verb(_verb_curvature_check,
+                             "two-route curvature comparison for a symmetric tensor",
+                             _ALGEBRA, _required("--tensor")),
+    "graded-check": _verb(_verb_graded_check, "validate a two-graded algebra file", _GRADED),
+    "graded-deform": _verb(_verb_graded_deform, "deform the odd part by a square-zero product",
+                           _GRADED, _THETA,
+                           _Flag("--emit", help="write the deformed algebra file here")),
+    "connectionlike": _verb(_verb_connectionlike,
+                            "evaluate the defining conditions of a (theta, psi) pair",
+                            _GRADED, _THETA, _required("--psi")),
+    # --alpha and --beta stay strings that each verb parses itself, so a bad
+    # value is an input-error report on the shell path too
+    "aff-suite": _verb(_verb_aff_suite, "worked two-dimensional example with its cocycle pencil",
+                       _Flag("--alpha", default="1"), _Flag("--beta", default="0")),
+    "geodesic": _verb(_verb_geodesic, "integrate the deformed-connection geodesic system",
+                      _Flag("--alpha", default="0"), _Flag("--beta", default="0"),
+                      _Flag("--x0", float, 0.0), _Flag("--y0", float, 0.0),
+                      _Flag("--vx0", float, 1.0), _Flag("--vy0", float, 0.0),
+                      _Flag("--t0", float, 0.0), _Flag("--t1", float, 1.0),
+                      _Flag("--step", float, 1e-3)),
+    "radiant": _verb(_verb_radiant, "solve for right identities", _ALGEBRA),
+    "proptest": _verb(_verb_proptest, "seeded random invariant battery",
+                      _Flag("--seed", int, 0), _Flag("--count", int, 20, at_least=1)),
+    "fixtures": _verb(_verb_fixtures, "emit a named fixture file",
+                      _Flag("name", default=_REQUIRED,
+                            help=f"one of: {', '.join(fixture_names())}")),
 }
+
 
 def _maybe_emit(job: JobSpec, obj: Any) -> None:
     """Write obj's canonical JSON to the --emit path, when one is given."""
-    path = job.opt("emit")
+    path = job.options["emit"]
     if path is not None:
         sz.write_text(path, sz.canonical_json(obj))
 
@@ -629,29 +706,35 @@ def _error_report(verb: str, kind: str, message: str, exit_code: int) -> Report:
 
 
 def run(job: JobSpec) -> Report:
-    """Execute one job; never raises for input or mathematical trouble."""
-    handler = _HANDLERS.get(job.verb)
-    if handler is None:
-        return _error_report(
-            job.verb, "input", f"unknown verb {job.verb!r}", _EXIT_INPUT
-        )
+    """Execute one job; never raises for input or mathematical trouble.
+
+    The options are checked against the verb's flags in `_VERBS`, keyed as
+    the parser stores them ("q_max" for --q-max, "output" for every verb),
+    and the handler gets every flag filled in.  Exit 2, naming the flag, for
+    an unknown key; a required flag absent, or None where the default is not
+    None (an absent flag takes its default); a string an int or float flag
+    cannot convert as argparse would ({"count": "5"} runs as --count 5);
+    any other value not of the flag's type (a bool is never a number, an int
+    is a float, a float is not an int, a str flag takes strings only); and a
+    value below the flag's bound.
+    """
+    if job.verb not in _VERBS:
+        return _error_report(job.verb, "input", f"unknown verb {job.verb!r}", _EXIT_INPUT)
+    handler, _, flags = _VERBS[job.verb]
     inputs: dict = {}
     parameters: dict = {}
     results: dict = {}
     try:
-        outcome = handler(job, inputs, parameters, results)
+        known = {flag.key for flag in flags}
+        for key in job.options:
+            if key not in known:
+                raise InputError(f"unknown option {key!r} for {job.verb}")
+        filled = JobSpec(job.verb, {flag.key: flag.read(job.options) for flag in flags})
+        outcome = handler(filled, inputs, parameters, results)
     except (_MathFailure, PreconditionError) as exc:
-        body = {
-            "format_version": FORMAT_VERSION,
-            "verb": job.verb,
-            "inputs": inputs,
-            "parameters": parameters,
-            # A _MathFailure may carry the results gathered before it.
-            "results": getattr(exc, "results", None) or results,
-            "verdict": False,
-            "witness": str(exc),
-        }
-        return Report(job.verb, _EXIT_MATH, sz.canonical_json(body), body)
+        # A _MathFailure may carry the results gathered before it.
+        results = getattr(exc, "results", None) or results
+        outcome = False, str(exc)
     except BudgetError as exc:
         return _error_report(job.verb, "budget", str(exc), _EXIT_BUDGET)
     except (InputError, DimensionError) as exc:
@@ -683,101 +766,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in _VERBS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--output", help="write the report/artifact here instead of stdout")
-        return p
-
-    p = add("verify", "check the KV identity (and module identities)")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module")
-
-    p = add("jacobi", "Jacobi elements of an algebra (and a module)")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module")
-
-    p = add("cohomology", "exact cohomology table through a degree")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module", help="coefficient module file (default: regular)")
-    p.add_argument("--q-max", dest="q_max", type=int)
-    p.add_argument("--budget", type=int, help="table-cell budget override")
-
-    p = add("nijenhuis", "commutator Chevalley-Eilenberg comparison table")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module", help="coefficient module file (default: regular)")
-    p.add_argument("--q-max", dest="q_max", type=int)
-
-    p = add("extend-algebra", "build the extension classified by a 2-cocycle")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--module", required=True)
-    p.add_argument("--cochain", required=True)
-    p.add_argument("--emit", help="also write the extension file here")
-
-    p = add("extend-module", "build the module extension of a (1,1) cocycle")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--quotient", required=True)
-    p.add_argument("--cochain", required=True)
-    p.add_argument("--emit", help="also write the extension file here")
-
-    p = add("classify-ext", "decide whether two extensions are equivalent")
-    p.add_argument("--ext1", required=True)
-    p.add_argument("--ext2", required=True)
-
-    p = add("deform-check", "verify the deformation equations of a jet")
-    p.add_argument("--jet", required=True)
-
-    p = add("deform-solve", "extend a jet order by order or certify obstructions")
-    p.add_argument("--jet", required=True)
-    p.add_argument("--orders", type=int)
-    p.add_argument("--emit", help="write the extended jet file here")
-
-    p = add("rigidity", "tangent-space dimensions and the rigidity verdict")
-    p.add_argument("--algebra", required=True)
-
-    p = add("curvature-check", "two-route curvature comparison for a symmetric tensor")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--tensor", required=True)
-
-    p = add("graded-check", "validate a two-graded algebra file")
-    p.add_argument("--graded", required=True)
-
-    p = add("graded-deform", "deform the odd part by a square-zero product")
-    p.add_argument("--graded", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--emit", help="write the deformed algebra file here")
-
-    p = add("connectionlike", "evaluate the defining conditions of a (theta, psi) pair")
-    p.add_argument("--graded", required=True)
-    p.add_argument("--theta", required=True)
-    p.add_argument("--psi", required=True)
-
-    p = add("aff-suite", "worked two-dimensional example with its cocycle pencil")
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-
-    p = add("geodesic", "integrate the deformed-connection geodesic system")
-    p.add_argument("--alpha")
-    p.add_argument("--beta")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--y0", type=float)
-    p.add_argument("--vx0", type=float)
-    p.add_argument("--vy0", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--step", type=float)
-
-    p = add("radiant", "solve for right identities")
-    p.add_argument("--algebra", required=True)
-
-    p = add("proptest", "seeded random invariant battery")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-
-    p = add("fixtures", "emit a named fixture file")
-    p.add_argument("name", help=f"one of: {', '.join(fixture_names())}")
-
+        for flag in flags:
+            kwargs: dict = {"help": flag.help}
+            if flag.type is not str:
+                kwargs["type"] = flag.type
+            if flag.default is _REQUIRED and flag.spelling.startswith("-"):
+                kwargs["required"] = True
+            p.add_argument(flag.spelling, **kwargs)
     return parser
 
 
@@ -785,8 +782,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     options = {k: v for k, v in vars(ns).items() if k != "verb" and v is not None}
-    job = JobSpec(verb=ns.verb, options=options)
-    report = run(job)
+    report = run(JobSpec(ns.verb, options))
     output = options.get("output")
     if output is not None:
         try:

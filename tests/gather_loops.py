@@ -40,13 +40,19 @@ package reads the first as the kernel of the degree-0 matrix of
 the summand split `complexes._pieces`, and the last from one kernel-first
 layout shared by both classes.
 
+`reference_build_parser` is the shell parser with each verb's flags written
+out as add_argument calls, where the package builds it from the one flag
+table that `cli.run` also checks options against.
+
 Tests import this module by name; pytest puts the directory of the test
 files on the import path.
 """
 
+import argparse
 import itertools
 from fractions import Fraction
 
+from kvcohom.cli import fixture_names
 from kvcohom.complexes import (
     Cochain,
     _coboundary_rows,
@@ -308,3 +314,111 @@ def per_class_block_maps(ext):
         return Mat.from_items(rows, cols, {(r0 + i, c0 + i): Fraction(1) for i in range(count)})
 
     return unit_block(k, t, k, 0, 0), unit_block(t, r, r, k, 0), unit_block(r, t, r, 0, k)
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The shell parser as each verb's add_argument calls wrote it out."""
+    parser = argparse.ArgumentParser(
+        prog="kvcohom",
+        description=(
+            "Exact cohomology, extensions, deformations, and flat-connection "
+            "geometry of Koszul-Vinberg algebras."
+        ),
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output", help="write the report/artifact here instead of stdout")
+        return p
+
+    p = add("verify", "check the KV identity (and module identities)")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--module")
+
+    p = add("jacobi", "Jacobi elements of an algebra (and a module)")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--module")
+
+    p = add("cohomology", "exact cohomology table through a degree")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--module", help="coefficient module file (default: regular)")
+    p.add_argument("--q-max", dest="q_max", type=int)
+    p.add_argument("--budget", type=int, help="table-cell budget override")
+
+    p = add("nijenhuis", "commutator Chevalley-Eilenberg comparison table")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--module", help="coefficient module file (default: regular)")
+    p.add_argument("--q-max", dest="q_max", type=int)
+
+    p = add("extend-algebra", "build the extension classified by a 2-cocycle")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--module", required=True)
+    p.add_argument("--cochain", required=True)
+    p.add_argument("--emit", help="also write the extension file here")
+
+    p = add("extend-module", "build the module extension of a (1,1) cocycle")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--kernel", required=True)
+    p.add_argument("--quotient", required=True)
+    p.add_argument("--cochain", required=True)
+    p.add_argument("--emit", help="also write the extension file here")
+
+    p = add("classify-ext", "decide whether two extensions are equivalent")
+    p.add_argument("--ext1", required=True)
+    p.add_argument("--ext2", required=True)
+
+    p = add("deform-check", "verify the deformation equations of a jet")
+    p.add_argument("--jet", required=True)
+
+    p = add("deform-solve", "extend a jet order by order or certify obstructions")
+    p.add_argument("--jet", required=True)
+    p.add_argument("--orders", type=int)
+    p.add_argument("--emit", help="write the extended jet file here")
+
+    p = add("rigidity", "tangent-space dimensions and the rigidity verdict")
+    p.add_argument("--algebra", required=True)
+
+    p = add("curvature-check", "two-route curvature comparison for a symmetric tensor")
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--tensor", required=True)
+
+    p = add("graded-check", "validate a two-graded algebra file")
+    p.add_argument("--graded", required=True)
+
+    p = add("graded-deform", "deform the odd part by a square-zero product")
+    p.add_argument("--graded", required=True)
+    p.add_argument("--theta", required=True)
+    p.add_argument("--emit", help="write the deformed algebra file here")
+
+    p = add("connectionlike", "evaluate the defining conditions of a (theta, psi) pair")
+    p.add_argument("--graded", required=True)
+    p.add_argument("--theta", required=True)
+    p.add_argument("--psi", required=True)
+
+    p = add("aff-suite", "worked two-dimensional example with its cocycle pencil")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+
+    p = add("geodesic", "integrate the deformed-connection geodesic system")
+    p.add_argument("--alpha")
+    p.add_argument("--beta")
+    p.add_argument("--x0", type=float)
+    p.add_argument("--y0", type=float)
+    p.add_argument("--vx0", type=float)
+    p.add_argument("--vy0", type=float)
+    p.add_argument("--t0", type=float)
+    p.add_argument("--t1", type=float)
+    p.add_argument("--step", type=float)
+
+    p = add("radiant", "solve for right identities")
+    p.add_argument("--algebra", required=True)
+
+    p = add("proptest", "seeded random invariant battery")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int)
+
+    p = add("fixtures", "emit a named fixture file")
+    p.add_argument("name", help=f"one of: {', '.join(fixture_names())}")
+
+    return parser

@@ -1,6 +1,9 @@
 """End-to-end checks of the command line: verbs, reports, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcohom import cli
 from kvcohom import serialize as sz
 from kvcohom.cli import JobSpec, fixture_names, main, run
 from kvcohom.complexes import Cochain, coboundary, is_cocycle
@@ -1108,3 +1112,184 @@ def test_cli_verbs_reproduce_the_known_report_digests(monkeypatch):
         code, out = cli_verbs.in_process(argv)
         key = " ".join(argv)
         assert (code, hashlib.sha256(out).hexdigest()) == (known[key]["exit"], known[key]["sha256"]), key
+
+
+# ---------------------------------------------------------------------------
+# the flag table: run checks options by the shell's flags, and the shell
+# parser built from the table is the one the verbs' add_argument calls made
+
+
+def _flags(verb):
+    return cli._VERBS[verb][2]
+
+
+def _placeholders(verb):
+    """A string for every required flag, so the check under test comes first."""
+    return {f.key: "unread.json" for f in _flags(verb) if f.default is cli._REQUIRED}
+
+
+def test_run_checks_every_flag_of_the_table():
+    nouns = {str: "a string", int: "an integer", float: "a float"}
+    assert len(cli._VERBS) == 19
+    for verb in cli._VERBS:
+        base = _placeholders(verb)
+        _input_error(run(JobSpec(verb, dict(base, bogus=1))), f"unknown option 'bogus' for {verb}")
+        for flag in _flags(verb):
+            def rejects(value, message):
+                report = run(JobSpec(verb, dict(base, **{flag.key: value})))
+                _input_error(report, f"{flag.spelling} {message}")
+
+            if flag.default is cli._REQUIRED:
+                _input_error(run(JobSpec(verb, {k: v for k, v in base.items() if k != flag.key})),
+                             f"{flag.spelling} is required")
+            if flag.default is not None:
+                rejects(None, "is required")
+            noun = nouns[flag.type]
+            if flag.type is str:
+                rejects(1, f"must be {noun}, got int")
+                rejects(False, f"must be {noun}, got False")
+            else:
+                rejects("x", f"must be {noun}, got 'x'")
+                rejects(True, f"must be {noun}, got True")
+            if flag.type is int:
+                rejects(2.5, f"must be {noun}, got 2.5")
+                rejects("2.5", f"must be {noun}, got '2.5'")
+            if flag.at_least is not None:
+                rejects(flag.at_least - 1, f"must be at least {flag.at_least}")
+                rejects(str(flag.at_least - 1), f"must be at least {flag.at_least}")
+    bounded = {(verb, f.key) for verb in cli._VERBS for f in _flags(verb) if f.at_least is not None}
+    assert bounded == {("deform-solve", "orders"), ("proptest", "count")}
+
+
+def test_run_converts_numeric_strings_as_the_shell_does(tmp_path):
+    same = [
+        ("proptest", {"seed": "1", "count": "2"}, {"seed": 1, "count": 2}),
+        ("cohomology", {"algebra": _aff_path(tmp_path), "q_max": "1", "budget": "99"},
+         {"algebra": _aff_path(tmp_path), "q_max": 1, "budget": 99}),
+        ("deform-solve", {"jet": _s10_jet_path(tmp_path), "orders": "2"},
+         {"jet": _s10_jet_path(tmp_path), "orders": 2}),
+        ("geodesic", {"t1": "0.5", "vx0": "2"}, {"t1": 0.5, "vx0": 2.0}),
+        ("geodesic", {"t1": "0.5", "vx0": "2"}, {"t1": 0.5, "vx0": 2}),
+    ]
+    for verb, text, typed in same:
+        report = run(JobSpec(verb, text))
+        assert report.exit_code == 0, report.text
+        assert report.text == run(JobSpec(verb, typed)).text
+        argv = [verb] + [a for k, v in text.items() for a in ("--" + k.replace("_", "-"), v)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == report.text
+    assert _body(run(JobSpec("proptest", {"count": "3"})))["parameters"] == {"seed": 0, "count": 3}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_shell_help_matches_the_reference_parser():
+    from gather_loops import reference_build_parser
+
+    built, reference = cli._build_parser(), reference_build_parser()
+    assert built.format_help() == reference.format_help()
+    assert list(_subparsers(built)) == list(_subparsers(reference)) == list(cli._VERBS)
+    for verb, parser in _subparsers(built).items():
+        assert parser.format_help() == _subparsers(reference)[verb].format_help(), verb
+
+
+def test_shell_errors_and_values_match_the_reference_parser():
+    from gather_loops import reference_build_parser
+
+    def parse(parser, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                return vars(parser.parse_args(argv)), err.getvalue()
+            except SystemExit as exc:
+                return exc.code, err.getvalue()
+
+    argvs = [
+        ["proptest", "--count", "x"],  # a wrong type
+        ["cohomology", "--algebra", "a.json", "--q-max", "1.5"],
+        ["geodesic", "--x0", "abc"],
+        ["verify"],  # a missing required flag
+        ["extend-module", "--algebra", "a", "--kernel", "k"],
+        ["verify", "--algebra", "a.json", "--bogus", "1"],  # an unknown flag
+        ["frobnicate"],  # an unknown verb
+        [],
+        ["fixtures"],  # a missing positional
+        ["fixtures", "aff", "extra"],
+        ["cohomology", "--algebra", "a.json", "--q-max", "3", "--budget", "-2", "--output", "o"],
+        ["geodesic", "--alpha", "1/2", "--step", "1e-2", "--t1", "-1.5"],
+        ["proptest", "--seed", "-3", "--count", "0"],
+        ["fixtures", "aff"],
+    ]
+    for argv in argvs:
+        got = parse(cli._build_parser(), argv)
+        assert got == parse(reference_build_parser(), argv), argv
+        assert "Traceback" not in got[1]
+
+
+def _shell_values(verb, flag, paths, out_dir):
+    """Small argument strings for one flag, valid and not."""
+    if flag.key in ("emit", "output"):
+        return st.just(str(out_dir / f"{verb}-{flag.key}.out"))
+    if flag.key == "name":
+        return st.sampled_from(fixture_names() + ["nope"])
+    if flag.key in ("alpha", "beta"):
+        return st.sampled_from(["0", "2", "-1/2", "1e-3", "x", "1/0"])
+    if flag.key == "step":
+        return st.sampled_from(["1e-2", "0", "-1", "x", "nan"])
+    if flag.type is int:  # --count, --q-max and --orders stay at most 3
+        return st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["x", "1.5"]))
+    if flag.type is float:
+        return st.one_of(st.floats(-2, 2).map(repr), st.sampled_from(["x", "nan", "inf"]))
+    return st.sampled_from(paths.get(flag.key, []) + [str(out_dir / "missing.json")])
+
+
+def _run_values(verb, flag, shell):
+    """Values for run: the shell's string, or a leaf of any type; numbers stay
+    small wherever a large one would run instead of failing."""
+    if flag.key in ("emit", "output"):  # a drawn string would be a path to write
+        return st.one_of(st.just(shell), _leaves.filter(lambda v: not isinstance(v, str)))
+    if flag.key == "step":
+        return st.sampled_from([shell, 1e-2, 0, -1, "x", float("nan")])
+    if verb == "geodesic":
+        return st.one_of(st.just(shell), st.none(), st.booleans(), st.integers(-2, 2),
+                         st.floats(-2, 2), st.sampled_from(["x", "nan", "", "-1/2"]))
+    if flag.type is int:
+        return st.one_of(st.just(shell), _leaves.filter(lambda v: not isinstance(v, str)),
+                         st.sampled_from(["x", "1.5", "01", "", " 2 "]))
+    return st.one_of(st.just(shell), _leaves)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzz_argument_vectors(file_requests, data):
+    # a verb, a subset of its flags and a value for each: through main,
+    # argparse's exit 2 counts as exit 2 and nothing prints a traceback;
+    # through run, every outcome is a documented exit code
+    paths: dict = {}
+    for _, options in file_requests:
+        for key, value in options.items():
+            if isinstance(value, str) and value not in paths.setdefault(key, []):
+                paths[key].append(value)
+    out_dir = Path(paths["algebra"][0]).parent
+    verb = data.draw(st.sampled_from(sorted(cli._VERBS)))
+    flags = [f for f in _flags(verb) if data.draw(st.sampled_from([True, True, False]))]
+    shell = {f: data.draw(_shell_values(verb, f, paths, out_dir)) for f in flags}
+    argv = [verb]
+    for flag, value in shell.items():
+        argv += [value] if flag.key == "name" else [flag.spelling, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    options = {f.key: data.draw(_run_values(verb, f, v)) for f, v in shell.items()}
+    report = run(JobSpec(verb, options))
+    assert report.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in report.text
