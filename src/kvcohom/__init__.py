@@ -46,10 +46,9 @@ from . import errors, linalg, core, fixtures, serialize, cli  # noqa: E402
 _EXPORTS = {
     "core": (
         "CheckResult", "Element", "KVAlgebra", "KVModule", "associator", "center",
-        "direct_sum", "hom_module", "is_kv", "is_module", "jacobi_algebra",
-        "jacobi_module", "left_regular_module", "lie_bracket", "mixed_associators",
-        "module_direct_sum", "multilinear_module", "random_kv", "random_module",
-        "regular_bimodule", "semidirect", "zero_module",
+        "direct_sum", "is_kv", "is_module", "jacobi_algebra", "jacobi_module",
+        "left_regular_module", "lie_bracket", "mixed_associators", "module_direct_sum",
+        "random_kv", "random_module", "regular_bimodule", "semidirect", "zero_module",
     ),
     "complexes": (
         "Cochain", "CohomologyReport", "DegreeData", "coboundary", "coboundary0",
@@ -69,15 +68,14 @@ _EXPORTS = {
         "graded_piece", "module_extension_from_cocycle",
     ),
     "deform": (
-        "BasisFlowJet", "MultiplicationJet", "NextOrderSolution", "RigidityReport",
-        "bilinear_cochain", "curvature_check", "jet_check", "jet_residuals",
-        "kv_bracket", "pushforward_jet", "rigidity_report", "solve_next_order",
-        "trilinear_cochain",
+        "MultiplicationJet", "NextOrderSolution", "RigidityReport", "bilinear_cochain",
+        "curvature_check", "jet_check", "jet_residuals", "kv_bracket", "rigidity_report",
+        "solve_next_order",
     ),
     "graded": (
         "ConnectionlikePair", "ConnectionlikeReport", "GradedKVAlgebra",
         "cocycle_from_connectionlike", "connectionlike_from_cocycle", "deform_graded",
-        "graded_component", "is_connectionlike", "is_kv_chain", "is_theta_cocycle",
+        "is_connectionlike", "is_kv_chain", "is_theta_cocycle",
     ),
     "geom": (
         "GeodesicProblem", "PencilReport", "RadiantSolutions", "Trajectory",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,23 +94,11 @@ class _MathFailure(Exception):
         self.results = results or {}
 
 
-def _read_file_bytes(path: str, inputs: dict, key: str) -> bytes:
-    try:
-        data = Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
-        raise InputError(f"cannot read {path}: {exc}") from None
-    inputs[key] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return data
-
-
 def _read_json_file(path: str, inputs: dict, key: str) -> Any:
-    data = _read_file_bytes(path, inputs, key)
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and integer literals past
-        # the interpreter's digit limit; RecursionError, nesting too deep.
-        raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+    """The JSON value of the file at path, whose path and digest go to inputs."""
+    data = sz._read_bytes(path)
+    inputs[key] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return sz._decode_json(data, path)
 
 
 def _load_algebra(path: str, inputs: dict, key: str = "algebra") -> KVAlgebra:
@@ -716,15 +703,18 @@ def run(job: JobSpec) -> Report:
     cannot convert as argparse would ({"count": "5"} runs as --count 5);
     any other value not of the flag's type (a bool is never a number, an int
     is a float, a float is not an int, a str flag takes strings only); and a
-    value below the flag's bound.
+    value below the flag's bound.  A verb that is not a known string, or
+    options that are not a dict, are exit 2 as well.
     """
-    if job.verb not in _VERBS:
-        return _error_report(job.verb, "input", f"unknown verb {job.verb!r}", _EXIT_INPUT)
+    if not isinstance(job.verb, str) or job.verb not in _VERBS:
+        return _error_report(str(job.verb), "input", f"unknown verb {job.verb!r}", _EXIT_INPUT)
     handler, _, flags = _VERBS[job.verb]
     inputs: dict = {}
     parameters: dict = {}
     results: dict = {}
     try:
+        if not isinstance(job.options, dict):
+            raise InputError(f"the options must be a dict, got {type(job.options).__name__}")
         known = {flag.key for flag in flags}
         for key in job.options:
             if key not in known:

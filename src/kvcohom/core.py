@@ -15,7 +15,7 @@ nonzero structure constants only; `associator`, `mixed_associators` and
 
 Each contraction has one private implementation here, shared by the other
 layers: `_bilinear` applies a bilinear tensor to two coordinate vectors
-(the body of `mul`, `left_act` and `right_act`, and of the basis changes
+(the body of `mul`, `left_act` and `right_act`, and of the basis change
 below), and `_sparse4` is the one kernel for sums of two-step products.
 Its terms are specs over integer lists: each names its first and second
 product and the places of their arguments, and is scattered from the
@@ -39,10 +39,10 @@ algebra's product and its two actions over one D, and reuses the
 algebra's lists for an action that is the product, so a fresh
 `regular_bimodule` lists nothing again.  The view backs the verdict scans
 of `is_kv` and `is_module`, `jacobi_module`, the action lists of the
-derivation rules, `hom_module` and `multilinear_module`, and the
-coboundary, the row assemblers and the degree-0 matrix of `complexes`; so
-the rules of `graded` and `geom` list only the caller's tensor.  The
-scaled lists back the pair bracket, residuals and curvature of `deform`.
+derivation rules, and the coboundary, the row assemblers and the
+degree-0 matrix of `complexes`; so the rules of `graded` and `geom` list
+only the caller's tensor.  The scaled lists back the pair bracket,
+residuals and curvature of `deform`.
 The battery's second routes read the structure constants on their own
 and do not go through `_bilinear` or `_sparse4`.
 
@@ -62,18 +62,14 @@ regular coefficients, (delta c)(a) = -ac + ca.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
-values back into a tensor.  `_transported` carries a bilinear tensor along
-a change of basis (`conjugate_algebra`, the pushforward of a basis flow in
-`deform`, and through `conjugate_algebra` the shear check of an algebra
-extension equivalence); `conjugate_module` moves each action plane of
-structure constants by two sparse matrix products instead, and
-`_hom_actions` builds the actions on Hom(S, V) for a space S given by its
-left action (`hom_module`, `multilinear_module`).
+values back into a tensor.  `conjugate_algebra` carries the product along
+a change of basis through `_bilinear` (and so checks the shear of an
+algebra extension equivalence); `conjugate_module` moves each action
+plane of structure constants by two sparse matrix products instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -102,8 +98,6 @@ __all__ = [
     "regular_bimodule",
     "left_regular_module",
     "zero_module",
-    "hom_module",
-    "multilinear_module",
     "module_morphism_space",
     "semidirect",
     "direct_sum",
@@ -705,74 +699,6 @@ def zero_module(A: KVAlgebra, dim: int) -> KVModule:
     )
 
 
-def _hom_actions(A: KVAlgebra, s_dim: int, s_left: list, D: int, V: KVModule) -> tuple[Tensor3, Tensor3]:
-    """The actions on the space of linear maps S -> V,
-
-        (a.f)(s) = a(f(s)) - f(as)        (f.a)(s) = (f(s))a,
-
-    for a space S of dimension s_dim given by its left action: s_left[i][ga]
-    lists the (al, c) of e_i s_ga, c an int over the scale D and a repeated
-    al adding up.  Basis maps f_(al,be): s_al -> v_be are flattened with
-    index al * dim(V) + be.
-    """
-    n, mv = A.dim, V.dim
-    dim = s_dim * mv
-    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
-    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
-    for i in range(n):
-        for src in range(dim):
-            al, be = divmod(src, mv)
-            # a(f(s_al)) and (f(s_al))a land on the same argument
-            left[i][src][al * mv : (al + 1) * mv] = V.left[i][be]
-            right[src][i][al * mv : (al + 1) * mv] = V.right[be][i]
-        # - f(a s_ga) for each s_al in a s_ga
-        for ga, terms in enumerate(s_left[i]):
-            for al, c in terms:
-                c = Fraction(c, D)
-                for be in range(mv):
-                    left[i][al * mv + be][ga * mv + be] -= c
-    return tensor3(left), tensor3(right)
-
-
-def hom_module(A: KVAlgebra, W: KVModule, V: KVModule) -> KVModule:
-    """The space of linear maps W -> V with the actions
-
-        (a.f)(w) = a(f(w)) - f(aw)        (f.a)(w) = (f(w))a
-
-    Basis maps f_(alpha,beta): w_alpha -> v_beta are flattened with index
-    alpha * dim(V) + beta.
-    """
-    view = _view(W)
-    left, right = _hom_actions(A, W.dim, view.left, view.D, V)
-    return KVModule(algebra=A, dim=W.dim * V.dim, left=left, right=right)
-
-
-def multilinear_module(A: KVAlgebra, W: KVModule, q: int) -> KVModule:
-    """The space of q-linear maps W^q -> W with the actions
-
-        (a.f)(w_1,...,w_q) = a(f(w_1,...,w_q)) - sum_j f(w_1,..., a w_j, ..., w_q)
-        (f.a)(w_1,...,w_q) = f(w_1,...,w_q) a
-
-    Basis maps are flattened with index (sum_t alpha_t m^(q-t)) * m + beta.
-    For q = 1 this coincides with hom_module(A, W, W).
-    """
-    if q < 1:
-        raise InputError("multilinear_module needs q >= 1")
-    m = W.dim
-    view = _view(W)
-    # e_i acts on each factor of w_ga = w_(ga_1) x ... x w_(ga_q) in turn
-    s_left = [
-        [
-            [(ga + (de - a) * m ** (q - 1 - j), c)
-             for j, a in enumerate(args) for de, c in view.left[i][a]]
-            for ga, args in enumerate(itertools.product(range(m), repeat=q))
-        ]
-        for i in range(A.dim)
-    ]
-    left, right = _hom_actions(A, m**q, s_left, view.D, W)
-    return KVModule(algebra=A, dim=m**q * m, left=left, right=right)
-
-
 def semidirect(A: KVAlgebra, W: KVModule) -> KVAlgebra:
     """The product (a,w)(a',w') = (aa', aw' + wa') on A + W.
 
@@ -854,12 +780,6 @@ def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:
     return kernel(extensions.e11_matrix(W.algebra, W, V, 0))
 
 
-def _transported(t: Tensor3, xs: Sequence[Vec], ys: Sequence[Vec], z: Mat) -> Tensor3:
-    """The tensor whose (i, j) value is z t(xs[i], ys[j]): t carried along a
-    change of basis, with z square of the dimension of the values."""
-    return tensor3([[z.mat_vec(_bilinear(t, x, y, z.cols)) for y in ys] for x in xs])
-
-
 def _inverse_columns(phi: Mat) -> list[Vec]:
     """The columns of phi^-1, the old coordinates of the new basis vectors."""
     phi_inv = inverse(phi)
@@ -875,7 +795,8 @@ def conjugate_algebra(A: KVAlgebra, phi: Mat) -> KVAlgebra:
     if phi.rows != n or phi.cols != n:
         raise DimensionError("basis change must be square of the algebra dimension")
     cols = _inverse_columns(phi)
-    return KVAlgebra(dim=n, product=_transported(A.product, cols, cols, phi), name=A.name)
+    product = tensor3([[phi.mat_vec(_bilinear(A.product, x, y, n)) for y in cols] for x in cols])
+    return KVAlgebra(dim=n, product=product, name=A.name)
 
 
 def conjugate_module(W: KVModule, psi: Mat) -> KVModule:

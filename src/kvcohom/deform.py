@@ -24,11 +24,9 @@ On an obstruction the certificate, a functional on all n^4 rows, comes
 from the full rows of the same classes.  The target's cocycle verdict is
 read from the nonzero sums of its coboundary.  A jet keeps its integer
 lists (`_jet_lists`), and `extend` extends them without verifying the base
-again.  Trivial deformations arise by pushing the base product through a
-formal basis flow; their first coefficient is a coboundary.  The same
-bracket mechanics yield the curvature identity for connections mu_0 + S
-with S symmetric: the defect of the commutation formula is exactly
--delta S.  All of these are
+again.  The same bracket mechanics yield the curvature identity for
+connections mu_0 + S with S symmetric: the defect of the commutation
+formula is exactly -delta S.  All of these are
 evaluated from the nonzero structure constants, as integers over one common
 denominator d (`core._scaled_lists`; the base product comes from the
 algebra's integer view, `core._view`, so a jet never lists it again), and
@@ -68,7 +66,6 @@ from .core import (
     _scaled_lists,
     _shaped,
     _sparse4,
-    _transported,
     _view,
     is_kv,
     regular_bimodule,
@@ -76,26 +73,22 @@ from .core import (
     zero3,
 )
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, Vec, _quotient, identity, mat_mul
+from .linalg import Vec, _quotient
 
 __all__ = [
     "Tensor4",
     "tensor4",
     "zero4",
     "MultiplicationJet",
-    "BasisFlowJet",
     "NextOrderSolution",
     "RigidityReport",
     "kv_bracket",
-    "pair_residual",
     "jet_residuals",
     "jet_check",
     "solve_next_order",
-    "pushforward_jet",
     "rigidity_report",
     "curvature_check",
     "bilinear_cochain",
-    "trilinear_cochain",
     "tensor4_from_cochain",
 ]
 
@@ -136,7 +129,7 @@ def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
 
     With mu the base product this is exactly the coboundary of nu, and
     d_mu mu = 2[(a,b,c)_mu - (b,a,c)_mu] for any mu whatsoever.  The
-    eight terms are A(mu, nu) + A(nu, mu) of `pair_residual`, summed over
+    eight terms are A(mu, nu) + A(nu, mu) of `core._pair_terms`, summed over
     the nonzero constants times their common denominator d and divided by
     d^2 once.
     """
@@ -147,22 +140,6 @@ def kv_bracket(mu: Tensor3, nu: Tensor3) -> Tensor4:
     _check_shape(nu, n, n, n, "nu")
     d, L = _scaled_lists(_int_lists(mu), _int_lists(nu))
     return _divided4(n, _sparse4((n,) * 3, _pair_terms(L, ((0, 1), (1, 0)))), d * d)
-
-
-def pair_residual(mu_i: Tensor3, mu_j: Tensor3) -> Tensor4:
-    """A_{ij}(a,b,c) = mu_i(mu_j(a,b),c) - mu_i(a,mu_j(b,c))
-                      - mu_i(mu_j(b,a),c) + mu_i(b,mu_j(a,c)).
-
-    The order-k residual of a jet is the sum of A_{ij} over i + j = k;
-    A_{ij} + A_{ji} = d_{mu_i} mu_j.
-    """
-    n = len(mu_i)
-    if len(mu_j) != n:
-        raise DimensionError("residual arguments must share a dimension")
-    _check_shape(mu_i, n, n, n, "mu_i")
-    _check_shape(mu_j, n, n, n, "mu_j")
-    d, L = _scaled_lists(_int_lists(mu_i), _int_lists(mu_j))
-    return _divided4(n, _sparse4((n,) * 3, _pair_terms(L, ((0, 1),))), d * d)
 
 
 @dataclass(frozen=True)
@@ -224,43 +201,11 @@ class MultiplicationJet:
         return jet
 
 
-@dataclass(frozen=True)
-class BasisFlowJet:
-    """phi_t = id + t theta_1 + ... + t^K theta_K as row-convention matrices."""
-
-    thetas: tuple[Mat, ...]
-
-    def __post_init__(self) -> None:
-        if not self.thetas:
-            raise InputError("a basis flow needs at least one coefficient")
-        n = self.thetas[0].rows
-        for th in self.thetas:
-            if th.rows != n or th.cols != n:
-                raise DimensionError("flow coefficients must be square of one size")
-
-    @property
-    def order(self) -> int:
-        return len(self.thetas)
-
-    @property
-    def dim(self) -> int:
-        return self.thetas[0].rows
-
-
 def bilinear_cochain(A: KVAlgebra, mu: Tensor3) -> Cochain:
     """A bilinear tensor as a 2-cochain with regular coefficients."""
     n = A.dim
     _check_shape(mu, n, n, n, "mu")
     return Cochain(A, regular_bimodule(A), 2, _entries(mu, 3))
-
-
-def trilinear_cochain(A: KVAlgebra, t: Tensor4) -> Cochain:
-    """A trilinear tensor as a 3-cochain with regular coefficients."""
-    n = A.dim
-    vals = _entries(t, 4)
-    if len(vals) != n**4:
-        raise DimensionError("trilinear tensor does not match the algebra")
-    return Cochain(A, regular_bimodule(A), 3, vals)
 
 
 def tensor4_from_cochain(f: Cochain) -> Tensor4:
@@ -299,7 +244,7 @@ def _residuals(jet: MultiplicationJet, L, orders) -> list[Sparse4]:
     """The sparse E_k for k in orders, each times d^2; L[i] holds the
     nonzero lists of mu_i times d, as `_jet_lists` gives them.
 
-    Each E_k is the direct expansion sum_{i+j=k} A_ij (see pair_residual).
+    Each E_k is the direct expansion sum_{i+j=k} A_ij (see `core._pair_terms`).
     """
     n = jet.dim
     return [_sparse4((n,) * 3, _pair_terms(L, [(i, k - i) for i in range(k + 1)])) for k in orders]
@@ -409,37 +354,6 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
         if _residuals(jet, L, (k,))[0]:
             raise AssertionError("solved coefficient failed to kill the residual")
         yield NextOrderSolution(k, target, target_is_cocycle, mu_next, None, jet)
-
-
-def pushforward_jet(flow: BasisFlowJet, A: KVAlgebra) -> MultiplicationJet:
-    """The trivial deformation mu_t(a,b) = phi_t(phi_t^{-1}(a) phi_t^{-1}(b)).
-
-    The formal inverse is computed order by order; the resulting jet has
-    vanishing residuals through the flow's order and first coefficient
-    delta theta_1.
-    """
-    n = A.dim
-    if flow.dim != n:
-        raise DimensionError("flow does not act on this algebra")
-    K = flow.order
-    thetas = (identity(n),) + flow.thetas
-    # psi_0 = id; psi_k = -sum_{j<k} psi_j theta_{k-j} (row convention:
-    # composing phi after psi multiplies matrices as psi . theta).
-    psis = [thetas[0]]
-    for k in range(1, K + 1):
-        terms = [mat_mul(psis[j], thetas[k - j]).entries for j in range(k)]
-        psis.append(Mat(n, n, [-sum(col, _ZERO) for col in zip(*terms)]))
-    rows = [[psi.row(a) for a in range(n)] for psi in psis]
-    # mu_k(a, b) = sum_{p+q+r=k} theta_p^T mu(psi_q a, psi_r b)
-    coeffs: list[Tensor3] = []
-    for k in range(1, K + 1):
-        terms = [
-            _entries(_transported(A.product, rows[q], rows[k - p - q], thetas[p].transpose()), 3)
-            for p in range(k + 1)
-            for q in range(k + 1 - p)
-        ]
-        coeffs.append(_shaped([sum(col, _ZERO) for col in zip(*terms)], n, n, n))
-    return MultiplicationJet(A, tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .complexes import Cochain, _pieces, is_cocycle
+from .complexes import Cochain, is_cocycle
 from .core import (
     CheckResult,
     KVAlgebra,
@@ -73,17 +72,13 @@ __all__ = [
     "ConnectionlikePair",
     "ConnectionlikeReport",
     "ExtractionResult",
-    "graded_component",
     "is_kv_chain",
     "is_theta_cocycle",
     "is_connectionlike",
     "deform_graded",
-    "embed_theta",
     "cocycle_from_connectionlike",
     "connectionlike_from_cocycle",
 ]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -134,33 +129,6 @@ class GradedKVAlgebra:
         return self._total
 
 
-def graded_component(G: GradedKVAlgebra, f: Cochain, r: int, s: int, p: int) -> Cochain:
-    """The piece of f with r even arguments, s odd arguments, value parity p.
-
-    f must be a cochain over the total algebra with values split the same
-    way (e.g. regular coefficients).  Pieces over all (r, s, p) with
-    r + s = degree sum back to f.
-    """
-    total = G.total()
-    if f.algebra != total:
-        raise DimensionError("cochain does not live over this graded algebra")
-    if f.module != regular_bimodule(total):
-        raise InputError(
-            "graded components need regular coefficients (values in G itself)"
-        )
-    if r < 0 or s < 0 or p not in (0, 1):
-        raise InputError("component indices must be non-negative with parity 0 or 1")
-    vals = _pieces(f, G.n).get(s) if r + s == f.degree else None
-    if vals is None:
-        return Cochain.zero(f.algebra, f.module, f.degree)
-    # clear the other parity in each value; a nonzero piece has G.dim > 0
-    N = G.dim
-    lo, hi = (G.n, N) if p == 0 else (0, G.n)
-    for off in range(0, len(vals), N):
-        vals[off + lo : off + hi] = [_ZERO] * (hi - lo)
-    return Cochain(f.algebra, f.module, f.degree, tuple(vals))
-
-
 def is_kv_chain(theta: Tensor3) -> CheckResult:
     """Symmetry of the theta-associator in its first two arguments.
 
@@ -172,13 +140,6 @@ def is_kv_chain(theta: Tensor3) -> CheckResult:
     # A_00 of `core._pair_terms`, with theta in the place of the product
     failure = _first(_sparse4((m, m, m), _pair_terms(_scaled_lists(_int_lists(theta))[1], [(0, 0)])))
     return _verdict(failure, "theta-associator is not symmetric on the basis triple ({},{},{})".format)
-
-
-def embed_theta(G: GradedKVAlgebra, theta: Tensor3) -> Cochain:
-    """theta as a 2-cochain over the total algebra with regular coefficients."""
-    _check_shape(theta, G.m, G.m, G.m, "theta")
-    n = G.n
-    return _regular_cochain(G, (theta, n, n, n))
 
 
 def _regular_cochain(G: GradedKVAlgebra, *blocks: tuple[Tensor3, int, int, int]) -> Cochain:
@@ -197,9 +158,10 @@ def is_theta_cocycle(G: GradedKVAlgebra, theta: Tensor3) -> CheckResult:
 
     The rule is evaluated directly on basis triples (e_i, w_al, w_be) in
     lexicographic order; the verdict carries the first failing triple.  Its
-    defect is what the coboundary of `embed_theta` places, with opposite
-    signs, on the two mixed argument patterns (e_i, w, w') and (w, e_i, w'),
-    and nothing anywhere else.
+    defect is what the coboundary of theta, as a 2-cochain over the total
+    algebra with regular coefficients, places with opposite signs on the
+    two mixed argument patterns (e_i, w, w') and (w, e_i, w'), and nothing
+    anywhere else.
     """
     _check_shape(theta, G.m, G.m, G.m, "theta")
     return _theta_rule(G, _int_lists(theta)[1])

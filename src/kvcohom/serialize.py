@@ -7,7 +7,10 @@ trailing newline — so equal objects always produce identical bytes.
 Parsing is strict: wrong keys, wrong shapes, floats, or malformed
 rational strings raise InputError rather than being coerced.  An extension
 file's total space is re-validated block by block in the block layout of
-`core`, against the base, kernel and quotient it carries.
+`core`, against the base, kernel and quotient it carries.  Every file is
+read by `_read_bytes` and decoded by `_decode_json`, the command line's
+files and a module's algebra named by path alike, so an unreadable or
+malformed file gets one message wherever it is named.
 """
 
 from __future__ import annotations
@@ -365,19 +368,26 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def read_json(path) -> Any:
-    p = Path(path)
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at path, the one file reader of the package."""
     try:
-        data = p.read_bytes()
-    except (OSError, ValueError) as exc:
-        # ValueError: a path with an embedded NUL byte
-        raise InputError(f"cannot read {p}: {exc}") from None
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _decode_json(data: bytes, path) -> Any:
+    """The JSON value of the bytes read from path, the one decoder."""
     try:
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integer literals past
         # the interpreter's digit limit; RecursionError, nesting too deep.
-        raise InputError(f"{p} is not valid JSON: {exc}") from None
+        raise InputError(f"{path} is not valid UTF-8 JSON: {exc}") from None
+
+
+def read_json(path) -> Any:
+    return _decode_json(_read_bytes(path), path)
 
 
 def write_text(path, text: str) -> None:

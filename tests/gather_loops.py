@@ -29,6 +29,10 @@ obstruction, takes the certificate from the left kernel of all n^4 rows,
 where the package eliminates only the rows of the weight classes the
 target touches.
 
+`reference_pushforward_jet` pushes the base product through a formal basis
+flow by matrix loops; the tests check the package's residuals and
+coboundary on the trivial deformation it builds.
+
 `dense_center`, `dense_radiant`, `scanned_homogeneity` and
 `per_class_block_maps` are the degree-0 invariants, the homogeneity check
 and the extension block maps as each used to compute them on its own: the
@@ -60,8 +64,8 @@ from kvcohom.complexes import (
     _pair_outputs,
     _pair_rhs,
 )
-from kvcohom.core import KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect
-from kvcohom.deform import _dense4, _jet_lists, _target
+from kvcohom.core import KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect, tensor3
+from kvcohom.deform import MultiplicationJet, _dense4, _jet_lists, _target
 from kvcohom.errors import InputError
 from kvcohom.extensions import ModuleExtension, e11_matrix, e11_support, extend_module_to_semidirect
 from kvcohom.geom import RadiantSolutions
@@ -216,6 +220,53 @@ def reference_next_order(jet):
         certificate = _separating(_coboundary_rows(A, W, 2)[1], n**3, rhs)
         return k, _dense4(n, R), target_is_cocycle, None, certificate
     return k, _dense4(n, R), target_is_cocycle, _shaped(x, n, n, n), None
+
+
+def reference_pushforward_jet(thetas, A):
+    """The trivial deformation mu_t(a, b) = phi_t(mu(phi_t^-1 a, phi_t^-1 b))
+    of the basis flow phi_t = id + t theta_1 + ... + t^K theta_K, the thetas
+    n x n matrices in the row convention, as a jet of order K.
+
+    The formal inverse is psi_0 = id, psi_k = -sum_{j<k} psi_j theta_{k-j},
+    and mu_k(a, b) = sum_{p+q+r=k} theta_p^T mu(psi_q a, psi_r b).  Its
+    residuals vanish through order K and its first coefficient is delta
+    theta_1.
+    """
+    n, K = A.dim, len(thetas)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def theta(k):
+        return ident if k == 0 else [list(thetas[k - 1].row(i)) for i in range(n)]
+
+    psis = [ident]
+    for k in range(1, K + 1):
+        acc = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(k):
+            th, ps = theta(k - j), psis[j]
+            for r, c in itertools.product(range(n), repeat=2):
+                acc[r][c] -= sum(ps[r][t] * th[t][c] for t in range(n))
+        psis.append(acc)
+    gam = product_lists(A.product)[0]
+
+    def apply(x, y):
+        out = [Fraction(0)] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            for k, v in gam[i][j]:
+                out[k] += x[i] * y[j] * v
+        return out
+
+    coeffs = []
+    for k in range(1, K + 1):
+        mu_k = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for p in range(k + 1):
+            th = theta(p)
+            for q in range(k + 1 - p):
+                for a, b in itertools.product(range(n), repeat=2):
+                    prod = apply(psis[q][a], psis[k - p - q][b])
+                    for s, c in itertools.product(range(n), repeat=2):
+                        mu_k[a][b][c] += prod[s] * th[s][c]
+        coeffs.append(tensor3(mu_k))
+    return MultiplicationJet(A, tuple(coeffs))
 
 
 def reference_split_semidirect(f):

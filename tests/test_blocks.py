@@ -8,9 +8,8 @@ and `cocycle_from_section` place from the blocks of
 `core._morphism_defect`.  `core._block` reads a block back out for the
 two section cocycles.  The bottom map of the p = 1 column against the
 coboundary of the embedded map, the shear check of
-`algebra_extensions_equivalent`, the module-extension verdict of
-`extensions_equivalent` and `deform.pushforward_jet` are checked against
-the loops they replaced too.
+`algebra_extensions_equivalent` and the module-extension verdict of
+`extensions_equivalent` are checked against the loops they replaced too.
 Each check below runs a copy of the loop it replaced as a reference, on
 fixtures and on seeded random inputs (cocycles and non-cocycles alike,
 zero-dimensional spaces included), and asserts equal results, names
@@ -28,7 +27,6 @@ from kvcohom.core import (
     Element,
     KVAlgebra,
     KVModule,
-    _bilinear,
     _block,
     _blocks,
     direct_sum,
@@ -43,7 +41,6 @@ from kvcohom.core import (
     zero3,
     zero_module,
 )
-from kvcohom.deform import BasisFlowJet, MultiplicationJet, pushforward_jet
 from kvcohom.errors import DimensionError, InputError, PreconditionError
 from kvcohom.extensions import (
     AlgebraExtension,
@@ -74,7 +71,6 @@ from kvcohom.graded import (
     GradedKVAlgebra,
     cocycle_from_connectionlike,
     deform_graded,
-    embed_theta,
 )
 from kvcohom.linalg import Mat, solve
 
@@ -419,22 +415,6 @@ def reference_deform_graded(G, theta):
     return KVAlgebra(dim=N, product=tensor3(prod))
 
 
-def reference_embed_theta(G, theta):
-    total = G.total()
-    W = regular_bimodule(total)
-    n, N = G.n, G.dim
-
-    def fn(args):
-        x, y = args
-        out = [_ZERO] * N
-        if x >= n and y >= n:
-            for ga in range(G.m):
-                out[n + ga] = theta[x - n][y - n][ga]
-        return out
-
-    return Cochain.from_function(total, W, 2, fn)
-
-
 def reference_cocycle_from_connectionlike(G, pair):
     total = G.total()
     W = regular_bimodule(total)
@@ -483,7 +463,6 @@ def test_graded_builders_match_the_copy_loops():
     for G, theta, psi in cases:
         # random thetas are mostly not theta-cocycles; the builders do not care
         assert deform_graded(G, theta) == reference_deform_graded(G, theta)
-        assert embed_theta(G, theta) == reference_embed_theta(G, theta)
         pair = ConnectionlikePair(theta=theta, psi=psi)
         assert cocycle_from_connectionlike(G, pair) == reference_cocycle_from_connectionlike(G, pair)
 
@@ -701,48 +680,6 @@ def test_section_cocycles_and_the_shear_match_on_totals_outside_block_form():
 
 
 # ---------------------------------------------------------------------------
-# deform: the pushforward of a basis flow
-
-
-def reference_pushforward_jet(flow, A):
-    n, K = A.dim, flow.order
-    ident = [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
-
-    def theta(k):
-        return ident if k == 0 else [list(flow.thetas[k - 1].row(i)) for i in range(n)]
-
-    psis = [ident]
-    for k in range(1, K + 1):
-        acc = [[_ZERO] * n for _ in range(n)]
-        for j in range(k):
-            th, ps = theta(k - j), psis[j]
-            for r, c in itertools.product(range(n), repeat=2):
-                acc[r][c] -= sum((ps[r][t] * th[t][c] for t in range(n)), _ZERO)
-        psis.append(acc)
-    coeffs = []
-    for k in range(1, K + 1):
-        mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for p in range(k + 1):
-            for q in range(k + 1 - p):
-                th = theta(p)
-                for a, b in itertools.product(range(n), repeat=2):
-                    prod = _bilinear(A.product, psis[q][a], psis[k - p - q][b], n)
-                    for s, c in itertools.product(range(n), repeat=2):
-                        mu_k[a][b][c] += prod[s] * th[s][c]
-        coeffs.append(tensor3(mu_k))
-    return MultiplicationJet(A, tuple(coeffs))
-
-
-def test_pushforward_jet_matches_the_matrix_loops():
-    rng = random.Random(13)
-    algebras = [KVAlgebra(0, ())] + algebra_catalog() + [random_kv(s, n_max=4) for s in range(1, 25)]
-    for A in algebras:
-        for K in (1, 2, 3):
-            flow = BasisFlowJet(tuple(_random_mat(rng, A.dim, A.dim, 0.4) for _ in range(K)))
-            assert pushforward_jet(flow, A) == reference_pushforward_jet(flow, A)
-
-
-# ---------------------------------------------------------------------------
 # every `_blocks` call site: entries placed as they are, Fractions out
 
 
@@ -791,7 +728,7 @@ def test_every_blocks_call_site_returns_fractions(monkeypatch):
         # graded tensors given as plain ints
         raw = [[[rng.choice((-1, 0, 1)) for _ in range(G.m)] for _ in range(G.m)] for _ in range(G.m)]
         deform_graded(G, raw)
-        embed_theta(G, raw)
+        cocycle_from_connectionlike(G, ConnectionlikePair(raw, [[[0] * G.n for _ in range(G.m)] for _ in range(G.n)]))
     sites = {name for name, _ in seen}
     assert sites == {
         "semidirect", "direct_sum", "module_direct_sum", "extend_module_to_semidirect",

@@ -784,9 +784,38 @@ def test_unknown_verb_is_input_error():
     assert "unknown verb" in _body(report)["error"]["message"]
 
 
+def test_malformed_job_spec_is_input_error():
+    for options in (None, [("count", 1)], "count=1"):
+        report = run(JobSpec("proptest", options))
+        _input_error(report, f"the options must be a dict, got {type(options).__name__}")
+        assert report.verb == "proptest"
+    for verb in (["x"], None, 3):
+        report = run(JobSpec(verb, {}))
+        _input_error(report, f"unknown verb {verb!r}")
+        assert report.verb == _body(report)["verb"] == str(verb)
+
+
 def test_missing_file_is_input_error():
     report = run(JobSpec("verify", {"algebra": "/no/such/file.json"}))
     assert report.exit_code == 2
+
+
+@pytest.mark.parametrize("text", ["{not json", b"\xff\xfe{\x00}\x00"], ids=["bad-json", "utf-16"])
+def test_algebra_named_by_a_module_file_reads_as_a_main_file(tmp_path, text):
+    """A module file's algebra path goes through the one JSON reader, so a
+    malformed or missing algebra file there gets the message it gets as
+    --algebra."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    module = sz.module_to_obj(regular_bimodule(aff_algebra()))
+    for name in ("bad.json", "missing.json"):
+        module["algebra"] = name
+        report = run(JobSpec("verify", {"algebra": _aff_path(tmp_path),
+                                        "module": _write(tmp_path, "mod.json", module)}))
+        direct = run(JobSpec("verify", {"algebra": str(tmp_path / name)}))
+        assert _body(report)["error"] == _body(direct)["error"]
+        _input_error(report, _body(direct)["error"]["message"])
+    assert _body(report)["error"]["message"].startswith(f"cannot read {tmp_path / 'missing.json'}: ")
 
 
 @pytest.mark.parametrize("text", [

@@ -1,6 +1,6 @@
 """The shared contractions of `core` against the dense loops they replaced.
 
-`core._bilinear` backs the element products and `pushforward_jet`; the one
+`core._bilinear` backs the element products and `conjugate_algebra`; the one
 scatter kernel `core._sparse4` backs `is_kv_chain`, the theta-cocycle, flow
 and parallelism rules (`core._derivation_failure`) and the compatibility
 scans of `is_connectionlike`.  Each check below runs a copy of the dense
@@ -30,7 +30,6 @@ from kvcohom.core import (
     zero3,
     zero_module,
 )
-from kvcohom.deform import BasisFlowJet, MultiplicationJet, pushforward_jet
 from kvcohom.errors import DimensionError, InputError, PreconditionError
 from kvcohom.extensions import (
     BigradedCochain,
@@ -202,61 +201,6 @@ def test_bilinear_matches_the_nonzero_list_apply():
     gam, gam_t = product_lists(psi)
     assert len(gam) == 3 and len(gam_t) == 2
     assert all(gam_t[al][i] == gam[i][al] for i in range(3) for al in range(2))
-
-
-def reference_pushforward_jet(flow, A):
-    n = A.dim
-    K = flow.order
-    ident = [[Fraction(1) if j == i else _ZERO for j in range(n)] for i in range(n)]
-
-    def theta(k):
-        if k == 0:
-            return ident
-        return [list(flow.thetas[k - 1].row(i)) for i in range(n)]
-
-    psis = [ident]
-    for k in range(1, K + 1):
-        acc = [[_ZERO] * n for _ in range(n)]
-        for j in range(k):
-            th = theta(k - j)
-            ps = psis[j]
-            for r in range(n):
-                for c in range(n):
-                    s = _ZERO
-                    for t in range(n):
-                        s += ps[r][t] * th[t][c]
-                    acc[r][c] -= s
-        psis.append(acc)
-    gam = product_lists(A.product)[0]
-    coeffs = []
-    for k in range(1, K + 1):
-        mu_k = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for p in range(k + 1):
-            for q in range(k + 1 - p):
-                r = k - p - q
-                th = theta(p)
-                for a in range(n):
-                    for b in range(n):
-                        prod = reference_apply(gam, psis[q][a], psis[r][b])
-                        for s in range(n):
-                            if prod[s] == 0:
-                                continue
-                            for c in range(n):
-                                mu_k[a][b][c] += prod[s] * th[s][c]
-        coeffs.append(tensor3(mu_k))
-    return MultiplicationJet(A, tuple(coeffs))
-
-
-def test_pushforward_jet_matches_the_dense_apply():
-    rng = random.Random(13)
-    for s in range(12):
-        A = random_kv(s, 3)
-        thetas = tuple(
-            Mat.from_rows([_random_vec(rng, A.dim) for _ in range(A.dim)], cols=A.dim)
-            for _ in range(1 + s % 3)
-        )
-        flow = BasisFlowJet(thetas)
-        assert pushforward_jet(flow, A) == reference_pushforward_jet(flow, A)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from kvcohom.core import (
     center,
     conjugate_algebra,
     direct_sum,
-    hom_module,
     is_kv,
     is_module,
     jacobi_algebra,
@@ -29,7 +28,6 @@ from kvcohom.core import (
     mixed_associators,
     module_direct_sum,
     module_morphism_space,
-    multilinear_module,
     random_invertible,
     random_kv,
     random_module,
@@ -218,48 +216,6 @@ def test_lie_bracket_satisfies_jacobi_on_random_kv():
     for seed in range(12):
         A = random_kv(seed, n_max=3)
         assert _jacobi_identity_holds(lie_bracket(A), A.dim)
-
-
-def test_hom_module_passes_is_module():
-    A = aff()
-    W = regular_bimodule(A)
-    H = hom_module(A, W, W)
-    assert H.dim == 4
-    assert is_module(A, H)
-
-
-def test_hom_module_left_module_target_gives_left_module():
-    A = aff()
-    W = regular_bimodule(A)
-    V = left_regular_module(A)
-    H = hom_module(A, W, V)
-    assert is_module(A, H)
-    assert all(x == 0 for plane in H.right for row in plane for x in row)
-
-
-def test_hom_module_zero_actions():
-    A = aff()
-    Z = zero_module(A, 2)
-    H = hom_module(A, Z, Z)
-    assert all(x == 0 for plane in H.left for row in plane for x in row)
-    assert all(x == 0 for plane in H.right for row in plane for x in row)
-
-
-def test_multilinear_q1_coincides_with_hom():
-    A = rad2()
-    W = regular_bimodule(A)
-    M1 = multilinear_module(A, W, 1)
-    H = hom_module(A, W, W)
-    assert M1.left == H.left and M1.right == H.right
-
-
-def test_multilinear_q2_is_iterated_hom():
-    A = aff()
-    W = regular_bimodule(A)
-    M2 = multilinear_module(A, W, 2)
-    H2 = hom_module(A, W, multilinear_module(A, W, 1))
-    assert M2.left == H2.left and M2.right == H2.right
-    assert is_module(A, M2)
 
 
 def test_semidirect_zero_module_returns_algebra():

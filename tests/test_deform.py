@@ -27,20 +27,16 @@ from kvcohom.core import (
     zero3,
 )
 from kvcohom.deform import (
-    BasisFlowJet,
     MultiplicationJet,
     bilinear_cochain,
     curvature_check,
     jet_check,
     jet_residuals,
     kv_bracket,
-    pair_residual,
-    pushforward_jet,
     rigidity_report,
     solve_next_order,
     tensor4,
     tensor4_from_cochain,
-    trilinear_cochain,
     zero4,
 )
 from kvcohom.errors import DimensionError, InputError, PreconditionError
@@ -54,7 +50,7 @@ from kvcohom.fixtures import (
 )
 from kvcohom.linalg import Mat, Subspace, kernel, solve
 
-from gather_loops import two_step
+from gather_loops import reference_pushforward_jet, two_step
 
 F = Fraction
 
@@ -120,13 +116,6 @@ def test_self_bracket_is_twice_the_kv_defect():
                         direct[k] -= mu[b][a][p] * mu[p][c][k]
                         direct[k] += mu[a][c][p] * mu[b][p][k]
                 assert tuple(2 * x for x in direct) == d[a][b][c]
-            # and the pairwise-collection route
-            assert d == tuple(
-                tuple(
-                    tuple(tuple(2 * x for x in r) for r in p) for p in q
-                )
-                for q in pair_residual(mu, mu)
-            )
 
 
 def test_bracket_vanishes_on_zero_arguments():
@@ -307,14 +296,16 @@ def test_solving_requires_vanishing_lower_residuals():
 
 
 # ---------------------------------------------------------------------------
-# trivial deformations by basis flows
+# trivial deformations by basis flows (pushed forward by the reference loops)
 
 
 def test_constant_flow_pushes_to_the_constant_jet():
     A = aff()
     zero_theta = Mat.from_rows([[0, 0], [0, 0]], cols=2)
-    jet = pushforward_jet(BasisFlowJet((zero_theta,) * 3), A)
+    jet = reference_pushforward_jet((zero_theta,) * 3, A)
     assert all(mu == zero3(2, 2, 2) for mu in jet.coefficients)
+    assert jet_check(jet)
+    assert jet_residuals(jet) == (zero4(2),) * 4
 
 
 def test_first_pushforward_coefficient_is_a_coboundary():
@@ -324,7 +315,7 @@ def test_first_pushforward_coefficient_is_a_coboundary():
         theta = Mat.from_rows(
             [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)], cols=2
         )
-        jet = pushforward_jet(BasisFlowJet((theta,)), A)
+        jet = reference_pushforward_jet((theta,), A)
         theta_cochain = Cochain(
             A,
             regular_bimodule(A),
@@ -355,8 +346,7 @@ def test_pushforward_satisfies_the_defining_composition_law():
                 )
                 for _ in range(4)
             )
-            flow = BasisFlowJet(thetas)
-            jet = pushforward_jet(flow, A)
+            jet = reference_pushforward_jet(thetas, A)
             assert all(
                 all(x == 0 for x in flatten4(E)) for E in jet_residuals(jet)
             )
@@ -407,19 +397,6 @@ def test_pushforward_satisfies_the_defining_composition_law():
                         rhs = apply_rows(theta_mat(k), ab) if k <= 4 else [F(0)] * n
                         if k <= 4:
                             assert lhs == rhs, (a, b, k)
-
-
-def test_flow_validation():
-    with pytest.raises(InputError):
-        BasisFlowJet(())
-    with pytest.raises(DimensionError):
-        BasisFlowJet(
-            (Mat.from_rows([[0, 0], [0, 0]], cols=2), Mat.from_rows([[0]], cols=1))
-        )
-    with pytest.raises(DimensionError):
-        pushforward_jet(
-            BasisFlowJet((Mat.from_rows([[0, 0, 0]] * 3, cols=3),)), aff()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +640,6 @@ def test_sparse_deform_kernels_match_dense_loops():
         n = 1 + t % 5
         density = (0.005, 0.03, 0.1, 0.3)[t % 4]
         mu, nu = _sparse_tensor(rng, n, density), _sparse_tensor(rng, n, density)
-        assert pair_residual(mu, nu) == dense_pair_residual(mu, nu)
         assert kv_bracket(mu, nu) == dense_kv_bracket(mu, nu)
     outcomes = set()
     for s in (3, 17, 18, 13, 24, 1, 26):
@@ -724,10 +700,11 @@ def dense_curvature(A, S):
 
 
 def test_integer_contractions_match_fraction_references_off_the_integers():
-    """kv_bracket, pair_residual and curvature_check sum ints over a common
-    denominator d and divide by d^2 once; with the rational products of
-    random_kv and tensors of denominators 2, 3 and 7 they equal plain
-    Fraction loops (random pairs of tensors alone are in the test above)."""
+    """kv_bracket and curvature_check sum ints over a common denominator d
+    and divide by d^2 once; with the rational products of random_kv and
+    tensors of denominators 2, 3 and 7 they equal plain Fraction loops
+    (random pairs of tensors alone are in the test above), and they and the
+    jet residuals return Fractions."""
     rng = random.Random("integer-contractions")
     seen = set()
     for s in range(1, 31):
@@ -740,10 +717,9 @@ def test_integer_contractions_match_fraction_references_off_the_integers():
         )
         seen |= {x.denominator for t in (A.product, nu, S) for p in t for r in p for x in r}
         for x, y in ((A.product, nu), (nu, A.product), (A.product, A.product)):
-            assert pair_residual(x, y) == dense_pair_residual(x, y)
             assert kv_bracket(x, y) == dense_kv_bracket(x, y)
         assert curvature_check(A, S) == dense_curvature(A, S)
-        for t4 in (kv_bracket(A.product, nu), pair_residual(nu, A.product), curvature_check(A, S)):
+        for t4 in (kv_bracket(A.product, nu), *jet_residuals(MultiplicationJet(A, (nu,))), curvature_check(A, S)):
             assert all(type(v) is F for v in flatten4(t4))
     assert {2, 3, 7} <= seen
 

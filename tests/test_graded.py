@@ -43,8 +43,6 @@ from kvcohom.graded import (
     cocycle_from_connectionlike,
     connectionlike_from_cocycle,
     deform_graded,
-    embed_theta,
-    graded_component,
     is_connectionlike,
     is_kv_chain,
     is_theta_cocycle,
@@ -159,7 +157,7 @@ def test_rejects_module_over_a_different_algebra():
 
 
 # ---------------------------------------------------------------------------
-# graded components
+# graded components: the pieces of `bigrade` by the number of odd arguments
 
 
 def test_components_sum_back_to_the_cochain():
@@ -171,45 +169,28 @@ def test_components_sum_back_to_the_cochain():
         total, reg, 2, [F(rng.randrange(-3, 4)) for _ in range(5 * 5 * 5)]
     )
     acc = Cochain.zero(total, reg, 2)
-    for r, s in ((2, 0), (1, 1), (0, 2)):
-        for p in (0, 1):
-            acc = acc + graded_component(G, f, r, s, p)
+    for odd, even, comp in bigrade(f, G.n):
+        assert odd + even == 2
+        acc = acc + comp.cochain
     assert acc == f
 
 
 def test_component_slots_are_exactly_the_homogeneous_ones():
     G = graded_flat()
+    theta_only = cocycle_from_connectionlike(G, ConnectionlikePair(flat_theta(), zero3(2, 3, 2)))
+    psi_only = cocycle_from_connectionlike(G, ConnectionlikePair(zero3(3, 3, 3), flat_psi()))
     f = cocycle_from_connectionlike(
         G, ConnectionlikePair(theta=flat_theta(), psi=flat_psi())
     )
-    assert graded_component(G, f, 0, 2, 1) == embed_theta(G, flat_theta())
-    psi_only = graded_component(G, f, 1, 1, 0)
+    # theta takes the odd-odd slots with odd values, psi both mixed slots
+    # with even values, and no piece has two even arguments
+    assert [(odd, comp.cochain) for odd, _, comp in bigrade(f, G.n)] == [(1, psi_only), (2, theta_only)]
     for i in range(2):
         for al in range(3):
-            assert list(psi_only.value((i, 2 + al))[:2]) == list(flat_psi()[i][al])
+            assert list(psi_only.value((i, 2 + al))) == list(flat_psi()[i][al]) + [0] * 3
             assert psi_only.value((i, 2 + al)) == psi_only.value((2 + al, i))
-    for r, s, p in ((2, 0, 0), (2, 0, 1), (0, 2, 0), (1, 1, 1)):
-        assert graded_component(G, f, r, s, p).is_zero()
-
-
-def test_component_validates_its_inputs():
-    G = graded_flat()
-    total = G.total()
-    f = Cochain.zero(total, regular_bimodule(total), 2)
-    assert graded_component(G, f, 1, 0, 0).is_zero()  # r + s != degree
-    with pytest.raises(InputError):
-        graded_component(G, f, 1, 1, 2)
-    with pytest.raises(InputError):
-        graded_component(
-            G,
-            Cochain.zero(total, extend_module_to_semidirect(total, 2, regular_bimodule(aff())), 2),
-            1,
-            1,
-            0,
-        )
-    other = zero_algebra(5)
-    with pytest.raises(DimensionError):
-        graded_component(G, Cochain.zero(other, regular_bimodule(other), 2), 1, 1, 0)
+            for be in range(3):
+                assert list(theta_only.value((2 + al, 2 + be))) == [0] * 2 + list(flat_theta()[al][be])
 
 
 def test_pure_even_cochain_has_one_component():
@@ -225,9 +206,7 @@ def test_pure_even_cochain_has_one_component():
         return out
 
     f = Cochain.from_function(total, reg, 2, fn)
-    assert graded_component(G, f, 2, 0, 0) == f
-    for r, s, p in ((2, 0, 1), (1, 1, 0), (1, 1, 1), (0, 2, 0), (0, 2, 1)):
-        assert graded_component(G, f, r, s, p).is_zero()
+    assert [(odd, even, comp.cochain) for odd, even, comp in bigrade(f, G.n)] == [(0, 2, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +287,9 @@ def derivation_defect(G, theta, i, al, be):
 
 
 def test_embedded_coboundary_places_the_derivation_defect():
-    # delta(embed_theta) is -defect on (e_i, w, w'), +defect on (w, e_i, w')
-    # and zero elsewhere; is_theta_cocycle witnesses its first nonzero
-    # (e_i, w, w') slot
+    # delta of theta on the odd-odd slots is -defect on (e_i, w, w'),
+    # +defect on (w, e_i, w') and zero elsewhere; is_theta_cocycle
+    # witnesses its first nonzero (e_i, w, w') slot
     rng = random.Random(41)
     cases = [(graded_flat(), flat_theta()), (graded_flat(), theta_cocycle_family(1, -2, 3, 1))]
     cases += [(graded_flat(), random_theta(rng, 3)) for _ in range(3)]
@@ -320,7 +299,7 @@ def test_embedded_coboundary_places_the_derivation_defect():
     verdicts = set()
     for G, th in cases:
         n, N = G.n, G.dim
-        d = coboundary(embed_theta(G, th))
+        d = coboundary(cocycle_from_connectionlike(G, ConnectionlikePair(th, zero3(n, G.m, n))))
         expected = {}
         for i, al, be in itertools.product(range(n), range(G.m), range(G.m)):
             defect = derivation_defect(G, th, i, al, be)

@@ -5,15 +5,13 @@
 of `deform`, `graded`, `geom` and the CLI, and, with `core._block`, read the
 blocks of a cochain over a direct sum in `extensions` and `graded`.
 `complexes._pieces` splits a cochain by how many arguments fall in the
-second summand (`bigrade`, `graded_piece`, `graded_component`);
-`core._transported` carries a tensor along a change of basis (both
-conjugations); and `core._hom_actions` builds the actions on a Hom space
-(`hom_module`, `multilinear_module`).  `jacobi_algebra` is `jacobi_module`
-of the regular bimodule.  Each check below runs a copy of the loop a
-builder had before as a reference, on fixtures and on seeded random inputs,
-and asserts equal results or the same error text.  The extension totals,
-the graded 2-cochains and `radiant_primitive` are checked against their
-loops in `test_blocks.py` and `test_contractions.py`.
+second summand (`bigrade`, `graded_piece`); the two conjugations carry
+structure constants along a change of basis.  `jacobi_algebra` is
+`jacobi_module` of the regular bimodule.  Each check below runs a copy of
+the loop a builder had before as a reference, on fixtures and on seeded
+random inputs, and asserts equal results or the same error text.  The
+extension totals, the graded 2-cochains and `radiant_primitive` are checked
+against their loops in `test_blocks.py` and `test_contractions.py`.
 """
 
 import itertools
@@ -41,11 +39,9 @@ from kvcohom.core import (
     _shaped,
     conjugate_algebra,
     conjugate_module,
-    hom_module,
     is_kv,
     jacobi_algebra,
     left_regular_module,
-    multilinear_module,
     random_invertible,
     random_kv,
     random_module,
@@ -64,7 +60,6 @@ from kvcohom.deform import (
     solve_next_order,
     tensor4,
     tensor4_from_cochain,
-    trilinear_cochain,
 )
 from kvcohom.errors import DimensionError, InputError, PreconditionError
 from kvcohom.extensions import (
@@ -92,7 +87,6 @@ from kvcohom.graded import (
     GradedKVAlgebra,
     cocycle_from_connectionlike,
     connectionlike_from_cocycle,
-    graded_component,
     is_kv_chain,
 )
 from kvcohom.linalg import Mat, inverse, kernel, solve
@@ -188,14 +182,6 @@ def reference_bilinear_cochain(A, mu):
     return Cochain(A, regular_bimodule(A), 2, tuple(x for p in mu for r in p for x in r))
 
 
-def reference_trilinear_cochain(A, t):
-    n = A.dim
-    vals = tuple(x for q in t for p in q for r in p for x in r)
-    if len(vals) != n**4:
-        raise DimensionError("trilinear tensor does not match the algebra")
-    return Cochain(A, regular_bimodule(A), 3, vals)
-
-
 def reference_tensor4_from_cochain(f):
     n = f.n
     if f.degree != 3 or f.m != n:
@@ -216,8 +202,6 @@ def test_deform_reshapes_match_the_copy_loops():
         n = A.dim
         mu = _shaped(_values(rng, n**3), n, n, n)
         assert bilinear_cochain(A, mu) == reference_bilinear_cochain(A, mu)
-        t = _shaped(_values(rng, n**4), n, n, n, n)
-        assert trilinear_cochain(A, t) == reference_trilinear_cochain(A, t)
         f = Cochain(A, regular_bimodule(A), 3, _values(rng, n**4))
         got = tensor4_from_cochain(f)
         assert got == reference_tensor4_from_cochain(f)
@@ -225,8 +209,6 @@ def test_deform_reshapes_match_the_copy_loops():
         v = _values(rng, n**3)
         assert _shaped(v, n, n, n) == reference_tensor3_of(v, n)
     A = algebra_catalog()[0]
-    short = ((((_ZERO,),),),)
-    assert _outcome(trilinear_cochain, A, short) == _outcome(reference_trilinear_cochain, A, short)
     g = Cochain.zero(A, regular_bimodule(A), 2)
     assert _outcome(tensor4_from_cochain, g) == _outcome(reference_tensor4_from_cochain, g)
 
@@ -255,7 +237,7 @@ def test_rigidity_and_next_order_tensors_are_the_sliced_vectors():
             sol = solve_next_order(MultiplicationJet(A, (rep,)))
             if sol.solved:
                 # the solve of delta mu_2 = R_2 over the public coboundary matrix
-                rhs = trilinear_cochain(A, sol.target).values
+                rhs = _entries(sol.target, 4)
                 x = solve(coboundary_matrix(A, regular_bimodule(A), 2), rhs)
                 assert sol.coefficient == reference_tensor3_of(x, n)
                 solved += 1
@@ -263,7 +245,7 @@ def test_rigidity_and_next_order_tensors_are_the_sliced_vectors():
 
 
 # ---------------------------------------------------------------------------
-# core: conjugations, Hom modules, the Jacobi subspace
+# core: conjugations, the Jacobi subspace
 
 
 def reference_conjugate_algebra(A, phi):
@@ -344,94 +326,6 @@ def test_random_module_is_unchanged_by_the_plane_products(monkeypatch):
     got = [random_module(A, s) for s, A in enumerate(algebras, 1)]
     monkeypatch.setattr(core, "conjugate_module", reference_conjugate_module)
     assert got == [random_module(A, s) for s, A in enumerate(algebras, 1)]
-
-
-def reference_hom_module(A, W, V):
-    n = A.dim
-    mw, mv = W.dim, V.dim
-    dim = mw * mv
-
-    def fidx(al, be):
-        return al * mv + be
-
-    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
-    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
-    for i in range(n):
-        for al in range(mw):
-            for be in range(mv):
-                src = fidx(al, be)
-                for ga in range(mw):
-                    if ga == al:
-                        for de in range(mv):
-                            left[i][src][fidx(ga, de)] += V.left[i][be][de]
-                    left[i][src][fidx(ga, be)] -= W.left[i][ga][al]
-                    if ga == al:
-                        for de in range(mv):
-                            right[src][i][fidx(ga, de)] += V.right[be][i][de]
-    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
-
-
-def reference_multilinear_module(A, W, q):
-    if q < 1:
-        raise InputError("multilinear_module needs q >= 1")
-    n = A.dim
-    m = W.dim
-    dim = m**q * m
-
-    def fidx(args, be):
-        idx = 0
-        for a in args:
-            idx = idx * m + a
-        return idx * m + be
-
-    left = [[[_ZERO] * dim for _ in range(dim)] for _ in range(n)]
-    right = [[[_ZERO] * dim for _ in range(n)] for _ in range(dim)]
-    for args in itertools.product(range(m), repeat=q):
-        for be in range(m):
-            src = fidx(args, be)
-            for i in range(n):
-                for de in range(m):
-                    left[i][src][fidx(args, de)] += W.left[i][be][de]
-                for j in range(q):
-                    for ga_j in range(m):
-                        coeff = W.left[i][ga_j][args[j]]
-                        if coeff == 0:
-                            continue
-                        ga = args[:j] + (ga_j,) + args[j + 1 :]
-                        left[i][src][fidx(ga, be)] -= coeff
-                for de in range(m):
-                    right[src][i][fidx(args, de)] += W.right[be][i][de]
-    return KVModule(algebra=A, dim=dim, left=tensor3(left), right=tensor3(right))
-
-
-def test_hom_module_matches_the_copy_loop():
-    for A, W, V in _setups():
-        for X, Y in ((W, V), (V, W), (W, W), (W, zero_module(A, 0)), (zero_module(A, 0), V)):
-            assert hom_module(A, X, Y) == reference_hom_module(A, X, Y)
-    # a zero-dimensional algebra still has a Hom space of dimension mw * mv
-    E = KVAlgebra(0, ())
-    Z2, Z1 = zero_module(E, 2), zero_module(E, 1)
-    assert hom_module(E, Z2, Z1) == reference_hom_module(E, Z2, Z1)
-    assert hom_module(E, Z2, Z1).dim == 2
-
-
-def test_multilinear_module_matches_the_copy_loop_up_to_q3():
-    degrees = set()
-    rng = random.Random(4)
-    for A, W, V in _setups():
-        for M in (W, V, zero_module(A, 0)):
-            for q in (1, 2, 3):
-                if M.dim ** (2 * q + 2) * A.dim > 60_000:
-                    continue
-                got = multilinear_module(A, M, q)
-                assert got == reference_multilinear_module(A, M, q)
-                degrees.add(q)
-    # a module whose left action mixes every slot, at q = 3
-    A = rad2()
-    W = conjugate_module(rad2_left_module(), random_invertible(rng, 2, 4))
-    assert multilinear_module(A, W, 3) == reference_multilinear_module(A, W, 3)
-    assert degrees == {1, 2, 3}
-    assert _outcome(multilinear_module, A, W, 0) == _outcome(reference_multilinear_module, A, W, 0)
 
 
 def reference_jacobi_algebra(A):
@@ -536,32 +430,7 @@ def test_summand_split_of_a_zero_dimensional_module():
 
 
 # ---------------------------------------------------------------------------
-# graded: the component split, the extraction, the zero test
-
-
-def reference_graded_component(G, f, r, s, p):
-    total = G.total()
-    if f.algebra != total:
-        raise DimensionError("cochain does not live over this graded algebra")
-    if f.module != regular_bimodule(total):
-        raise InputError("graded components need regular coefficients (values in G itself)")
-    if r < 0 or s < 0 or p not in (0, 1):
-        raise InputError("component indices must be non-negative with parity 0 or 1")
-    n = G.n
-    vals = list(f.values)
-    if r + s != f.degree:
-        return Cochain.zero(f.algebra, f.module, f.degree)
-    for args in itertools.product(range(G.dim), repeat=f.degree):
-        odd = sum(1 for a in args if a >= n)
-        off = f.offset(args)
-        if odd != s:
-            for t in range(f.m):
-                vals[off + t] = _ZERO
-        else:
-            lo, hi = (n, G.dim) if p == 0 else (0, n)
-            for t in range(lo, hi):
-                vals[off + t] = _ZERO
-    return Cochain(f.algebra, f.module, f.degree, tuple(vals))
+# graded: the extraction, the zero test
 
 
 def reference_connectionlike_from_cocycle(G, c):
@@ -612,27 +481,6 @@ def _graded_algebras():
             except PreconditionError:
                 pass
     return out
-
-
-def test_graded_component_matches_the_scan():
-    rng = random.Random(6)
-    graded = _graded_algebras()
-    assert any(G.m == 0 for G in graded) and any(G.dim == 0 for G in graded)
-    for G in graded:
-        T = G.total()
-        R = regular_bimodule(T)
-        fs = [Cochain.zero(T, R, q) for q in (0, 1, 2)]
-        for q in (0, 1, 2, 3):
-            if G.dim ** (q + 1) <= 3000:
-                fs += [Cochain(T, R, q, _values(rng, G.dim ** (q + 1), d)) for d in (0.15, 0.7)]
-        for f in fs:
-            for r, s, p in itertools.product(range(4), range(4), (0, 1)):
-                assert graded_component(G, f, r, s, p) == reference_graded_component(G, f, r, s, p)
-    G = graded[0]
-    f = Cochain.zero(G.total(), regular_bimodule(G.total()), 1)
-    for args in ((G, f, -1, 1, 0), (G, f, 0, 1, 2), (G, Cochain.zero(G.even, regular_bimodule(G.even), 1), 0, 1, 0)):
-        assert _outcome(graded_component, *args) == _outcome(reference_graded_component, *args)
-        assert _outcome(graded_component, *args)[0] != "value"
 
 
 def test_connectionlike_extraction_matches_the_scan():
