@@ -813,7 +813,6 @@ def test_algebra_named_by_a_module_file_reads_as_a_main_file(tmp_path, text):
         report = run(JobSpec("verify", {"algebra": _aff_path(tmp_path),
                                         "module": _write(tmp_path, "mod.json", module)}))
         direct = run(JobSpec("verify", {"algebra": str(tmp_path / name)}))
-        assert _body(report)["error"] == _body(direct)["error"]
         _input_error(report, _body(direct)["error"]["message"])
     assert _body(report)["error"]["message"].startswith(f"cannot read {tmp_path / 'missing.json'}: ")
 
