@@ -72,9 +72,6 @@ class JobSpec:
     verb: str
     options: dict
 
-    def opt(self, key: str, default: Any = None) -> Any:
-        return self.options.get(key, default)
-
 
 @dataclass(frozen=True)
 class Report:

@@ -211,7 +211,8 @@ class Cochain:
             raise InputError("cochain degree must be non-negative")
         if self.module.algebra != self.algebra:
             raise DimensionError("cochain module is not over the cochain algebra")
-        expected = self.algebra.dim**self.degree * self.module.dim
+        m = self.module.dim
+        expected = m and self.algebra.dim**self.degree * m
         if len(self.values) != expected:
             raise DimensionError(
                 f"degree-{self.degree} cochain needs {expected} values, "
@@ -762,34 +763,43 @@ def cohomology(
     for q in range(q_max + 2):
         check_budget(n, m, q, budget)
     J = jacobi_module(A, W)
-    d_prev = (_integral_rows(_delta0_matrix(A, W, J.basis))[1], J.dim)
 
+    def rows(q: int) -> Rows:
+        if q:
+            return _rows(A, W, q, q_max)
+        # delta_0 on J(W), in coordinates over the echelon basis of J
+        return _integral_rows(_delta0_matrix(A, W, J.basis))[1], J.dim
+
+    return _walk(rows, lambda q, v: Cochain(A, W, q, v if q else _combine(v, J)), 0, q_max)
+
+
+def _walk(
+    rows: Callable[[int], Rows], cochain: Callable[[int, Vec], Cochain], first: int, last: int
+) -> CohomologyReport:
+    """Degrees first..last of a complex C_0 -> C_1 -> ... whose differential
+    out of degree q has the rows rows(q); below degree 0 it is zero.
+
+    Each differential is assembled once, in order of degree, from
+    rows(first - 1) on, and at most two are held: d_{q-1}, whose image is
+    B, and d_q, whose kernel is Z.  The representatives are the Z basis
+    vectors that extend B (`extend_basis`), each placed by cochain(q, z).
+    """
+    d_prev = rows(first - 1) if first else None
     degrees: list[DegreeData] = []
-    # Degree 0: C_0 = J(W), no coboundaries from below.
-    K0 = _kernel(*d_prev)  # coordinates in the echelon basis of J
-    reps0 = tuple(Cochain(A, W, 0, _combine(c, J)) for c in K0.basis)
-    degrees.append(DegreeData(0, J.dim, len(reps0), 0, len(reps0), reps0))
-
-    for q in range(1, q_max + 1):
-        d_q = _rows(A, W, q, q_max)
-        Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
-        reps = tuple(Cochain(A, W, q, v) for v in rep_vecs)
-        degrees.append(DegreeData(q, n**q * m, Z.dim, B.dim, Z.dim - B.dim, reps))
+    for q in range(first, last + 1):
+        d_q = rows(q)
+        B = Subspace.zero(d_q[1]) if d_prev is None else _image(*d_prev)
+        Z = _kernel(*d_q)
+        reps = extend_basis(B, Z)
+        if len(reps) != Z.dim - B.dim:
+            raise AssertionError(
+                "representative selection disagrees with dim_Z - dim_B; "
+                "the image is not contained in the kernel"
+            )
+        cochains = tuple(cochain(q, z) for z in reps)
+        degrees.append(DegreeData(q, d_q[1], Z.dim, B.dim, len(reps), cochains))
         d_prev = d_q
     return CohomologyReport(tuple(degrees))
-
-
-def _cohomology_step(d_q: Rows, d_prev: Optional[Rows]) -> tuple[Subspace, Subspace, list[Vec]]:
-    """Z = ker d_q, B = im d_{q-1} (0 if d_prev is None) and the Z basis vectors extending B."""
-    B = Subspace.zero(d_q[1]) if d_prev is None else _image(*d_prev)
-    Z = _kernel(*d_q)
-    reps = extend_basis(B, Z)
-    if len(reps) != Z.dim - B.dim:
-        raise AssertionError(
-            "representative selection disagrees with dim_Z - dim_B; "
-            "the image is not contained in the kernel"
-        )
-    return Z, B, reps
 
 
 def is_cocycle(f: Cochain) -> bool:

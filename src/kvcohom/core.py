@@ -195,10 +195,6 @@ class Element:
         return Element(vec(values))
 
     @staticmethod
-    def zero(dim: int) -> "Element":
-        return Element((_ZERO,) * dim)
-
-    @staticmethod
     def basis(dim: int, i: int) -> "Element":
         return Element(tuple(_ONE if j == i else _ZERO for j in range(dim)))
 

@@ -14,8 +14,9 @@ d_mu nu, which satisfies d_{mu_0} nu = delta nu, so that
 
 and the order-by-order solver becomes exact linear algebra against the
 degree-2 coboundary matrix: obstructions are classes in degree 3.  This
-module never assembles or cuts that matrix: `rigidity_report` reads
-delta_1 and delta_2 from `complexes._rows`, and the solver hands R_k, on
+module never assembles or cuts that matrix: `rigidity_report` hands
+delta_1 and delta_2 from `complexes._rows` to the walk of `complexes` that
+every cohomology table goes through, and the solver hands R_k, on
 every output position, to `complexes._ClassRows`, which reads it on the
 a < b rows of delta_2 (the pair bracket is antisymmetric in (a, b), and so
 is R_k) and keeps to the weight classes R_k touches; a chain keeps the
@@ -49,8 +50,8 @@ from .complexes import (
     Cochain,
     _ClassRows,
     _coboundary_sums,
-    _cohomology_step,
     _rows,
+    _walk,
     check_budget,
 )
 from .core import (
@@ -365,7 +366,6 @@ class RigidityReport:
     dim_B2: int
     dim_H2: int
     rigid: bool
-    cocycle_basis: tuple[Tensor3, ...]
     class_representatives: tuple[Tensor3, ...]
 
 
@@ -381,15 +381,14 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     if not verdict:
         raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
     W = regular_bimodule(A)
-    Z, B, reps = _cohomology_step(_rows(A, W, 2, 2), _rows(A, W, 1, 2))
+    d = _walk(lambda q: _rows(A, W, q, 2), lambda q, z: Cochain(A, W, q, z), 2, 2).degree(2)
     return RigidityReport(
-        dim_C2=n**3,
-        dim_Z2=Z.dim,
-        dim_B2=B.dim,
-        dim_H2=Z.dim - B.dim,
-        rigid=(Z.dim == B.dim),
-        cocycle_basis=tuple(_shaped(z, n, n, n) for z in Z.basis),
-        class_representatives=tuple(_shaped(z, n, n, n) for z in reps),
+        dim_C2=d.dim_C,
+        dim_Z2=d.dim_Z,
+        dim_B2=d.dim_B,
+        dim_H2=d.dim_H,
+        rigid=not d.dim_H,
+        class_representatives=tuple(_shaped(r.values, n, n, n) for r in d.representatives),
     )
 
 

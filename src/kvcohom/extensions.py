@@ -43,13 +43,12 @@ from typing import Optional, Sequence
 from .complexes import (
     Cochain,
     CohomologyReport,
-    DegreeData,
     _check_cells,
     _coboundary_rows,
-    _cohomology_step,
     _flat,
     _matrix,
     _pieces,
+    _walk,
     is_coboundary,
 )
 from .core import (
@@ -277,21 +276,13 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
         _check_cells(q, (q + 1) * (n**q) * m * v)
     G = semidirect(A, W)
     Vt = extend_module_to_semidirect(G, A.dim, V)
-    degrees: list[DegreeData] = []
-    d_prev = None
-    for q in range(q_max + 1):
-        support = e11_support(A, W, V, q)
-        d_q = (_e11_rows(G, Vt, n, q, support)[1], len(support))
-        Z, B, rep_vecs = _cohomology_step(d_q, d_prev)
-        d_prev = d_q
-        reps = [
-            Cochain(G, Vt, q + 1, _expand_support(z, support, N ** (q + 1) * v))
-            for z in rep_vecs
-        ]
-        degrees.append(
-            DegreeData(q, len(support), Z.dim, B.dim, Z.dim - B.dim, tuple(reps))
-        )
-    return CohomologyReport(tuple(degrees))
+    supports = [e11_support(A, W, V, q) for q in range(q_max + 1)]
+    return _walk(
+        lambda q: (_e11_rows(G, Vt, n, q, supports[q])[1], len(supports[q])),
+        lambda q, z: Cochain(G, Vt, q + 1, _expand_support(z, supports[q], N ** (q + 1) * v)),
+        0,
+        q_max,
+    )
 
 
 class _KernelFirst:

@@ -223,8 +223,12 @@ def cochain_from_obj(obj: Any, a: KVAlgebra, w: KVModule) -> complexes.Cochain:
     q = obj["degree"]
     if isinstance(q, bool) or not isinstance(q, int) or q < 0:
         raise InputError("cochain \"degree\" must be a non-negative integer")
-    expected = a.dim**q * w.dim
-    values = _rat_row(obj["values"], expected, f"degree-{q} cochain values")
+    n, m, values = a.dim, w.dim, obj["values"]
+    # n**q * m is 0 for m = 0 and exceeds every count below 2**q for n >= 2,
+    # so n**q is formed only where the table can hold the values given
+    if m and n > 1 and (not isinstance(values, list) or q >= len(values).bit_length()):
+        raise InputError(f"degree-{q} cochain values must be an array of {n}^{q} * {m} rationals")
+    values = _rat_row(values, m and n**q * m, f"degree-{q} cochain values")
     return complexes.Cochain(a, w, q, tuple(values))
 
 

@@ -20,7 +20,7 @@ from kvcohom.cli import JobSpec, fixture_names, main, run
 from kvcohom.complexes import Cochain, coboundary, is_cocycle
 from kvcohom.core import KVAlgebra, KVModule, is_kv, is_module, regular_bimodule, tensor3, zero3, zero_module
 from kvcohom.deform import bilinear_cochain
-from kvcohom.fixtures import flat_psi, flat_theta, graded_flat, rad2
+from kvcohom.fixtures import flat_polynomial_module, flat_psi, flat_theta, graded_flat, rad2
 from kvcohom.geom import aff_algebra, s_alpha_beta
 
 F = Fraction
@@ -946,6 +946,30 @@ def test_extend_module_error_paths(tmp_path):
     report = extend({"degree": 2, "values": values})
     assert report.exit_code == 1
     assert _body(report)["witness"].startswith("the (1,1) cochain is not a cocycle")
+
+
+@pytest.mark.parametrize("degree", [15000, 10**8])
+def test_cochain_degree_past_its_table_is_input_error(tmp_path, capsys, degree):
+    """A table of n^q * m cells is not formed for values it cannot hold,
+    nor over a zero-dimensional module, where it has none; the verb exits
+    2 through run and main alike."""
+    aff = _aff_path(tmp_path)
+    flat = _write(tmp_path, "flat.json", sz.module_to_obj(flat_polynomial_module()))
+    zmod = _write(tmp_path, "zmod.json", sz.module_to_obj(zero_module(aff_algebra(), 0)))
+    cochain = _write(tmp_path, "cochain.json", {"degree": degree, "values": []})
+    too_long = f"degree-{degree} cochain values must be an array of {{}}^{degree} * 3 rationals"
+    cases = [
+        ("extend-algebra", {"module": flat}, too_long.format(2)),
+        ("extend-module", {"kernel": flat, "quotient": flat}, too_long.format(5)),
+        ("extend-algebra", {"module": zmod}, "algebra extensions need a degree-2 cochain"),
+        ("extend-module", {"kernel": zmod, "quotient": flat}, "module extensions need a degree-2 cochain"),
+    ]
+    for verb, files, message in cases:
+        options = dict(files, algebra=aff, cochain=cochain)
+        _input_error(run(JobSpec(verb, options)), message)
+        assert main([verb, *(x for key, path in options.items() for x in (f"--{key}", path))]) == 2
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["error"], err) == ({"kind": "input", "message": message}, "")
 
 
 def test_classify_ext_rejects_mismatched_extensions(tmp_path):
