@@ -83,14 +83,6 @@ class Report:
     body: Optional[dict] = None
 
 
-class _MathFailure(Exception):
-    """Internal: a well-formed input flunked the identity the verb decides."""
-
-    def __init__(self, message: str, results: Optional[dict] = None):
-        super().__init__(message)
-        self.results = results or {}
-
-
 def _read_json_file(path: str, inputs: dict, key: str) -> Any:
     """The JSON value of the file at path, whose path and digest go to inputs."""
     data = sz._read_bytes(path)
@@ -158,7 +150,9 @@ def _module_or_regular(
 
 # ---------------------------------------------------------------------------
 # verb handlers: fill results/parameters, return (verdict, witness); a
-# verdict of None means "pure query" and always exits 0.
+# verdict of None means "pure query" and always exits 0.  A PreconditionError
+# is a false verdict (exit 1) witnessed by its message, reported with the
+# results filled before it.
 
 
 def _verb_verify(job, inputs, parameters, results):
@@ -216,7 +210,7 @@ def _verb_extend_algebra(job, inputs, parameters, results):
     w = _load_module(job.options["module"], inputs, "module", a)
     mod = is_module(a, w)
     if not mod:
-        raise _MathFailure(f"coefficients are not a module: {mod.detail}")
+        raise PreconditionError(f"coefficients are not a module: {mod.detail}")
     omega = sz.cochain_from_obj(
         _read_json_file(job.options["cochain"], inputs, "cochain"), a, w
     )
@@ -227,10 +221,9 @@ def _verb_extend_algebra(job, inputs, parameters, results):
     results["total_is_kv"] = _check_to_obj(total_kv)
     results["extension"] = body = sz.extension_to_obj(ext)
     if not total_kv:
-        raise _MathFailure(
+        raise PreconditionError(
             f"the cochain is not a cocycle: total product fails at "
-            f"{total_kv.witness}",
-            results,
+            f"{total_kv.witness}"
         )
     recovered = extensions.algebra_cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered == omega
@@ -247,7 +240,7 @@ def _verb_extend_module(job, inputs, parameters, results):
     for name, mod in (("kernel", v), ("quotient", w)):
         verdict = is_module(a, mod)
         if not verdict:
-            raise _MathFailure(f"{name} is not a module: {verdict.detail}")
+            raise PreconditionError(f"{name} is not a module: {verdict.detail}")
     g = semidirect(a, w)
     vt = extensions.extend_module_to_semidirect(g, a.dim, v)
     raw = sz.cochain_from_obj(
@@ -256,10 +249,7 @@ def _verb_extend_module(job, inputs, parameters, results):
     if raw.degree != 2:
         raise InputError("module extensions need a degree-2 cochain")
     f = extensions.BigradedCochain(raw, a.dim, 1, 1)
-    try:
-        ext = extensions.module_extension_from_cocycle(a, w, v, f)
-    except PreconditionError as exc:
-        raise _MathFailure(str(exc)) from None
+    ext = extensions.module_extension_from_cocycle(a, w, v, f)
     results["extension"] = body = sz.extension_to_obj(ext)
     recovered = extensions.cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered.cochain == raw
@@ -312,10 +302,7 @@ def _verb_deform_solve(job, inputs, parameters, results):
     witness = None
     chain = deform._solve_orders(jet)
     for _ in range(orders):
-        try:
-            sol = next(chain)
-        except PreconditionError as exc:
-            raise _MathFailure(str(exc), results) from None
+        sol = next(chain)
         step = {
             "order": sol.order,
             "target_is_cocycle": sol.target_is_cocycle,
@@ -377,10 +364,7 @@ def _verb_curvature_check(job, inputs, parameters, results):
 
 def _verb_graded_check(job, inputs, parameters, results):
     obj = _read_json_file(job.options["graded"], inputs, "graded")
-    try:
-        g = sz.graded_from_obj(obj)
-    except PreconditionError as exc:
-        raise _MathFailure(str(exc)) from None
+    g = sz.graded_from_obj(obj)
     results["even_dim"] = g.n
     results["odd_dim"] = g.m
     results["total_is_kv"] = True
@@ -396,9 +380,8 @@ def _verb_graded_deform(job, inputs, parameters, results):
     results["theta_is_chain"] = _check_to_obj(chain)
     if not (cocycle and chain):
         bad = cocycle if not cocycle else chain
-        raise _MathFailure(
-            f"theta does not deform: {bad.detail or 'fails the graded conditions'}",
-            results,
+        raise PreconditionError(
+            f"theta does not deform: {bad.detail or 'fails the graded conditions'}"
         )
     deformed = graded.deform_graded(g, theta)
     results["deformed"] = body = sz.algebra_to_obj(deformed)
@@ -504,7 +487,7 @@ def _verb_geodesic(job, inputs, parameters, results):
         lines.append(",".join(_format_float(c) for c in s))
     text = "\n".join(lines) + "\n"
     if trajectory.termination == geom.STEP_UNDERFLOW:
-        raise _MathFailure(
+        raise PreconditionError(
             "the integrator could not advance past "
             f"t = {trajectory.final[0]!r} at the smallest resolvable step"
         )
@@ -718,9 +701,7 @@ def run(job: JobSpec) -> Report:
                 raise InputError(f"unknown option {key!r} for {job.verb}")
         filled = JobSpec(job.verb, {flag.key: flag.read(job.options) for flag in flags})
         outcome = handler(filled, inputs, parameters, results)
-    except (_MathFailure, PreconditionError) as exc:
-        # A _MathFailure may carry the results gathered before it.
-        results = getattr(exc, "results", None) or results
+    except PreconditionError as exc:
         outcome = False, str(exc)
     except BudgetError as exc:
         return _error_report(job.verb, "budget", str(exc), _EXIT_BUDGET)

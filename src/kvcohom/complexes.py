@@ -110,7 +110,6 @@ from .linalg import (
     Vec,
     _combine,
     _image,
-    _integral_rows,
     _kernel,
     _quotient,
     _rank,
@@ -118,7 +117,6 @@ from .linalg import (
     _solve,
     extend_basis,
     rat,
-    solve,
     vec,
 )
 
@@ -359,7 +357,7 @@ def coboundary0(W: KVModule, w: Element, *, check: bool = True) -> Cochain:
                 "degree-0 cochains live in the Jacobi subspace J(W); "
                 "this element is outside it"
             )
-    return Cochain(A, W, 1, _delta0_matrix(A, W, [w.coords]).entries)
+    return Cochain(A, W, 1, _matrix(*_delta0_rows(A, W, [w.coords]), 1).entries)
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -430,21 +428,26 @@ def _coboundary_sums(
     return D * d, {off: x for off, x in acc.items() if x}
 
 
-def _delta0_matrix(A: KVAlgebra, W: KVModule, vectors: Sequence[Sequence[Fraction]]) -> Mat:
-    """The degree-0 coboundary on the given vectors of W, one column each;
-    on the echelon basis of J(W) it is the matrix of delta_0.
+def _delta0_rows(
+    A: KVAlgebra, W: KVModule, vectors: Sequence[Sequence[Fraction]]
+) -> tuple[int, list[IntRow]]:
+    """D * d and the integer rows of D * d times the degree-0 coboundary on
+    the given vectors of W, one column each, with d the lcm of the vectors'
+    denominators; on the echelon basis of J(W) it is delta_0.
 
     Column t holds (delta b)(e_i) = -e_i b + b e_i for the vector b =
     vectors[t] at rows i * m + ga, read from the action lists of W's
-    integer view and divided by D once.
+    integer view.
     """
     m = W.dim
     D, _, _, left, _, _, right_t = _module_view(A, W)
-    rows: list[dict] = [{} for _ in range(A.dim * m)]
+    d = math.lcm(*{y.denominator for b in vectors for y in b})
+    rows: list[IntRow] = [{} for _ in range(A.dim * m)]
     for t, b in enumerate(vectors):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for be, y in enumerate(b):
             if y:
+                y = y.numerator * (d // y.denominator)
                 for i, (lefts, rights) in enumerate(zip(left, right_t)):
                     for ga, x in rights[be]:
                         acc[i * m + ga] = acc.get(i * m + ga, 0) + x * y
@@ -452,8 +455,8 @@ def _delta0_matrix(A: KVAlgebra, W: KVModule, vectors: Sequence[Sequence[Fractio
                         acc[i * m + ga] = acc.get(i * m + ga, 0) - x * y
         for pos, x in acc.items():
             if x:
-                rows[pos][t] = x / D
-    return Mat._of(len(rows), len(vectors), tuple(rows))
+                rows[pos][t] = x
+    return D * d, rows
 
 
 def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
@@ -466,7 +469,8 @@ def coboundary_matrix(A: KVAlgebra, W: KVModule, q: int) -> Mat:
     if q < 0:
         raise InputError("coboundary degree must be non-negative")
     if q == 0:
-        return _delta0_matrix(A, W, jacobi_module(A, W).basis)
+        J = jacobi_module(A, W)
+        return _matrix(*_delta0_rows(A, W, J.basis), J.dim)
     return _matrix(*_coboundary_rows(A, W, q), A.dim**q * W.dim)
 
 
@@ -488,18 +492,20 @@ def _coboundary_rows(
     integer view; D is the lcm of their denominators.
 
     Each output tuple (all of A^(q+1) in order by default) gives its m
-    rows, empty ones included.  The outputs are taken in chunks of
-    `_CHUNK`, so the rows being written stay few.  A pass over a chunk
-    groups, for each slot j, the (row, column) bases that each kind of
-    constant reaches: by a_j for the left action (the rest tuple, the
-    output without a_j), by a_q for the right action (the rest with a_j in
-    its last slot) and by (a_j, rest_p) for the product in slot p of the
-    rest (the rest with 0 in slot p); only groups that a nonzero constant
-    reaches are kept.  Each nonzero constant is then added into the bases
-    of its group.
+    rows, empty ones included, so when m = 0 no output is taken at all.
+    The outputs are taken in chunks of `_CHUNK`, so the rows being written
+    stay few.  A pass over a chunk groups, for each slot j, the (row,
+    column) bases that each kind of constant reaches: by a_j for the left
+    action (the rest tuple, the output without a_j), by a_q for the right
+    action (the rest with a_j in its last slot) and by (a_j, rest_p) for
+    the product in slot p of the rest (the rest with 0 in slot p); only
+    groups that a nonzero constant reaches are kept.  Each nonzero constant
+    is then added into the bases of its group.
     """
     n, m = A.dim, W.dim
     D, gam, _, left, _, _, right_t = _module_view(A, W)
+    if not m:
+        return D, []
     strides = [n ** (q - 1 - p) * m for p in range(q)]
     acting = [any(t) for t in left]
     acted = [any(t) for t in right_t]
@@ -768,7 +774,7 @@ def cohomology(
         if q:
             return _rows(A, W, q, q_max)
         # delta_0 on J(W), in coordinates over the echelon basis of J
-        return _integral_rows(_delta0_matrix(A, W, J.basis))[1], J.dim
+        return _delta0_rows(A, W, J.basis)[1], J.dim
 
     return _walk(rows, lambda q, v: Cochain(A, W, q, v if q else _combine(v, J)), 0, q_max)
 
@@ -824,7 +830,8 @@ def is_coboundary(f: Cochain) -> Optional[Cochain]:
         return f if f.is_zero() else None
     if f.degree == 1:
         J = jacobi_module(A, W)
-        x = solve(_delta0_matrix(A, W, J.basis), f.values)
+        D, rows = _delta0_rows(A, W, J.basis)
+        x = _solve(rows, J.dim, {i: D * y for i, y in _nonzero_values(f).items()})
         return None if x is None else Cochain(A, W, 0, _combine(x, J))
     x = _ClassRows(A, W, f.degree - 1).solve(_nonzero_values(f))
     return None if x is None else Cochain(A, W, f.degree - 1, x)

@@ -40,7 +40,7 @@ algebra's lists for an action that is the product, so a fresh
 `regular_bimodule` lists nothing again.  The view backs the verdict scans
 of `is_kv` and `is_module`, `jacobi_module`, the action lists of the
 derivation rules, and the coboundary, the row assemblers and the
-degree-0 matrix of `complexes`; so the rules of `graded` and `geom` list
+degree-0 rows of `complexes`; so the rules of `graded` and `geom` list
 only the caller's tensor.  The scaled lists back the pair bracket,
 residuals and curvature of `deform`.
 The battery's second routes read the structure constants on their own
@@ -49,16 +49,14 @@ and do not go through `_bilinear` or `_sparse4`.
 Block spaces share one layout as well: `_blocks` builds a tensor on a
 direct sum of spaces that is zero outside the blocks it is given, and
 `_block` reads one block back out.  They back `semidirect`, `direct_sum`,
-`module_direct_sum`, the extension totals of `extensions`, its (1,1)
-cochains placed from the blocks of a morphism defect (the bottom
-coboundary and both section cocycles), the block checks of an extension
-file in `serialize` and the graded deformations and cochains of `graded`.
-`_morphism_defect` is the one defect of a linear map from being a module
-morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a, in those two blocks;
-`module_morphism_space` is the kernel of the bottom matrix of the p = 1
-column of `extensions`, whose degree-0 cocycles are the module morphisms,
-and `center` the kernel of the degree-0 matrix of `complexes` with
-regular coefficients, (delta c)(a) = -ac + ca.
+`module_direct_sum`, the extension totals of `extensions` (whose section
+cocycle is read block by block out of a coboundary over the semidirect
+sum), the block checks of an extension file in `serialize` and the graded
+deformations and cochains of `graded`.  `module_morphism_space` is the
+kernel of the bottom matrix of the p = 1 column of `extensions`, whose
+degree-0 cocycles are the module morphisms, and `center` the kernel of the
+degree-0 rows of `complexes` with regular coefficients,
+(delta c)(a) = -ac + ca.
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
@@ -655,11 +653,12 @@ def jacobi_module(A: KVAlgebra, W: KVModule) -> Subspace:
 
 
 def center(A: KVAlgebra) -> Subspace:
-    """C(A) = {c : c x = x c for all x}: the kernel of the degree-0 matrix
+    """C(A) = {c : c x = x c for all x}: the kernel of the degree-0 rows
     of `complexes`, (delta c)(a) = -ac + ca, on the unit vectors."""
     from . import complexes
 
-    return kernel(complexes._delta0_matrix(A, regular_bimodule(A), Subspace.full(A.dim).basis))
+    rows = complexes._delta0_rows(A, regular_bimodule(A), Subspace.full(A.dim).basis)[1]
+    return _kernel(rows, A.dim)
 
 
 def lie_bracket(A: KVAlgebra) -> Tensor3:
@@ -734,32 +733,6 @@ def module_direct_sum(W: KVModule, V: KVModule) -> KVModule:
 
 def _minus(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
     return [p - q for p, q in zip(x, y)]
-
-
-def _morphism_defect(W: KVModule, X: KVModule, phi: Mat) -> tuple[list, list]:
-    """The two mixed blocks of the defect of phi: W -> X from being a module
-    morphism, for phi given by its rows phi(w_al) in X-coordinates:
-
-        [i][al] = phi(e_i w_al) - e_i phi(w_al)      (n x m x dim X)
-        [al][i] = phi(w_al e_i) - phi(w_al) e_i      (m x n x dim X)
-    """
-    phi_of, x = phi.transpose().mat_vec, X.dim
-
-    def times(planes) -> list[Mat]:
-        # row al of phi P is phi(w_al) acted on by the plane P of constants
-        return [mat_mul(phi, Mat._of(x, x, tuple(map(_sparse, p)))) for p in planes]
-
-    # e_i x reads row x of X.left[i], and x e_i row x of the plane X.right[.][i];
-    # an empty module axis would lose the algebra axis in the transpose
-    on_left = times(X.left)
-    on_right = times(tuple(zip(*X.right)) or ((),) * W.algebra.dim)
-    left = [
-        [_minus(phi_of(W.left[i][al]), p.row(al)) for al in range(W.dim)] for i, p in enumerate(on_left)
-    ]
-    right = [
-        [_minus(phi_of(W.right[al][i]), p.row(al)) for i, p in enumerate(on_right)] for al in range(W.dim)
-    ]
-    return left, right
 
 
 def module_morphism_space(W: KVModule, V: KVModule) -> Subspace:

@@ -19,15 +19,17 @@ morphisms, and its first cohomology classifies module extensions
 rows only.  One level up, 2-cocycles in C_2(A, W) classify algebra
 extensions with abelian kernel W.
 
-Both rest on one map, the defect of a linear map phi: W -> X from being a
-module morphism, phi(aw) - a phi(w) and phi(wa) - phi(w) a.
-`core._morphism_defect` builds its two mixed blocks from the structure
-constants; `e11_coboundary0` places them as they are (X = V) and
-`cocycle_from_section` places their negatives (X = T), both in the block
-layout of `core`.  The kernel of the bottom matrix `e11_matrix(..., 0)` is
-`core.module_morphism_space`.  The algebra section cocycle reads
-sigma(a) sigma(a') - sigma(aa') the same way.  Both equivalence verdicts
-ask `complexes.is_coboundary` for a preimage of the difference of two
+The code follows that remark.  A linear map phi: W -> X, given by its
+rows phi(w_al), is written as a 1-cochain over G that is zero on A and
+valued in X extended to G (`_coboundary_on_w`); its coboundary is the
+defect of phi from being a module morphism, phi(aw) - a phi(w) and
+phi(wa) - phi(w) a, in the (1,1) blocks.  `e11_coboundary0` is that
+coboundary for theta (X = V), and `cocycle_from_section` is minus its V
+block for a section sigma (X = T), read in the block layout of `core`, as
+is the algebra section cocycle sigma(a) sigma(a') - sigma(aa').  The
+kernel of the bottom matrix `e11_matrix(..., 0)` is
+`core.module_morphism_space`.  Both equivalence verdicts ask
+`complexes.is_coboundary` for a preimage of the difference of two
 cocycles, and this module solves no system of its own: for modules the
 preimage is a map theta: W -> V, for algebras it is the shear, checked by
 `conjugate_algebra`.
@@ -49,6 +51,7 @@ from .complexes import (
     _matrix,
     _pieces,
     _walk,
+    coboundary,
     is_coboundary,
 )
 from .core import (
@@ -59,7 +62,6 @@ from .core import (
     _blocks,
     _entries,
     _minus,
-    _morphism_defect,
     _shaped,
     conjugate_algebra,
     is_module,
@@ -176,27 +178,25 @@ def _theta_matrix(theta: Mat, mw: int, mv: int, what: str) -> Mat:
     return theta
 
 
-def _one_one(A: KVAlgebra, W: KVModule, V: KVModule, left, right) -> BigradedCochain:
-    """The (1,1) cochain over G = A + W with (A, W) block left and (W, A)
-    block right, valued in V."""
+def _coboundary_on_w(A: KVAlgebra, W: KVModule, X: KVModule, phi: Mat) -> Cochain:
+    """The coboundary over G = A + W, valued in X extended to G, of the
+    1-cochain that is zero on A and phi on W, for phi: W -> X given by its
+    rows phi(w_al) in X-coordinates."""
     G = semidirect(A, W)
-    n, N = A.dim, G.dim
-    table = _blocks(N, N, V.dim, (left, 0, n, 0), (right, n, 0, 0))
-    cochain = Cochain(G, extend_module_to_semidirect(G, n, V), 2, _entries(table, 3))
-    return BigradedCochain(cochain, n, 1, 1)
+    values = (_ZERO,) * (A.dim * X.dim) + phi.entries
+    return coboundary(Cochain(G, extend_module_to_semidirect(G, A.dim, X), 1, values))
 
 
 def e11_coboundary0(A: KVAlgebra, W: KVModule, V: KVModule, theta: Mat) -> BigradedCochain:
-    """The bottom differential of the p = 1 column, assembled from its formula.
+    """The bottom differential of the p = 1 column:
 
     (delta theta)(a, w) = -a theta(w) + theta(aw)
     (delta theta)(w, a) = theta(wa) - theta(w) a
 
-    These are the two blocks of the morphism defect of theta, placed as
-    they are.
+    the coboundary of theta as a 1-cochain over G that is zero on A.
     """
     _theta_matrix(theta, W.dim, V.dim, "theta")
-    return _one_one(A, W, V, *_morphism_defect(W, V, theta))
+    return BigradedCochain(_coboundary_on_w(A, W, V, theta), A.dim, 1, 1)
 
 
 def _one_w_tuples(n: int, N: int, length: int) -> list[tuple[int, ...]]:
@@ -366,19 +366,20 @@ def cocycle_from_section(ext: ModuleExtension, sigma: Mat) -> BigradedCochain:
     """f_sigma(a,w) = a sigma(w) - sigma(aw), f_sigma(w,a) = sigma(w) a - sigma(wa).
 
     sigma is a linear right inverse of the projection T -> W; its defect
-    from being a module morphism, negated, is the cocycle, whose class does
-    not depend on the choice of sigma.
+    from being a module morphism, the coboundary of sigma over G, lies in
+    the kernel V, and negated it is the cocycle, whose class does not
+    depend on the choice of sigma.
     """
     A, V, W, T = ext.base, ext.kernel, ext.quotient, ext.total
     n, m, v = A.dim, W.dim, V.dim
     _section(sigma, m, T.dim, v)
-    left, right = _morphism_defect(W, T, sigma)
-    cocycle = []
-    for t, d1, d2 in ((left, n, m), (right, m, n)):
-        if any(_entries(_block(t, 0, 0, v, d1, d2, m), 3)):
-            raise AssertionError("section defect left the kernel V")
-        cocycle.append([[[-x for x in r] for r in p] for p in _block(t, 0, 0, 0, d1, d2, v)])
-    return _one_one(A, W, V, *cocycle)
+    defect = _coboundary_on_w(A, W, T, sigma)
+    G, N = defect.algebra, defect.n
+    table = _shaped(defect.values, N, N, T.dim)
+    if any(_entries(_block(table, 0, 0, v, N, N, m), 3)):
+        raise AssertionError("section defect left the kernel V")
+    values = tuple(-x for x in _entries(_block(table, 0, 0, 0, N, N, v), 3))
+    return BigradedCochain(Cochain(G, extend_module_to_semidirect(G, n, V), 2, values), n, 1, 1)
 
 
 def extensions_equivalent(f: BigradedCochain, g: BigradedCochain) -> bool:

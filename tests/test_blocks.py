@@ -3,11 +3,10 @@
 `core._blocks` builds every tensor on a direct sum of spaces: the products
 of `semidirect` and `direct_sum`, the actions of `module_direct_sum` and
 `extend_module_to_semidirect`, the extension totals, the graded deformation
-and the graded 2-cochains, and the (1,1) cochains that `e11_coboundary0`
-and `cocycle_from_section` place from the blocks of
-`core._morphism_defect`.  `core._block` reads a block back out for the
-two section cocycles.  The bottom map of the p = 1 column against the
-coboundary of the embedded map, the shear check of
+and the graded 2-cochains.  `core._block` reads a block back out for the
+two section cocycles, the module one out of a coboundary over the
+semidirect sum, as `e11_coboundary0` forms it.  The bottom map of the
+p = 1 column against the coboundary of the embedded map, the shear check of
 `algebra_extensions_equivalent` and the module-extension verdict of
 `extensions_equivalent` are checked against the loops they replaced too.
 Each check below runs a copy of the loop it replaced as a reference, on
@@ -719,7 +718,7 @@ def test_every_blocks_call_site_returns_fractions(monkeypatch):
         direct_sum(A, random_kv(s + 1, n_max=2))
         module_direct_sum(W, V)
         theta = _random_mat(rng, W.dim, V.dim, 0.5)
-        f = e11_coboundary0(A, W, V, theta)  # semidirect, extend_module_to_semidirect, _one_one
+        f = e11_coboundary0(A, W, V, theta)  # semidirect, extend_module_to_semidirect
         module_extension_from_cocycle(A, W, V, f)
         values = [rng.choice((0, 1, Fraction(1, 2))) for _ in range(A.dim * W.dim)]
         omega = coboundary(Cochain.from_values(A, W, 1, values))
@@ -732,10 +731,10 @@ def test_every_blocks_call_site_returns_fractions(monkeypatch):
     sites = {name for name, _ in seen}
     assert sites == {
         "semidirect", "direct_sum", "module_direct_sum", "extend_module_to_semidirect",
-        "_one_one", "module_extension_from_cocycle", "algebra_extension_from_cocycle",
+        "module_extension_from_cocycle", "algebra_extension_from_cocycle",
         "_regular_cochain", "deform_graded",
     }
-    assert len(seen) == 12
+    assert len(seen) == 11
     for calls in seen.values():
         for out, want in calls:
             assert out == want

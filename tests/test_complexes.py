@@ -623,6 +623,33 @@ def test_cohomology_of_zero_dimensional_inputs():
             assert [[r.values for r in d.representatives] for d in report.degrees] == [
                 [tuple(Fraction(int(i == j)) for j in range(W.dim)) for i in range(d0[3])]
             ] + [[]] * q_max
+    # over a zero-dimensional module every table is empty at every degree,
+    # and the row assembler takes no output tuple to learn it
+    report = cohomology(aff(), zero_module(aff(), 0), 12)
+    assert [(d.degree, d.dim_C, d.dim_Z, d.dim_B, d.dim_H) for d in report.degrees] == [
+        (q, 0, 0, 0, 0) for q in range(13)
+    ]
+    report = e11_cohomology(aff(), regular_bimodule(aff()), zero_module(aff(), 0), 6)
+    assert [(d.degree, d.dim_C, d.dim_Z, d.dim_B, d.dim_H, d.representatives) for d in report.degrees] == [
+        (q, 0, 0, 0, 0, ()) for q in range(7)
+    ]
+
+
+def test_row_assembler_takes_no_output_over_a_zero_dimensional_module():
+    taken = []
+
+    def outputs(n, q):
+        for args in itertools.product(range(n), repeat=q + 1):
+            taken.append(args)
+            yield args
+
+    for A in (aff(), random_kv(3, n_max=4)):
+        for q in (1, 2, 3):
+            taken.clear()
+            assert _coboundary_rows(A, zero_module(A, 0), q, outputs(A.dim, q))[1] == []
+            assert taken == []
+            rows = _coboundary_rows(A, zero_module(A, 1), q, outputs(A.dim, q))[1]
+            assert len(taken) == len(rows) == A.dim ** (q + 1)
 
 
 def test_is_coboundary_computes_the_jacobi_module_once(monkeypatch):

@@ -15,11 +15,14 @@ from kvcohom.extensions import (
     BigradedCochain,
     ModuleExtension,
     algebra_extension_from_cocycle,
+    cocycle_from_section,
+    e11_coboundary0,
     extend_module_to_semidirect,
     module_extension_from_cocycle,
 )
 from kvcohom.fixtures import aff, algebra_catalog, flat_polynomial_module, zero_algebra
 from kvcohom.geom import find_radiant
+from kvcohom.linalg import Mat
 
 from gather_loops import dense_center, dense_radiant, per_class_block_maps, scanned_homogeneity
 
@@ -127,10 +130,22 @@ def test_each_formula_has_one_implementation(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(complexes, "_delta0_matrix", counted("delta0", complexes._delta0_matrix))
+    monkeypatch.setattr(complexes, "_delta0_rows", counted("delta0", complexes._delta0_rows))
+    monkeypatch.setattr(complexes, "_coboundary_sums", counted("sums", complexes._coboundary_sums))
     monkeypatch.setattr(extensions, "_pieces", counted("pieces", extensions._pieces))
     center(aff())
     assert calls == ["delta0"]
     G = semidirect(aff(), zero_module(aff(), 1))
     BigradedCochain(Cochain.zero(G, extend_module_to_semidirect(G, 2, zero_module(aff(), 1)), 2), 2, 1, 1)
     assert calls == ["delta0", "pieces"]
+    # the bottom coboundary and the section cocycle are each one coboundary
+    # over the semidirect sum, checked for its bidegree once
+    W = flat_polynomial_module()
+    theta = Mat.from_rows([[1, 0, 2], [0, -1, 0], [3, 0, 1]])
+    calls.clear()
+    f = e11_coboundary0(aff(), W, W, theta)
+    assert calls == ["sums", "pieces"]
+    ext = module_extension_from_cocycle(aff(), W, W, f)
+    calls.clear()
+    cocycle_from_section(ext, ext.canonical_section())
+    assert calls == ["sums", "pieces"]
