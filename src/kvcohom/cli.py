@@ -36,6 +36,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     _entries,
+    _require,
     is_kv,
     is_module,
     jacobi_algebra,
@@ -208,9 +209,7 @@ def _verb_nijenhuis(job, inputs, parameters, results):
 def _verb_extend_algebra(job, inputs, parameters, results):
     a = _load_algebra(job.options["algebra"], inputs)
     w = _load_module(job.options["module"], inputs, "module", a)
-    mod = is_module(a, w)
-    if not mod:
-        raise PreconditionError(f"coefficients are not a module: {mod.detail}")
+    _require(is_module(a, w), "coefficients are not a module: {detail}")
     omega = sz.cochain_from_obj(
         _read_json_file(job.options["cochain"], inputs, "cochain"), a, w
     )
@@ -220,11 +219,7 @@ def _verb_extend_algebra(job, inputs, parameters, results):
     total_kv = is_kv(ext.total)
     results["total_is_kv"] = _check_to_obj(total_kv)
     results["extension"] = body = sz.extension_to_obj(ext)
-    if not total_kv:
-        raise PreconditionError(
-            f"the cochain is not a cocycle: total product fails at "
-            f"{total_kv.witness}"
-        )
+    _require(total_kv, "the cochain is not a cocycle: total product fails at {witness}")
     recovered = extensions.algebra_cocycle_from_section(ext, ext.canonical_section())
     results["section_cocycle_matches"] = recovered == omega
     _maybe_emit(job, body)
@@ -238,9 +233,7 @@ def _verb_extend_module(job, inputs, parameters, results):
     if v.algebra != a or w.algebra != a:
         raise InputError("kernel and quotient must be modules over the algebra")
     for name, mod in (("kernel", v), ("quotient", w)):
-        verdict = is_module(a, mod)
-        if not verdict:
-            raise PreconditionError(f"{name} is not a module: {verdict.detail}")
+        _require(is_module(a, mod), name + " is not a module: {detail}")
     g = semidirect(a, w)
     vt = extensions.extend_module_to_semidirect(g, a.dim, v)
     raw = sz.cochain_from_obj(

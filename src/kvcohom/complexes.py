@@ -96,6 +96,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     _module_view,
+    _require,
     _weights,
     is_kv,
     is_module,
@@ -744,12 +745,8 @@ class CohomologyReport:
 
 
 def _require_verified(A: KVAlgebra, W: KVModule) -> None:
-    verdict = is_kv(A)
-    if not verdict:
-        raise PreconditionError(f"cohomology needs a KV product; {verdict.detail}")
-    verdict = is_module(A, W)
-    if not verdict:
-        raise PreconditionError(f"cohomology needs a verified module; {verdict.detail}")
+    _require(is_kv(A), "cohomology needs a KV product; {detail}")
+    _require(is_module(A, W), "cohomology needs a verified module; {detail}")
 
 
 def cohomology(

@@ -525,6 +525,14 @@ def _verdict(failure: Optional[tuple[int, ...]], detail) -> CheckResult:
     return CheckResult(False, failure, detail(*failure))
 
 
+def _require(verdict: CheckResult, message: str) -> None:
+    """The one precondition gate: unless the verdict holds, raise
+    PreconditionError with the message, its {detail} and {witness} filled
+    from the verdict."""
+    if not verdict:
+        raise PreconditionError(message.format(detail=verdict.detail, witness=verdict.witness))
+
+
 def _pair_terms(L, pairs) -> list:
     """The `_sparse4` terms of the sum of A_ij over (i, j) in pairs,
 
@@ -625,11 +633,7 @@ def jacobi_algebra(A: KVAlgebra) -> Subspace:
     is the Jacobi subspace of the regular bimodule, whose left action is
     the product.
     """
-    verdict = is_kv(A)
-    if not verdict:
-        raise PreconditionError(
-            f"jacobi_algebra needs a KV product; {verdict.detail}"
-        )
+    _require(is_kv(A), "jacobi_algebra needs a KV product; {detail}")
     return jacobi_module(A, regular_bimodule(A))
 
 

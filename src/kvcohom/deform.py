@@ -63,6 +63,7 @@ from .core import (
     Sparse4,
     _int_lists,
     _pair_terms,
+    _require,
     _common,
     _scaled_lists,
     _shaped,
@@ -151,11 +152,7 @@ class MultiplicationJet:
     coefficients: tuple[Tensor3, ...]
 
     def __post_init__(self) -> None:
-        verdict = is_kv(self.base)
-        if not verdict:
-            raise PreconditionError(
-                f"jet base is not a KV algebra: witness {verdict.witness}"
-            )
+        _require(is_kv(self.base), "jet base is not a KV algebra: witness {witness}")
         n = self.base.dim
         for k, mu in enumerate(self.coefficients, start=1):
             _check_shape(mu, n, n, n, f"jet coefficient {k}")
@@ -377,9 +374,7 @@ def rigidity_report(A: KVAlgebra) -> RigidityReport:
     n = A.dim
     for q in (1, 2, 3):
         check_budget(n, n, q)
-    verdict = is_kv(A)
-    if not verdict:
-        raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
+    _require(is_kv(A), "not a KV algebra: witness {witness}")
     W = regular_bimodule(A)
     d = _walk(lambda q: _rows(A, W, q, 2), lambda q, z: Cochain(A, W, q, z), 2, 2).degree(2)
     return RigidityReport(
@@ -400,9 +395,7 @@ def curvature_check(A: KVAlgebra, S: Tensor3) -> Tensor4:
     -delta S contracted on (X,Y,Z), so the two curvature computations agree
     precisely when S is a 2-cocycle.
     """
-    verdict = is_kv(A)
-    if not verdict:
-        raise PreconditionError(f"not a KV algebra: witness {verdict.witness}")
+    _require(is_kv(A), "not a KV algebra: witness {witness}")
     n = A.dim
     _check_shape(S, n, n, n, "S")
     for i in range(n):

@@ -62,12 +62,14 @@ from .core import (
     _blocks,
     _entries,
     _minus,
+    _require,
     _shaped,
     conjugate_algebra,
+    is_kv,
     is_module,
     semidirect,
 )
-from .errors import DimensionError, InputError, PreconditionError
+from .errors import DimensionError, InputError
 from .linalg import IntRow, Mat
 
 __all__ = [
@@ -212,8 +214,11 @@ def _one_w_tuples(n: int, N: int, length: int) -> list[tuple[int, ...]]:
 
 
 def e11_support(A: KVAlgebra, W: KVModule, V: KVModule, q: int) -> list[int]:
-    """Flat indices of the (1, q) component inside C_{q+1}(G, V), in order."""
+    """Flat indices of the (1, q) component inside C_{q+1}(G, V), in order;
+    none, and no tuple listed, when V is zero-dimensional."""
     n, v = A.dim, V.dim
+    if not v:
+        return []
     N = n + W.dim
     return [_flat(args, N) * v + be for args in _one_w_tuples(n, N, q + 1) for be in range(v)]
 
@@ -238,9 +243,11 @@ def _e11_rows(
 ) -> tuple[int, list[IntRow]]:
     """D and the integer rows of D times e11_matrix, from the semidirect G,
     the extended Vt and the (1, q) support; the rows come in the order of
-    the (1, q+1) support."""
+    the (1, q+1) support.  No tuple is listed when Vt is zero-dimensional,
+    since the assembler then takes no output."""
     src = {c: t for t, c in enumerate(src_support)}
-    D, rows = _coboundary_rows(G, Vt, q + 1, _one_w_tuples(n, G.dim, q + 2))
+    outputs = _one_w_tuples(n, G.dim, q + 2) if Vt.dim else ()
+    D, rows = _coboundary_rows(G, Vt, q + 1, outputs)
     try:
         return D, [{src[c]: x for c, x in r.items()} for r in rows]
     except KeyError:
@@ -266,10 +273,9 @@ def e11_cohomology(A: KVAlgebra, W: KVModule, V: KVModule, q_max: int) -> Cohomo
     """
     if q_max < 0:
         raise InputError("q_max must be non-negative")
+    _require(is_kv(A), "A is not a KV algebra: {detail}")
     for M, what in ((W, "W"), (V, "V")):
-        verdict = is_module(A, M)
-        if not verdict:
-            raise PreconditionError(f"{what} is not a verified module: {verdict.detail}")
+        _require(is_module(A, M), what + " is not a verified module: {detail}")
     n, m, v = A.dim, W.dim, V.dim
     N = n + m
     for q in range(q_max + 2):
@@ -342,12 +348,11 @@ def module_extension_from_cocycle(
     left = _blocks(n, t, t, (V.left, 0, 0, 0), (theta, 0, v, 0), (W.left, 0, v, v))
     right = _blocks(t, n, t, (V.right, 0, 0, 0), (psi, v, 0, 0), (W.right, v, 0, v))
     T = KVModule(algebra=A, dim=t, left=left, right=right)
-    verdict = is_module(A, T)
-    if not verdict:
-        raise PreconditionError(
-            f"the (1,1) cochain is not a cocycle: the total space fails the "
-            f"module identities; {verdict.detail}"
-        )
+    _require(
+        is_module(A, T),
+        "the (1,1) cochain is not a cocycle: the total space fails the "
+        "module identities; {detail}",
+    )
     return ModuleExtension(base=A, kernel=V, quotient=W, total=T)
 
 

@@ -48,6 +48,7 @@ from .core import (
     _derivation_failure,
     _entries,
     _int_lists,
+    _require,
     _shaped,
     _view,
     is_module,
@@ -482,11 +483,7 @@ def radiant_primitive(
         raise DimensionError("the module is over a different algebra")
     if any(_entries(W.right, 3)):
         raise InputError("radiant primitives need a left module (zero right action)")
-    verdict = is_module(A, W)
-    if not verdict:
-        raise PreconditionError(
-            f"the coefficients do not form a module: witness {verdict.witness}"
-        )
+    _require(is_module(A, W), "the coefficients do not form a module: witness {witness}")
     coords = H.coords if isinstance(H, Element) else vec(H)
     if len(coords) != n:
         raise DimensionError("the radiant candidate has the wrong dimension")

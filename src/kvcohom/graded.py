@@ -54,6 +54,7 @@ from .core import (
     _first,
     _int_lists,
     _pair_terms,
+    _require,
     _scaled_lists,
     _shaped,
     _sparse4,
@@ -65,7 +66,7 @@ from .core import (
     semidirect,
     tensor3,
 )
-from .errors import DimensionError, InputError, PreconditionError
+from .errors import DimensionError, InputError
 
 __all__ = [
     "GradedKVAlgebra",
@@ -93,23 +94,11 @@ class GradedKVAlgebra:
             raise DimensionError("odd part is not a module over the even part")
         if any(_entries(self.odd.right, 3)):
             raise InputError("the odd part must have zero right action (W . A = 0)")
-        verdict = is_kv(self.even)
-        if not verdict:
-            raise PreconditionError(
-                f"even part is not a KV algebra: witness {verdict.witness}"
-            )
-        verdict = is_module(self.even, self.odd)
-        if not verdict:
-            raise PreconditionError(
-                f"odd part is not a verified module: {verdict.detail}"
-            )
+        _require(is_kv(self.even), "even part is not a KV algebra: witness {witness}")
+        _require(is_module(self.even, self.odd), "odd part is not a verified module: {detail}")
         # not a field: equality, hash and repr stay those of (even, odd)
         object.__setattr__(self, "_total", semidirect(self.even, self.odd))
-        total_verdict = is_kv(self.total())
-        if not total_verdict:
-            raise PreconditionError(
-                f"total product is not KV: witness {total_verdict.witness}"
-            )
+        _require(is_kv(self.total()), "total product is not KV: witness {witness}")
 
     @property
     def n(self) -> int:

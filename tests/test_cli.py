@@ -228,7 +228,7 @@ def test_extend_algebra_rejects_non_cocycle(tmp_path):
     )
     assert report.exit_code == 1
     body = _body(report)
-    assert "not a cocycle" in body["witness"]
+    assert body["witness"] == "the cochain is not a cocycle: total product fails at (2, 3, 3)"
     assert body["results"]["total_is_kv"]["ok"] is False
 
 

@@ -37,8 +37,18 @@ from kvcohom.core import (
     zero3,
     zero_module,
 )
+from kvcohom.complexes import Cochain, cohomology
+from kvcohom.deform import MultiplicationJet, curvature_check, rigidity_report
 from kvcohom.errors import DimensionError, PreconditionError
+from kvcohom.extensions import (
+    BigradedCochain,
+    e11_cohomology,
+    extend_module_to_semidirect,
+    module_extension_from_cocycle,
+)
 from kvcohom.fixtures import aff, algebra_catalog, assoc1, poly2, rad2, zero_algebra
+from kvcohom.geom import radiant_primitive
+from kvcohom.graded import GradedKVAlgebra
 from kvcohom.linalg import Mat, Subspace, kernel
 
 
@@ -145,6 +155,56 @@ def test_jacobi_algebra_values():
 def test_jacobi_algebra_rejects_non_kv():
     with pytest.raises(PreconditionError):
         jacobi_algebra(non_kv_candidate())
+
+
+def test_every_precondition_gate_keeps_its_text():
+    """Each library gate of `core._require`, on an input that fails it, with
+    its message frozen as a literal.  B fails the KV identity at (0,1,0);
+    `bad` is a left action of aff that fails (a,b,w) = (b,a,w)."""
+    B = non_kv_candidate()
+    A = aff()
+    bad = KVModule(A, 1, tensor3([[[1]], [[1]]]), zero3(1, 2, 1))
+    one = zero_module(A, 1)
+    G = semidirect(A, one)
+    values = [Fraction(0)] * 9
+    values[5] = Fraction(1)  # f(e_2, w) = v, while e_2 e_1 = 0 and e_1 e_2 = e_2
+    f = BigradedCochain(
+        Cochain(G, extend_module_to_semidirect(G, 2, one), 2, tuple(values)), 2, 1, 1
+    )
+    kv = "associator symmetry fails at basis triple (0,1,0)"
+    module = "(a,b,w) = (b,a,w) fails at (e_0, e_1, w_0)"
+    table = [
+        (lambda: cohomology(B, zero_module(B, 1), 1), f"cohomology needs a KV product; {kv}"),
+        (lambda: cohomology(A, bad, 1), f"cohomology needs a verified module; {module}"),
+        (lambda: jacobi_algebra(B), f"jacobi_algebra needs a KV product; {kv}"),
+        (lambda: MultiplicationJet(B, ()), "jet base is not a KV algebra: witness (0, 1, 0)"),
+        (lambda: rigidity_report(B), "not a KV algebra: witness (0, 1, 0)"),
+        (lambda: curvature_check(B, zero3(2, 2, 2)), "not a KV algebra: witness (0, 1, 0)"),
+        (
+            lambda: e11_cohomology(B, zero_module(B, 1), zero_module(B, 1), 2),
+            f"A is not a KV algebra: {kv}",
+        ),
+        (lambda: e11_cohomology(A, bad, one, 1), f"W is not a verified module: {module}"),
+        (lambda: e11_cohomology(A, one, bad, 1), f"V is not a verified module: {module}"),
+        (
+            lambda: module_extension_from_cocycle(A, one, one, f),
+            "the (1,1) cochain is not a cocycle: the total space fails the module "
+            "identities; (a,b,w) = (b,a,w) fails at (e_0, e_1, w_1)",
+        ),
+        (
+            lambda: radiant_primitive(A, bad, [0, 1], Cochain(A, bad, 2, (Fraction(0),) * 4)),
+            "the coefficients do not form a module: witness (0, 1, 0)",
+        ),
+        (
+            lambda: GradedKVAlgebra(B, zero_module(B, 1)),
+            "even part is not a KV algebra: witness (0, 1, 0)",
+        ),
+        (lambda: GradedKVAlgebra(A, bad), f"odd part is not a verified module: {module}"),
+    ]
+    for call, text in table:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == text
 
 
 def test_jacobi_module_values():

@@ -404,6 +404,16 @@ def test_e11_rejects_unverified_coefficients():
     assert not is_module(A, bad)
     with pytest.raises(PreconditionError):
         e11_cohomology(A, W, bad, 1)
+    # A is checked too, before W and V, so the walk never meets a product
+    # whose coboundary does not square to zero
+    A = KVAlgebra(2, tensor3([[[0, 0], [0, 0]], [[0, 1], [0, 0]]]))  # e2 e1 = e2 only
+    W = zero_module(A, 1)
+    assert is_module(A, W)
+    with pytest.raises(PreconditionError) as info:
+        e11_cohomology(A, W, W, 2)
+    assert str(info.value) == (
+        "A is not a KV algebra: associator symmetry fails at basis triple (0,1,0)"
+    )
 
 
 def test_e11_budget_error_names_the_offending_degree():
@@ -424,7 +434,9 @@ def test_e11_budget_error_names_the_offending_degree():
             os.environ["KVCOHOM_ENTRY_BUDGET"] = old
 
 
-def test_zero_quotient_and_zero_kernel_degenerate_cleanly():
+def test_zero_quotient_and_zero_kernel_degenerate_cleanly(monkeypatch):
+    import kvcohom.extensions as ext
+
     A = aff()
     W = regular_bimodule(A)
     nothing = zero_module(A, 0)
@@ -433,6 +445,17 @@ def test_zero_quotient_and_zero_kernel_degenerate_cleanly():
         for q in (0, 1):
             data = report.degree(q)
             assert (data.dim_C, data.dim_Z, data.dim_B, data.dim_H) == (0, 0, 0, 0)
+    # over a zero-dimensional V no one-W tuple is listed, at any degree
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(ext, "_one_w_tuples", spy)
+    report = ext.e11_cohomology(A, W, nothing, 14)
+    assert [(d.dim_C, d.dim_Z, d.dim_B, d.dim_H) for d in report.degrees] == [(0, 0, 0, 0)] * 15
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,27 @@ def test_every_module_level_import_is_used():
             if name not in used
         ]
     assert dead == []
+
+
+def test_verdicts_raise_through_the_one_gate():
+    """`if not verdict: raise PreconditionError(...)` is written once, in
+    `core._require`; every other precondition on an is_kv or is_module
+    verdict calls that gate."""
+    home = Path(kvcohom.__file__).resolve().parent
+    gates = []
+    for path in sorted(home.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            gates += [
+                f"{path.name}:{func.name}"
+                for node in func.body
+                for stmt in ast.walk(node)
+                if isinstance(stmt, ast.If)
+                and isinstance(stmt.test, ast.UnaryOp)
+                and isinstance(stmt.test.op, ast.Not)
+                and isinstance(stmt.test.operand, ast.Name)
+                and any("PreconditionError" in ast.unparse(s) for s in stmt.body)
+            ]
+    assert gates == ["core.py:_require"]
