@@ -262,30 +262,6 @@ class Cochain:
     def value_element(self, args: Sequence[int]) -> Element:
         return Element(self.value(args))
 
-    def evaluate(self, arguments: Sequence[Element]) -> Element:
-        """Full multilinear evaluation on arbitrary algebra elements."""
-        if len(arguments) != self.degree:
-            raise DimensionError(
-                f"degree-{self.degree} cochain got {len(arguments)} arguments"
-            )
-        for a in arguments:
-            if a.dim != self.n:
-                raise DimensionError("cochain argument has wrong dimension")
-        out = [_ZERO] * self.m
-        for args in itertools.product(range(self.n), repeat=self.degree):
-            c = Fraction(1)
-            for t, i in enumerate(args):
-                c *= arguments[t].coords[i]
-                if c == 0:
-                    break
-            if c == 0:
-                continue
-            val = self.value(args)
-            for be in range(self.m):
-                if val[be] != 0:
-                    out[be] += c * val[be]
-        return Element(tuple(out))
-
     def is_zero(self) -> bool:
         return not any(self.values)
 
@@ -329,12 +305,13 @@ def _pieces(f: Cochain, k: int) -> dict[int, list[Fraction]]:
 
     Only the counts at which f is nonzero appear; the pieces sum to f.
     """
-    m = f.m
+    n, m = f.n, f.m
     pieces: dict[int, list[Fraction]] = {}
-    for s, args in enumerate(itertools.product(range(f.n), repeat=f.degree)):
+    for s in range(len(f.values) // m) if m else ():
         value = f.values[s * m : (s + 1) * m]
         if any(value):
-            count = sum(1 for i in args if i >= k)
+            # the arguments of the basis tuple s are its base-n digits
+            count = sum(s // n**r % n >= k for r in range(f.degree))
             if count not in pieces:
                 pieces[count] = [_ZERO] * len(f.values)
             pieces[count][s * m : (s + 1) * m] = value
@@ -618,15 +595,13 @@ class _ClassRows:
 
     The row at position t * m + ga, output tuple outputs[t] and coordinate
     ga, lies in the class mu_ga - sum_i w_{a_i} of W's weights
-    (`core._weights`), which are first read for a right-hand side that is
-    not zero.  An output tuple that is assembled keeps all its m rows, so
-    no row is assembled twice.
+    (`core._weights`), which are first read, with the output tuples, for a
+    right-hand side that is not zero.  An output tuple that is assembled
+    keeps all its m rows, so no row is assembled twice.
     """
 
     def __init__(self, A: KVAlgebra, W: KVModule, q: int) -> None:
         self.A, self.W, self.q = A, W, q
-        n = A.dim
-        self.outputs = _pair_outputs(n) if q == 2 else list(itertools.product(range(n), repeat=q + 1))
         self.D = _module_view(A, W).D
         self.rows: dict[int, IntRow] = {}
         self.sums: Optional[list[tuple]] = None
@@ -639,9 +614,11 @@ class _ClassRows:
         return s
 
     def _grade(self) -> None:
-        """Read W's weights and group the output tuples by the sums of
-        their arguments' weights, once."""
+        """List the output tuples, read W's weights and group the tuples by
+        the sums of their arguments' weights, once."""
         if self.sums is None:
+            n, q = self.A.dim, self.q
+            self.outputs = _pair_outputs(n) if q == 2 else list(itertools.product(range(n), repeat=q + 1))
             self.w, self.mu = _weights(self.W)
             self.sums = [self._sum(args) for args in self.outputs]
             self.by_sum: dict[tuple, list[int]] = {}

@@ -15,8 +15,9 @@ nonzero structure constants only; `associator`, `mixed_associators` and
 
 Each contraction has one private implementation here, shared by the other
 layers: `_bilinear` applies a bilinear tensor to two coordinate vectors
-(the body of `mul`, `left_act` and `right_act`, and of the basis change
-below), and `_sparse4` is the one kernel for sums of two-step products.
+(the body of `mul`, `left_act` and `right_act`, of the primitive of
+`geom.radiant_primitive`, and of `_carried`, the one basis change below),
+and `_sparse4` is the one kernel for sums of two-step products.
 Its terms are specs over integer lists: each names its first and second
 product and the places of their arguments, and is scattered from the
 nonzero constants of its first product.  The output tuples come back in
@@ -60,10 +61,10 @@ degree-0 rows of `complexes` with regular coefficients,
 
 Multilinear maps share one table layout: `_entries` lists the row-major
 entries of a nested tensor, the values of a cochain, and `_shaped` nests
-values back into a tensor.  `conjugate_algebra` carries the product along
-a change of basis through `_bilinear` (and so checks the shear of an
-algebra extension equivalence); `conjugate_module` moves each action
-plane of structure constants by two sparse matrix products instead.
+values back into a tensor.  `_carried` carries a bilinear map along a
+change of basis through `_bilinear`: `conjugate_algebra` moves the product
+with it (and so checks the shear of an algebra extension equivalence), and
+`conjugate_module` moves both actions.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, InputError, PreconditionError
-from .linalg import Mat, RatLike, Subspace, Vec, _kernel, _sparse, inverse, kernel, mat_mul, rat, vec
+from .linalg import Mat, RatLike, Subspace, Vec, _kernel, inverse, kernel, rat, vec
 
 __all__ = [
     "Tensor3",
@@ -762,37 +763,31 @@ def _inverse_columns(phi: Mat) -> list[Vec]:
     return [t.row(i) for i in range(t.rows)]
 
 
+def _carried(t: Tensor3, xs: Sequence[Vec], ys: Sequence[Vec], dim: int, phi: Mat) -> Tensor3:
+    """phi(t(x, y)) for x in xs and y in ys: the bilinear map t, of values
+    of length dim, carried along the change of basis phi."""
+    return tuple(tuple(phi.mat_vec(_bilinear(t, x, y, dim)) for y in ys) for x in xs)
+
+
 def conjugate_algebra(A: KVAlgebra, phi: Mat) -> KVAlgebra:
     """Transport the product along an invertible map: m'(x,y) = phi(m(phi^-1 x, phi^-1 y))."""
     n = A.dim
     if phi.rows != n or phi.cols != n:
         raise DimensionError("basis change must be square of the algebra dimension")
     cols = _inverse_columns(phi)
-    product = tensor3([[phi.mat_vec(_bilinear(A.product, x, y, n)) for y in cols] for x in cols])
-    return KVAlgebra(dim=n, product=product, name=A.name)
+    return KVAlgebra(dim=n, product=_carried(A.product, cols, cols, n, phi), name=A.name)
 
 
 def conjugate_module(W: KVModule, psi: Mat) -> KVModule:
-    """Transport both actions along an invertible map of the module space.
-
-    The action of e_i on the basis of W is a plane of structure constants,
-    row al the value on w_al: W.left[i] on the left and the rows
-    W.right[al][i] on the right.  Each plane P becomes C P psi^T, with C
-    the rows of old coordinates of the new basis vectors.
-    """
+    """Transport both actions along an invertible map of the module space:
+    a . w = psi(a . psi^-1 w) and w . a = psi(psi^-1 w . a)."""
     m = W.dim
     if psi.rows != m or psi.cols != m:
         raise DimensionError("basis change must be square of the module dimension")
-    old = Mat.from_rows(_inverse_columns(psi), cols=m)
-    psi_t = psi.transpose()
-
-    def moved(plane) -> tuple[Vec, ...]:
-        p = mat_mul(mat_mul(old, Mat._of(m, m, tuple(map(_sparse, plane)))), psi_t)
-        return tuple(p.row(j) for j in range(m))
-
-    left = tuple(moved(plane) for plane in W.left)
-    # an empty algebra axis would lose the module axis in the transpose
-    right = tuple(zip(*(moved(plane) for plane in zip(*W.right)))) or ((),) * m
+    cols = _inverse_columns(psi)
+    units = [e.coords for e in W.algebra.basis()]
+    left = _carried(W.left, units, cols, m, psi)
+    right = _carried(W.right, cols, units, m, psi)
     return KVModule(algebra=W.algebra, dim=m, left=left, right=right)
 
 

@@ -74,7 +74,7 @@ from .core import (
     tensor3,
     zero3,
 )
-from .errors import DimensionError, InputError, PreconditionError
+from .errors import DimensionError, InputError
 from .linalg import Vec, _quotient
 
 __all__ = [
@@ -322,12 +322,8 @@ def _solve_orders(jet: MultiplicationJet) -> Iterator[NextOrderSolution]:
     n = jet.dim
     for q in (2, 3, 4):
         check_budget(n, n, q)
+    _require(jet_check(jet), "cannot raise the order: the order-{witness[0]} residual is nonzero")
     d, L = _jet_lists(jet)
-    for kk, E in enumerate(_residuals(jet, L, range(jet.order + 1))):
-        if E:
-            raise PreconditionError(
-                f"cannot raise the order: the order-{kk} residual is nonzero"
-            )
     W = regular_bimodule(A)
     delta2 = _ClassRows(A, W, 2)
     while True:

@@ -45,6 +45,7 @@ from .core import (
     KVAlgebra,
     KVModule,
     Tensor3,
+    _bilinear,
     _derivation_failure,
     _entries,
     _int_lists,
@@ -506,7 +507,5 @@ def radiant_primitive(
             "the 2-cochain is not parallel: direction "
             f"e_{i + 1} fails at ({bdx + 1},{cdx + 1})"
         )
-    values = tuple(
-        sum(coords[j] * g_tensor[j][adx][be] for j in range(n)) for adx in range(n) for be in range(m)
-    )
+    values = tuple(x for e in A.basis() for x in _bilinear(g_tensor, coords, e.coords, m))
     return Cochain(A, W, 1, values)

@@ -14,7 +14,9 @@ the module-morphism equations as dense Fraction rows; the package reads
 the first from the block layout of `core` and the second as the kernel of
 the bottom matrix of the p = 1 column.  `reference_coboundary0` evaluates
 (delta w)(a) = -aw + wa with `Element` arithmetic, which the package reads
-from the degree-0 matrix, and `reference_embed_w_map` places a map
+from the degree-0 matrix, `reference_evaluate` is the multilinear value
+of a cochain on arbitrary elements, summed over every basis tuple, which
+the package no longer computes, and `reference_embed_w_map` places a map
 theta: W -> V as a 1-cochain over the semidirect sum, the cochain whose
 coboundary is the bottom map of the p = 1 column.
 `reference_extensions_equivalent` decides module-extension equivalence by
@@ -64,7 +66,7 @@ from kvcohom.complexes import (
     _pair_outputs,
     _pair_rhs,
 )
-from kvcohom.core import KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect, tensor3
+from kvcohom.core import Element, KVAlgebra, KVModule, _shaped, regular_bimodule, semidirect, tensor3
 from kvcohom.deform import MultiplicationJet, _dense4, _jet_lists, _target
 from kvcohom.errors import InputError
 from kvcohom.extensions import ModuleExtension, e11_matrix, e11_support, extend_module_to_semidirect
@@ -185,6 +187,20 @@ def reference_coboundary0(W, w):
         a = A.basis_element(i)
         out.extend((W.right_act(w, a) - W.left_act(a, w)).coords)
     return Cochain(A, W, 1, tuple(out))
+
+
+def reference_evaluate(f, arguments):
+    """The multilinear value of a cochain on arbitrary algebra elements, as a
+    sum over every basis tuple of its arguments' coordinates."""
+    out = [Fraction(0)] * f.m
+    for args in itertools.product(range(f.n), repeat=f.degree):
+        c = Fraction(1)
+        for a, i in zip(arguments, args):
+            c *= a.coords[i]
+        if c:
+            for be, x in enumerate(f.value(args)):
+                out[be] += c * x
+    return Element(tuple(out))
 
 
 def reference_embed_w_map(A, W, V, theta):

